@@ -20,7 +20,7 @@
    zero-copy avoidance — at n in {100, 200, 400, 800}.  The session suite
    times single-edit incremental recomputes against from-scratch batches
    at the same sizes; the server suite times a coalesced k-edit burst
-   (one invalidation pass) against k eager single-edit flushes; the
+   (one flush-policy pass) against k eager single-edit flushes; the
    second-path suite times the Yen-dominated gap study sequentially vs
    with spur tasks fanned out through the work-stealing scheduler, and
    records the steal ratio its pool observed.  With
@@ -372,11 +372,8 @@ let print_batch (pool_domains, samples) =
      root-side shortest path moves, so only the shared tree reruns;
    - cost-change-critical: drift on a link the longest served path
      forwards on — the adversarial case; the nodes behind it change
-     distance in nearly every avoidance search.  The default session
-     patches those searches in place (dynamic SSSP repair, bounded
-     affected region); the `/recompute` twin runs the same toggle on a
-     `~dynamic:false` session — the PR 2 drop-everything path — so the
-     pair measures repair vs recompute directly;
+     distance in nearly every avoidance search, and the flush policy
+     repairs or refills each touched search, whichever it prices lower;
    - leave-rejoin: a non-relay node leaves and rejoins — typical churn;
      two single-edit recomputes per call.
 
@@ -481,12 +478,6 @@ let run_session ?previous () =
         in
         record "session/cost-change/seq" n (toggle s su sv);
         record "session/cost-change-critical/seq" n (toggle s cu cv);
-        (* the same adversarial toggle with dynamic repair off: every
-           affected cache is dropped and rerun from scratch (the PR 2
-           baseline the repair path is gated against) *)
-        let s0 = S.create ~dynamic:false dg ~root:0 in
-        ignore (S.payments s0);
-        record "session/cost-change-critical/recompute" n (toggle s0 cu cv);
         (* churn round-trip: leave, payments; rejoin with the old links,
            payments — two single-edit recomputes per call *)
         let snap = S.snapshot s in
@@ -515,14 +506,10 @@ let run_session ?previous () =
    that fold against the pre-coalescing behaviour (an eager pass after
    every edit), on a session whose caches were populated by one
    payments run.  No payments call inside the timed region: the rows
-   isolate the invalidation-pass cost the coalescing removes.
-
-   The plain rows run `~dynamic:false` so they keep measuring the
-   keep-test pass they always measured; the `-repair` twins run the
-   default dynamic session, whose flush *eagerly repairs* the shared
-   tree and every fresh avoidance entry — dearer per flush, repaid at
-   the next payments (see the session rows), and folding k edits into
-   one repair instead of k is exactly what coalescing buys there. *)
+   isolate the flush cost the coalescing removes: the shared tree is
+   repaired and every touched avoidance entry repaired or dropped once
+   per burst instead of once per edit.  (The `-repair` suffix is
+   historical: the rows once had drop-mode twins without it.) *)
 
 let server_burst = 16
 
@@ -564,10 +551,6 @@ let run_server ?previous () =
               S.flush s)
             chosen
         in
-        let s = S.create ~dynamic:false dg ~root:0 in
-        ignore (S.payments s);
-        record "server/coalesce-burst/seq" n (burst s (make_factor ()));
-        record "server/coalesce-eager/seq" n (eager s (make_factor ()));
         let sd = S.create dg ~root:0 in
         ignore (S.payments sd);
         record "server/coalesce-burst-repair/seq" n (burst sd (make_factor ()));
@@ -588,15 +571,15 @@ let run_server ?previous () =
    - cold-start: a fresh session's first [payments] call — every relay
      is a cache miss (session construction is inside the timed region,
      identically on both sides);
-   - cache-miss fill: the adversarial on-tree toggle on a
-     [~dynamic:false] session — every flush drops the affected
-     avoidance entries and the next [payments] refills them through
-     the kernel under test.
+   - cache-miss fill: the adversarial on-tree toggle on a default
+     session — the flush policy drops the touched entries it prices
+     dearer to repair, and the next [payments] refills them through the
+     kernel under test.
 
    A pooled bounded cold run per n rides along untimed to record the
    work-stealing scheduler's behaviour over region tasks, and the
-   region-size histogram the drop-mode bounded session accumulated is
-   kept for the JSON file. *)
+   region-size histogram the bounded session accumulated is kept for
+   the JSON file. *)
 
 type avoid_result = {
   av_domains : int;
@@ -644,9 +627,9 @@ let run_avoid ?previous () =
                 S.set_cost s cu cv w;
                 S.payments s
             in
-            let sb = S.create ~dynamic:false dg ~root:0 in
+            let sb = S.create dg ~root:0 in
             ignore (S.payments sb);
-            let sf = S.create ~dynamic:false ~kernel:`Csr dg ~root:0 in
+            let sf = S.create ~kernel:`Csr dg ~root:0 in
             ignore (S.payments sf);
             record "avoid/fill/bounded" n 1 (fill sb);
             record "avoid/fill/full" n 1 (fill sf);
@@ -1223,27 +1206,25 @@ let print_dsim r =
     r.ds_convergence;
   print_newline ()
 
-let server_speedups_of ~suffix samples =
+let server_speedups samples =
   let find bench n =
     List.find_opt (fun s -> s.bench = bench && s.bn = n) samples
   in
   List.filter_map
     (fun n ->
       match
-        ( find ("server/coalesce-burst" ^ suffix ^ "/seq") n,
-          find ("server/coalesce-eager" ^ suffix ^ "/seq") n )
+        ( find "server/coalesce-burst-repair/seq" n,
+          find "server/coalesce-eager-repair/seq" n )
       with
       | Some burst, Some eager when burst.time_s > 0.0 ->
         Some (n, eager.time_s /. burst.time_s)
       | _ -> None)
     batch_ns
 
-let server_speedups samples = server_speedups_of ~suffix:"" samples
-
 let print_server samples =
   Printf.printf
-    "== Server delta coalescing (%d-edit burst: one folded invalidation \
-     pass vs a pass per edit) ==\n"
+    "== Server delta coalescing (%d-edit burst: one folded flush pass vs \
+     a pass per edit) ==\n"
     server_burst;
   let table =
     Wnet_stats.Table.make ~headers:[ "workload"; "n"; "time"; "runs" ]
@@ -1265,11 +1246,6 @@ let print_server samples =
     (fun (n, x) ->
       Printf.printf "n=%4d  coalesced burst vs eager flushes: %.2fx\n" n x)
     (server_speedups samples);
-  List.iter
-    (fun (n, x) ->
-      Printf.printf
-        "n=%4d  coalesced burst vs eager flushes (dynamic repair): %.2fx\n" n x)
-    (server_speedups_of ~suffix:"-repair" samples);
   print_newline ()
 
 let session_speedups samples =
@@ -1289,23 +1265,6 @@ let session_speedups samples =
           ( n,
             batch.time_s /. cc.time_s,
             2.0 *. batch.time_s /. lr.time_s )
-      | _ -> None)
-    batch_ns
-
-(* Repair vs recompute on the adversarial on-tree toggle: the same edit
-   on the same instance, dynamic patching vs drop-everything. *)
-let repair_speedups samples =
-  let find bench n =
-    List.find_opt (fun s -> s.bench = bench && s.bn = n) samples
-  in
-  List.filter_map
-    (fun n ->
-      match
-        ( find "session/cost-change-critical/recompute" n,
-          find "session/cost-change-critical/seq" n )
-      with
-      | Some recompute, Some repair when repair.time_s > 0.0 ->
-        Some (n, recompute.time_s /. repair.time_s)
       | _ -> None)
     batch_ns
 
@@ -1335,10 +1294,6 @@ let print_session (samples, hists) =
         "n=%4d  incremental vs batch: cost change %.2fx | leave/rejoin %.2fx\n"
         n cc lr)
     (session_speedups samples);
-  List.iter
-    (fun (n, x) ->
-      Printf.printf "n=%4d  on-tree edit, repair vs recompute: %.2fx\n" n x)
-    (repair_speedups samples);
   print_newline ();
   List.iter
     (fun (n, hist) ->
@@ -1482,21 +1437,10 @@ let write_json ~canary ~micro ~microprims ~session ~hists ~server ~avoid
   in
   Buffer.add_string b (String.concat ",\n" session_rows);
   Buffer.add_string b "\n  ],\n";
-  (* wnet-bench/4: dynamic-SSSP repair vs drop-everything recompute on
-     the adversarial on-tree toggle, plus the affected-region size
-     histogram the repairs produced (log2 classes: ge = class lower
+  (* wnet-bench/4: the affected-region size histogram the session
+     rows' repairs and refills produced (log2 classes: ge = class lower
      bound, 0 = nothing to patch). *)
   Buffer.add_string b "  \"repair\": {\n";
-  Buffer.add_string b "    \"speedups\": [\n";
-  let repair_rows =
-    List.map
-      (fun (n, x) ->
-        Printf.sprintf "      {\"n\": %d, \"repair_vs_recompute\": %s}" n
-          (json_float x))
-      (repair_speedups session)
-  in
-  Buffer.add_string b (String.concat ",\n" repair_rows);
-  Buffer.add_string b "\n    ],\n";
   Buffer.add_string b "    \"region_histogram\": [\n";
   let hist_rows =
     List.map
@@ -1581,18 +1525,10 @@ let write_json ~canary ~micro ~microprims ~session ~hists ~server ~avoid
   Buffer.add_string b "  ],\n";
   Buffer.add_string b "  \"server_speedups\": [\n";
   let server_rows =
-    let rep = server_speedups_of ~suffix:"-repair" server in
     List.map
       (fun (n, x) ->
-        match List.assoc_opt n rep with
-        | Some y ->
-          Printf.sprintf
-            "    {\"n\": %d, \"burst_vs_eager\": %s, \
-             \"burst_vs_eager_repair\": %s}"
-            n (json_float x) (json_float y)
-        | None ->
-          Printf.sprintf "    {\"n\": %d, \"burst_vs_eager\": %s}" n
-            (json_float x))
+        Printf.sprintf "    {\"n\": %d, \"burst_vs_eager_repair\": %s}" n
+          (json_float x))
       (server_speedups server)
   in
   Buffer.add_string b (String.concat ",\n" server_rows);

@@ -253,62 +253,6 @@ let heap () =
     };
   ]
 
-(* ---------------- dynamic-SSSP distance repair ---------------- *)
-
-let repair () =
-  let n = 200 in
-  let rng = Wnet_prng.Rng.create 9 in
-  let links = ref [] in
-  let p = 4.0 /. float_of_int n in
-  for u = 0 to n - 1 do
-    for v = 0 to n - 1 do
-      if u <> v && Wnet_prng.Rng.bernoulli rng p then
-        links := (u, v, Wnet_prng.Rng.float_range rng 1.0 10.0) :: !links
-    done
-  done;
-  let g = Wnet_graph.Digraph.create ~n ~links:!links in
-  let mirror = Wnet_graph.Digraph.reverse g in
-  let source = 0 in
-  let tree = Wnet_graph.Dijkstra.link_weighted g source in
-  let dist = Array.copy tree.Wnet_graph.Dijkstra.dist in
-  (* toggle the first link out of the source: on the tree frontier, so
-     every repair has a real (small) region to patch *)
-  let u, (v, w0) =
-    (source, (Wnet_graph.Digraph.out_links g source).(0))
-  in
-  let scratch = Wnet_graph.Dynamic_sssp.make_dist_scratch n in
-  let flip = ref false in
-  let toggle () =
-    let wa, wb = (w0, w0 *. 2.0) in
-    let old_w = if !flip then wb else wa in
-    let new_w = if !flip then wa else wb in
-    flip := not !flip;
-    Wnet_graph.Digraph.set_weight g u v new_w;
-    Wnet_graph.Digraph.set_weight mirror v u new_w;
-    match
-      Wnet_graph.Dynamic_sssp.repair_dist scratch ~graph:g ~mirror ~source
-        ~dist
-        [ { Wnet_graph.Dynamic_sssp.u; v; w0 = old_w; w1 = new_w } ]
-    with
-    | `Patched _ -> ()
-    | `Overflow ->
-      let t = Wnet_graph.Dijkstra.link_weighted g source in
-      Array.blit t.Wnet_graph.Dijkstra.dist 0 dist 0 n
-  in
-  let reps = 32 in
-  [
-    {
-      name = Printf.sprintf "repair-dist/toggle-link/n=%d" n;
-      ops = reps;
-      alloc_free = false (* edit record + region bookkeeping allocate *);
-      run =
-        (fun () ->
-          for _ = 1 to reps do
-            toggle ()
-          done);
-    };
-  ]
-
 (* ---------------- CSR Dijkstra kernels ---------------- *)
 
 let bench_digraph ~n ~seed =
@@ -494,7 +438,277 @@ let avoid_region () =
     };
   ]
 
-(* ---------------- measurement & driver ---------------- *)
+(* ---------------- dynamic-SSSP distance repair ---------------- *)
+
+(* The link-model instance the served benchmark uses: a connected paper
+   UDG (2000 m square, 300 m range, kappa = 2) at n = 200, instance
+   seed 1.  The repair and refill rows below time the two ways the
+   session flush policy can bring a touched avoidance array up to date,
+   on this topology, so the policy's cost constants (Avoid_cache) can be
+   read off them. *)
+let served_udg () =
+  let rng = Wnet_prng.Rng.create 1 in
+  match
+    Wnet_topology.Udg.generate_connected rng
+      ~region:Wnet_geom.Region.paper_region ~n:200 ~range:300.0 ~max_tries:1000
+  with
+  | Some u ->
+    Wnet_topology.Udg.link_graph u ~model:(Wnet_geom.Power.path_loss_only ~kappa:2.0)
+  | None -> failwith "microbench: no connected UDG"
+
+(* In-budget repairs of the source's distance array after tree links
+   rise or fall by 5 %, the drift of the served workload.  Each op
+   restores its input first (an n-float blit of the exact pre-edit
+   array, and the weights), so every op repairs the same region; the
+   restore-only row prices that overhead.  The region (the edited
+   links' subtree sizes, summed) is in the row name.  A repair that
+   overflowed the budget would time the caller's from-scratch fallback,
+   not a repair, so it fails the run. *)
+let repair () =
+  let open Wnet_graph in
+  let g = served_udg () in
+  let n = Digraph.n g in
+  let mirror = Digraph.reverse g in
+  let tree = Dijkstra.link_weighted g 0 in
+  let size = Avoid_region.subtree_sizes (Avoid_region.make_index tree) tree in
+  let scratch = Dynamic_sssp.make_dist_scratch n in
+  let dist = Array.make n 0.0 in
+  let into pred =
+    List.filter_map
+      (fun v ->
+        let p = tree.Dijkstra.parent.(v) in
+        if p >= 0 && pred v then Some (p, v) else None)
+      (List.init n Fun.id)
+  in
+  let leaves = into (fun v -> size.(v) = 1) in
+  (* the tree link into the largest subtree well inside the budget *)
+  let cap = Dynamic_sssp.default_budget n / 2 in
+  let wide =
+    List.fold_left
+      (fun best (p, v) ->
+        match best with
+        | Some (_, b) when size.(b) >= size.(v) -> best
+        | _ when size.(v) <= cap -> Some (p, v)
+        | _ -> best)
+      None (into (fun _ -> true))
+  in
+  let set (e : Dynamic_sssp.edit) w =
+    Digraph.set_weight g e.u e.v w;
+    Digraph.set_weight mirror e.v e.u w
+  in
+  let reps = 32 in
+  let prim name ops run = { name; ops; alloc_free = false; run } in
+  let row dir links =
+    let factor = if dir = "rise" then 1.05 else 1.0 /. 1.05 in
+    let edits =
+      List.map
+        (fun (u, v) ->
+          let w = Digraph.weight g u v in
+          { Dynamic_sssp.u; v; w0 = w; w1 = w *. factor })
+        links
+    in
+    let base = Array.copy tree.Dijkstra.dist in
+    let region = List.fold_left (fun a (_, v) -> a + size.(v)) 0 links in
+    prim
+      (Printf.sprintf "repair-dist/%s/%s/region=%d/n=%d" dir
+         (match links with [ _ ] when region = 1 -> "leaf-link" | [ _ ] -> "subtree-link"
+          | l -> Printf.sprintf "leaf-links-k=%d" (List.length l))
+         region n)
+      reps
+      (fun () ->
+        for _ = 1 to reps do
+          Array.blit base 0 dist 0 n;
+          List.iter (fun (e : Dynamic_sssp.edit) -> set e e.w1) edits;
+          (match
+             Dynamic_sssp.repair_dist scratch ~graph:g ~mirror ~source:0 ~dist edits
+           with
+          | `Patched _ -> ()
+          | `Overflow -> failwith "microbench: repair overflowed its budget");
+          List.iter (fun (e : Dynamic_sssp.edit) -> set e e.w0) edits
+        done)
+  in
+  (* every tree link the budget admits, rising (falling) in turn, each
+     op restoring its input first like the rows above *)
+  let link_sweep dir =
+    let factor = if dir = "rise" then 1.05 else 1.0 /. 1.05 in
+    let base = Array.copy tree.Dijkstra.dist in
+    (* screened once: a fall can pull in nodes beyond the head's subtree
+       and overflow; those links are left out *)
+    let in_budget (e : Dynamic_sssp.edit) =
+      Array.blit base 0 dist 0 n;
+      set e e.w1;
+      let ok =
+        match
+          Dynamic_sssp.repair_dist scratch ~graph:g ~mirror ~source:0 ~dist [ e ]
+        with
+        | `Patched _ -> true
+        | `Overflow -> false
+      in
+      set e e.w0;
+      ok
+    in
+    let cases =
+      Array.of_list
+        (List.filter in_budget
+           (List.map
+              (fun (u, v) ->
+                let w = Digraph.weight g u v in
+                { Dynamic_sssp.u; v; w0 = w; w1 = w *. factor })
+              (into (fun v -> size.(v) <= cap))))
+    in
+    let mean =
+      Array.fold_left (fun a (e : Dynamic_sssp.edit) -> a + size.(e.v)) 0 cases
+      / Array.length cases
+    in
+    prim
+      (Printf.sprintf "repair-dist/%s/tree-link-sweep/links=%d/mean-region=%d/n=%d"
+         dir (Array.length cases) mean n)
+      (Array.length cases)
+      (fun () ->
+        Array.iter
+          (fun (e : Dynamic_sssp.edit) ->
+            Array.blit base 0 dist 0 n;
+            set e e.w1;
+            (match
+               Dynamic_sssp.repair_dist scratch ~graph:g ~mirror ~source:0 ~dist [ e ]
+             with
+            | `Patched _ -> ()
+            | `Overflow -> failwith "microbench: repair overflowed its budget");
+            set e e.w0)
+          cases)
+  in
+  let take k l = List.filteri (fun i _ -> i < k) l in
+  let leaf = take 1 leaves in
+  let restore =
+    let e =
+      match leaf with
+      | [ (u, v) ] -> { Dynamic_sssp.u; v; w0 = Digraph.weight g u v; w1 = 0.0 }
+      | _ -> failwith "microbench: no leaf link"
+    in
+    let base = Array.copy tree.Dijkstra.dist in
+    prim (Printf.sprintf "repair-dist/restore-only/n=%d" n) reps (fun () ->
+        for _ = 1 to reps do
+          Array.blit base 0 dist 0 n;
+          set e (e.w0 *. 1.05);
+          set e e.w0
+        done)
+  in
+  (* the other branch: one relay's bounded refill, at the smallest and
+     the largest subtree the budget admits; allocation free *)
+  let idx = Avoid_region.make_index tree in
+  let relays =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun v ->
+           let p = tree.Dijkstra.parent.(v) in
+           if p > 0 then Some p else None)
+         (List.init n Fun.id))
+  in
+  let budget = Dynamic_sssp.default_budget n in
+  let pick better =
+    List.fold_left
+      (fun b k -> if size.(k) <= budget && better size.(k) size.(b) then k else b)
+      (List.hd relays) relays
+  in
+  let refill k =
+    {
+      name = Printf.sprintf "bounded-refill/subtree=%d/n=%d" size.(k) n;
+      ops = reps;
+      alloc_free = true;
+      run =
+        (fun () ->
+          for _ = 1 to reps do
+            let r =
+              Avoid_region.link_avoid scratch idx ~graph:g ~mirror ~tree ~avoid:k
+                ~dist
+            in
+            assert (r >= 0)
+          done);
+    }
+  in
+  (* every in-budget relay refilled in turn, each into its own array, as
+     the session stores them: against the one-array rows this prices the
+     copy into a cold array *)
+  let in_budget = List.filter (fun k -> size.(k) <= budget) relays in
+  let own = List.map (fun k -> (k, Array.make n infinity)) in_budget in
+  let fill_into pick (k, d) =
+    let r =
+      Avoid_region.link_avoid scratch idx ~graph:g ~mirror ~tree ~avoid:k
+        ~dist:(pick d)
+    in
+    assert (r >= 0)
+  in
+  let into_own = fill_into Fun.id and into_one = fill_into (fun _ -> dist) in
+  let sweep label mean f =
+    {
+      name =
+        Printf.sprintf "bounded-refill/%s/relays=%d%s/n=%d" label
+          (List.length in_budget) mean n;
+      ops = List.length own;
+      alloc_free = true;
+      run = (fun () -> List.iter f own);
+    }
+  in
+  let mean =
+    List.fold_left (fun a k -> a + size.(k)) 0 in_budget / List.length in_budget
+  in
+  let shared = sweep "one-array" "" into_one in
+  let sweep = sweep "own-arrays" (Printf.sprintf "/mean-subtree=%d" mean) into_own in
+  (* a refill's first step, the copy of the n tree distances, into
+     arrays cycling through 8 MB: in a session every payments call
+     streams its payment vectors through the cache, so the entry arrays
+     a refill writes are cold *)
+  let cold_copy =
+    let arrays = Array.init (8 lsl 20 / (8 * n)) (fun _ -> Array.make n 0.0) in
+    let next = ref 0 in
+    {
+      name = Printf.sprintf "cold-copy/n=%d" n;
+      ops = reps;
+      alloc_free = true;
+      run =
+        (fun () ->
+          for _ = 1 to reps do
+            Array.blit tree.Dijkstra.dist 0 arrays.(!next) 0 n;
+            next := (!next + 1) mod Array.length arrays
+          done);
+    }
+  in
+  (* past the budget a refill is a full-graph ban-mask run *)
+  let full =
+    let s = Dijkstra.make_scratch n in
+    let ban = Dijkstra.ban_mask s and k = pick ( > ) in
+    ignore (Digraph.csr g);
+    {
+      name = Printf.sprintf "full-refill/n=%d" n;
+      ops = reps;
+      alloc_free = true;
+      run =
+        (fun () ->
+          for _ = 1 to reps do
+            Bytes.set ban k '\001';
+            ignore (Sys.opaque_identity (Dijkstra.link_weighted_scratch s g 0));
+            Bytes.set ban k '\000'
+          done);
+    }
+  in
+  [ restore; row "rise" leaf; row "fall" leaf ]
+  @ (match wide with
+    | Some l -> [ row "rise" [ l ]; row "fall" [ l ] ]
+    | None -> [])
+  @ [
+      link_sweep "rise";
+      link_sweep "fall";
+      row "rise" (take 8 leaves);
+      row "fall" (take 8 leaves);
+      cold_copy;
+      refill (pick ( < ));
+      refill (pick ( > ));
+      shared;
+      sweep;
+      full;
+    ]
+
+(* ---------------- measurement & driver ---------------- *)(* ---------------- measurement & driver ---------------- *)
 
 let time_once f =
   let t0 = Unix.gettimeofday () in

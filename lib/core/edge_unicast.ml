@@ -36,7 +36,7 @@ let run ?(algo = Fast) g ~src ~dst =
       })
     res
 
-let total_payment r = Array.fold_left ( +. ) 0.0 r.payments
+let total_payment r = Wnet_session.sum_payments r.payments
 
 let payment_to_edge r e = r.payments.(e)
 

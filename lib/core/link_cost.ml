@@ -42,7 +42,7 @@ let run g ~src ~dst =
     in
     Some (build_result g ~src ~dst ~path ~lcp_cost ~avoid_dist)
 
-let total_payment r = Array.fold_left ( +. ) 0.0 r.payments
+let total_payment r = Wnet_session.sum_payments r.payments
 
 let payment_to r v = r.payments.(v)
 

@@ -63,7 +63,7 @@ let run scheme g ~src ~dst =
     done;
     Some { scheme_used = scheme; src; dst; path; lcp_cost; payments }
 
-let total_payment r = Array.fold_left ( +. ) 0.0 r.payments
+let total_payment r = Wnet_session.sum_payments r.payments
 
 let payment_to r v = r.payments.(v)
 

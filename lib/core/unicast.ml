@@ -32,7 +32,7 @@ let run ?algo g ~src ~dst =
   in
   Option.map (fun r -> of_replacements g r ~src ~dst) res
 
-let total_payment r = Array.fold_left ( +. ) 0.0 r.payments
+let total_payment r = Wnet_session.sum_payments r.payments
 
 let payment_to r v = r.payments.(v)
 

@@ -50,6 +50,33 @@ let make_index (tree : Dijkstra.tree) =
 
 let index_size idx = idx.idx_n
 
+(* Breadth-first from the source over the child lists, then one reverse
+   pass folding each node's count into its parent. *)
+let subtree_sizes idx (tree : Dijkstra.tree) =
+  let n = idx.idx_n in
+  let size = Array.make n 1 and order = Array.make n 0 in
+  let len = ref 0 in
+  if n > 0 then begin
+    order.(0) <- tree.Dijkstra.source;
+    len := 1
+  end;
+  let i = ref 0 in
+  while !i < !len do
+    let c = ref idx.first_child.(order.(!i)) in
+    incr i;
+    while !c >= 0 do
+      order.(!len) <- !c;
+      incr len;
+      c := idx.next_sib.(!c)
+    done
+  done;
+  for i = !len - 1 downto 1 do
+    let x = order.(i) in
+    let p = tree.Dijkstra.parent.(x) in
+    size.(p) <- size.(p) + size.(x)
+  done;
+  size
+
 (* Mark the strict descendants of [k], breadth-first: the region log is
    append-only, so walking it by position while appending children IS
    the queue.  Returns [false] on budget overflow. *)

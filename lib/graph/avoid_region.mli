@@ -28,6 +28,11 @@ val make_index : Dijkstra.tree -> index
 val index_size : index -> int
 (** Number of nodes the index was built over. *)
 
+val subtree_sizes : index -> Dijkstra.tree -> int array
+(** [subtree_sizes idx tree] counts, for every node, itself plus its
+    descendants in [tree] (the tree [idx] was built from).  Nodes the
+    tree does not reach count 1.  O(n); allocates two [n]-arrays. *)
+
 val link_avoid :
   Dynamic_sssp.dist_scratch ->
   ?budget:int ->

@@ -224,6 +224,25 @@ let region_settle_node s ~budget ~forbidden ~graph ~source ~dist =
   | () -> true
   | exception Overflow -> false
 
+(* Edit-list scans for the closure step, as plain recursion: they run
+   per scanned link and per region node, where a [List.exists] or
+   [List.iter] closure would allocate each time. *)
+let rec is_edited x y = function
+  | [] -> false
+  | e :: rest -> (e.u = x && e.v = y) || is_edited x y rest
+
+(* Mark the heads of edited links out of [x] that realised their label
+   at the old weight. *)
+let rec mark_old_tight s ~budget ~source d x = function
+  | [] -> ()
+  | e :: rest ->
+    if
+      e.u = x && e.w0 < infinity && e.v <> source
+      && s.mark.(e.v) <> s.epoch
+      && Float.equal (d.(x) +. e.w0) d.(e.v)
+    then smark s ~budget e.v;
+    mark_old_tight s ~budget ~source d x rest
+
 let repair_dist s ?budget ?(forbidden = -1) ~graph ~mirror ~source ~dist:d
     edits =
   let n = Digraph.n graph in
@@ -246,7 +265,6 @@ let repair_dist s ?budget ?(forbidden = -1) ~graph ~mirror ~source ~dist:d
       edits
   in
   let marked x = s.mark.(x) = s.epoch in
-  let edited x y = List.exists (fun e -> e.u = x && e.v = y) edits in
   try
     (* 1. increase-affected closure: nodes whose old label was realised
        (possibly as a tie) through a risen link, transitively.  Old
@@ -268,18 +286,12 @@ let repair_dist s ?budget ?(forbidden = -1) ~graph ~mirror ~source ~dist:d
         for i = g_off.(x) to g_off.(x + 1) - 1 do
           let y = Array.unsafe_get g_col i in
           if
-            y <> j && y <> source && (not (marked y)) && (not (edited x y))
+            y <> j && y <> source && (not (marked y))
             && Float.equal (dx +. Array.unsafe_get g_wgt i) d.(y)
+            && not (is_edited x y edits)
           then smark s ~budget y
         done;
-        List.iter
-          (fun e ->
-            if
-              e.u = x && e.w0 < infinity && e.v <> source
-              && (not (marked e.v))
-              && Float.equal (dx +. e.w0) d.(e.v)
-            then smark s ~budget e.v)
-          edits
+        mark_old_tight s ~budget ~source d x edits
       end
     done;
     (* 2. wipe the region, then reseed each member from the boundary
@@ -328,12 +340,11 @@ let repair_node_dist s ?budget ?(forbidden = -1) ~graph ~source ~dist:d
       edits
   in
   let marked x = s.mark.(x) = s.epoch in
-  let old_cost x =
-    match List.find_opt (fun e -> e.x = x) edits with
-    | Some e -> e.c0
-    | None -> Graph.cost graph x
+  let rec old_cost x = function
+    | [] -> Graph.cost graph x
+    | e :: rest -> if e.x = x then e.c0 else old_cost x rest
   in
-  let leave_old x = if x = source then 0.0 else old_cost x in
+  let leave_old x = if x = source then 0.0 else old_cost x edits in
   try
     List.iter
       (fun e ->

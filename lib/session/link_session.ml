@@ -29,25 +29,8 @@ type stats = {
   avoid_fallback : int;
 }
 
-(* Region-size histogram: bucket 0 holds empty regions, bucket [i >= 1]
-   holds sizes in [2^(i-1), 2^i). *)
-let hist_buckets = 24
-
-let hist_bucket r =
-  if r <= 0 then 0
-  else begin
-    let b = ref 1 and x = ref r in
-    while !x > 1 do
-      incr b;
-      x := !x lsr 1
-    done;
-    min !b (hist_buckets - 1)
-  end
-
 type t = {
   root : int;
-  pool : Wnet_par.t;
-  dynamic : bool;
   kernel : [ `CsrBounded | `Csr | `Boxed ];
       (* which avoidance Dijkstra fills cache misses: the
          subtree-bounded region kernel over the shared SPT (default,
@@ -58,20 +41,10 @@ type t = {
   g : Digraph.t;  (* forward topology, mutated in place *)
   rev : Digraph.t;  (* reversed mirror, kept in lockstep *)
   mutable dyn : Dynamic_sssp.t option;
-      (* dynamic mode: the shared SPT over [rev] as a patched structure;
-         exact for the current graph whenever the pending burst is empty *)
-  mutable tree : Dijkstra.tree option;  (* drop mode: live-or-die SPT *)
+      (* the shared SPT over [rev] as a patched structure; exact for the
+         current graph whenever the pending burst is empty *)
   mutable tree_version : int;
-  mutable avoid : float array option array;
-      (* avoid.(k): root-side distances over [rev] with k forbidden.  In
-         drop mode an entry is either exact for the current graph or
-         [None].  In dynamic mode entries carry per-entry epochs: exact
-         iff [avoid_epoch.(k) = cache_epoch]; stale entries are kept but
-         never read (they are rebuilt from scratch on demand). *)
-  mutable avoid_epoch : int array;
-  mutable cache_epoch : int;  (* bumped once per invalidation pass *)
-  mutable scratches : Dijkstra.scratch array;  (* one per pool slot *)
-  mutable dscratches : Dynamic_sssp.dist_scratch array;  (* likewise *)
+  cache : Avoid_cache.t;
   mutable unbounded : int list;
   mutable last : (int * batch) option;  (* memoized batch, keyed by version *)
   pending : (int * int, float) Hashtbl.t;
@@ -84,40 +57,21 @@ type t = {
   mutable coalesced_edits : int;
   mutable inval_passes : int;
   mutable spt_runs : int;
-  mutable avoid_runs : int;
-  mutable avoid_reused : int;
-  mutable repaired_entries : int;
-  mutable fallback_recomputes : int;
-  mutable tasks_executed : int;
-  mutable tasks_stolen : int;
-  mutable avoid_bounded : int;
-  mutable avoid_fallback : int;
-  region_hist : int array;
 }
 
-let create ?(pool = Wnet_par.sequential) ?(copy = true) ?(dynamic = true)
-    ?(kernel = `CsrBounded) g ~root =
+let create ?(pool = Wnet_par.sequential) ?(copy = true) ?(kernel = `CsrBounded)
+    g ~root =
   let n = Digraph.n g in
   if root < 0 || root >= n then invalid_arg "Link_session.create: root out of range";
   let g = if copy then Digraph.copy g else g in
   {
     root;
-    pool;
-    dynamic;
     kernel;
     g;
     rev = Digraph.reverse g;
     dyn = None;
-    tree = None;
     tree_version = -1;
-    avoid = Array.make n None;
-    avoid_epoch = Array.make n (-1);
-    cache_epoch = 0;
-    scratches =
-      Array.init (Wnet_par.size pool) (fun _ -> Dijkstra.make_scratch n);
-    dscratches =
-      Array.init (Wnet_par.size pool) (fun _ ->
-          Dynamic_sssp.make_dist_scratch n);
+    cache = Avoid_cache.create pool n;
     unbounded = [];
     last = None;
     pending = Hashtbl.create 16;
@@ -127,15 +81,6 @@ let create ?(pool = Wnet_par.sequential) ?(copy = true) ?(dynamic = true)
     coalesced_edits = 0;
     inval_passes = 0;
     spt_runs = 0;
-    avoid_runs = 0;
-    avoid_reused = 0;
-    repaired_entries = 0;
-    fallback_recomputes = 0;
-    tasks_executed = 0;
-    tasks_stolen = 0;
-    avoid_bounded = 0;
-    avoid_fallback = 0;
-    region_hist = Array.make hist_buckets 0;
   }
 
 let n t = Digraph.n t.g
@@ -144,190 +89,95 @@ let cost t u v = Digraph.weight t.g u v
 let version t = Digraph.version t.g
 let snapshot t = Digraph.copy t.g
 let stats t =
+  let c = t.cache in
   { edits = t.edits; coalesced_edits = t.coalesced_edits;
     inval_passes = t.inval_passes; spt_runs = t.spt_runs;
-    avoid_runs = t.avoid_runs; avoid_reused = t.avoid_reused;
-    repaired_entries = t.repaired_entries;
-    fallback_recomputes = t.fallback_recomputes;
-    tasks_executed = t.tasks_executed; tasks_stolen = t.tasks_stolen;
-    avoid_bounded = t.avoid_bounded; avoid_fallback = t.avoid_fallback }
+    avoid_runs = c.avoid_runs; avoid_reused = c.avoid_reused;
+    repaired_entries = c.repaired; fallback_recomputes = c.fallbacks;
+    tasks_executed = c.tasks_executed; tasks_stolen = c.tasks_stolen;
+    avoid_bounded = c.avoid_bounded; avoid_fallback = c.avoid_fallback }
 let unbounded_relays t = t.unbounded
-
-(* Fan [f] out over the pool's work-stealing layer (one task per
-   element, idle domains backfill) and fold the scheduler's counter
-   deltas into the session ledger.  Calls never overlap on a session's
-   pool, so the before/after delta is exactly this call's tasks. *)
-let steal_map t ~states f a =
-  let before = Wnet_par.stats t.pool in
-  let r = Wnet_par.map_array_stealing_pooled t.pool ~states f a in
-  let after = Wnet_par.stats t.pool in
-  t.tasks_executed <-
-    t.tasks_executed + after.Wnet_par.tasks_executed
-    - before.Wnet_par.tasks_executed;
-  t.tasks_stolen <-
-    t.tasks_stolen + after.Wnet_par.tasks_stolen - before.Wnet_par.tasks_stolen;
-  r
-
-let region_histogram t =
-  let out = ref [] in
-  for b = hist_buckets - 1 downto 0 do
-    if t.region_hist.(b) > 0 then
-      let lo = if b = 0 then 0 else 1 lsl (b - 1) in
-      out := (lo, t.region_hist.(b)) :: !out
-  done;
-  !out
-
-let record_region t r =
-  t.region_hist.(hist_bucket r) <- t.region_hist.(hist_bucket r) + 1
+let region_histogram t = Avoid_cache.region_histogram t.cache
 
 (* ------------------------------------------------------------------ *)
 (* Cache maintenance.
 
-   Every cached array [d = avoid.(j)] is the distance-from-root array of
-   a Dijkstra over [rev] with [j] forbidden.  Dynamic mode hands the
-   burst's net link changes to {!Dynamic_sssp}, which patches each entry
-   in place (and the shared SPT, parents included) so it stays
-   bit-for-bit what a from-scratch run would produce; entries whose
-   affected region exceeds the budget go stale and are rebuilt from
-   scratch at the next {!payments}.  Drop mode (the PR 2/3 baseline,
-   [~dynamic:false]) instead tests each entry with a slack scan and
-   drops it whole on any possible contact:
+   Every cached array [d] for relay [j] is the distance-from-root array
+   of a Dijkstra over [rev] with [j] forbidden.  After each burst the
+   shared SPT is repaired in place ({!Dynamic_sssp.apply}, which falls
+   back to a from-scratch run on an oversized region or a parent tie),
+   then {!Avoid_cache.maintain} applies the flush policy to every exact
+   entry.  Its slack test, for a rev-link [v -> u] of the burst:
 
-   - for a rev-link [v -> u] whose weight drops to [w1], no distance
-     changes iff the new relaxation does not improve [u]:
-     [d.(u) <= d.(v) +. w1];
-   - for one whose weight rises from [w0], no distance changes iff the
-     link was strictly slack: [d.(u) < d.(v) +. w0] (a tie might have
-     been realised through the link, so ties invalidate);
-   - links incident to the forbidden node [j], or leaving an unreachable
-     tail ([d.(v) = infinity]), are invisible to the search.
+   - whose weight drops to [w1]: no distance changes iff the new
+     relaxation does not improve [u]: [d.(u) <= d.(v) +. w1];
+   - whose weight rises from [w0]: no distance changes iff the link was
+     strictly slack: [d.(u) < d.(v) +. w0] (a tie might have been
+     realised through the link, so ties touch);
+   - incident to the forbidden node [j], or leaving an unreachable tail
+     ([d.(v) = infinity]): invisible to the search.
 
-   Both modes mirror the float arithmetic of the relaxation itself
+   The comparisons mirror the float arithmetic of the relaxation itself
    ([d.(v) +. w]), so "unchanged" means bit-for-bit: the qcheck suite
-   holds them to [Float.equal] against a from-scratch oracle. *)
+   holds every branch to [Float.equal] against a from-scratch oracle. *)
 
 let mark_edit t =
   t.edits <- t.edits + 1;
   t.last <- None
 
-(* The rev-link [v -> u] changed from [w0] to [w1]; does [d] survive? *)
-let link_edit_keeps d ~v ~u ~w0 ~w1 =
-  let dv = d.(v) in
-  dv = infinity
-  || (if w1 < w0 then d.(u) <= dv +. w1 else d.(u) < dv +. w0)
+let edit_touches d j (e : Dynamic_sssp.edit) =
+  let dv = d.(e.u) in
+  not
+    (j = e.u || j = e.v || dv = infinity
+    || if e.w1 < e.w0 then d.(e.v) <= dv +. e.w1 else d.(e.v) < dv +. e.w0)
 
-(* Dynamic mode: patch the shared SPT after a burst of net rev-graph
-   edits.  A fallback (oversized region, or a bit-equal tie that could
-   flip a parent under from-scratch settlement order) costs one full
-   Dijkstra, same as drop mode's every on-tree edit. *)
-let repair_spt t redits =
+(* One invalidation pass over net rev-graph edits already applied to
+   both orientations.  Before the first payments there is no tree and no
+   cache, and nothing to maintain. *)
+let maintain t redits =
+  t.inval_passes <- t.inval_passes + 1;
   match t.dyn with
-  | None -> ()  (* not built yet; the first payments call runs it fresh *)
+  | None -> ()
   | Some dy ->
+    let c = t.cache in
     (match Dynamic_sssp.apply dy redits with
     | Dynamic_sssp.Patched { region } ->
-      t.repaired_entries <- t.repaired_entries + 1;
-      record_region t region
+      c.repaired <- c.repaired + 1;
+      Avoid_cache.record_region c region
     | Dynamic_sssp.Rebuilt _ ->
       t.spt_runs <- t.spt_runs + 1;
-      t.fallback_recomputes <- t.fallback_recomputes + 1);
-    t.tree_version <- version t
+      c.fallbacks <- c.fallbacks + 1);
+    t.tree_version <- version t;
+    let tree = Dynamic_sssp.tree dy in
+    Avoid_cache.maintain c ~tree ~stamp:t.tree_version ~touches:edit_touches
+      ~disturbs:(fun size j (e : Dynamic_sssp.edit) ->
+        if tree.Dijkstra.parent.(e.v) = e.u then size.(e.v)
+        else min size.(e.v) (size.(j) - 1))
+      ~rises:(fun (e : Dynamic_sssp.edit) -> e.w1 > e.w0)
+      ~repair:(fun ds ~forbidden ~dist es ->
+        Dynamic_sssp.repair_dist ds ~forbidden ~graph:t.rev ~mirror:t.g
+          ~source:t.root ~dist es)
+      redits
 
-(* Dynamic mode: patch every currently-exact avoidance entry, fanned out
-   over the pool (disjoint entries, one repair scratch per slot).  An
-   [`Overflow] leaves the entry corrupted, so it is dropped and counted
-   as a fallback; everything else moves to the new epoch. *)
-let repair_avoid_entries t redits =
-  let fresh = ref [] in
-  Array.iteri
-    (fun j entry ->
-      match entry with
-      | Some _ when t.avoid_epoch.(j) = t.cache_epoch -> fresh := j :: !fresh
-      | _ -> ())
-    t.avoid;
-  let fresh = Array.of_list (List.rev !fresh) in
-  t.cache_epoch <- t.cache_epoch + 1;
-  let regions =
-    steal_map t ~states:t.dscratches
-      (fun ds j ->
-        match t.avoid.(j) with
-        | Some d -> (
-          match
-            Dynamic_sssp.repair_dist ds ~forbidden:j ~graph:t.rev ~mirror:t.g
-              ~source:t.root ~dist:d redits
-          with
-          | `Patched r -> r
-          | `Overflow -> -1)
-        | None -> -1)
-      fresh
-  in
-  Array.iteri
-    (fun i j ->
-      let r = regions.(i) in
-      if r >= 0 then begin
-        t.avoid_epoch.(j) <- t.cache_epoch;
-        t.repaired_entries <- t.repaired_entries + 1;
-        record_region t r
-      end
-      else begin
-        t.avoid.(j) <- None;
-        t.fallback_recomputes <- t.fallback_recomputes + 1
-      end)
-    fresh
-
-(* Cost edits mutate the graph eagerly but defer the cache scan: the
-   burst of edits accumulated since the last flush is folded into ONE
-   pass over the avoidance array, each cache maintained against every
-   *net* link change (first-recorded old weight vs. current weight).
-   Folding to the net change is sound — and strictly keeps more caches
-   than per-edit passes: a kept drop means the new weight improves
-   nobody ([d.(u) <= d.(v) +. w1], so [d] stays a feasible potential), a
-   kept rise means the link was strictly slack at the old weight (so no
-   shortest path, not even a tie, ran through it), and an edit reverted
-   within the burst vanishes entirely. *)
+(* Cost edits mutate the graph eagerly but defer the cache maintenance:
+   the burst accumulated since the last flush is folded into ONE pass,
+   against every *net* link change (first-recorded old weight vs.
+   current weight).  An edit reverted within the burst vanishes. *)
 let flush t =
   if t.pending_edits > 0 then begin
-    let net =
-      List.rev_map
+    let redits =
+      List.filter_map
         (fun (u, v) ->
-          let w0 = Hashtbl.find t.pending (u, v) in
-          (u, v, w0, Digraph.weight t.g u v))
+          let w0 = Hashtbl.find t.pending (u, v) and w1 = Digraph.weight t.g u v in
+          (* the forward link u -> v is the rev-link v -> u *)
+          if Float.equal w0 w1 then None else Some { Dynamic_sssp.u = v; v = u; w0; w1 })
         t.pending_order
-      |> List.filter (fun (_, _, w0, w1) -> not (Float.equal w0 w1))
     in
     t.coalesced_edits <- t.coalesced_edits + t.pending_edits;
     Hashtbl.reset t.pending;
     t.pending_order <- [];
     t.pending_edits <- 0;
-    if net <> [] then begin
-      t.inval_passes <- t.inval_passes + 1;
-      if t.dynamic then begin
-        (* the forward link u -> v is the rev-link v -> u *)
-        let redits =
-          List.rev_map
-            (fun (u, v, w0, w1) -> { Dynamic_sssp.u = v; v = u; w0; w1 })
-            net
-        in
-        repair_spt t redits;
-        repair_avoid_entries t redits
-      end
-      else
-        Array.iteri
-          (fun j entry ->
-            match entry with
-            | Some d ->
-              if
-                not
-                  (List.for_all
-                     (fun (u, v, w0, w1) ->
-                       (* links incident to the forbidden node j are
-                          invisible to that search *)
-                       j = u || j = v || link_edit_keeps d ~v ~u ~w0 ~w1)
-                     net)
-              then t.avoid.(j) <- None
-            | None -> ())
-          t.avoid
-    end
+    if redits <> [] then maintain t redits
   end
 
 let set_cost t u v w =
@@ -348,60 +198,23 @@ let remove_node t k =
   let nn = n t in
   if k < 0 || k >= nn then invalid_arg "Link_session.remove_node: out of range";
   if k = t.root then invalid_arg "Link_session.remove_node: cannot remove the root";
-  (* rev out-links of k (forward links *into* k) can carry other nodes'
-     root-side paths; capture them before detaching. *)
-  let rev_out = Digraph.out_links t.rev k in
-  let fwd_out = if t.dynamic then Digraph.out_links t.g k else [||] in
+  (* every incident link deleted, expressed as rev-graph edits.  The
+     entry for k itself survives untouched (and exact): links incident
+     to k are invisible to the k-forbidden search. *)
+  let redits =
+    Array.fold_left
+      (fun acc (u, w) -> { Dynamic_sssp.u = k; v = u; w0 = w; w1 = infinity } :: acc)
+      [] (Digraph.out_links t.rev k)
+  in
+  let redits =
+    Array.fold_left
+      (fun acc (y, w) -> { Dynamic_sssp.u = y; v = k; w0 = w; w1 = infinity } :: acc)
+      redits (Digraph.out_links t.g k)
+  in
   Digraph.detach_node t.g k;
   Digraph.detach_node t.rev k;
   mark_edit t;
-  t.inval_passes <- t.inval_passes + 1;
-  if t.dynamic then begin
-    (* every incident link deleted, expressed as rev-graph edits.  The
-       entry avoid.(k) itself survives untouched (and exact): links
-       incident to k are invisible to the k-forbidden search. *)
-    let redits =
-      Array.fold_left
-        (fun acc (u, w) ->
-          { Dynamic_sssp.u = k; v = u; w0 = w; w1 = infinity } :: acc)
-        [] rev_out
-    in
-    let redits =
-      Array.fold_left
-        (fun acc (y, w) ->
-          { Dynamic_sssp.u = y; v = k; w0 = w; w1 = infinity } :: acc)
-        redits fwd_out
-    in
-    repair_spt t redits;
-    repair_avoid_entries t redits
-  end
-  else begin
-    t.avoid.(k) <- None;
-    Array.iteri
-      (fun j entry ->
-        match entry with
-        | Some d when j <> k ->
-          let dk = d.(k) in
-          let keeps =
-            dk = infinity
-            || Array.for_all (fun (x, w) -> x = j || d.(x) < dk +. w) rev_out
-          in
-          if keeps then d.(k) <- infinity (* k is now isolated *)
-          else t.avoid.(j) <- None
-        | _ -> ())
-      t.avoid
-  end
-
-let grow_scratches t nn =
-  if nn > Dijkstra.scratch_capacity t.scratches.(0) then
-    t.scratches <-
-      Array.init (Wnet_par.size t.pool) (fun _ ->
-          Dijkstra.make_scratch (max nn (2 * Dijkstra.scratch_capacity t.scratches.(0))));
-  if nn > Dynamic_sssp.dist_scratch_capacity t.dscratches.(0) then
-    t.dscratches <-
-      Array.init (Wnet_par.size t.pool) (fun _ ->
-          Dynamic_sssp.make_dist_scratch
-            (max nn (2 * Dynamic_sssp.dist_scratch_capacity t.dscratches.(0))))
+  maintain t redits
 
 let apply_links t id ~out ~inn =
   List.iter
@@ -419,59 +232,21 @@ let apply_links t id ~out ~inn =
       end)
     inn
 
-(* Dynamic mode: a freshly attached node's links, as rev-graph
-   insertions, read off the graph itself (so duplicates in the caller's
-   link lists fold away). *)
-let attach_redits t id =
+(* A freshly attached node's links, as rev-graph insertions, read off
+   the graph itself (so duplicates in the caller's link lists fold
+   away).  Every surviving cache holds [d.(id) = infinity] (extended
+   row, or a node isolated by {!remove_node}), exact before the
+   insertions. *)
+let attach t id =
   let redits =
     Array.fold_left
-      (fun acc (v, w) ->
-        { Dynamic_sssp.u = v; v = id; w0 = infinity; w1 = w } :: acc)
-      []
-      (Digraph.out_links t.g id)
+      (fun acc (v, w) -> { Dynamic_sssp.u = v; v = id; w0 = infinity; w1 = w } :: acc)
+      [] (Digraph.out_links t.g id)
   in
-  Array.fold_left
-    (fun acc (u, w) ->
-      { Dynamic_sssp.u = id; v = u; w0 = infinity; w1 = w } :: acc)
-    redits
-    (Digraph.out_links t.rev id)
-
-(* Drop mode: [id]'s links are freshly in place and every surviving
-   cache currently holds [d.(id) = infinity] (extended row, or a node
-   isolated by {!remove_node}).  [id]'s avoidance distance is one
-   Bellman step over its rev in-links (= forward out-links): all new
-   links are incident to [id], so the best root-side path ends with one
-   of them and an untouched prefix.  A cache survives iff [id]'s rev
-   out-links improve nobody (ties keep the minimum's bit pattern, so
-   [<=] is exact). *)
-let patch_attached t id =
-  let rev_in = Digraph.out_links t.g id (* (v, w): rev-link v -> id *) in
-  let rev_out = Digraph.out_links t.rev id (* (u, w): rev-link id -> u *) in
-  Array.iteri
-    (fun j entry ->
-      match entry with
-      | Some d when j <> id ->
-        let dy =
-          Array.fold_left
-            (fun acc (v, w) -> Float.min acc (d.(v) +. w))
-            infinity rev_in
-        in
-        let keeps =
-          dy = infinity
-          || Array.for_all (fun (u, w) -> u = j || d.(u) <= dy +. w) rev_out
-        in
-        if keeps then d.(id) <- dy else t.avoid.(j) <- None
-      | _ -> ())
-    t.avoid
-
-let attach t id =
-  t.inval_passes <- t.inval_passes + 1;
-  if t.dynamic then begin
-    let redits = attach_redits t id in
-    repair_spt t redits;
-    repair_avoid_entries t redits
-  end
-  else patch_attached t id
+  maintain t
+    (Array.fold_left
+       (fun acc (u, w) -> { Dynamic_sssp.u = id; v = u; w0 = infinity; w1 = w } :: acc)
+       redits (Digraph.out_links t.rev id))
 
 let check_attach_link ~what ~n ~self (x, w) =
   if x < 0 || x >= n || x = self then
@@ -487,21 +262,7 @@ let add_node t ~out ~inn =
   let id = Digraph.add_node t.g in
   let id' = Digraph.add_node t.rev in
   assert (id = id');
-  grow_scratches t (id + 1);
-  let avoid = Array.make (id + 1) None in
-  let avoid_epoch = Array.make (id + 1) (-1) in
-  Array.iteri
-    (fun j entry ->
-      match entry with
-      | Some d ->
-        let d' = Array.make (id + 1) infinity in
-        Array.blit d 0 d' 0 old_n;
-        avoid.(j) <- Some d';
-        avoid_epoch.(j) <- t.avoid_epoch.(j)
-      | None -> ())
-    t.avoid;
-  t.avoid <- avoid;
-  t.avoid_epoch <- avoid_epoch;
+  Avoid_cache.grow t.cache (id + 1);
   apply_links t id ~out ~inn;
   mark_edit t;
   attach t id;
@@ -521,57 +282,30 @@ let rejoin_node t k ~out ~inn =
   apply_links t k ~out ~inn;
   mark_edit t;
   (* Surviving caches hold d.(k) = infinity — exactly the add_node
-     situation, minus the array extension.  (Drop mode must forget
-     avoid.(k): the node's own entry was computed before it left.  It
-     is in fact still exact — k's links are invisible to the
-     k-forbidden search — which is why dynamic mode keeps it.) *)
-  if not t.dynamic then t.avoid.(k) <- None;
+     situation, minus the array extension.  The node's own entry stays
+     exact: k's links are invisible to the k-forbidden search. *)
   attach t k
 
 (* ------------------------------------------------------------------ *)
 (* The batch, assembled from caches.                                    *)
 
-let relay_array is_relay =
-  let l = ref [] in
-  for k = Array.length is_relay - 1 downto 0 do
-    if is_relay.(k) then l := k :: !l
-  done;
-  Array.of_list !l
-
 let shared_tree t =
-  if t.dynamic then begin
-    match t.dyn with
-    | Some dy ->
-      (* flush and the structural deltas keep the patched tree exact;
-         anything else would be a bookkeeping bug — recover loudly in
-         debug, silently in release *)
-      if t.tree_version <> version t then begin
-        Dynamic_sssp.rebuild dy;
-        t.spt_runs <- t.spt_runs + 1;
-        t.tree_version <- version t
-      end;
-      Dynamic_sssp.tree dy
-    | None ->
-      let dy = Dynamic_sssp.create ~graph:t.rev ~mirror:t.g ~source:t.root in
-      t.dyn <- Some dy;
-      t.tree_version <- version t;
+  match t.dyn with
+  | Some dy ->
+    (* flush and the structural deltas keep the patched tree exact;
+       anything else would be a bookkeeping bug — recover by a rebuild *)
+    if t.tree_version <> version t then begin
+      Dynamic_sssp.rebuild dy;
       t.spt_runs <- t.spt_runs + 1;
-      Dynamic_sssp.tree dy
-  end
-  else
-    match t.tree with
-    | Some tree when t.tree_version = version t -> tree
-    | _ ->
-      let tree = Dijkstra.link_weighted t.rev t.root in
-      t.tree <- Some tree;
-      t.tree_version <- version t;
-      t.spt_runs <- t.spt_runs + 1;
-      tree
-
-let entry_fresh t k =
-  match t.avoid.(k) with
-  | None -> false
-  | Some _ -> (not t.dynamic) || t.avoid_epoch.(k) = t.cache_epoch
+      t.tree_version <- version t
+    end;
+    Dynamic_sssp.tree dy
+  | None ->
+    let dy = Dynamic_sssp.create ~graph:t.rev ~mirror:t.g ~source:t.root in
+    t.dyn <- Some dy;
+    t.tree_version <- version t;
+    t.spt_runs <- t.spt_runs + 1;
+    Dynamic_sssp.tree dy
 
 let payments t =
   match t.last with
@@ -581,76 +315,29 @@ let payments t =
     let nn = n t in
     let tree = shared_tree t in
     let next_hop v = tree.Dijkstra.parent.(v) in
-    (* Relays: internal nodes of the reversed shortest-path tree. *)
-    let is_relay = Array.make nn false in
-    for v = 0 to nn - 1 do
-      if v <> t.root && Dijkstra.reachable tree v then begin
-        let h = next_hop v in
-        if h <> t.root && h >= 0 then is_relay.(h) <- true
-      end
-    done;
-    let relays = relay_array is_relay in
-    let missing =
-      relay_array (Array.init nn (fun k -> is_relay.(k) && not (entry_fresh t k)))
-    in
-    let dists =
+    (* Per-relay fills bounded to the relay's SPT subtree: exterior
+       distances are copied bit-for-bit from the shared tree, only the
+       region is wiped/reseeded/settled.  Oversized subtrees fall back to
+       the full-graph CSR kernel. *)
+    let bounded =
       match t.kernel with
-      | `CsrBounded when Array.length missing > 0 ->
-        (* Per-relay fills bounded to the relay's SPT subtree: exterior
-           distances are copied bit-for-bit from the shared tree, only
-           the region is wiped/reseeded/settled.  Oversized subtrees
-           fall back to the full-graph CSR kernel.  Stolen tasks run on
-           other domains, so they only return (dist, region) pairs; the
-           counters and histogram are folded here on the main thread. *)
-        let idx = Avoid_region.make_index tree in
-        let states =
-          Array.init (Array.length t.scratches) (fun i ->
-              (t.scratches.(i), t.dscratches.(i)))
-        in
-        let pairs =
-          steal_map t ~states
-            (fun (scratch, ds) k ->
-              let d = Array.make nn infinity in
-              let r =
-                Avoid_region.link_avoid ds idx ~graph:t.rev ~mirror:t.g ~tree
-                  ~avoid:k ~dist:d
-              in
-              if r >= 0 then (d, r)
-              else
-                ( Dijkstra.link_weighted_dist_csr scratch ~avoid:k t.rev t.root,
-                  -1 ))
-            missing
-        in
-        Array.map
-          (fun (d, r) ->
-            if r >= 0 then begin
-              t.avoid_bounded <- t.avoid_bounded + 1;
-              record_region t r
-            end
-            else t.avoid_fallback <- t.avoid_fallback + 1;
-            d)
-          pairs
-      | `CsrBounded -> [||]
-      | `Csr ->
-        steal_map t ~states:t.scratches
-          (fun scratch k ->
-            Dijkstra.link_weighted_dist_csr scratch ~avoid:k t.rev t.root)
-          missing
-      | `Boxed ->
-        steal_map t ~states:t.scratches
-          (fun scratch k ->
-            Dijkstra.link_weighted_dist scratch ~forbidden:(fun v -> v = k)
-              t.rev t.root)
-          missing
+      | `CsrBounded ->
+        Some
+          (fun ds idx k d ->
+            Avoid_region.link_avoid ds idx ~graph:t.rev ~mirror:t.g ~tree ~avoid:k
+              ~dist:d)
+      | `Csr | `Boxed -> None
     in
-    Array.iteri
-      (fun i k ->
-        t.avoid.(k) <- Some dists.(i);
-        t.avoid_epoch.(k) <- t.cache_epoch)
-      missing;
-    t.avoid_runs <- t.avoid_runs + Array.length missing;
-    t.avoid_reused <-
-      t.avoid_reused + (Array.length relays - Array.length missing);
+    let full scratch k =
+      match t.kernel with
+      | `CsrBounded | `Csr ->
+        Dijkstra.link_weighted_dist_csr scratch ~avoid:k t.rev t.root
+      | `Boxed ->
+        Dijkstra.link_weighted_dist scratch ~forbidden:(fun v -> v = k) t.rev t.root
+    in
+    Avoid_cache.refill t.cache ~tree ~stamp:t.tree_version ~bounded ~full
+      (Avoid_cache.relays tree);
+    let avoid = t.cache.Avoid_cache.avoid in
     let cut = Array.make nn false in
     let results =
       Array.init nn (fun src ->
@@ -668,7 +355,7 @@ let payments t =
               let k = path.(l) in
               let used_link = Digraph.weight t.g k path.(l + 1) in
               let avoid_k =
-                match t.avoid.(k) with
+                match avoid.(k) with
                 | Some d -> d.(src)
                 | None -> assert false (* every internal node is a relay *)
               in
@@ -689,7 +376,10 @@ let payments t =
               }
           end)
     in
-    t.unbounded <- Array.to_list (relay_array cut);
+    t.unbounded <- [];
+    for k = nn - 1 downto 0 do
+      if cut.(k) then t.unbounded <- k :: t.unbounded
+    done;
     let batch =
       { root = t.root; to_root_dist = Array.copy tree.Dijkstra.dist; results }
     in

@@ -14,17 +14,24 @@
       alive across requests.
 
     The delta API ({!set_cost}, {!add_node}, {!remove_node}) updates
-    the graph in place and the caches follow by {e dynamic SSSP repair}
-    ({!Wnet_graph.Dynamic_sssp}): after each coalesced burst the shared
-    tree and every exact avoidance array are {e patched} over the
-    edit's affected region — typically a tiny bounded-frontier Dijkstra,
-    fanned out across the {!Wnet_par} pool — instead of being dropped
-    and recomputed whole.  Entries whose region exceeds the repair
-    budget (or whose parents hit a bit-equal tie, for the tree) fall
-    back to a from-scratch run, so the worst case never regresses past
-    the drop scheme.  [~dynamic:false] restores the PR 2/3 baseline:
-    per-entry slack tests that either prove an entry untouched or drop
-    it whole — the comparison row the bench keeps honest.
+    the graph in place, and each coalesced burst is followed by one
+    {e flush policy}:
+
+    - the shared tree is repaired in place over the burst's affected
+      region ({!Wnet_graph.Dynamic_sssp}), falling back to a
+      from-scratch run on an oversized region or a bit-equal parent
+      tie;
+    - each exact avoidance array is slack-tested against the burst's
+      net edits; an array no edit touches is kept as it is;
+    - a touched array is either repaired in place with only the edits
+      that touch it, or dropped and refilled at the next {!payments}
+      by the subtree-bounded kernel ({!Wnet_graph.Avoid_region}),
+      into its own storage.  A cost model picks the cheaper per entry,
+      from subtree sizes in the repaired tree: the labels the touching
+      edits can disturb, priced apart for rises and falls, against the
+      relay's own subtree.
+
+    Every branch is exact, so the policy moves time, never a payment.
 
     {b Determinism contract:} after any edit sequence, {!payments} is
     bit-identical ([Float.equal], including [infinity] payments for
@@ -61,20 +68,25 @@ type stats = {
   inval_passes : int;
       (** passes over the avoidance-cache array: one per {!flush} with a
           non-empty net burst, one per join/leave/rejoin *)
-  spt_runs : int;  (** shared-tree Dijkstras (initial build + fallbacks) *)
-  avoid_runs : int;  (** avoidance Dijkstras actually run *)
+  spt_runs : int;  (** shared-tree Dijkstras (initial build + rebuilds) *)
+  avoid_runs : int;
+      (** avoidance arrays refilled at {!payments}: first fills, entries
+          the flush policy dropped, and entries whose repair overflowed *)
   avoid_reused : int;  (** relay results served from cache *)
   repaired_entries : int;
-      (** cache structures (shared tree or avoidance array) patched in
-          place by dynamic SSSP repair instead of recomputed *)
+      (** structures patched in place: the shared tree once per flush
+          (unless rebuilt), plus each touched avoidance array the policy
+          chose to repair.  Untouched arrays are kept without a repair
+          call and do not count *)
   fallback_recomputes : int;
-      (** repair attempts that bailed to a from-scratch run: oversized
-          affected region, or a bit-equal tie that could flip a tree
-          parent *)
+      (** repairs that could not finish in place: a shared-tree rebuild
+          (oversized region, or a bit-equal tie that could flip a
+          parent), or an avoidance repair that overflowed its budget and
+          left the entry to be refilled *)
   tasks_executed : int;
-      (** units of work run through the pool's work-stealing scheduler
-          (avoidance Dijkstras and in-place repairs, inline fallbacks
-          included) *)
+      (** units of work run through the pool's work-stealing scheduler:
+          one per exact avoidance array per flush (slack test, then
+          repair or drop), one per refill *)
   tasks_stolen : int;
       (** the subset executed by a domain other than the one that queued
           them — nonzero only when stealing actually rebalanced load *)
@@ -90,7 +102,6 @@ type stats = {
 val create :
   ?pool:Wnet_par.t ->
   ?copy:bool ->
-  ?dynamic:bool ->
   ?kernel:[ `CsrBounded | `Csr | `Boxed ] ->
   Wnet_graph.Digraph.t ->
   root:int ->
@@ -101,9 +112,6 @@ val create :
     mutate nor rely on it afterwards (used by the one-shot wrappers).
     [?pool] (default {!Wnet_par.sequential}) fans avoidance Dijkstras
     out over domains; every pool size yields bit-identical payments.
-    [~dynamic:false] (default [true]) disables dynamic SSSP repair and
-    restores drop-style invalidation — same payments, different cost
-    profile.
     [?kernel] selects the avoidance Dijkstra that fills cache misses:
     [`CsrBounded] (default) copies exterior distances from the shared
     SPT and recomputes only the relay's subtree region
@@ -132,28 +140,27 @@ val set_cost : t -> int -> int -> float -> unit
     update, insert, or remove ([w = infinity]).  The graph mutates
     immediately, but cache maintenance is {e deferred}: a burst of cost
     edits arriving before the next {!payments} (or structural delta) is
-    coalesced into one {!flush} pass that repairs the shared tree and
-    each exact avoidance cache against the burst's net link changes —
-    one bounded repair per structure per burst, instead of one scan (or
-    recompute) per edit.  Edits reverted within a burst cancel out
-    entirely.
+    coalesced into one {!flush} pass that applies the flush policy to
+    the burst's net link changes, instead of one pass per edit.  Edits
+    reverted within a burst cancel out entirely.
     @raise Invalid_argument as {!Wnet_graph.Digraph.set_weight}. *)
 
 val flush : t -> unit
-(** Fold the cost edits buffered since the last flush into one
-    invalidation pass over the avoidance caches, now.  Called
-    automatically by {!payments} and by the structural deltas
-    ({!add_node}, {!remove_node}, {!rejoin_node}); calling it after
-    every edit reproduces the old eager per-edit scans (what the bench's
+(** Fold the cost edits buffered since the last flush into one pass of
+    the flush policy, now: the shared tree is repaired, and every exact
+    avoidance cache is kept, repaired or dropped.  Called automatically
+    by {!payments} and by the structural deltas ({!add_node},
+    {!remove_node}, {!rejoin_node}); calling it after every edit
+    reproduces eager per-edit maintenance (what the bench's
     one-at-a-time baseline does).  A no-op when nothing is buffered. *)
 
 val add_node :
   t -> out:(int * float) list -> inn:(int * float) list -> int
 (** [add_node s ~out ~inn] joins a new node with declared out-links
     [out = (target, cost)] and in-links [inn = (source, cost)], and
-    returns its identifier.  Surviving avoidance caches are patched
-    with the newcomer's distance (a Bellman step over [out]) instead of
-    being recomputed.
+    returns its identifier.  The newcomer's links enter the flush
+    policy as insertions: caches they cannot improve are kept, the
+    others repaired or dropped.
     @raise Invalid_argument on invalid endpoints or weights. *)
 
 val remove_node : t -> int -> unit
@@ -166,20 +173,19 @@ val rejoin_node :
   t -> int -> out:(int * float) list -> inn:(int * float) list -> unit
 (** [rejoin_node s v ~out ~inn] re-attaches an isolated node (one that
     {!remove_node} detached, or that joined linkless) under its existing
-    identifier — the node-rejoin half of churn.  Surviving caches are
-    patched with the rejoiner's Bellman-step distance exactly as in
-    {!add_node}; inserting the links one by one through {!set_cost}
-    would instead invalidate every cache, because each insert makes the
-    node's own distance change from [infinity].
+    identifier — the node-rejoin half of churn.  The links enter the
+    flush policy as one burst of insertions, exactly as in
+    {!add_node}, and the node's own cache survives (its links are
+    invisible to the search that forbids it).
     @raise Invalid_argument when [v] is the root, out of range, or not
     isolated, or on invalid endpoints or weights. *)
 
 val payments : t -> batch
-(** The all-to-root batch for the current topology.  Recomputes the
-    shared tree if any edit occurred, runs avoidance Dijkstras only for
-    relays whose cache is missing or invalidated (fanned out over the
-    pool, through the session's per-domain scratches), and memoizes the
-    batch until the next edit. *)
+(** The all-to-root batch for the current topology.  Flushes, then
+    refills only the relays whose cache is missing or was dropped
+    (fanned out over the pool, through the session's per-domain
+    scratches, each into its own array), and memoizes the batch until
+    the next edit. *)
 
 val unbounded_relays : t -> int list
 (** Cut-vertex relays as of the last {!payments} call: relays whose
@@ -193,6 +199,6 @@ val stats : t -> stats
 val region_histogram : t -> (int * int) list
 (** Histogram of bounded-region sizes over every successful repair
     (shared tree and avoidance entries alike) and every
-    subtree-bounded cache-miss fill, as [(class lower bound, count)]
+    subtree-bounded refill, as [(class lower bound, count)]
     pairs with power-of-two size classes [{0}, {1}, [2,4), [4,8), ...]
     — ascending, zero-count classes omitted. *)

@@ -22,24 +22,8 @@ type stats = {
   avoid_fallback : int;
 }
 
-(* Region-size histogram, same classes as {!Link_session}. *)
-let hist_buckets = 24
-
-let hist_bucket r =
-  if r <= 0 then 0
-  else begin
-    let b = ref 1 and x = ref r in
-    while !x > 1 do
-      incr b;
-      x := !x lsr 1
-    done;
-    min !b (hist_buckets - 1)
-  end
-
 type t = {
   root : int;
-  pool : Wnet_par.t;
-  dynamic : bool;
   kernel : [ `CsrBounded | `Csr | `Boxed ];
       (* avoidance kernel for cache misses: subtree-bounded region
          kernel over the shared SPT (default, full-CSR fallback on
@@ -48,16 +32,11 @@ type t = {
   mutable g : Graph.t;  (* adjacency shared; cost vector swapped per edit *)
   mutable gver : int;  (* session-managed version stamp *)
   mutable tree : Dijkstra.tree option;
-      (* the node-weighted shared tree stays live-or-die in both modes:
-         Dynamic_sssp repairs link-weighted trees, and the node model's
-         tree is one Dijkstra per burst anyway — the per-relay avoidance
-         arrays are the expensive part, and those are patched *)
+      (* the node-weighted shared tree is rebuilt, not repaired:
+         Dynamic_sssp repairs link-weighted trees, and it is one
+         Dijkstra per burst *)
   mutable tree_version : int;
-  mutable avoid : float array option array;
-  mutable avoid_epoch : int array;  (* dynamic mode: exact iff = cache_epoch *)
-  mutable cache_epoch : int;
-  scratches : Dijkstra.scratch array;
-  dscratches : Dynamic_sssp.dist_scratch array;
+  cache : Avoid_cache.t;
   mutable unbounded : int list;
   mutable last : (int * outcome option array) option;
   pending : (int, float) Hashtbl.t;
@@ -69,38 +48,19 @@ type t = {
   mutable coalesced_edits : int;
   mutable inval_passes : int;
   mutable spt_runs : int;
-  mutable avoid_runs : int;
-  mutable avoid_reused : int;
-  mutable repaired_entries : int;
-  mutable fallback_recomputes : int;
-  mutable tasks_executed : int;
-  mutable tasks_stolen : int;
-  mutable avoid_bounded : int;
-  mutable avoid_fallback : int;
-  region_hist : int array;
 }
 
-let create ?(pool = Wnet_par.sequential) ?(dynamic = true)
-    ?(kernel = `CsrBounded) g ~root =
+let create ?(pool = Wnet_par.sequential) ?(kernel = `CsrBounded) g ~root =
   let n = Graph.n g in
   if root < 0 || root >= n then invalid_arg "Node_session.create: root out of range";
   {
     root;
-    pool;
-    dynamic;
     kernel;
     g;
     gver = 0;
     tree = None;
     tree_version = -1;
-    avoid = Array.make n None;
-    avoid_epoch = Array.make n (-1);
-    cache_epoch = 0;
-    scratches =
-      Array.init (Wnet_par.size pool) (fun _ -> Dijkstra.make_scratch n);
-    dscratches =
-      Array.init (Wnet_par.size pool) (fun _ ->
-          Dynamic_sssp.make_dist_scratch n);
+    cache = Avoid_cache.create pool n;
     unbounded = [];
     last = None;
     pending = Hashtbl.create 16;
@@ -110,15 +70,6 @@ let create ?(pool = Wnet_par.sequential) ?(dynamic = true)
     coalesced_edits = 0;
     inval_passes = 0;
     spt_runs = 0;
-    avoid_runs = 0;
-    avoid_reused = 0;
-    repaired_entries = 0;
-    fallback_recomputes = 0;
-    tasks_executed = 0;
-    tasks_stolen = 0;
-    avoid_bounded = 0;
-    avoid_fallback = 0;
-    region_hist = Array.make hist_buckets 0;
   }
 
 let n t = Graph.n t.g
@@ -127,148 +78,91 @@ let cost t v = Graph.cost t.g v
 let graph t = t.g
 let version t = t.gver
 let stats t =
+  let c = t.cache in
   { edits = t.edits; coalesced_edits = t.coalesced_edits;
     inval_passes = t.inval_passes; spt_runs = t.spt_runs;
-    avoid_runs = t.avoid_runs; avoid_reused = t.avoid_reused;
-    repaired_entries = t.repaired_entries;
-    fallback_recomputes = t.fallback_recomputes;
-    tasks_executed = t.tasks_executed; tasks_stolen = t.tasks_stolen;
-    avoid_bounded = t.avoid_bounded; avoid_fallback = t.avoid_fallback }
+    avoid_runs = c.avoid_runs; avoid_reused = c.avoid_reused;
+    repaired_entries = c.repaired; fallback_recomputes = c.fallbacks;
+    tasks_executed = c.tasks_executed; tasks_stolen = c.tasks_stolen;
+    avoid_bounded = c.avoid_bounded; avoid_fallback = c.avoid_fallback }
 let unbounded_relays t = t.unbounded
-
-let region_histogram t =
-  let out = ref [] in
-  for b = hist_buckets - 1 downto 0 do
-    if t.region_hist.(b) > 0 then
-      let lo = if b = 0 then 0 else 1 lsl (b - 1) in
-      out := (lo, t.region_hist.(b)) :: !out
-  done;
-  !out
-
-let record_region t r =
-  t.region_hist.(hist_bucket r) <- t.region_hist.(hist_bucket r) + 1
-
-(* See {!Link_session}: stealing fan-out plus counter-delta folding. *)
-let steal_map t ~states f a =
-  let before = Wnet_par.stats t.pool in
-  let r = Wnet_par.map_array_stealing_pooled t.pool ~states f a in
-  let after = Wnet_par.stats t.pool in
-  t.tasks_executed <-
-    t.tasks_executed + after.Wnet_par.tasks_executed
-    - before.Wnet_par.tasks_executed;
-  t.tasks_stolen <-
-    t.tasks_stolen + after.Wnet_par.tasks_stolen - before.Wnet_par.tasks_stolen;
-  r
+let region_histogram t = Avoid_cache.region_histogram t.cache
 
 let mark_edit t =
   t.gver <- t.gver + 1;
   t.edits <- t.edits + 1;
   t.last <- None
 
+let shared_tree t =
+  match t.tree with
+  | Some tree when t.tree_version = t.gver -> tree
+  | _ ->
+    let tree = Dijkstra.node_weighted t.g ~source:t.root in
+    t.tree <- Some tree;
+    t.tree_version <- t.gver;
+    t.spt_runs <- t.spt_runs + 1;
+    tree
+
 (* Node [x]'s cost changed from [c0] to [c1] (removal: [c1 = infinity],
    which kills every relaxation out of [x]).  A cached [j]-avoiding
-   array [d] survives iff no root-side shortest path of that search can
-   be touched: relaxations out of [x] offer each neighbour [w] the
-   candidate [d.(x) +. cost x] (node-weighted Dijkstra charges the
-   relay cost on *leaving* [x]), so the cache is exact as long as no
-   such candidate improves — or was tight for — its target.  The float
-   comparisons mirror the relaxation arithmetic bit for bit. *)
-let cost_edit_keeps d ~nbrs ~j ~x ~c0 ~c1 =
-  let dx = d.(x) in
-  dx = infinity
-  || Array.for_all
-       (fun w ->
-         w = j
-         || (if c1 < c0 then d.(w) <= dx +. c1 else d.(w) < dx +. c0))
-       nbrs
+   array [d] is touched unless no root-side shortest path of that search
+   can be: relaxations out of [x] offer each neighbour [w] the candidate
+   [d.(x) +. cost x] (node-weighted Dijkstra charges the relay cost on
+   *leaving* [x]), so the cache is exact as long as no such candidate
+   improves — or was tight for — its target.  The float comparisons
+   mirror the relaxation arithmetic bit for bit. *)
+let edit_touches d j (e : Dynamic_sssp.node_edit) =
+  let dx = d.(e.x) in
+  j <> e.x && dx < infinity
+  &&
+  let touched = ref false and i = ref 0 in
+  while (not !touched) && !i < Array.length e.nbrs do
+    let w = e.nbrs.(!i) in
+    if
+      w <> j
+      && not (if e.c1 < e.c0 then d.(w) <= dx +. e.c1 else d.(w) < dx +. e.c0)
+    then touched := true;
+    incr i
+  done;
+  !touched
 
-(* Dynamic mode: patch every currently-exact avoidance entry against the
-   burst's net node-cost edits, fanned out over the pool.  An
-   [`Overflow] leaves the entry corrupted: drop it and count a
-   fallback. *)
-let repair_avoid_entries t nedits =
-  let fresh = ref [] in
-  Array.iteri
-    (fun j entry ->
-      match entry with
-      | Some _ when t.avoid_epoch.(j) = t.cache_epoch -> fresh := j :: !fresh
-      | _ -> ())
-    t.avoid;
-  let fresh = Array.of_list (List.rev !fresh) in
-  t.cache_epoch <- t.cache_epoch + 1;
-  let regions =
-    steal_map t ~states:t.dscratches
-      (fun ds j ->
-        match t.avoid.(j) with
-        | Some d -> (
-          match
-            Dynamic_sssp.repair_node_dist ds ~forbidden:j ~graph:t.g
-              ~source:t.root ~dist:d nedits
-          with
-          | `Patched r -> r
-          | `Overflow -> -1)
-        | None -> -1)
-      fresh
-  in
-  Array.iteri
-    (fun i j ->
-      if regions.(i) >= 0 then begin
-        t.avoid_epoch.(j) <- t.cache_epoch;
-        t.repaired_entries <- t.repaired_entries + 1;
-        record_region t regions.(i)
-      end
-      else begin
-        t.avoid.(j) <- None;
-        t.fallback_recomputes <- t.fallback_recomputes + 1
-      end)
-    fresh
+(* One invalidation pass of the flush policy (see {!Avoid_cache}) over
+   net node-cost edits.  The tree is built here rather than at the next
+   payments, which needs it anyway: the policy prices each entry off its
+   subtree sizes.  An edit on [x] disturbs [x]'s subtree: leaving [x] is
+   what it re-prices. *)
+let maintain t nedits =
+  t.inval_passes <- t.inval_passes + 1;
+  let graph = t.g in
+  let tree = shared_tree t in
+  Avoid_cache.maintain t.cache ~tree ~stamp:t.tree_version ~touches:edit_touches
+    ~disturbs:(fun size _ (e : Dynamic_sssp.node_edit) -> size.(e.x))
+    ~rises:(fun (e : Dynamic_sssp.node_edit) -> e.c1 > e.c0)
+    ~repair:(fun ds ~forbidden ~dist es ->
+      Dynamic_sssp.repair_node_dist ds ~forbidden ~graph ~source:t.root ~dist es)
+    nedits
 
 (* Deferred, coalesced maintenance: cost edits swap the cost vector
    eagerly, the cache pass waits for the next flush and handles each
-   surviving cache against every *net* node-cost change in one go —
-   dynamic-repairing it in place, or (drop mode) testing the slack
-   conditions and dropping it whole (same soundness argument as the
-   link model: a kept decrease improves no relaxation target, a kept
-   increase was strictly slack, a reverted edit vanishes).  Adjacency
-   never changes between flushes — the structural delta
+   surviving cache against every *net* node-cost change in one go.
+   Adjacency never changes between flushes — the structural delta
    ({!remove_node}) flushes first — so neighbour sets read at flush
    time are the ones every buffered edit saw. *)
 let flush t =
   if t.pending_edits > 0 then begin
-    let net =
-      List.rev_map
+    let nedits =
+      List.filter_map
         (fun x ->
-          let c0 = Hashtbl.find t.pending x in
-          (x, Graph.neighbors t.g x, c0, Graph.cost t.g x))
+          let c0 = Hashtbl.find t.pending x and c1 = Graph.cost t.g x in
+          if Float.equal c0 c1 then None
+          else Some { Dynamic_sssp.x; nbrs = Graph.neighbors t.g x; c0; c1 })
         t.pending_order
-      |> List.filter (fun (_, _, c0, c1) -> not (Float.equal c0 c1))
     in
     t.coalesced_edits <- t.coalesced_edits + t.pending_edits;
     Hashtbl.reset t.pending;
     t.pending_order <- [];
     t.pending_edits <- 0;
-    if net <> [] then begin
-      t.inval_passes <- t.inval_passes + 1;
-      if t.dynamic then
-        repair_avoid_entries t
-          (List.map
-             (fun (x, nbrs, c0, c1) -> { Dynamic_sssp.x; nbrs; c0; c1 })
-             net)
-      else
-        Array.iteri
-          (fun j entry ->
-            match entry with
-            | Some d ->
-              if
-                not
-                  (List.for_all
-                     (fun (x, nbrs, c0, c1) ->
-                       j = x || cost_edit_keeps d ~nbrs ~j ~x ~c0 ~c1)
-                     net)
-              then t.avoid.(j) <- None
-            | None -> ())
-          t.avoid
-    end
+    if nedits <> [] then maintain t nedits
   end
 
 let set_cost t x c =
@@ -297,55 +191,18 @@ let remove_node t x =
   let c0 = Graph.cost t.g x in
   t.g <- Graph.remove_node t.g x;
   mark_edit t;
-  t.inval_passes <- t.inval_passes + 1;
-  if t.dynamic then begin
-    (* as a cost edit to infinity: no search relays x any more.  The
-       entry avoid.(x) itself stays exact (x is invisible to its own
-       search); the others are repaired, then x's now-adjacencyless
-       label is forced to the from-scratch value. *)
-    repair_avoid_entries t
-      [ { Dynamic_sssp.x; nbrs; c0; c1 = infinity } ];
-    Array.iteri
-      (fun j entry ->
-        match entry with
-        | Some d when t.avoid_epoch.(j) = t.cache_epoch -> d.(x) <- infinity
-        | _ -> ())
-      t.avoid
-  end
-  else begin
-    t.avoid.(x) <- None;
-    Array.iteri
-      (fun j entry ->
-        match entry with
-        | Some d when j <> x ->
-          if cost_edit_keeps d ~nbrs ~j ~x ~c0 ~c1:infinity then
-            d.(x) <- infinity (* x is now isolated *)
-          else t.avoid.(j) <- None
-        | _ -> ())
-      t.avoid
-  end
-
-let relay_array is_relay =
-  let l = ref [] in
-  for k = Array.length is_relay - 1 downto 0 do
-    if is_relay.(k) then l := k :: !l
-  done;
-  Array.of_list !l
-
-let shared_tree t =
-  match t.tree with
-  | Some tree when t.tree_version = t.gver -> tree
-  | _ ->
-    let tree = Dijkstra.node_weighted t.g ~source:t.root in
-    t.tree <- Some tree;
-    t.tree_version <- t.gver;
-    t.spt_runs <- t.spt_runs + 1;
-    tree
-
-let entry_fresh t k =
-  match t.avoid.(k) with
-  | None -> false
-  | Some _ -> (not t.dynamic) || t.avoid_epoch.(k) = t.cache_epoch
+  (* as a cost edit to infinity: no search relays x any more.  The entry
+     for x itself stays exact (x is invisible to its own search); in
+     every other exact entry x's now-adjacencyless label is forced to
+     the from-scratch value. *)
+  maintain t [ { Dynamic_sssp.x; nbrs; c0; c1 = infinity } ];
+  let c = t.cache in
+  Array.iteri
+    (fun j entry ->
+      match entry with
+      | Some d when c.Avoid_cache.exact.(j) -> d.(x) <- infinity
+      | _ -> ())
+    c.Avoid_cache.avoid
 
 let payments t =
   match t.last with
@@ -355,73 +212,26 @@ let payments t =
     let nn = n t in
     let tree = shared_tree t in
     let next_hop v = tree.Dijkstra.parent.(v) in
-    let is_relay = Array.make nn false in
-    for v = 0 to nn - 1 do
-      if v <> t.root && Dijkstra.reachable tree v then begin
-        let h = next_hop v in
-        if h >= 0 && h <> t.root then is_relay.(h) <- true
-      end
-    done;
-    let relays = relay_array is_relay in
-    let missing =
-      relay_array (Array.init nn (fun k -> is_relay.(k) && not (entry_fresh t k)))
-    in
-    let dists =
+    (* Subtree-bounded fills; see {!Link_session.payments}. *)
+    let bounded =
       match t.kernel with
-      | `CsrBounded when Array.length missing > 0 ->
-        (* Subtree-bounded fills; see {!Link_session.payments}.  Stolen
-           tasks return (dist, region) pairs, counters fold here on the
-           main thread. *)
-        let idx = Avoid_region.make_index tree in
-        let states =
-          Array.init (Array.length t.scratches) (fun i ->
-              (t.scratches.(i), t.dscratches.(i)))
-        in
-        let pairs =
-          steal_map t ~states
-            (fun (scratch, ds) k ->
-              let d = Array.make nn infinity in
-              let r =
-                Avoid_region.node_avoid ds idx ~graph:t.g ~tree ~avoid:k
-                  ~dist:d
-              in
-              if r >= 0 then (d, r)
-              else
-                ( Dijkstra.node_weighted_dist_csr scratch ~avoid:k t.g
-                    ~source:t.root,
-                  -1 ))
-            missing
-        in
-        Array.map
-          (fun (d, r) ->
-            if r >= 0 then begin
-              t.avoid_bounded <- t.avoid_bounded + 1;
-              record_region t r
-            end
-            else t.avoid_fallback <- t.avoid_fallback + 1;
-            d)
-          pairs
-      | `CsrBounded -> [||]
-      | `Csr ->
-        steal_map t ~states:t.scratches
-          (fun scratch k ->
-            Dijkstra.node_weighted_dist_csr scratch ~avoid:k t.g ~source:t.root)
-          missing
-      | `Boxed ->
-        steal_map t ~states:t.scratches
-          (fun scratch k ->
-            Dijkstra.node_weighted_dist scratch ~forbidden:(fun v -> v = k) t.g
-              ~source:t.root)
-          missing
+      | `CsrBounded ->
+        Some
+          (fun ds idx k d ->
+            Avoid_region.node_avoid ds idx ~graph:t.g ~tree ~avoid:k ~dist:d)
+      | `Csr | `Boxed -> None
     in
-    Array.iteri
-      (fun i k ->
-        t.avoid.(k) <- Some dists.(i);
-        t.avoid_epoch.(k) <- t.cache_epoch)
-      missing;
-    t.avoid_runs <- t.avoid_runs + Array.length missing;
-    t.avoid_reused <-
-      t.avoid_reused + (Array.length relays - Array.length missing);
+    let full scratch k =
+      match t.kernel with
+      | `CsrBounded | `Csr ->
+        Dijkstra.node_weighted_dist_csr scratch ~avoid:k t.g ~source:t.root
+      | `Boxed ->
+        Dijkstra.node_weighted_dist scratch ~forbidden:(fun v -> v = k) t.g
+          ~source:t.root
+    in
+    Avoid_cache.refill t.cache ~tree ~stamp:t.tree_version ~bounded ~full
+      (Avoid_cache.relays tree);
+    let avoid = t.cache.Avoid_cache.avoid in
     let cut = Array.make nn false in
     let results =
       Array.init nn (fun src ->
@@ -437,9 +247,7 @@ let payments t =
             Array.iter
               (fun k ->
                 let avoid_k =
-                  match t.avoid.(k) with
-                  | Some d -> d.(src)
-                  | None -> assert false
+                  match avoid.(k) with Some d -> d.(src) | None -> assert false
                 in
                 payments.(k) <- Graph.cost t.g k +. avoid_k -. lcp_cost;
                 if avoid_k = infinity then cut.(k) <- true)
@@ -447,7 +255,10 @@ let payments t =
             Some { src; path; lcp_cost; payments }
           end)
     in
-    t.unbounded <- Array.to_list (relay_array cut);
+    t.unbounded <- [];
+    for k = nn - 1 downto 0 do
+      if cut.(k) then t.unbounded <- k :: t.unbounded
+    done;
     t.last <- Some (t.gver, results);
     results
 

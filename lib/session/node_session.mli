@@ -7,13 +7,15 @@
     serve to-root queries), the per-relay avoidance-distance cache, a
     {!Wnet_par} pool and per-domain Dijkstra scratches.  Deltas are a
     node's declared cost changing ({!set_cost}) and a node leaving
-    ({!remove_node}); each coalesced burst {e repairs} every exact
-    [k]-avoiding array in place over its affected region
-    ({!Wnet_graph.Dynamic_sssp.repair_node_dist}), falling back to a
-    from-scratch rerun when the region exceeds the budget.  The shared
-    node-weighted tree stays live-or-die (it is one Dijkstra per burst;
-    the per-relay arrays are the expensive part).  [~dynamic:false]
-    restores the drop-style slack tests of PR 3.
+    ({!remove_node}).  Each coalesced burst runs the flush policy of
+    {!Link_session}: the shared node-weighted tree is rebuilt at the
+    flush (one Dijkstra per burst, which the next {!payments} needs
+    anyway), each exact [k]-avoiding array is slack-tested against the
+    burst, kept when no edit touches it, and otherwise either repaired
+    in place with only its touching edits
+    ({!Wnet_graph.Dynamic_sssp.repair_node_dist}) or dropped and
+    refilled by the subtree-bounded kernel at the next {!payments} —
+    whichever the cost model prices lower.
 
     {b Determinism contract:} {!payments} after any edit sequence is
     bit-identical ([Float.equal], identical paths) to a from-scratch
@@ -36,17 +38,22 @@ type stats = {
       (** cost edits folded into a shared deferred-invalidation flush *)
   inval_passes : int;
       (** passes over the avoidance-cache array (flushes + leaves) *)
-  spt_runs : int;
+  spt_runs : int;  (** shared-tree Dijkstras: one per flush or edit *)
   avoid_runs : int;
+      (** avoidance arrays refilled at {!payments}: first fills, entries
+          the flush policy dropped, and entries whose repair overflowed *)
   avoid_reused : int;
   repaired_entries : int;
-      (** avoidance arrays patched in place by dynamic SSSP repair *)
+      (** touched avoidance arrays the policy repaired in place;
+          untouched arrays are kept without a repair call and do not
+          count *)
   fallback_recomputes : int;
-      (** repair attempts that bailed (oversized affected region) *)
+      (** avoidance repairs that overflowed their budget and left the
+          entry to be refilled *)
   tasks_executed : int;
-      (** units of work run through the pool's work-stealing scheduler
-          (avoidance Dijkstras and in-place repairs, inline fallbacks
-          included) *)
+      (** units of work run through the pool's work-stealing scheduler:
+          one per exact avoidance array per flush (slack test, then
+          repair or drop), one per refill *)
   tasks_stolen : int;
       (** the subset executed by a domain other than the one that queued
           them — nonzero only when stealing actually rebalanced load *)
@@ -59,16 +66,13 @@ type stats = {
 
 val create :
   ?pool:Wnet_par.t ->
-  ?dynamic:bool ->
   ?kernel:[ `CsrBounded | `Csr | `Boxed ] ->
   Wnet_graph.Graph.t ->
   root:int ->
   t
 (** [create g ~root] opens a session on [g].  [Graph.t] is immutable,
     so the session shares the adjacency structure and swaps cost
-    vectors; the caller's graph is never affected.  [~dynamic:false]
-    (default [true]) disables in-place cache repair in favour of
-    drop-style invalidation.  [?kernel] selects the avoidance Dijkstra
+    vectors; the caller's graph is never affected.  [?kernel] selects the avoidance Dijkstra
     for cache misses — [`CsrBounded] (default) the subtree-bounded
     region kernel over the shared SPT with full-CSR fallback on budget
     overflow ({!Wnet_graph.Avoid_region}), [`Csr] the flat
@@ -93,13 +97,13 @@ val set_cost : t -> int -> float -> unit
 (** [set_cost s v c] re-declares node [v]'s relay cost.  The cost vector
     swaps immediately; the avoidance-cache invalidation is deferred and
     coalesced — a burst of cost edits before the next {!payments} (or
-    {!remove_node}) is folded into one {!flush} pass over the cache
-    array, testing each cache against the burst's net changes.
+    {!remove_node}) is folded into one {!flush} pass of the flush
+    policy over the burst's net changes.
     @raise Invalid_argument on a negative or non-finite cost. *)
 
 val flush : t -> unit
-(** Apply the deferred invalidation for every buffered cost edit in one
-    pass, now.  Called automatically by {!payments} and
+(** Apply the flush policy to every buffered cost edit in one pass,
+    now.  Called automatically by {!payments} and
     {!remove_node}; a no-op when nothing is buffered. *)
 
 val remove_node : t -> int -> unit
@@ -110,8 +114,8 @@ val remove_node : t -> int -> unit
 val payments : t -> outcome option array
 (** The all-to-root batch on the current topology: entry [src] is
     [None] for the root and disconnected sources.  Shared tree
-    recomputed only after an edit; avoidance Dijkstras run only for
-    relays whose cache is missing or invalidated, over the session's
+    recomputed only after an edit; avoidance arrays refilled only for
+    relays whose cache is missing or was dropped, over the session's
     pool and per-domain scratches; memoized until the next edit. *)
 
 val relay_tables : t -> (int * float) list array
@@ -130,5 +134,5 @@ val stats : t -> stats
 
 val region_histogram : t -> (int * int) list
 (** Histogram of bounded-region sizes (successful repairs and
-    subtree-bounded cache-miss fills), same power-of-two size classes
+    subtree-bounded refills), same power-of-two size classes
     as {!Link_session.region_histogram}. *)

@@ -136,7 +136,16 @@ let collect_pay outcomes =
     outcomes;
   { served = List.rev !served; unbounded = !unbounded; total = !total }
 
-let sum_payments p = Array.fold_left ( +. ) 0.0 p
+(* Left to right from [0.0], exactly as [Array.fold_left ( +. ) 0.0],
+   so the result is bit-identical; but the local float ref stays
+   unboxed, where the polymorphic fold boxes the accumulator and every
+   element it reads. *)
+let sum_payments p =
+  let s = ref 0.0 in
+  for i = 0 to Array.length p - 1 do
+    s := !s +. Array.unsafe_get p i
+  done;
+  !s
 
 (* Shard-safe ownership: a session's mutable engine state (topology,
    caches, pending-edit buffers) is single-owner by design.  The sharded

@@ -88,6 +88,12 @@ type pay = {
   total : float;  (** sum of the finite charges *)
 }
 
+val sum_payments : float array -> float
+(** The total of a payment vector, added left to right from [0.0]:
+    bit-identical to [Array.fold_left ( +. ) 0.0], [infinity] and
+    [-0.0] included, without boxing a float per element.  Every served
+    charge and every [total_payment] goes through it. *)
+
 (** A running session, model-erased.  Operations raise [Failure] on a
     delta the model does not support and [Invalid_argument] exactly as
     the underlying engine.

@@ -194,7 +194,9 @@ let session_interleaving_prop ~domains seed =
         match !removed with
         | k :: rest ->
           let out = [ (Rng.int rng n, Rng.float_range rng 0.5 10.0) ] in
-          let out = List.filter (fun (v, _) -> v <> k) out in
+          (* never link to a node still detached (k included), or that
+             node could no longer rejoin *)
+          let out = List.filter (fun (v, _) -> not (List.mem v !removed)) out in
           each (fun s -> LS.rejoin_node s k ~out ~inn:[]);
           removed := rest
         | [] -> ())

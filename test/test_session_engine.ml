@@ -135,27 +135,39 @@ let apply_random_op rng s =
          ~out:(random_links rng ~n:nn ~self:(-1))
          ~inn:(random_links rng ~n:nn ~self:(-1)))
 
+(* Burst boundaries for the third replica: after op [i] it pays iff
+   [ends.(i)], with bursts of 1–64 ops — long bursts push the flush
+   policy onto its drop-and-refill branch, single ops onto repair. *)
+let burst_ends rng nops =
+  let ends = Array.make (nops + 1) false in
+  ends.(0) <- true;
+  let i = ref 0 in
+  while !i < nops do
+    i := min nops (!i + 1 + Rng.int rng 64);
+    ends.(!i) <- true
+  done;
+  ends
+
 let link_equiv_prop seed =
   let rng = Rng.create seed in
   let n = 8 + Rng.int rng 21 in
   let g = random_digraph rng ~n in
-  let nops = 4 + Rng.int rng 7 in
+  let nops = 4 + Rng.int rng 61 in
+  let ends = burst_ends rng nops in
   let oseed = seed lxor 0x2545f49 in
   Par.with_pool ~domains:3 (fun pool ->
       let s_seq = LS.create g ~root:0 in
       let s_par = LS.create ~pool g ~root:0 in
-      let s_drop = LS.create ~pool ~dynamic:false g ~root:0 in
-      let check label =
+      let s_burst = LS.create ~pool g ~root:0 in
+      let check i label =
         let b_seq = LS.payments s_seq in
         let b_par = LS.payments s_par in
-        let b_drop = LS.payments s_drop in
         if not (link_batches_equal b_seq b_par) then
           QCheck2.Test.fail_reportf "%s: pooled batch differs from sequential"
             label;
-        if not (link_batches_equal b_seq b_drop) then
+        if ends.(i) && not (link_batches_equal b_seq (LS.payments s_burst)) then
           QCheck2.Test.fail_reportf
-            "%s: dynamic-repair batch differs from drop-invalidation batch"
-            label;
+            "%s: batch paid after a burst differs from paying every op" label;
         let oracle =
           LC.all_to_root ~strategy:LC.Copy_graph (LS.snapshot s_seq) ~root:0
         in
@@ -166,15 +178,15 @@ let link_equiv_prop seed =
         if LS.unbounded_relays s_seq <> oracle_unbounded oracle then
           QCheck2.Test.fail_reportf "%s: unbounded relay set differs" label
       in
-      check "initial";
+      check 0 "initial";
       let r_seq = Rng.create oseed
       and r_par = Rng.create oseed
-      and r_drop = Rng.create oseed in
+      and r_burst = Rng.create oseed in
       for i = 1 to nops do
         apply_random_op r_seq s_seq;
         apply_random_op r_par s_par;
-        apply_random_op r_drop s_drop;
-        check (Printf.sprintf "after op %d" i)
+        apply_random_op r_burst s_burst;
+        check i (Printf.sprintf "after op %d" i)
       done;
       true)
 
@@ -234,23 +246,22 @@ let node_equiv_prop seed =
     if Rng.bernoulli rng 0.5 then Test_util.random_ring_graph rng
     else Test_util.random_sparse_graph rng
   in
-  let nops = 4 + Rng.int rng 7 in
+  let nops = 4 + Rng.int rng 61 in
+  let ends = burst_ends rng nops in
   let oseed = seed lxor 0x51ed270b in
   Par.with_pool ~domains:3 (fun pool ->
       let s_seq = NS.create g ~root:0 in
       let s_par = NS.create ~pool g ~root:0 in
-      let s_drop = NS.create ~pool ~dynamic:false g ~root:0 in
-      let check label =
+      let s_burst = NS.create ~pool g ~root:0 in
+      let check i label =
         let a = NS.payments s_seq in
         let b = NS.payments s_par in
-        let c = NS.payments s_drop in
         if not (node_sessions_equal a b) then
           QCheck2.Test.fail_reportf "%s: pooled batch differs from sequential"
             label;
-        if not (node_sessions_equal a c) then
+        if ends.(i) && not (node_sessions_equal a (NS.payments s_burst)) then
           QCheck2.Test.fail_reportf
-            "%s: dynamic-repair batch differs from drop-invalidation batch"
-            label;
+            "%s: batch paid after a burst differs from paying every op" label;
         let oracle = U.all_to_root (NS.graph s_seq) ~root:0 in
         if not (node_matches a oracle) then
           QCheck2.Test.fail_reportf
@@ -258,15 +269,15 @@ let node_equiv_prop seed =
         if NS.unbounded_relays s_seq <> node_oracle_unbounded oracle then
           QCheck2.Test.fail_reportf "%s: unbounded relay set differs" label
       in
-      check "initial";
+      check 0 "initial";
       let r_seq = Rng.create oseed
       and r_par = Rng.create oseed
-      and r_drop = Rng.create oseed in
+      and r_burst = Rng.create oseed in
       for i = 1 to nops do
         apply_random_node_op r_seq s_seq;
         apply_random_node_op r_par s_par;
-        apply_random_node_op r_drop s_drop;
-        check (Printf.sprintf "after op %d" i)
+        apply_random_node_op r_burst s_burst;
+        check i (Printf.sprintf "after op %d" i)
       done;
       true)
 
@@ -318,8 +329,8 @@ let test_selective_invalidation () =
     (st1.LS.avoid_reused + 2) st2.LS.avoid_reused;
   Alcotest.(check int) "shared tree patched, not recomputed" st1.LS.spt_runs
     st2.LS.spt_runs;
-  Alcotest.(check int) "tree and both caches repaired in place"
-    (st1.LS.repaired_entries + 3) st2.LS.repaired_entries;
+  Alcotest.(check int) "tree repaired in place, both caches kept unrepaired"
+    (st1.LS.repaired_entries + 1) st2.LS.repaired_entries;
   Alcotest.(check int) "no repair fell back" st1.LS.fallback_recomputes
     st2.LS.fallback_recomputes;
   Alcotest.(check bool) "repeat batch is memoized" true (b == LS.payments s);
@@ -328,6 +339,59 @@ let test_selective_invalidation () =
   (* the incremental answer is still the from-scratch answer *)
   let oracle = LC.all_to_root ~strategy:LC.Copy_graph (LS.snapshot s) ~root:0 in
   Alcotest.(check bool) "still matches the oracle" true
+    (link_matches_oracle b oracle)
+
+(* ---------------- the flush policy's repair and drop branches ---------------- *)
+
+(* Relay 2 serves 64 leaves and forwards through relay 1.  Each leaf
+   also has a dear direct link to the root, which only the searches
+   avoiding 1 or 2 use.  Both relay subtrees exceed the region budget
+   (33 nodes at n = 67), so refilling either entry costs a full
+   Dijkstra.  ({!test_selective_invalidation} pins the third branch: a
+   slack edit keeps every entry without a repair call.) *)
+let star_graph () =
+  Digraph.create ~n:67
+    ~links:
+      ((1, 0, 1.0) :: (2, 1, 1.0) :: (2, 0, 10.0)
+      :: List.concat_map (fun x -> [ (x, 2, 1.0); (x, 0, 10.0) ])
+           (List.init 64 (fun i -> i + 3)))
+
+let test_policy_repairs_light_burst () =
+  let s = LS.create (star_graph ()) ~root:0 in
+  ignore (LS.payments s);
+  let st1 = LS.stats s in
+  (* leaf 3's direct link gets cheaper: both avoidance searches use it,
+     so both entries are touched, by one edit whose head subtree is a
+     single node *)
+  LS.set_cost s 3 0 9.0;
+  let b = LS.payments s in
+  let st2 = LS.stats s in
+  Alcotest.(check int) "tree and both touched caches repaired in place"
+    (st1.LS.repaired_entries + 3) st2.LS.repaired_entries;
+  Alcotest.(check int) "nothing refilled" st1.LS.avoid_runs st2.LS.avoid_runs;
+  Alcotest.(check int) "no repair fell back" st1.LS.fallback_recomputes
+    st2.LS.fallback_recomputes;
+  let oracle = LC.all_to_root ~strategy:LC.Copy_graph (LS.snapshot s) ~root:0 in
+  Alcotest.(check bool) "repaired caches match the oracle" true
+    (link_matches_oracle b oracle)
+
+let test_policy_drops_heavy_burst () =
+  let s = LS.create (star_graph ()) ~root:0 in
+  ignore (LS.payments s);
+  let st1 = LS.stats s in
+  (* every leaf's direct link gets cheaper: repairing either entry would
+     re-settle all 64 leaves, past the budget *)
+  for x = 3 to 66 do
+    LS.set_cost s x 0 9.0
+  done;
+  let b = LS.payments s in
+  let st2 = LS.stats s in
+  Alcotest.(check int) "only the tree repaired in place"
+    (st1.LS.repaired_entries + 1) st2.LS.repaired_entries;
+  Alcotest.(check int) "both touched caches dropped and refilled"
+    (st1.LS.avoid_runs + 2) st2.LS.avoid_runs;
+  let oracle = LC.all_to_root ~strategy:LC.Copy_graph (LS.snapshot s) ~root:0 in
+  Alcotest.(check bool) "refilled caches match the oracle" true
     (link_matches_oracle b oracle)
 
 (* Inserting forward link 3 -> 2 gives node 3 a second root-side path of
@@ -485,6 +549,25 @@ let test_node_coalesced_burst () =
   Alcotest.(check bool) "node burst still matches the fresh batch" true
     (node_matches b oracle)
 
+(* ---------------- payment sums ---------------- *)
+
+(* [sum_payments] adds left to right from [0.0] through an unboxed
+   accumulator; it must agree with the polymorphic fold bit for bit,
+   [infinity] (monopoly relays), [-0.0] and mixed magnitudes included. *)
+let sum_matches_fold seed =
+  let rng = Rng.create seed in
+  let special =
+    [| infinity; -0.0; 0.0; 5e-324; 1e-300; 1e-9; 0.1; 1.0; 3.75; 1e16; 1e300 |]
+  in
+  let a =
+    Array.init (Rng.int rng 200) (fun _ ->
+        if Rng.bernoulli rng 0.3 then special.(Rng.int rng (Array.length special))
+        else Rng.float_range rng 0.0 10.0 *. (10.0 ** float_of_int (Rng.int rng 30 - 15)))
+  in
+  Int64.equal
+    (Int64.bits_of_float (Wnet_session.sum_payments a))
+    (Int64.bits_of_float (Array.fold_left ( +. ) 0.0 a))
+
 (* ---------------- pool plumbing the sessions rely on ---------------- *)
 
 let test_map_array_pooled () =
@@ -508,6 +591,10 @@ let suite =
     Alcotest.test_case "digraph in-place mutation" `Quick test_digraph_mutation;
     Alcotest.test_case "slack edit keeps caches + memoization" `Quick
       test_selective_invalidation;
+    Alcotest.test_case "flush policy repairs a one-edit burst" `Quick
+      test_policy_repairs_light_burst;
+    Alcotest.test_case "flush policy drops a 64-edit burst" `Quick
+      test_policy_drops_heavy_burst;
     Alcotest.test_case "bit-equal tie triggers repair fallback" `Quick
       test_tie_triggers_fallback;
     Alcotest.test_case "cut-vertex tracking across edits" `Quick
@@ -524,6 +611,8 @@ let suite =
       test_node_coalesced_burst;
     Alcotest.test_case "map_array_pooled caller-owned states" `Quick
       test_map_array_pooled;
+    Test_util.qcheck_case ~count:200 "sum_payments = left fold (bits)"
+      Test_util.seed_gen sum_matches_fold;
     Test_util.qcheck_case ~count:60
       "link session: random edit sequences = Copy_graph oracle (bits)"
       Test_util.seed_gen link_equiv_prop;
