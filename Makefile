@@ -1,6 +1,6 @@
 .PHONY: all test bench microbench microbench-smoke smoke smoke-shard \
-	dsim-smoke perfbench-check check check-quick experiments full clean \
-	clean-bench
+	dsim-smoke perfbench-check perfbench-pairs check check-quick experiments \
+	full clean clean-bench
 
 all:
 	dune build @all
@@ -28,7 +28,8 @@ bench: microbench
 # before the wall-clock suites spend minutes; the same primitives also
 # land as gated "micro/..." rows in BENCH_latest.json.
 MICRO_BENCHES = bench_proto_encode bench_proto_decode bench_deque \
-	bench_heap bench_repair bench_dijkstra bench_avoid bench_avoid_region
+	bench_heap bench_repair bench_dijkstra bench_avoid bench_avoid_region \
+	bench_graph
 
 microbench:
 	dune build bench/micro
@@ -79,6 +80,19 @@ perfbench-check:
 	  tail -n 1 _perfbench/check.out | python3 -c 'import json, sys; r = json.load(sys.stdin); print(sys.argv[1], "correct=%s failed=%s" % (r["correct"], r["failed"])); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' $$w \
 	    || exit 1; \
 	done
+
+# The acceptance rule for a perf claim: PAIRS alternating perfbench runs
+# of REV (checked out into a worktree under _perfbench/) against this
+# checkout on WORKLOAD, seeds SEED, SEED+1, ...; prints each end-to-end
+# metric's medians and quartiles, pairs won, the gain rule and the
+# regression bound, and fails on any run that does not check out.
+REV ?= HEAD
+WORKLOAD ?= batch-link-cold
+PAIRS ?= 10
+SEED ?= 1
+perfbench-pairs:
+	python3 scripts/perfbench_pairs.py --rev $(REV) --workload $(WORKLOAD) \
+	  --pairs $(PAIRS) --seed $(SEED)
 
 # The whole bar: build, tier-1 tests, socket smoke, then the gated
 # benchmark run.

@@ -988,6 +988,7 @@ let microprim_families () =
     ("dijkstra", M.dijkstra ());
     ("avoid", M.avoid ());
     ("avoid-region", M.avoid_region ());
+    ("graph", M.graph ());
   ]
 
 let run_microprims ?previous () =

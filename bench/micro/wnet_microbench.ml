@@ -43,6 +43,16 @@ let proto_encode () =
   let served =
     P.Served { src = 41; path = [ 41; 17; 3; 0 ]; charge = 12.125 }
   in
+  (* A pay reply as the served link workload sees it: an 11-hop path
+     and a charge that needs all 17 significant digits. *)
+  let served_text =
+    P.Served
+      {
+        src = 187;
+        path = [ 187; 142; 96; 151; 33; 78; 120; 9; 64; 171; 25; 0 ];
+        charge = 4.0e4 /. 3.0;
+      }
+  in
   [
     {
       name = "bin/cost-link";
@@ -100,13 +110,13 @@ let proto_encode () =
           done);
     };
     {
-      name = "text/pay";
+      name = "text/served";
       ops = inner_ops;
-      alloc_free = false;
+      alloc_free = false (* one string per reply line *);
       run =
         (fun () ->
           for _ = 1 to inner_ops do
-            ignore (Sys.opaque_identity (P.print_request P.Pay))
+            ignore (Sys.opaque_identity (P.print_response served_text))
           done);
     };
   ]
@@ -440,17 +450,17 @@ let avoid_region () =
 
 (* ---------------- dynamic-SSSP distance repair ---------------- *)
 
-(* The link-model instance the served benchmark uses: a connected paper
-   UDG (2000 m square, 300 m range, kappa = 2) at n = 200, instance
-   seed 1.  The repair and refill rows below time the two ways the
-   session flush policy can bring a touched avoidance array up to date,
-   on this topology, so the policy's cost constants (Avoid_cache) can be
-   read off them. *)
-let served_udg () =
+(* A connected paper UDG (2000 m square, 300 m range, kappa = 2) on
+   [n] nodes from instance seed 1, as a link-model digraph.  At n = 200
+   it is the instance the served benchmark uses.  The repair and refill
+   rows below time the two ways the session flush policy can bring a
+   touched avoidance array up to date, on this topology, so the
+   policy's cost constants (Avoid_cache) can be read off them. *)
+let paper_udg ~n =
   let rng = Wnet_prng.Rng.create 1 in
   match
     Wnet_topology.Udg.generate_connected rng
-      ~region:Wnet_geom.Region.paper_region ~n:200 ~range:300.0 ~max_tries:1000
+      ~region:Wnet_geom.Region.paper_region ~n ~range:300.0 ~max_tries:1000
   with
   | Some u ->
     Wnet_topology.Udg.link_graph u ~model:(Wnet_geom.Power.path_loss_only ~kappa:2.0)
@@ -466,7 +476,7 @@ let served_udg () =
    not a repair, so it fails the run. *)
 let repair () =
   let open Wnet_graph in
-  let g = served_udg () in
+  let g = paper_udg ~n:200 in
   let n = Digraph.n g in
   let mirror = Digraph.reverse g in
   let tree = Dijkstra.link_weighted g 0 in
@@ -708,7 +718,34 @@ let repair () =
       full;
     ]
 
-(* ---------------- measurement & driver ---------------- *)(* ---------------- measurement & driver ---------------- *)
+(* ---------------- digraph construction ---------------- *)
+
+(* The construction paths every topology pays once: [create] from a
+   link list (how Graph_io and Udg build graphs), [reverse] (the
+   root-ward graph every payment batch and link session searches) and
+   [links] (how instances are written out), on paper UDGs.  These rows
+   build graphs, so they allocate by design. *)
+let graph () =
+  List.concat_map
+    (fun n ->
+      let g = paper_udg ~n in
+      let links = Wnet_graph.Digraph.links g in
+      let row op run =
+        {
+          name = Printf.sprintf "%s/n=%d" op n;
+          ops = 1;
+          alloc_free = false;
+          run = (fun () -> ignore (Sys.opaque_identity (run ())));
+        }
+      in
+      [
+        row "create" (fun () -> Wnet_graph.Digraph.create ~n ~links);
+        row "reverse" (fun () -> Wnet_graph.Digraph.reverse g);
+        row "links" (fun () -> Wnet_graph.Digraph.links g);
+      ])
+    [ 200; 800 ]
+
+(* ---------------- measurement & family runner ---------------- *)
 
 let time_once f =
   let t0 = Unix.gettimeofday () in

@@ -18,9 +18,25 @@ type t = {
 
 let no_csr = { row_off = [||]; col = [||]; wgt = [||] }
 
+let fresh out_adj m =
+  { out_adj; m; version = 0; csr_cache = no_csr; csr_version = -1 }
+
+(* ------------------------------------------------------------------ *)
+(* Construction.
+
+   Everything here is O(n + m) over int keys.  [create] sorts its
+   finite triples by (src, dst) with a stable two-pass counting sort —
+   by dst, then by src — so each row comes out sorted with its parallel
+   links adjacent and in list order; one pass then merges them.
+   [reverse] transposes the rows directly: walking sources in ascending
+   order fills every reversed row already sorted. *)
+
 let create ~n ~links =
   if n < 0 then invalid_arg "Digraph.create: negative node count";
-  let best = Hashtbl.create (2 * List.length links) in
+  (* Validate in list order; count the finite links per dst and src.
+     Slot [x + 1] counts key [x], so the prefix sums below turn each
+     array into bucket starts. *)
+  let by_dst = Array.make (n + 1) 0 and by_src = Array.make (n + 1) 0 in
   List.iter
     (fun (u, v, w) ->
       if u < 0 || u >= n || v < 0 || v >= n then
@@ -28,28 +44,69 @@ let create ~n ~links =
       if u = v then invalid_arg "Digraph.create: self-loop";
       if Float.is_nan w || w < 0.0 then
         invalid_arg "Digraph.create: weight must be non-negative";
-      if w < infinity then
-        match Hashtbl.find_opt best (u, v) with
-        | Some w' when w' <= w -> ()
-        | _ -> Hashtbl.replace best (u, v) w)
+      if w < infinity then begin
+        by_dst.(v + 1) <- by_dst.(v + 1) + 1;
+        by_src.(u + 1) <- by_src.(u + 1) + 1
+      end)
     links;
-  let deg = Array.make n 0 in
-  Hashtbl.iter (fun (u, _) _ -> deg.(u) <- deg.(u) + 1) best;
-  let out_adj = Array.init n (fun u -> Array.make deg.(u) (0, 0.0)) in
-  let fill = Array.make n 0 in
-  Hashtbl.iter
-    (fun (u, v) w ->
-      out_adj.(u).(fill.(u)) <- (v, w);
-      fill.(u) <- fill.(u) + 1)
-    best;
-  Array.iter (fun l -> Array.sort compare l) out_adj;
-  {
-    out_adj;
-    m = Hashtbl.length best;
-    version = 0;
-    csr_cache = no_csr;
-    csr_version = -1;
-  }
+  for x = 1 to n do
+    by_dst.(x) <- by_dst.(x) + by_dst.(x - 1);
+    by_src.(x) <- by_src.(x) + by_src.(x - 1)
+  done;
+  let total = by_src.(n) in
+  (* Pass 1, by dst in list order.  Filling advances each bucket start
+     to its end, so afterwards [by_dst.(v)] ends bucket [v]. *)
+  let src = Array.make total 0 and w1 = Array.make total 0.0 in
+  List.iter
+    (fun (u, v, w) ->
+      if w < infinity then begin
+        let p = by_dst.(v) in
+        src.(p) <- u;
+        w1.(p) <- w;
+        by_dst.(v) <- p + 1
+      end)
+    links;
+  (* Pass 2, stable by src: [by_src.(u)] likewise ends row [u]. *)
+  let dst = Array.make total 0 and w2 = Array.make total 0.0 in
+  let p = ref 0 in
+  for v = 0 to n - 1 do
+    while !p < by_dst.(v) do
+      let u = src.(!p) in
+      let q = by_src.(u) in
+      dst.(q) <- v;
+      w2.(q) <- w1.(!p);
+      by_src.(u) <- q + 1;
+      incr p
+    done
+  done;
+  (* Merge each row's parallel links in place: the minimum weight wins,
+     and on equal weights the first in list order (which is what
+     decides between a duplicate [0.0] and [-0.0]). *)
+  let out_adj = Array.make n [||] and m = ref 0 and lo = ref 0 in
+  for u = 0 to n - 1 do
+    let hi = by_src.(u) and k = ref !lo in
+    for q = !lo to hi - 1 do
+      if !k > !lo && dst.(!k - 1) = dst.(q) then begin
+        if w2.(q) < w2.(!k - 1) then w2.(!k - 1) <- w2.(q)
+      end
+      else begin
+        dst.(!k) <- dst.(q);
+        w2.(!k) <- w2.(q);
+        incr k
+      end
+    done;
+    let d = !k - !lo in
+    if d > 0 then begin
+      let row = Array.make d (0, 0.0) in
+      for i = 0 to d - 1 do
+        row.(i) <- (dst.(!lo + i), w2.(!lo + i))
+      done;
+      out_adj.(u) <- row;
+      m := !m + d
+    end;
+    lo := hi
+  done;
+  fresh out_adj !m
 
 let n g = Array.length g.out_adj
 
@@ -59,60 +116,91 @@ let out_links g u = g.out_adj.(u)
 
 let out_degree g u = Array.length g.out_adj.(u)
 
+(* Position of target [v] in the sorted row [a], or where it would go.
+   The annotation keeps [<] an int comparison. *)
+let lower_bound (a : (int * float) array) v =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if fst a.(mid) < v then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
 let weight g u v =
   let a = g.out_adj.(u) in
-  let rec bsearch lo hi =
-    if lo >= hi then infinity
-    else
-      let mid = (lo + hi) / 2 in
-      let t, w = a.(mid) in
-      if t = v then w else if t < v then bsearch (mid + 1) hi else bsearch lo mid
-  in
-  bsearch 0 (Array.length a)
+  let i = lower_bound a v in
+  if i < Array.length a && fst a.(i) = v then snd a.(i) else infinity
 
+(* Rows are sorted with unique targets, so row by row is already
+   [compare] order on the triples. *)
 let links g =
   let acc = ref [] in
-  Array.iteri
-    (fun u l -> Array.iter (fun (v, w) -> acc := (u, v, w) :: !acc) l)
-    g.out_adj;
-  List.sort compare !acc
+  for u = Array.length g.out_adj - 1 downto 0 do
+    let row = g.out_adj.(u) in
+    for i = Array.length row - 1 downto 0 do
+      let v, w = row.(i) in
+      acc := (u, v, w) :: !acc
+    done
+  done;
+  !acc
 
 let reverse g =
-  create ~n:(n g) ~links:(List.map (fun (u, v, w) -> (v, u, w)) (links g))
+  let n = n g in
+  let fill = Array.make n 0 in
+  Array.iter (Array.iter (fun (v, _) -> fill.(v) <- fill.(v) + 1)) g.out_adj;
+  let out_adj = Array.map (fun d -> Array.make d (0, 0.0)) fill in
+  Array.fill fill 0 n 0;
+  for u = 0 to n - 1 do
+    let row = g.out_adj.(u) in
+    for i = 0 to Array.length row - 1 do
+      let v, w = row.(i) in
+      out_adj.(v).(fill.(v)) <- (u, w);
+      fill.(v) <- fill.(v) + 1
+    done
+  done;
+  fresh out_adj g.m
 
 let owner_of_link u _v = u
+
+(* A fresh copy of row [a] without slot [i]. *)
+let remove_at a i =
+  let len = Array.length a in
+  let b = Array.make (len - 1) (0, 0.0) in
+  Array.blit a 0 b 0 i;
+  Array.blit a (i + 1) b i (len - 1 - i);
+  b
+
+(* Row [a] without its link to [v] — a fresh row — or [a] itself when
+   it has none (targets are unique, so there is at most one). *)
+let without_target a v =
+  let i = lower_bound a v in
+  if i < Array.length a && fst a.(i) = v then remove_at a i else a
 
 let silence_node g v =
   if v < 0 || v >= n g then invalid_arg "Digraph.silence_node: out of range";
   let out_adj = Array.copy g.out_adj in
   let removed = Array.length out_adj.(v) in
   out_adj.(v) <- [||];
-  {
-    out_adj;
-    m = g.m - removed;
-    version = 0;
-    csr_cache = no_csr;
-    csr_version = -1;
-  }
+  fresh out_adj (g.m - removed)
 
 let remove_node g v =
   if v < 0 || v >= n g then invalid_arg "Digraph.remove_node: out of range";
-  let m = ref g.m in
+  let m = ref (g.m - Array.length g.out_adj.(v)) in
   let out_adj =
     Array.mapi
       (fun u l ->
-        if u = v then begin
-          m := !m - Array.length l;
-          [||]
-        end
-        else begin
-          let kept = Array.of_list (List.filter (fun (t, _) -> t <> v) (Array.to_list l)) in
-          m := !m - (Array.length l - Array.length kept);
-          kept
-        end)
+        if u = v then [||]
+        else
+          (* every row fresh: the result shares no row with [g] *)
+          let kept = without_target l v in
+          if kept == l then Array.copy l
+          else begin
+            decr m;
+            kept
+          end)
       g.out_adj
   in
-  { out_adj; m = !m; version = 0; csr_cache = no_csr; csr_version = -1 }
+  fresh out_adj !m
 
 let remove_links_to g v =
   if v < 0 || v >= n g then invalid_arg "Digraph.remove_links_to: out of range";
@@ -120,15 +208,12 @@ let remove_links_to g v =
   let out_adj =
     Array.map
       (fun l ->
-        if Array.exists (fun (t, _) -> t = v) l then begin
-          let kept = Array.of_list (List.filter (fun (t, _) -> t <> v) (Array.to_list l)) in
-          m := !m - (Array.length l - Array.length kept);
-          kept
-        end
-        else l)
+        let kept = without_target l v in
+        if kept != l then decr m;
+        kept)
       g.out_adj
   in
-  { out_adj; m = !m; version = 0; csr_cache = no_csr; csr_version = -1 }
+  fresh out_adj !m
 
 (* ------------------------------------------------------------------ *)
 (* In-place mutation.
@@ -145,13 +230,7 @@ let version g = g.version
 let copy g =
   (* The CSR cache never travels: [set_weight] writes its [wgt] in
      place, so sharing it would couple the copies. *)
-  {
-    out_adj = Array.map Array.copy g.out_adj;
-    m = g.m;
-    version = 0;
-    csr_cache = no_csr;
-    csr_version = -1;
-  }
+  fresh (Array.map Array.copy g.out_adj) g.m
 
 (* ------------------------------------------------------------------ *)
 (* CSR view.
@@ -217,21 +296,12 @@ let set_weight g u v w =
     invalid_arg "Digraph.set_weight: weight must be non-negative";
   let a = g.out_adj.(u) in
   let len = Array.length a in
-  let rec bsearch lo hi = (* position of v, or insertion point *)
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if fst a.(mid) < v then bsearch (mid + 1) hi else bsearch lo mid
-  in
-  let i = bsearch 0 len in
+  let i = lower_bound a v in
   let present = i < len && fst a.(i) = v in
   (if present then begin
      if w = infinity then begin
        (* delete *)
-       let b = Array.make (len - 1) (0, 0.0) in
-       Array.blit a 0 b 0 i;
-       Array.blit a (i + 1) b i (len - 1 - i);
-       g.out_adj.(u) <- b;
+       g.out_adj.(u) <- remove_at a i;
        g.m <- g.m - 1;
        invalidate_csr g
      end
@@ -271,11 +341,9 @@ let detach_node g v =
   g.out_adj.(v) <- [||];
   Array.iteri
     (fun u l ->
-      if u <> v && Array.exists (fun (t, _) -> t = v) l then begin
-        let kept =
-          Array.of_list (List.filter (fun (t, _) -> t <> v) (Array.to_list l))
-        in
-        g.m <- g.m - (Array.length l - Array.length kept);
+      let kept = without_target l v in
+      if kept != l then begin
+        g.m <- g.m - 1;
         g.out_adj.(u) <- kept
       end)
     g.out_adj;

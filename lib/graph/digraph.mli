@@ -11,10 +11,14 @@ type t
 
 val create : n:int -> links:(int * int * float) list -> t
 (** [create ~n ~links] builds a digraph on [n] nodes from
-    [(src, dst, weight)] triples.  Parallel links keep the cheapest weight.
+    [(src, dst, weight)] triples, in O(n + m) for [m] triples.  Parallel
+    links keep the minimum weight; on equal weights the first in list
+    order wins, which is what decides between a duplicate [0.0] and
+    [-0.0].
     @raise Invalid_argument on out-of-range endpoints, self-loops, or
-    negative/NaN weights ([infinity] is allowed and means "no link"; such
-    links are dropped). *)
+    negative/NaN weights, for the first bad triple in list order
+    ([infinity] is allowed and means "no link"; such links are
+    dropped). *)
 
 val n : t -> int
 
@@ -32,12 +36,14 @@ val weight : t -> int -> int -> float
     absent. *)
 
 val links : t -> (int * int * float) list
-(** All links, sorted. *)
+(** All links in (src, dst) order — which is [compare] order, since a
+    pair carries at most one link — in O(n + m). *)
 
 val reverse : t -> t
 (** [reverse g] flips every link — the standard trick to compute
     shortest paths from every node {e to} a fixed root (the access
-    point). *)
+    point).  O(n + m); the result shares no mutable array with [g], so
+    either can be mutated in place without affecting the other. *)
 
 val owner_of_link : int -> int -> int
 (** [owner_of_link u v] is the agent that pays for link [u -> v] — the

@@ -1,0 +1,44 @@
+(* A list-based reference for Digraph construction, written from its
+   contract and sharing no code with lib/graph.  A graph is its sorted
+   list of (src, dst, weight) triples.
+
+   The contract: [infinity] means "no link"; the remaining triples are
+   ordered by (src, dst); parallel links keep the minimum weight, and
+   on equal weights the first in list order — so a duplicate [0.0] and
+   [-0.0] keep whichever came first. *)
+
+let create links =
+  let finite = List.filter (fun (_, _, w) -> w < infinity) links in
+  let sorted =
+    List.stable_sort (fun (u, v, _) (u', v', _) -> compare (u, v) (u', v')) finite
+  in
+  let rec merge = function
+    | (u, v, w) :: (u', v', w') :: rest when u = u' && v = v' ->
+      merge ((u, v, if w' < w then w' else w) :: rest)
+    | l :: rest -> l :: merge rest
+    | [] -> []
+  in
+  merge sorted
+
+(* The message [Digraph.create] raises for the first bad triple in
+   list order, or [None] when every triple is valid. *)
+let create_error ~n links =
+  List.find_map
+    (fun (u, v, w) ->
+      if u < 0 || u >= n || v < 0 || v >= n then
+        Some "Digraph.create: endpoint out of range"
+      else if u = v then Some "Digraph.create: self-loop"
+      else if Float.is_nan w || w < 0.0 then
+        Some "Digraph.create: weight must be non-negative"
+      else None)
+    links
+
+let reverse links = create (List.map (fun (u, v, w) -> (v, u, w)) links)
+
+let remove_node links x = List.filter (fun (u, v, _) -> u <> x && v <> x) links
+
+let remove_links_to links x = List.filter (fun (_, v, _) -> v <> x) links
+
+(* Row [u] of the reference, as [Digraph.out_links] lays it out. *)
+let row links u =
+  List.filter_map (fun (s, v, w) -> if s = u then Some (v, w) else None) links

@@ -79,6 +79,139 @@ let test_out_links () =
   Alcotest.(check int) "out degree" 2 (Array.length l);
   Alcotest.(check bool) "sorted by target" true (fst l.(0) < fst l.(1))
 
+(* ---- Differential construction properties against Digraph_ref ---- *)
+
+(* Rows compared bit for bit, so [0.0] and [-0.0] are told apart. *)
+let bits_row l = List.map (fun (v, w) -> (v, Int64.bits_of_float w)) l
+
+let bits_links l = List.map (fun (u, v, w) -> (u, v, Int64.bits_of_float w)) l
+
+let matches_ref g ref_links =
+  Digraph.m g = List.length ref_links
+  && List.for_all
+       (fun u ->
+         bits_row (Array.to_list (Digraph.out_links g u))
+         = bits_row (Digraph_ref.row ref_links u))
+       (List.init (Digraph.n g) Fun.id)
+
+(* Weights drawn so that ties, signed zeros and dropped links are
+   common: small integers tie often at n <= 12. *)
+let weight_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (1, return 0.0);
+        (1, return (-0.0));
+        (1, return infinity);
+        (3, map float_of_int (int_range 1 3));
+        (3, float_range 0.0 10.0);
+      ])
+
+(* [n] in 0..12 and a valid link list with duplicates: a random list,
+   then re-declarations of some of its links with fresh weights.
+   Nodes no link touches stay isolated. *)
+let links_gen =
+  QCheck2.Gen.(
+    int_range 0 12 >>= fun n ->
+    if n < 2 then return (n, [])
+    else
+      let link =
+        map
+          (fun (u, d, w) -> (u, (u + d) mod n, w))
+          (triple (int_range 0 (n - 1)) (int_range 1 (n - 1)) weight_gen)
+      in
+      list_size (int_range 0 (3 * n)) link >>= fun base ->
+      list_size (int_range 0 (List.length base)) weight_gen >|= fun ws ->
+      let redeclare i w =
+        let u, v, _ = List.nth base i in
+        (u, v, w)
+      in
+      (n, base @ List.mapi redeclare ws))
+
+let print_links (n, l) =
+  Printf.sprintf "n=%d [%s]" n
+    (String.concat "; " (List.map (fun (u, v, w) -> Printf.sprintf "(%d,%d,%h)" u v w) l))
+
+let links_case name prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name ~print:print_links links_gen prop)
+
+let create_prop =
+  links_case "create = reference (bits, m)" (fun (n, links) ->
+      matches_ref (Digraph.create ~n ~links) (Digraph_ref.create links))
+
+let reverse_prop =
+  links_case "reverse = reference, involution, unshared" (fun (n, links) ->
+      let g = Digraph.create ~n ~links in
+      let before = bits_links (Digraph.links g) in
+      let r = Digraph.reverse g in
+      let ok =
+        matches_ref r (Digraph_ref.reverse (Digraph_ref.create links))
+        && bits_links (Digraph.links (Digraph.reverse r)) = before
+      in
+      (* Sessions mutate a graph and its reversal in place: writing
+         every link of [r] must leave [g] as it was. *)
+      List.iter (fun (u, v, w) -> Digraph.set_weight r u v (w +. 1.0)) (Digraph.links r);
+      ok && bits_links (Digraph.links g) = before)
+
+let links_prop =
+  links_case "links = reference, sorted" (fun (n, links) ->
+      let l = Digraph.links (Digraph.create ~n ~links) in
+      let rec sorted = function
+        | a :: (b :: _ as rest) -> compare a b < 0 && sorted rest
+        | _ -> true
+      in
+      bits_links l = bits_links (Digraph_ref.create links) && sorted l)
+
+let removals_prop =
+  links_case "remove_node/remove_links_to/detach_node = filters" (fun (n, links) ->
+      let g = Digraph.create ~n ~links and r = Digraph_ref.create links in
+      List.for_all
+        (fun x ->
+          let d = Digraph.copy g in
+          Digraph.detach_node d x;
+          matches_ref (Digraph.remove_node g x) (Digraph_ref.remove_node r x)
+          && matches_ref (Digraph.remove_links_to g x) (Digraph_ref.remove_links_to r x)
+          && matches_ref d (Digraph_ref.remove_node r x))
+        (List.init n Fun.id))
+
+(* A bad triple spliced into a valid list at a random position. *)
+let bad_links_gen =
+  QCheck2.Gen.(
+    links_gen >>= fun (n, links) ->
+    let n = max n 1 in
+    let bad =
+      oneofl
+        [ (0, 0, 1.0); (0, n, 1.0); (-1, 0, 1.0); (0, 1, -1.0); (0, 1, nan); (0, 1, -0.5) ]
+    in
+    triple bad bad (int_range 0 (List.length links)) >|= fun (b1, b2, pos) ->
+    ( n,
+      List.filteri (fun i _ -> i < pos) links
+      @ (b1 :: List.filteri (fun i _ -> i >= pos) links)
+      @ [ b2 ] ))
+
+let first_error_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"first bad triple raises its message"
+       ~print:print_links bad_links_gen (fun (n, links) ->
+         let got =
+           match Digraph.create ~n ~links with
+           | _ -> None
+           | exception Invalid_argument m -> Some m
+         in
+         got = Digraph_ref.create_error ~n links))
+
+let test_equal_weights_keep_first () =
+  let g =
+    Digraph.create ~n:3
+      ~links:[ (0, 1, 0.0); (0, 1, -0.0); (1, 2, -0.0); (1, 2, 0.0); (2, 0, 2.0); (2, 0, 2.0) ]
+  in
+  Alcotest.(check int) "one link per pair" 3 (Digraph.m g);
+  Alcotest.(check int64) "0.0 first" (Int64.bits_of_float 0.0)
+    (Int64.bits_of_float (Digraph.weight g 0 1));
+  Alcotest.(check int64) "-0.0 first" (Int64.bits_of_float (-0.0))
+    (Int64.bits_of_float (Digraph.weight g 1 2))
+
 let suite =
   [
     Alcotest.test_case "sizes" `Quick test_sizes;
@@ -92,4 +225,10 @@ let suite =
     Alcotest.test_case "remove_links_to" `Quick test_remove_links_to;
     Alcotest.test_case "silence/reverse duality" `Quick test_silence_reverse_duality;
     Alcotest.test_case "out_links sorted" `Quick test_out_links;
+    Alcotest.test_case "equal weights keep the first" `Quick test_equal_weights_keep_first;
+    create_prop;
+    reverse_prop;
+    links_prop;
+    removals_prop;
+    first_error_prop;
   ]
