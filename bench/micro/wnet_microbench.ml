@@ -33,7 +33,28 @@ type prim = {
 
 let inner_ops = 256
 
+(* A connected paper UDG (2000 m square, 300 m range, kappa = 2) on
+   [n] nodes from instance seed 1, as a link-model digraph.  At n = 200
+   it is the instance the served benchmark uses. *)
+let paper_udg ~n =
+  let rng = Wnet_prng.Rng.create 1 in
+  match
+    Wnet_topology.Udg.generate_connected rng
+      ~region:Wnet_geom.Region.paper_region ~n ~range:300.0 ~max_tries:1000
+  with
+  | Some u ->
+    Wnet_topology.Udg.link_graph u ~model:(Wnet_geom.Power.path_loss_only ~kappa:2.0)
+  | None -> failwith "microbench: no connected UDG"
+
 (* ---------------- proto encode ---------------- *)
+
+(* The src lines of the pay reply the served link workload renders:
+   every source of the n = 200 paper UDG, with its path and charge.
+   (The closing [ok served=...] line prints its total afresh each
+   time.) *)
+let pay_reply () =
+  let sess = Wnet_session.make ~root:0 (`Link (paper_udg ~n:200)) in
+  List.filter (function P.Served _ -> true | _ -> false) (P.handle sess P.Pay)
 
 let proto_encode () =
   let enc = B.enc_create () in
@@ -53,6 +74,18 @@ let proto_encode () =
         charge = 4.0e4 /. 3.0;
       }
   in
+  let reply = pay_reply () in
+  let reply_lines = List.length reply in
+  let reply_ulp =
+    List.map
+      (function
+        | P.Served s -> P.Served { s with charge = Float.succ s.charge }
+        | r -> r)
+      reply
+  in
+  let text = P.enc_create () in
+  let fresh_memo = P.memo_create () and hit_memo = P.memo_create () in
+  let text_drain () = P.enc_consume text (P.enc_pending text) in
   [
     {
       name = "bin/cost-link";
@@ -119,6 +152,33 @@ let proto_encode () =
             ignore (Sys.opaque_identity (P.print_response served_text))
           done);
     };
+    (* The src lines of a real pay reply (ns per line), rendered into
+       an encoder through a memo.  [fresh] alternates the reply with a
+       copy whose charges are one ulp higher, so every line misses the
+       memo and is printed; [memo-hit] renders the same reply again, as
+       a pay after a burst that moved no charge does.  Each drain hands
+       the scratch back to 4 KiB, as the server's does, so each run
+       also grows it again: a few major-heap blocks, no minor words. *)
+    {
+      name = "text/pay-reply/fresh";
+      ops = 2 * reply_lines;
+      alloc_free = false (* the charge's decimal string *);
+      run =
+        (fun () ->
+          P.encode_responses text fresh_memo reply;
+          text_drain ();
+          P.encode_responses text fresh_memo reply_ulp;
+          text_drain ());
+    };
+    {
+      name = "text/pay-reply/memo-hit";
+      ops = reply_lines;
+      alloc_free = true;
+      run =
+        (fun () ->
+          P.encode_responses text hit_memo reply;
+          text_drain ());
+    };
   ]
 
 (* ---------------- proto decode ---------------- *)
@@ -127,6 +187,42 @@ let frame_of_requests rs =
   let e = B.enc_create () in
   B.encode_requests e rs;
   Bytes.sub (B.enc_buffer e) (B.enc_offset e) (B.enc_pending e)
+
+(* A k-line pipelined edit burst arriving in one read, split into its
+   lines (ns per line): the cost must not grow with k.  Each run splits
+   4096 lines, in bursts of k, so every row is well above the timer's
+   resolution. *)
+let text_burst k =
+  let burst =
+    String.concat ""
+      (List.init k (fun i ->
+           P.print_request
+             (P.Cost_link
+                { u = i mod 200; v = (i * 7) mod 200; w = 0.5 +. float_of_int i })
+           ^ "\n"))
+  in
+  let dec = P.dec_create () in
+  let sink = ref 0 in
+  let rec take () =
+    match P.next_line dec with
+    | `Line l ->
+      sink := !sink + String.length l;
+      take ()
+    | `Need_more -> ()
+    | `Too_long -> failwith "microbench: line too long"
+  in
+  let bursts = 4096 / k in
+  {
+    name = Printf.sprintf "text/burst-%d" k;
+    ops = bursts * k;
+    alloc_free = false (* one string per line *);
+    run =
+      (fun () ->
+        for _ = 1 to bursts do
+          P.dec_feed_string dec burst 0 (String.length burst);
+          take ()
+        done);
+  }
 
 let proto_decode () =
   let cost = P.Cost_link { u = 17; v = 23; w = 4.625 } in
@@ -194,6 +290,7 @@ let proto_decode () =
           done);
     };
   ]
+  @ List.map text_burst [ 16; 256; 4096 ]
 
 (* ---------------- work-stealing deque ---------------- *)
 
@@ -450,21 +547,10 @@ let avoid_region () =
 
 (* ---------------- dynamic-SSSP distance repair ---------------- *)
 
-(* A connected paper UDG (2000 m square, 300 m range, kappa = 2) on
-   [n] nodes from instance seed 1, as a link-model digraph.  At n = 200
-   it is the instance the served benchmark uses.  The repair and refill
-   rows below time the two ways the session flush policy can bring a
-   touched avoidance array up to date, on this topology, so the
-   policy's cost constants (Avoid_cache) can be read off them. *)
-let paper_udg ~n =
-  let rng = Wnet_prng.Rng.create 1 in
-  match
-    Wnet_topology.Udg.generate_connected rng
-      ~region:Wnet_geom.Region.paper_region ~n ~range:300.0 ~max_tries:1000
-  with
-  | Some u ->
-    Wnet_topology.Udg.link_graph u ~model:(Wnet_geom.Power.path_loss_only ~kappa:2.0)
-  | None -> failwith "microbench: no connected UDG"
+(* The repair and refill rows below time the two ways the session
+   flush policy can bring a touched avoidance array up to date, on the
+   paper UDG, so the policy's cost constants (Avoid_cache) can be read
+   off them. *)
 
 (* In-budget repairs of the source's distance array after tree links
    rise or fall by 5 %, the drift of the served workload.  Each op

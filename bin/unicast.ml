@@ -494,12 +494,19 @@ let load_session ~model ~pool ~root path =
       (`Link (Wnet_graph.Graph_io.parse_digraph_file path))
   | other -> failwith ("unknown model " ^ other)
 
-let print_responses rs =
-  List.iter (fun r -> print_endline (Wnet_proto.print_response r)) rs;
-  flush stdout
-
+(* Each request's replies are rendered by the socket server's text
+   encoder, through one pay-line memo for the session, and leave in one
+   flush. *)
 let serve_stdin session =
-  print_responses [ Wnet_proto.greeting session ];
+  let enc = Wnet_proto.enc_create () and memo = Wnet_proto.memo_create () in
+  let reply rs =
+    Wnet_proto.encode_responses enc memo rs;
+    output stdout (Wnet_proto.enc_buffer enc) (Wnet_proto.enc_offset enc)
+      (Wnet_proto.enc_pending enc);
+    Wnet_proto.enc_reset enc;
+    flush stdout
+  in
+  reply [ Wnet_proto.greeting session ];
   let rec loop () =
     match In_channel.input_line In_channel.stdin with
     | None -> ()
@@ -507,9 +514,9 @@ let serve_stdin session =
       match Wnet_proto.handle_line session line with
       | `Empty -> loop ()
       | `Reply rs ->
-        print_responses rs;
+        reply rs;
         loop ()
-      | `Quit rs -> print_responses rs)
+      | `Quit rs -> reply rs)
   in
   loop ()
 

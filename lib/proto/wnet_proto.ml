@@ -58,13 +58,18 @@ type response =
   | Bye
   | Err of string
 
+(* The C primitive that Printf's %.12g and %.17g conversions end in
+   (CamlinternalFormat.convert_float), called directly: the same bytes
+   without interpreting a format at run time. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* Shortest decimal form that parses back bit-identically: %.12g covers
    every weight arising from the short decimal inputs the tools emit,
    %.17g is exact for any double.  "inf"/"nan" round-trip through
    float_of_string as-is. *)
 let float_to_string f =
-  let s = Printf.sprintf "%.12g" f in
-  if Float.equal (float_of_string s) f then s else Printf.sprintf "%.17g" f
+  let s = format_float "%.12g" f in
+  if Float.equal (float_of_string s) f then s else format_float "%.17g" f
 
 let ( let* ) = Result.bind
 
@@ -190,29 +195,149 @@ let model_of_string = function
   | "link" -> Ok `Link
   | s -> Error (Printf.sprintf "bad model %S" s)
 
-let print_response = function
+(* ---------------- text encoder ---------------- *)
+
+(* Replies are rendered straight into the growable [Bytes] scratch the
+   binary encoder also uses ([Wnet_outbuf]), which the transport drains
+   through buffer/offset/pending/consume: integers digit by digit, fixed
+   text blitted in, each float through [float_to_string].
+
+   [src] lines go through a memo that keeps, per source id, the last
+   line rendered together with that line's whole input (the path and
+   the bit pattern of the charge).  A pay reply re-collected after a
+   burst of edits repeats most of its lines byte for byte, and a hit
+   blits the stored bytes instead of printing the charge again.  The
+   line is a pure function of its key, so nothing is ever invalidated
+   and one memo may serve any number of encoders and sessions; the
+   server keeps one per session, so a session's clients share it.  A
+   miss renders the line and overwrites the entry in place. *)
+
+type enc = Wnet_outbuf.t = {
+  mutable buf : Bytes.t;
+  mutable off : int;  (* first byte not yet handed to the transport *)
+  mutable len : int;  (* end of rendered bytes *)
+}
+
+type memo_line = {
+  mutable text : Bytes.t;  (* the line, newline included *)
+  mutable tlen : int;
+  mutable path : int array;  (* the path it was rendered from *)
+  mutable plen : int;
+}
+
+type memo = {
+  mutable lines : memo_line array;  (* by source id *)
+  mutable charges : float array;
+      (* each line's charge, compared by bit pattern; a flat float
+         array, so storing one does not box it *)
+}
+
+(* The empty slot; never written (a miss on it allocates the entry). *)
+let no_line = { text = Bytes.empty; tlen = 0; path = [||]; plen = 0 }
+
+(* Source ids at or above this render fresh, so a stray id cannot size
+   the memo; a session's ids are its node indices, far below. *)
+let memo_ids = 1 lsl 20
+
+let enc_create () = Wnet_outbuf.create 512
+let memo_create () = { lines = [||]; charges = [||] }
+let enc_pending = Wnet_outbuf.pending
+let enc_buffer e = e.buf
+let enc_offset e = e.off
+let enc_reset = Wnet_outbuf.reset
+let enc_consume = Wnet_outbuf.consume
+
+let ensure e extra =
+  if e.len + extra > Bytes.length e.buf then Wnet_outbuf.make_room e extra
+
+let put_char e c =
+  ensure e 1;
+  Bytes.unsafe_set e.buf e.len c;
+  e.len <- e.len + 1
+
+let put_string e s =
+  let n = String.length s in
+  ensure e n;
+  Bytes.unsafe_blit_string s 0 e.buf e.len n;
+  e.len <- e.len + n
+
+(* Decimal digits written in place, the bytes of [string_of_int].  The
+   digits come off the non-positive value, so [min_int] needs no
+   negation. *)
+let put_int e i =
+  if i < 0 then put_char e '-';
+  let v = if i < 0 then i else -i in
+  let rec ndigits v k = if v > -10 then k else ndigits (v / 10) (k + 1) in
+  let nd = ndigits v 1 in
+  ensure e nd;
+  let rec go v pos =
+    Bytes.unsafe_set e.buf pos (Char.unsafe_chr (48 - (v mod 10)));
+    if v <= -10 then go (v / 10) (pos - 1)
+  in
+  go v (e.len + nd - 1);
+  e.len <- e.len + nd
+
+let put_float e f = put_string e (float_to_string f)
+
+(* " key=value", the shape of every counter on a stats line *)
+let put_kv e key v =
+  put_char e ' ';
+  put_string e key;
+  put_char e '=';
+  put_int e v
+
+let rec put_hops e = function
+  | [] -> ()
+  | v :: rest ->
+    put_string e " -> ";
+    put_int e v;
+    put_hops e rest
+
+let put_served e src path charge =
+  put_string e "src ";
+  put_int e src;
+  put_string e ": path ";
+  (match path with
+  | [] -> ()
+  | v :: rest ->
+    put_int e v;
+    put_hops e rest);
+  put_string e ", charge ";
+  put_float e charge
+
+let rec put_fields e = function
+  | [] -> ()
+  | (k, v) :: rest ->
+    put_kv e k v;
+    put_fields e rest
+
+(* One reply line, without its newline. *)
+let put_response e = function
   | Ready { proto; model; n; root; domains } ->
-    Printf.sprintf "ready proto=%d model=%s n=%d root=%d domains=%d" proto
-      (model_str model) n root domains
-  | Ack { version; node = None } -> Printf.sprintf "ok version=%d" version
-  | Ack { version; node = Some id } ->
-    Printf.sprintf "ok node=%d version=%d" id version
-  | Served { src; path; charge } ->
-    Printf.sprintf "src %d: path %s, charge %s" src
-      (String.concat " -> " (List.map string_of_int path))
-      (float_to_string charge)
+    put_string e "ready";
+    put_kv e "proto" proto;
+    put_string e " model=";
+    put_string e (model_str model);
+    put_kv e "n" n;
+    put_kv e "root" root;
+    put_kv e "domains" domains
+  | Ack { version; node } ->
+    put_string e "ok";
+    (match node with Some id -> put_kv e "node" id | None -> ());
+    put_kv e "version" version
+  | Served { src; path; charge } -> put_served e src path charge
   | Paid { served; unbounded; total } ->
-    Printf.sprintf "ok served=%d unbounded=%d total=%s" served unbounded
-      (float_to_string total)
+    put_string e "ok";
+    put_kv e "served" served;
+    put_kv e "unbounded" unbounded;
+    put_string e " total=";
+    put_float e total
   | Session_stats st ->
-    (* Printed from the layout table, so a counter added to
+    (* From the layout table, so a counter added to
        [Wnet_session.stats_layout] appears here without touching the
-       printer; byte-identical to the historical printf form. *)
-    String.concat " "
-      ("ok"
-      :: List.map
-           (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-           (Wnet_session.to_fields st))
+       renderer. *)
+    put_string e "ok";
+    put_fields e (Wnet_session.to_fields st)
   | Server_stats
       {
         clients;
@@ -224,11 +349,15 @@ let print_response = function
         bytes_in;
         bytes_out;
       } ->
-    Printf.sprintf
-      "server clients=%d requests=%d edits=%d coalesced=%d cache_hits=%d \
-       cache_misses=%d bytes_in=%d bytes_out=%d"
-      clients requests edits coalesced cache_hits cache_misses bytes_in
-      bytes_out
+    put_string e "server";
+    put_kv e "clients" clients;
+    put_kv e "requests" requests;
+    put_kv e "edits" edits;
+    put_kv e "coalesced" coalesced;
+    put_kv e "cache_hits" cache_hits;
+    put_kv e "cache_misses" cache_misses;
+    put_kv e "bytes_in" bytes_in;
+    put_kv e "bytes_out" bytes_out
   | Shard_stats
       {
         shard;
@@ -245,18 +374,188 @@ let print_response = function
         bytes_in;
         bytes_out;
       } ->
-    Printf.sprintf
-      "shard id=%d conns=%d requests=%d edits=%d coalesced=%d \
-       inval_passes=%d cache_hits=%d cache_misses=%d repaired=%d tasks=%d \
-       stolen=%d bytes_in=%d bytes_out=%d"
-      shard conns requests edits coalesced inval_passes cache_hits
-      cache_misses repaired tasks stolen bytes_in bytes_out
+    put_string e "shard";
+    put_kv e "id" shard;
+    put_kv e "conns" conns;
+    put_kv e "requests" requests;
+    put_kv e "edits" edits;
+    put_kv e "coalesced" coalesced;
+    put_kv e "inval_passes" inval_passes;
+    put_kv e "cache_hits" cache_hits;
+    put_kv e "cache_misses" cache_misses;
+    put_kv e "repaired" repaired;
+    put_kv e "tasks" tasks;
+    put_kv e "stolen" stolen;
+    put_kv e "bytes_in" bytes_in;
+    put_kv e "bytes_out" bytes_out
   | Conn_stats { requests; bytes_in; bytes_out; proto } ->
-    Printf.sprintf "conn requests=%d bytes_in=%d bytes_out=%d proto=%d"
-      requests bytes_in bytes_out proto
-  | Bye -> "bye"
-  | Err "" -> "err"
-  | Err m -> "err " ^ m
+    put_string e "conn";
+    put_kv e "requests" requests;
+    put_kv e "bytes_in" bytes_in;
+    put_kv e "bytes_out" bytes_out;
+    put_kv e "proto" proto
+  | Bye -> put_string e "bye"
+  | Err "" -> put_string e "err"
+  | Err m ->
+    put_string e "err ";
+    put_string e m
+
+let print_response r =
+  let e = Wnet_outbuf.create 128 in
+  put_response e r;
+  Bytes.sub_string e.buf 0 e.len
+
+let grow_memo m src =
+  let old = Array.length m.lines in
+  let cap = max (src + 1) (2 * old) in
+  let lines = Array.make cap no_line and charges = Array.make cap 0.0 in
+  Array.blit m.lines 0 lines 0 old;
+  Array.blit m.charges 0 charges 0 old;
+  m.lines <- lines;
+  m.charges <- charges
+
+let rec same_path path (a : int array) i n =
+  match path with
+  | [] -> i = n
+  | v :: rest -> i < n && Array.unsafe_get a i = v && same_path rest a (i + 1) n
+
+let rec store_path (a : int array) i = function
+  | [] -> ()
+  | v :: rest ->
+    Array.unsafe_set a i v;
+    store_path a (i + 1) rest
+
+(* Render the [src] line, then make it the source's memo entry. *)
+let render_served e m src path charge =
+  let rel = e.len - e.off in
+  put_served e src path charge;
+  put_char e '\n';
+  let start = e.off + rel in
+  let l = e.len - start in
+  if m.lines.(src) == no_line then
+    m.lines.(src) <- { text = Bytes.create l; tlen = 0; path = [||]; plen = 0 };
+  let line = m.lines.(src) in
+  if Bytes.length line.text < l then line.text <- Bytes.create l;
+  Bytes.blit e.buf start line.text 0 l;
+  line.tlen <- l;
+  let plen = List.length path in
+  if Array.length line.path < plen then line.path <- Array.make plen 0;
+  store_path line.path 0 path;
+  line.plen <- plen;
+  m.charges.(src) <- charge
+
+let encode_served e m src path charge =
+  if src < 0 || src >= memo_ids then begin
+    put_served e src path charge;
+    put_char e '\n'
+  end
+  else begin
+    if src >= Array.length m.lines then grow_memo m src;
+    let line = Array.unsafe_get m.lines src in
+    if
+      line != no_line
+      && Int64.bits_of_float (Array.unsafe_get m.charges src)
+         = Int64.bits_of_float charge
+      && same_path path line.path 0 line.plen
+    then begin
+      ensure e line.tlen;
+      Bytes.unsafe_blit line.text 0 e.buf e.len line.tlen;
+      e.len <- e.len + line.tlen
+    end
+    else render_served e m src path charge
+  end
+
+let encode_response e m = function
+  | Served { src; path; charge } -> encode_served e m src path charge
+  | r ->
+    put_response e r;
+    put_char e '\n'
+
+(* Plain recursion: a [List.iter (encode_response e m)] would allocate
+   a closure per reply. *)
+let rec encode_responses e m = function
+  | [] -> ()
+  | r :: rs ->
+    encode_response e m r;
+    encode_responses e m rs
+
+(* ---------------- text line decoder ---------------- *)
+
+let max_line = 1 lsl 20
+
+type dec = {
+  mutable dbuf : Bytes.t;
+  mutable dpos : int;  (* start of the next line *)
+  mutable dlen : int;  (* end of fed bytes *)
+  mutable scan : int;  (* [dpos, scan) holds no newline *)
+  mutable too_long : bool;  (* sticky *)
+}
+
+let dec_create () =
+  { dbuf = Bytes.create 512; dpos = 0; dlen = 0; scan = 0; too_long = false }
+
+let dec_pending d = d.dlen - d.dpos
+
+let dec_feed d src off len =
+  if off < 0 || len < 0 || off + len > Bytes.length src then
+    invalid_arg "Wnet_proto.dec_feed: out of range";
+  (* compact: drop the lines already taken *)
+  if d.dpos > 0 then begin
+    Bytes.blit d.dbuf d.dpos d.dbuf 0 (d.dlen - d.dpos);
+    d.dlen <- d.dlen - d.dpos;
+    d.scan <- d.scan - d.dpos;
+    d.dpos <- 0
+  end;
+  let need = d.dlen + len in
+  if need > Bytes.length d.dbuf then begin
+    let cap = ref (Bytes.length d.dbuf) in
+    while !cap < need do
+      cap := !cap * 2
+    done;
+    let nb = Bytes.create !cap in
+    Bytes.blit d.dbuf 0 nb 0 d.dlen;
+    d.dbuf <- nb
+  end;
+  Bytes.blit src off d.dbuf d.dlen len;
+  d.dlen <- need
+
+let dec_feed_string d s off len = dec_feed d (Bytes.unsafe_of_string s) off len
+
+let rec find_newline b i stop =
+  if i >= stop then -1
+  else if Bytes.unsafe_get b i = '\n' then i
+  else find_newline b (i + 1) stop
+
+let next_line d =
+  if d.too_long then `Too_long
+  else
+    let nl = find_newline d.dbuf d.scan d.dlen in
+    let long = if nl < 0 then d.dlen - d.dpos else nl - d.dpos in
+    if long > max_line then begin
+      d.too_long <- true;
+      `Too_long
+    end
+    else if nl < 0 then begin
+      d.scan <- d.dlen;
+      `Need_more
+    end
+    else begin
+      let stop =
+        if nl > d.dpos && Bytes.unsafe_get d.dbuf (nl - 1) = '\r' then nl - 1
+        else nl
+      in
+      let line = Bytes.sub_string d.dbuf d.dpos (stop - d.dpos) in
+      d.dpos <- nl + 1;
+      d.scan <- d.dpos;
+      `Line line
+    end
+
+let dec_take_rest d =
+  let rest = Bytes.sub_string d.dbuf d.dpos (d.dlen - d.dpos) in
+  d.dpos <- 0;
+  d.dlen <- 0;
+  d.scan <- 0;
+  rest
 
 (* Split [s] at the first occurrence of substring [sep]. *)
 let cut ~sep s =

@@ -136,7 +136,91 @@ val print_request : request -> string
 
 val parse_response : string -> (response, string) result
 val print_response : response -> string
-(** Canonical wire form; [parse_response (print_response r) = Ok r]. *)
+(** Canonical wire form; [parse_response (print_response r) = Ok r].
+    Rendered by the same code as {!encode_response}, without the memo
+    and without the newline. *)
+
+(** {2 Text encoder}
+
+    The transport's reply writer, on the same growable [Bytes] scratch
+    ({!Wnet_outbuf}) as {!Wnet_proto_bin.enc}: reply lines are rendered
+    straight into it (integers digit by digit, fixed text blitted in,
+    floats through {!float_to_string}), and the transport drains them
+    with {!enc_buffer}/{!enc_offset}/{!enc_pending} + {!enc_consume}.
+    The bytes are exactly [print_response r ^ "\n"].
+
+    [src] lines go through a {!memo}, which keeps per source id the
+    last line rendered through it, keyed on that line's whole input:
+    the path and the charge's [Int64.bits_of_float].  A hit blits the
+    stored bytes; a miss renders the line and overwrites the entry in
+    place.  Since the line is a function of its key, nothing is
+    invalidated, and a memo can serve any encoders and sessions.  It
+    holds at most one line per source id rendered through it, each in
+    storage the size of that source's longest line; ids at or above
+    2{^20} are not memoised.  A hit allocates nothing.  The socket
+    server keeps one memo per session. *)
+
+type enc
+
+val enc_create : unit -> enc
+val enc_pending : enc -> int
+(** Bytes rendered and not yet consumed. *)
+
+val enc_buffer : enc -> Bytes.t
+(** The scratch; valid bytes are
+    [[enc_offset e, enc_offset e + enc_pending e)].  Invalidated by the
+    next [encode_*] call (the bytes may move). *)
+
+val enc_offset : enc -> int
+val enc_consume : enc -> int -> unit
+(** Mark [n] leading pending bytes as written to the transport; once
+    none are left, a scratch over 4 KiB is swapped for a 4 KiB one.
+    @raise Invalid_argument if [n] exceeds {!enc_pending}. *)
+
+val enc_reset : enc -> unit
+(** Drop all pending bytes (keeps the scratch). *)
+
+type memo
+(** Mutable; use it from one domain at a time. *)
+
+val memo_create : unit -> memo
+
+val encode_response : enc -> memo -> response -> unit
+(** Append one reply line and its newline. *)
+
+val encode_responses : enc -> memo -> response list -> unit
+
+(** {2 Text line decoder}
+
+    The transport's request reader: feed socket chunks in, take
+    complete lines out.  Offsets only — taking a line copies that line
+    once and nothing else, so a pipelined burst of k lines costs O(k)
+    however it is chunked. *)
+
+val max_line : int
+(** 1 MiB, the size of {!Wnet_proto_bin.max_frame}: the longest
+    request line accepted, newline excluded. *)
+
+type dec
+
+val dec_create : unit -> dec
+val dec_pending : dec -> int
+(** Fed bytes not yet returned as a line. *)
+
+val dec_feed : dec -> Bytes.t -> int -> int -> unit
+(** [dec_feed d src off len] appends [src[off..off+len)]. *)
+
+val dec_feed_string : dec -> string -> int -> int -> unit
+
+val next_line : dec -> [ `Line of string | `Need_more | `Too_long ]
+(** The next complete line, without its ["\n"] and one trailing
+    ["\r"].  [`Too_long] once a line — complete or still partial — is
+    longer than {!max_line}; it is sticky, and the transport should
+    answer [err line too long] and close. *)
+
+val dec_take_rest : dec -> string
+(** Every fed byte not yet returned as a line; empties the decoder (a
+    codec switch hands these bytes to the frame decoder). *)
 
 val greeting : ?proto:int -> (module Wnet_session.S) -> response
 (** The [ready] banner a front-end sends when a session opens.

@@ -55,79 +55,64 @@ let check_u8 what v =
 
 (* ---------------- encoder ---------------- *)
 
-type enc = {
-  mutable ebuf : Bytes.t;
-  mutable eoff : int;  (* first byte not yet handed to the transport *)
-  mutable elen : int;  (* end of encoded bytes *)
+(* The scratch is shared with the text encoder; re-exporting its fields
+   keeps the put functions below plain field accesses. *)
+type enc = Wnet_outbuf.t = {
+  mutable buf : Bytes.t;
+  mutable off : int;  (* first byte not yet handed to the transport *)
+  mutable len : int;  (* end of encoded bytes *)
 }
 
-let enc_create ?(cap = 512) () =
-  { ebuf = Bytes.create (max cap 64); eoff = 0; elen = 0 }
-
-let enc_pending e = e.elen - e.eoff
-let enc_buffer e = e.ebuf
-let enc_offset e = e.eoff
-
-let enc_reset e =
-  e.eoff <- 0;
-  e.elen <- 0
-
-let enc_consume e n =
-  if n < 0 || n > enc_pending e then
-    invalid_arg "proto_bin: enc_consume out of range";
-  e.eoff <- e.eoff + n;
-  if e.eoff = e.elen then enc_reset e
+let enc_create ?(cap = 512) () = Wnet_outbuf.create cap
+let enc_pending = Wnet_outbuf.pending
+let enc_buffer e = e.buf
+let enc_offset e = e.off
+let enc_reset = Wnet_outbuf.reset
+let enc_consume = Wnet_outbuf.consume
 
 let ensure e extra =
-  let need = e.elen + extra in
-  if need > Bytes.length e.ebuf then begin
-    let cap = ref (Bytes.length e.ebuf) in
-    while !cap < need do
-      cap := !cap * 2
-    done;
-    let nb = Bytes.create !cap in
-    Bytes.blit e.ebuf 0 nb 0 e.elen;
-    e.ebuf <- nb
-  end
+  if e.len + extra > Bytes.length e.buf then Wnet_outbuf.make_room e extra
 
 let put_u8 e v =
   ensure e 1;
-  Bytes.unsafe_set e.ebuf e.elen (Char.unsafe_chr (v land 0xff));
-  e.elen <- e.elen + 1
+  Bytes.unsafe_set e.buf e.len (Char.unsafe_chr (v land 0xff));
+  e.len <- e.len + 1
 
 let put_u16 e v =
   ensure e 2;
-  Bytes.set_uint16_le e.ebuf e.elen v;
-  e.elen <- e.elen + 2
+  Bytes.set_uint16_le e.buf e.len v;
+  e.len <- e.len + 2
 
 let put_u32 e v =
   ensure e 4;
-  Bytes.set_int32_le e.ebuf e.elen (Int32.of_int v);
-  e.elen <- e.elen + 4
+  Bytes.set_int32_le e.buf e.len (Int32.of_int v);
+  e.len <- e.len + 4
 
 let put_i64 e v =
   ensure e 8;
-  Bytes.set_int64_le e.ebuf e.elen (Int64.of_int v);
-  e.elen <- e.elen + 8
+  Bytes.set_int64_le e.buf e.len (Int64.of_int v);
+  e.len <- e.len + 8
 
 let put_f64 e f =
   ensure e 8;
-  Bytes.set_int64_le e.ebuf e.elen (Int64.bits_of_float f);
-  e.elen <- e.elen + 8
+  Bytes.set_int64_le e.buf e.len (Int64.bits_of_float f);
+  e.len <- e.len + 8
 
-(* Frames are encoded in place and the length patched afterwards. *)
+(* Frames are encoded in place and the length patched afterwards; the
+   frame's start is kept relative to [off], which [ensure] may move. *)
 let begin_frame e =
-  let pos = e.elen in
+  let rel = e.len - e.off in
   put_u32 e 0;
-  pos
+  rel
 
-let end_frame e pos =
-  let payload = e.elen - pos - 4 in
+let end_frame e rel =
+  let pos = e.off + rel in
+  let payload = e.len - pos - 4 in
   if payload > max_frame then begin
-    e.elen <- pos;
+    e.len <- pos;
     invalid_arg "proto_bin: frame exceeds max_frame"
   end;
-  Bytes.set_int32_le e.ebuf pos (Int32.of_int payload)
+  Bytes.set_int32_le e.buf pos (Int32.of_int payload)
 
 let put_endpoints e eps =
   List.iter
@@ -309,8 +294,8 @@ let put_response e (r : Wnet_proto.response) =
     put_u8 e tag_err;
     put_u16 e (String.length m);
     ensure e (String.length m);
-    Bytes.blit_string m 0 e.ebuf e.elen (String.length m);
-    e.elen <- e.elen + String.length m
+    Bytes.blit_string m 0 e.buf e.len (String.length m);
+    e.len <- e.len + String.length m
 
 let encode_request e r =
   let pos = begin_frame e in

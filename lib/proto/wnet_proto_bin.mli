@@ -29,8 +29,8 @@
 
     The codec is allocation-free on the steady-state path.  Encoding
     appends into a caller-owned growable scratch ({!enc}); once the
-    scratch has reached its high-water capacity, encoding any
-    fixed-size message allocates nothing.  Decoding fills a
+    scratch has room for what is pending (a drained scratch keeps
+    4 KiB), encoding any fixed-size message allocates nothing.  Decoding fills a
     caller-owned mutable {!view} whose single float slot lives in an
     unboxed float array, and returns constant variants — no allocation
     for fixed-size messages.  Variable-size payloads (join/rejoin

@@ -18,20 +18,35 @@
      adopting shard, never the listener, so two writers can never
      interleave bytes on one socket;
    - a connection crossing shards carries its whole codec state (line
-     buffer, frame decoder, pending output) with it, and the source
-     shard stops touching it the moment it is pushed.
+     decoder, frame decoder, pending output) with it, and the source
+     shard stops touching it the moment it is pushed;
+   - a session's pay-line memo ([memos]) is only ever used by the
+     session's shard: [src] lines come only from that session's pay.
 
    Each session's edit stream is therefore applied by exactly one
    domain in arrival order, which is the single-threaded serve loop's
-   contract — payments stay bit-identical at every shard count. *)
+   contract — payments stay bit-identical at every shard count.
 
+   Memory per connection is bounded both ways.  A text line longer
+   than [Wnet_proto.max_line] is answered with [err line too long] and
+   [bye], and a frame longer than [Wnet_proto_bin.max_frame] with
+   [err proto: ...] and [bye]; either closes the connection.  While a
+   connection's pending output is over [out_cap] its shard neither
+   reads it nor answers its buffered requests; both resume once the
+   socket drains.  A reply is never split, so a connection holds at
+   most [out_cap] plus one reply of output, and once drained 4 KiB of
+   scratch per encoder.  A paused connection is not idle: the idle
+   timeout counts from the last request answered, and the sweep passes
+   over it until its buffered requests are answered. *)
+
+module P = Wnet_proto
 module B = Wnet_proto_bin
 
 type conn = {
   fd : Unix.file_descr;
   mutable proto : int;  (* 1 = lines, 2 = binary frames *)
-  mutable inbuf : string;  (* partial line, no '\n' yet *)
-  mutable out : string;  (* rendered text replies not yet written *)
+  tdec : P.dec;  (* request lines *)
+  tenc : P.enc;  (* text replies not yet written, and the pay-line memo *)
   benc : B.enc;
   bdec : B.dec;
   bview : B.view;
@@ -39,7 +54,9 @@ type conn = {
   mutable requests : int;
   mutable bytes_in : int;
   mutable bytes_out : int;
-  mutable closing : bool;  (* close once pending output drains *)
+  mutable closing : bool;  (* no more requests; close once output drains *)
+  mutable eof : bool;  (* peer half-closed: answer what is buffered *)
+  mutable closed : bool;  (* fd closed *)
   mutable session : int;  (* index into [shared.sessions] *)
   mutable migrate : int option;  (* handoff target shard, if any *)
   mutable greet : bool;  (* owed a ready banner on adoption *)
@@ -68,6 +85,9 @@ type shared = {
   nshards : int;
   sessions : (module Wnet_session.S) array;
   session_shard : int array;  (* router placement, fixed at create *)
+  memos : Wnet_proto.memo array;
+      (* per session, its pay-line memo; only the owning shard renders
+         [src] lines, so each memo has a single writer too *)
   idle_timeout : float option;
   rings : conn Spsc.t array array;  (* rings.(dst).(src); src = nshards
                                        is the listener's producer slot *)
@@ -136,6 +156,7 @@ let make_shared ~nshards ~router ~idle_timeout ~sessions =
     nshards;
     sessions;
     session_shard;
+    memos = Array.map (fun _ -> P.memo_create ()) sessions;
     idle_timeout;
     rings =
       Array.init nshards (fun _ ->
@@ -206,8 +227,8 @@ let new_conn fd ~session =
   {
     fd;
     proto = Wnet_proto.version;
-    inbuf = "";
-    out = "";
+    tdec = P.dec_create ();
+    tenc = P.enc_create ();
     benc = B.enc_create ();
     bdec = B.dec_create ();
     bview = B.make_view ();
@@ -216,6 +237,8 @@ let new_conn fd ~session =
     bytes_in = 0;
     bytes_out = 0;
     closing = false;
+    eof = false;
+    closed = false;
     session;
     migrate = None;
     greet = true;
@@ -252,6 +275,7 @@ let route_new sh fd =
 type t = {
   sh : shared;
   id : int;
+  rbuf : Bytes.t;  (* socket read scratch *)
   mutable conns : conn list;
   mutable served : int;
   mutable requests : int;
@@ -259,60 +283,50 @@ type t = {
   mutable bytes_out : int;
 }
 
-let render rs =
-  String.concat "" (List.map (fun r -> Wnet_proto.print_response r ^ "\n") rs)
+(* Pending output over which a connection is paused: the same 1 MiB as
+   the line and frame caps. *)
+let out_cap = P.max_line
 
-let queue (c : conn) rs =
-  if rs <> [] then
-    if c.proto = 2 then B.encode_responses c.benc rs
-    else c.out <- c.out ^ render rs
+let pending_out (c : conn) = P.enc_pending c.tenc + B.enc_pending c.benc
+let paused (c : conn) = pending_out c > out_cap
+let wants_input (c : conn) = not (c.closing || c.eof || paused c)
 
-let pending_out (c : conn) = String.length c.out + B.enc_pending c.benc
+let queue (t : t) (c : conn) rs =
+  if c.proto = B.version then (if rs <> [] then B.encode_responses c.benc rs)
+  else P.encode_responses c.tenc t.sh.memos.(c.session) rs
 
 let close_conn (t : t) (c : conn) =
-  (try Unix.close c.fd with Unix.Unix_error _ -> ());
-  t.conns <- List.filter (fun c' -> c' != c) t.conns
+  if not c.closed then begin
+    c.closed <- true;
+    c.closing <- true;
+    (try Unix.close c.fd with Unix.Unix_error _ -> ());
+    t.conns <- List.filter (fun c' -> c' != c) t.conns
+  end
 
-(* Write as much pending output as the socket accepts right now; text
-   before frames (both are only pending together right after a codec
-   upgrade, when the text banner precedes the first frame). *)
+let write_out (t : t) (c : conn) buf off len =
+  let n = Unix.write c.fd buf off len in
+  c.bytes_out <- c.bytes_out + n;
+  t.bytes_out <- t.bytes_out + n;
+  n
+
+(* Write as much pending output as the socket accepts right now, from
+   either encoder the same way; text before frames (both are only
+   pending together right after a codec upgrade, when the text banner
+   precedes the first frame). *)
 let flush_some (t : t) (c : conn) =
-  let account n =
-    c.bytes_out <- c.bytes_out + n;
-    t.bytes_out <- t.bytes_out + n
-  in
-  try
-    let len = String.length c.out in
-    if len > 0 then begin
-      let n = Unix.write_substring c.fd c.out 0 len in
-      c.out <- String.sub c.out n (len - n);
-      account n
-    end;
-    let blen = B.enc_pending c.benc in
-    if c.out = "" && blen > 0 then begin
-      let n =
-        Unix.write c.fd (B.enc_buffer c.benc) (B.enc_offset c.benc) blen
-      in
-      B.enc_consume c.benc n;
-      account n
-    end
-  with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> close_conn t c
-
-(* Split off the first complete line; the tail stays buffered. *)
-let next_line (c : conn) =
-  match String.index_opt c.inbuf '\n' with
-  | None -> None
-  | Some i ->
-    let line = String.sub c.inbuf 0 i in
-    let line =
-      if line <> "" && line.[String.length line - 1] = '\r' then
-        String.sub line 0 (String.length line - 1)
-      else line
-    in
-    c.inbuf <- String.sub c.inbuf (i + 1) (String.length c.inbuf - i - 1);
-    Some line
+  if not c.closed then
+    try
+      let len = P.enc_pending c.tenc in
+      if len > 0 then
+        P.enc_consume c.tenc
+          (write_out t c (P.enc_buffer c.tenc) (P.enc_offset c.tenc) len);
+      let len = B.enc_pending c.benc in
+      if len > 0 && P.enc_pending c.tenc = 0 then
+        B.enc_consume c.benc
+          (write_out t c (B.enc_buffer c.benc) (B.enc_offset c.benc) len)
+    with
+    | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> close_conn t c
 
 (* Refresh this shard's published counters: the connection-level tallies
    plus a roll-up of the sessions this shard owns.  Single writer, so
@@ -413,23 +427,23 @@ let wire_stats (t : t) (c : conn) =
   in
   (server :: shard_rows) @ [ conn ]
 
+let count (t : t) (c : conn) =
+  c.requests <- c.requests + 1;
+  t.requests <- t.requests + 1
+
 (* One parsed request -> queued replies.  The protocol handler does the
    work; the shard owns what is transport state, not session state:
    codec negotiation ([proto N]), session placement ([session N]), the
    stats roll-up, and the close latch on [quit]. *)
 let process (t : t) (c : conn) parsed =
   c.last_active <- Unix.gettimeofday ();
-  let count () =
-    c.requests <- c.requests + 1;
-    t.requests <- t.requests + 1
-  in
   match parsed with
   | Ok None -> ()
   | Error m ->
-    count ();
-    queue c [ Wnet_proto.Err m ]
+    count t c;
+    queue t c [ Wnet_proto.Err m ]
   | Ok (Some req) -> (
-    count ();
+    count t c;
     let sess = t.sh.sessions.(c.session) in
     match req with
     | Wnet_proto.Proto { proto = p } ->
@@ -437,25 +451,23 @@ let process (t : t) (c : conn) parsed =
         (* Acknowledge in the current codec, then switch both
            directions.  Bytes already buffered behind the request are
            re-fed to the frame decoder. *)
-        queue c [ Wnet_proto.greeting ~proto:B.version sess ];
+        queue t c [ Wnet_proto.greeting ~proto:B.version sess ];
         if c.proto <> B.version then begin
           c.proto <- B.version;
-          if c.inbuf <> "" then begin
-            B.dec_feed_string c.bdec c.inbuf 0 (String.length c.inbuf);
-            c.inbuf <- ""
-          end
+          let rest = P.dec_take_rest c.tdec in
+          B.dec_feed_string c.bdec rest 0 (String.length rest)
         end
       end
       else if p = Wnet_proto.version && c.proto = Wnet_proto.version then
-        queue c [ Wnet_proto.greeting sess ]
+        queue t c [ Wnet_proto.greeting sess ]
       else if p = Wnet_proto.version then
-        queue c [ Wnet_proto.Err "proto: downgrade unsupported" ]
+        queue t c [ Wnet_proto.Err "proto: downgrade unsupported" ]
       else
-        queue c
+        queue t c
           [ Wnet_proto.Err (Printf.sprintf "proto: unsupported version %d" p) ]
     | Wnet_proto.Attach { session = k } ->
       if k < 0 || k >= Array.length t.sh.sessions then
-        queue c
+        queue t c
           [
             Wnet_proto.Err
               (Printf.sprintf "session: no session %d (server hosts %d)" k
@@ -466,7 +478,7 @@ let process (t : t) (c : conn) parsed =
         let dst = t.sh.session_shard.(k) in
         if dst = t.id then
           (* The attach ack is the target session's ready banner. *)
-          queue c [ Wnet_proto.greeting ~proto:c.proto t.sh.sessions.(k) ]
+          queue t c [ Wnet_proto.greeting ~proto:c.proto t.sh.sessions.(k) ]
         else begin
           (* Crossing shards: stop reading here, carry the connection
              (pending output included) to the owning shard, which
@@ -476,36 +488,41 @@ let process (t : t) (c : conn) parsed =
         end
       end
     | Wnet_proto.Stats ->
-      queue c (Wnet_proto.handle sess req @ wire_stats t c)
+      queue t c (Wnet_proto.handle sess req @ wire_stats t c)
     | Wnet_proto.Quit ->
-      queue c (Wnet_proto.handle sess req);
+      queue t c (Wnet_proto.handle sess req);
       c.closing <- true
-    | _ -> queue c (Wnet_proto.handle sess req))
+    | _ -> queue t c (Wnet_proto.handle sess req))
 
 (* Answer every complete request already buffered, one at a time — the
    request may switch the codec for the bytes behind it, or migrate the
    connection (in which case the remaining buffered bytes travel with
-   it and are drained by the new owner). *)
+   it and are drained by the new owner).  Stops while the connection is
+   paused; once its input is used up after the peer half-closed, the
+   connection is done. *)
 let rec drain_input (t : t) (c : conn) =
-  if (not c.closing) && c.migrate = None then
-    if c.proto = 2 then
+  if (not c.closing) && c.migrate = None && not (paused c) then
+    if c.proto = B.version then
       match B.decode_request c.bdec c.bview with
       | `Req req ->
         process t c (Ok (Some req));
         drain_input t c
-      | `Need_more -> ()
+      | `Need_more -> if c.eof then c.closing <- true
       | `Corrupt m ->
         (* Framing is lost for good: report, dismiss, close. *)
-        c.requests <- c.requests + 1;
-        t.requests <- t.requests + 1;
-        queue c [ Wnet_proto.Err ("proto: " ^ m); Wnet_proto.Bye ];
+        count t c;
+        queue t c [ Wnet_proto.Err ("proto: " ^ m); Wnet_proto.Bye ];
         c.closing <- true
     else
-      match next_line c with
-      | Some line ->
+      match P.next_line c.tdec with
+      | `Line line ->
         process t c (Wnet_proto.parse_request line);
         drain_input t c
-      | None -> ()
+      | `Need_more -> if c.eof then c.closing <- true
+      | `Too_long ->
+        count t c;
+        queue t c [ Wnet_proto.Err "line too long"; Wnet_proto.Bye ];
+        c.closing <- true
 
 let handoff (t : t) (c : conn) =
   match c.migrate with
@@ -514,6 +531,21 @@ let handoff (t : t) (c : conn) =
     c.migrate <- None;
     t.conns <- List.filter (fun c' -> c' != c) t.conns;
     submit t.sh ~src:t.id ~dst c
+
+(* After any event on a connection: answer what is buffered, then hand
+   the connection off, or write what the socket takes and close once
+   done.  A write that brings a paused connection back under the cap
+   resumes answering right away: no later event may come for requests
+   that are already buffered. *)
+let rec settle (t : t) (c : conn) =
+  drain_input t c;
+  if c.migrate <> None then handoff t c
+  else begin
+    let was_paused = paused c in
+    flush_some t c;
+    if c.closing && pending_out c = 0 then close_conn t c
+    else if was_paused && not (c.closed || paused c) then settle t c
+  end
 
 (* Take ownership of a connection from a mailbox (or a fused-mode
    accept).  The adopting shard writes the owed ready banner — the
@@ -529,16 +561,9 @@ let adopt (t : t) (c : conn) =
   t.conns <- c :: t.conns;
   if c.greet then begin
     c.greet <- false;
-    queue c [ Wnet_proto.greeting ~proto:c.proto t.sh.sessions.(c.session) ]
+    queue t c [ Wnet_proto.greeting ~proto:c.proto t.sh.sessions.(c.session) ]
   end;
-  if not (Atomic.get t.sh.stopping) then begin
-    drain_input t c;
-    if c.migrate <> None then handoff t c
-    else begin
-      flush_some t c;
-      if c.closing && pending_out c = 0 then close_conn t c
-    end
-  end
+  if not (Atomic.get t.sh.stopping) then settle t c
 (* When stopping, adoption just takes the connection; the drain pass
    answers what is buffered and says bye. *)
 
@@ -556,30 +581,19 @@ let adopt_pending (t : t) =
     t.sh.rings.(t.id)
 
 let handle_readable (t : t) (c : conn) =
-  let bytes = Bytes.create 4096 in
-  match Unix.read c.fd bytes 0 4096 with
+  match Unix.read c.fd t.rbuf 0 (Bytes.length t.rbuf) with
   | 0 ->
     (* Client half-closed: answer what is already buffered, then go.
-       If the buffered input ended in a cross-shard attach, the new
-       owner sees the same EOF and closes. *)
-    drain_input t c;
-    if c.migrate <> None then handoff t c
-    else begin
-      c.closing <- true;
-      flush_some t c;
-      if pending_out c = 0 then close_conn t c
-    end
+       If the buffered input ends in a cross-shard attach, the flag
+       travels with the connection and the new owner finishes it. *)
+    c.eof <- true;
+    settle t c
   | n ->
     c.bytes_in <- c.bytes_in + n;
     t.bytes_in <- t.bytes_in + n;
-    if c.proto = 2 then B.dec_feed c.bdec bytes 0 n
-    else c.inbuf <- c.inbuf ^ Bytes.sub_string bytes 0 n;
-    drain_input t c;
-    if c.migrate <> None then handoff t c
-    else begin
-      flush_some t c;
-      if c.closing && pending_out c = 0 then close_conn t c
-    end
+    if c.proto = B.version then B.dec_feed c.bdec t.rbuf 0 n
+    else P.dec_feed c.tdec t.rbuf 0 n;
+    settle t c
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
     close_conn t c
@@ -595,17 +609,21 @@ let accept_ready (t : t) listen_fd =
     if dst = t.id then adopt t c else submit t.sh ~src:t.id ~dst c
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
 
+(* A connection is timed while it waits on its peer for a request:
+   not once it is closing, and not while paused, when its requests wait
+   on the peer reading. *)
+let timed (c : conn) = not (c.closing || paused c)
+
 let sweep_idle (t : t) now =
   match t.sh.idle_timeout with
   | None -> ()
   | Some limit ->
     List.iter
       (fun c ->
-        if (not c.closing) && now -. c.last_active > limit then begin
-          queue c [ Wnet_proto.Err "idle timeout"; Wnet_proto.Bye ];
+        if timed c && now -. c.last_active > limit then begin
+          queue t c [ Wnet_proto.Err "idle timeout"; Wnet_proto.Bye ];
           c.closing <- true;
-          flush_some t c;
-          if pending_out c = 0 then close_conn t c
+          settle t c
         end)
       t.conns
 
@@ -615,31 +633,38 @@ let next_timeout (t : t) now =
   | Some limit ->
     List.fold_left
       (fun acc c ->
-        let left = (c.last_active +. limit) -. now in
-        let left = if left < 0.0 then 0.0 else left in
-        if acc < 0.0 || left < acc then left else acc)
+        if not (timed c) then acc
+        else
+          let left = (c.last_active +. limit) -. now in
+          let left = if left < 0.0 then 0.0 else left in
+          if acc < 0.0 || left < acc then left else acc)
       (-1.0) t.conns
 
 (* Graceful drain: no new requests are read, but requests already
-   received in full are answered (a cross-shard attach mid-drain is
-   cancelled — the client is about to get [bye] anyway, and the target
-   shard may already be gone), every client gets [bye], and pending
-   output is flushed (bounded wait) before the sockets close. *)
+   received in full are answered as the output cap allows (a
+   cross-shard attach mid-drain is cancelled — the client is about to
+   get [bye] anyway, and the target shard may already be gone), every
+   client then gets [bye], and pending output is flushed (bounded wait)
+   before the sockets close. *)
 let drain (t : t) =
-  List.iter
-    (fun c ->
+  let answer c =
+    if not c.closing then begin
       drain_input t c;
-      c.migrate <- None;
-      if not c.closing then queue c [ Wnet_proto.Bye ];
-      c.closing <- true)
-    t.conns;
+      if c.migrate <> None || not (c.closing || paused c) then begin
+        c.migrate <- None;
+        queue t c [ Wnet_proto.Bye ];
+        c.closing <- true
+      end
+    end
+  in
   let deadline = Unix.gettimeofday () +. 5.0 in
   let rec flush_all () =
-    List.iter (fun c -> flush_some t c) t.conns;
-    t.conns <-
-      List.filter
-        (fun c -> pending_out c <> 0 || (Unix.close c.fd; false))
-        t.conns;
+    List.iter
+      (fun c ->
+        answer c;
+        flush_some t c;
+        if c.closing && pending_out c = 0 then close_conn t c)
+      t.conns;
     if t.conns <> [] && Unix.gettimeofday () < deadline then begin
       let ws = List.map (fun c -> c.fd) t.conns in
       (match Unix.select [] ws [] 0.1 with
@@ -649,10 +674,7 @@ let drain (t : t) =
     end
   in
   flush_all ();
-  List.iter
-    (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
-    t.conns;
-  t.conns <- []
+  List.iter (close_conn t) t.conns
 
 (* The shard loop.  [listen_fd] is only passed in fused (single-shard)
    mode, where the one shard doubles as the acceptor and the server
@@ -664,8 +686,8 @@ let drain (t : t) =
    adopted (and told bye) by someone. *)
 let run ?listen_fd sh id =
   let t =
-    { sh; id; conns = []; served = 0; requests = 0; bytes_in = 0;
-      bytes_out = 0 }
+    { sh; id; rbuf = Bytes.create 4096; conns = []; served = 0;
+      requests = 0; bytes_in = 0; bytes_out = 0 }
   in
   let wake_fd = sh.wake_r.(id) in
   let lfds = match listen_fd with Some fd -> [ fd ] | None -> [] in
@@ -673,7 +695,12 @@ let run ?listen_fd sh id =
     if not (Atomic.get sh.stopping && Atomic.get sh.ldone) then begin
       let now = Unix.gettimeofday () in
       sweep_idle t now;
-      let rs = (wake_fd :: lfds) @ List.map (fun c -> c.fd) t.conns in
+      let rs =
+        (wake_fd :: lfds)
+        @ List.filter_map
+            (fun c -> if wants_input c then Some c.fd else None)
+            t.conns
+      in
       let ws =
         List.filter_map
           (fun c -> if pending_out c <> 0 then Some c.fd else None)
@@ -690,9 +717,7 @@ let run ?listen_fd sh id =
         List.iter
           (fun fd ->
             match List.find_opt (fun c -> c.fd == fd) t.conns with
-            | Some c ->
-              flush_some t c;
-              if c.closing && pending_out c = 0 then close_conn t c
+            | Some c -> settle t c
             | None -> ())
           writable;
         List.iter
@@ -700,7 +725,7 @@ let run ?listen_fd sh id =
             if List.exists (fun l -> l == fd) lfds then accept_ready t fd
             else if fd != wake_fd then
               match List.find_opt (fun c -> c.fd == fd) t.conns with
-              | Some c when not c.closing -> handle_readable t c
+              | Some c when wants_input c -> handle_readable t c
               | Some _ | None -> ())
           readable;
         publish t;

@@ -117,4 +117,61 @@ SERVER_PID=""
 [ ! -S "$SOCK" ] || fail "socket file left behind"
 grep -q '^served 3 client(s)' "$SERVER_LOG" || fail "final counters not printed"
 
+# Link model: one transcript (edits and three pays) through `unicast
+# serve` on stdin and through `listen` + `client` on a socket.  Both
+# render with the same text encoder and pay-line memo; their pay lines
+# must be byte-identical.
+LGRAPH="$DIR/links.txt"
+LSOCK="$DIR/link.sock"
+$UNICAST generate --model gnp -n 40 --seed 11 \
+  | awk '/^node/ { c[$2] = $3 }
+         /^edge/ { printf "link %d %d %s\nlink %d %d %s\n", $2, $3, c[$2], $3, $2, c[$3] }' \
+  > "$LGRAPH"
+awk '/^link/ && n < 3 { printf "cost %s %s %s\n", $2, $3, $4 * 2; n++ }' "$LGRAPH" \
+  > "$DIR/edits.txt"
+{
+  head -n 2 "$DIR/edits.txt"
+  echo pay
+  tail -n 1 "$DIR/edits.txt"
+  echo pay
+  echo pay
+  echo quit
+} > "$DIR/link-transcript.txt"
+$UNICAST serve --model link "$LGRAPH" < "$DIR/link-transcript.txt" > "$OUT.link-stdin"
+
+$UNICAST listen --socket "$LSOCK" --model link "$LGRAPH" > "$SERVER_LOG.link" 2>&1 &
+LINK_PID=$!
+SERVER_PID=$LINK_PID
+i=0
+while [ ! -S "$LSOCK" ]; do
+  i=$((i + 1))
+  [ "$i" -gt 100 ] && fail "link server socket never appeared"
+  kill -0 "$LINK_PID" 2>/dev/null || fail "link server died on startup"
+  sleep 0.05
+done
+$UNICAST client --socket "$LSOCK" --verify-responses < "$DIR/link-transcript.txt" \
+  > "$OUT.link-sock"
+
+grep -E '^(src |ok served=)' "$OUT.link-stdin" > "$OUT.link-stdin.pay"
+grep -E '^(src |ok served=)' "$OUT.link-sock" > "$OUT.link-sock.pay"
+[ "$(grep -c '^ok served=' "$OUT.link-stdin.pay")" = 3 ] \
+  || fail "link transcript: expected three pay replies on stdin"
+grep -q '^src ' "$OUT.link-stdin.pay" || fail "link transcript served no source"
+diff "$OUT.link-stdin.pay" "$OUT.link-sock.pay" > /dev/null \
+  || fail "link pay lines differ between serve and listen + client"
+
+# A request line over the 1 MiB cap (1 MiB + 16 KiB, no newline) is
+# answered with err, then bye, and the connection closes.  The overrun
+# is small enough for the socket buffer to take, so the client is done
+# writing before the server closes.
+head -c 1064960 /dev/zero | tr '\0' 'a' \
+  | $UNICAST client --socket "$LSOCK" > "$OUT.big" || true
+[ "$(tail -n 2 "$OUT.big")" = "$(printf 'err line too long\nbye')" ] \
+  || fail "oversize line not answered with err, then bye"
+
+kill -INT "$LINK_PID"
+wait "$LINK_PID" || fail "link server did not exit cleanly on SIGINT"
+SERVER_PID=""
+[ ! -S "$LSOCK" ] || fail "link socket file left behind"
+
 echo "smoke_server: OK"

@@ -471,6 +471,367 @@ let test_shard_wire () =
            (W.to_fields W.zero_stats)))
     (P.print_response (P.Session_stats W.zero_stats))
 
+(* ---------------- text encoder = the Printf reference ---------------- *)
+
+(* Floats the %.12g / %.17g split and the C printer's special cases
+   care about: both infinities, both NaN signs, both zeros, subnormals,
+   the extremes of the exponent range. *)
+let wide_float_gen =
+  Gen.oneof
+    [
+      float_gen;
+      Gen.oneofl
+        [
+          infinity; neg_infinity; nan; Float.neg nan; 0.0; -0.0;
+          4.9e-324; -4.9e-324; 2.2250738585072009e-308; Float.min_float /. 3.0;
+          1e300; -1e300; 1e-300; -1e-300; Float.max_float; -.Float.max_float;
+          4.0e4 /. 3.0; 0.1; 100.0;
+        ];
+    ]
+
+let wide_int_gen =
+  Gen.oneof
+    [
+      Gen.int_range (-1000) 1000;
+      Gen.int;
+      Gen.oneofl [ 0; -1; min_int; max_int; 9; 10; -10; 99; 100 ];
+    ]
+
+let hops_gen = Gen.oneof [ Gen.oneofl [ 0; 1; 40 ]; Gen.int_range 0 40 ]
+let wide_path_gen = Gen.bind hops_gen (fun k -> Gen.list_repeat k wide_int_gen)
+
+let wide_stats_gen =
+  Gen.map
+    (fun c ->
+      {
+        W.edits = c.(0);
+        coalesced_edits = c.(1);
+        inval_passes = c.(2);
+        spt_runs = c.(3);
+        avoid_runs = c.(4);
+        avoid_reused = c.(5);
+        repaired_entries = c.(6);
+        fallback_recomputes = c.(7);
+        tasks_executed = c.(8);
+        tasks_stolen = c.(9);
+        avoid_bounded = c.(10);
+        avoid_fallback = c.(11);
+      })
+    (Gen.array_repeat 12 wide_int_gen)
+
+(* Every response constructor, with any int where the type allows one
+   and any string as an error message. *)
+let render_gen =
+  let i = wide_int_gen in
+  let ints k = Gen.array_repeat k i in
+  Gen.oneof
+    [
+      Gen.map2
+        (fun model c ->
+          P.Ready
+            { proto = c.(0); model; n = c.(1); root = c.(2); domains = c.(3) })
+        (Gen.oneofl [ `Node; `Link ])
+        (ints 4);
+      Gen.map2 (fun version node -> P.Ack { version; node }) i (Gen.opt i);
+      Gen.map3
+        (fun src path charge -> P.Served { src; path; charge })
+        i wide_path_gen wide_float_gen;
+      Gen.map3
+        (fun served unbounded total -> P.Paid { served; unbounded; total })
+        i i wide_float_gen;
+      Gen.map (fun st -> P.Session_stats st) wide_stats_gen;
+      Gen.map
+        (fun c ->
+          P.Server_stats
+            {
+              clients = c.(0);
+              requests = c.(1);
+              edits = c.(2);
+              coalesced = c.(3);
+              cache_hits = c.(4);
+              cache_misses = c.(5);
+              bytes_in = c.(6);
+              bytes_out = c.(7);
+            })
+        (ints 8);
+      Gen.map
+        (fun c ->
+          P.Shard_stats
+            {
+              shard = c.(0);
+              conns = c.(1);
+              requests = c.(2);
+              edits = c.(3);
+              coalesced = c.(4);
+              inval_passes = c.(5);
+              cache_hits = c.(6);
+              cache_misses = c.(7);
+              repaired = c.(8);
+              tasks = c.(9);
+              stolen = c.(10);
+              bytes_in = c.(11);
+              bytes_out = c.(12);
+            })
+        (ints 13);
+      Gen.map
+        (fun c ->
+          P.Conn_stats
+            {
+              requests = c.(0);
+              bytes_in = c.(1);
+              bytes_out = c.(2);
+              proto = c.(3);
+            })
+        (ints 4);
+      Gen.return P.Bye;
+      Gen.map (fun m -> P.Err m) (Gen.oneof [ Gen.return ""; Gen.string ]);
+    ]
+
+let encoded rs =
+  let e = P.enc_create () in
+  P.encode_responses e (P.memo_create ()) rs;
+  Bytes.sub_string (P.enc_buffer e) (P.enc_offset e) (P.enc_pending e)
+
+let reference rs =
+  String.concat "" (List.map (fun r -> Proto_ref.print_response r ^ "\n") rs)
+
+let render_prop r =
+  let want = Proto_ref.print_response r in
+  String.equal (encoded [ r ]) (want ^ "\n")
+  && String.equal (P.print_response r) want
+  || Test.fail_reportf "rendered %S, reference %S" (encoded [ r ]) want
+
+(* ---------------- the pay-line memo ---------------- *)
+
+(* One step of a pay-reply sequence on one encoder.  The state is the
+   current reply; each step edits it and the new reply is encoded. *)
+type memo_step =
+  | Again  (** the same reply once more: every line a hit *)
+  | Flip_zero of int  (** that source's charge 0.0 <-> -0.0 *)
+  | Repath of int * int list  (** a new path at an equal charge *)
+  | Recharge of int * float
+  | Grow of int  (** a new source id, past the memo's length *)
+  | Foreign of (int * int list * float) list
+      (** a reply from another session in between; the state is kept *)
+
+let memo_charge_gen =
+  Gen.oneofl
+    [ 0.0; -0.0; 1.5; 1.0 /. 3.0; 4.0e4 /. 3.0; infinity; nan; 4.9e-324; 1e300 ]
+
+let memo_path_gen = Gen.list_size (Gen.int_range 1 6) (Gen.int_range 0 9)
+
+let memo_line_gen src =
+  Gen.map2 (fun p c -> (src, p, c)) memo_path_gen memo_charge_gen
+
+let memo_step_gen =
+  let slot = Gen.int_range 0 40 in
+  Gen.oneof
+    [
+      Gen.return Again;
+      Gen.map (fun i -> Flip_zero i) slot;
+      Gen.map2 (fun i p -> Repath (i, p)) slot memo_path_gen;
+      Gen.map2 (fun i c -> Recharge (i, c)) slot memo_charge_gen;
+      Gen.map (fun s -> Grow s) (Gen.int_range 10 5000);
+      Gen.map
+        (fun ls -> Foreign ls)
+        (Gen.bind (Gen.int_range 1 8) (fun k ->
+             Gen.flatten_l (List.init k memo_line_gen)));
+    ]
+
+let memo_gen =
+  Gen.pair
+    (Gen.bind (Gen.int_range 1 8) (fun k ->
+         Gen.flatten_l (List.init k memo_line_gen)))
+    (Gen.list_size (Gen.int_range 1 25) memo_step_gen)
+
+let served_of (src, path, charge) = P.Served { src; path; charge }
+
+(* One memo shared by two encoders taking turns, as a session's memo is
+   shared by its clients. *)
+let memo_prop (first, steps) =
+  let memo = P.memo_create () in
+  let encs = [| P.enc_create (); P.enc_create () |] and turn = ref 0 in
+  let check reply =
+    let e = encs.(!turn land 1) in
+    incr turn;
+    let rs = List.map served_of reply in
+    P.encode_responses e memo rs;
+    let got =
+      Bytes.sub_string (P.enc_buffer e) (P.enc_offset e) (P.enc_pending e)
+    in
+    P.enc_consume e (P.enc_pending e);
+    String.equal got (reference rs)
+    || Test.fail_reportf "memo output %S, fresh %S" got (reference rs)
+  in
+  let edit k f reply =
+    let n = List.length reply in
+    List.mapi (fun i l -> if i = k mod n then f l else l) reply
+  in
+  let step reply = function
+    | Again -> reply
+    | Flip_zero k ->
+      edit k
+        (fun (s, p, c) ->
+          (s, p, if Int64.bits_of_float c = 0L then -0.0 else 0.0))
+        reply
+    | Repath (k, p) -> edit k (fun (s, _, c) -> (s, p, c)) reply
+    | Recharge (k, c) -> edit k (fun (s, p, _) -> (s, p, c)) reply
+    | Grow s -> reply @ [ (s, [ s; 0 ], 0.5) ]
+    | Foreign _ -> reply
+  in
+  check first
+  && snd
+       (List.fold_left
+          (fun (reply, ok) st ->
+            let reply' = step reply st in
+            let ok =
+              ok
+              && (match st with Foreign ls -> check ls | _ -> true)
+              && check reply'
+            in
+            (reply', ok))
+          (first, true) steps)
+
+(* ---------------- draining at random split points ---------------- *)
+
+(* Batches of up to 40 replies against chunks of up to 4 KiB: the
+   scratch (512 bytes at first) both grows and moves its pending bytes
+   to the front. *)
+let split_gen =
+  Gen.list_size (Gen.int_range 1 6)
+    (Gen.pair
+       (Gen.list_size (Gen.int_range 0 40) render_gen)
+       (Gen.list_size (Gen.int_range 0 4) (Gen.int_range 0 4096)))
+
+(* Each batch is encoded, then partly consumed in the given chunk
+   sizes before the next batch lands behind it; the consumed bytes,
+   in order, must be the reference text. *)
+let split_prop batches =
+  let e = P.enc_create () and memo = P.memo_create () in
+  let out = Buffer.create 256 in
+  let take k =
+    let k = min k (P.enc_pending e) in
+    Buffer.add_subbytes out (P.enc_buffer e) (P.enc_offset e) k;
+    P.enc_consume e k
+  in
+  List.iter
+    (fun (rs, chunks) ->
+      P.encode_responses e memo rs;
+      List.iter take chunks)
+    batches;
+  take (P.enc_pending e);
+  let want = reference (List.concat_map fst batches) in
+  String.equal (Buffer.contents out) want
+  || Test.fail_reportf "drained %S, want %S" (Buffer.contents out) want
+
+(* A scratch that grew past 4 KiB goes back to 4 KiB once drained, not
+   before, and renders the same bytes after. *)
+let test_scratch_shrinks () =
+  let e = P.enc_create () and memo = P.memo_create () in
+  let rs =
+    List.init 2000 (fun src ->
+        P.Served
+          { src; path = [ src; 3; 2; 1; 0 ]; charge = 1.0 /. float_of_int (src + 3) })
+  in
+  let drained () =
+    let n = P.enc_pending e in
+    let got = Bytes.sub_string (P.enc_buffer e) (P.enc_offset e) n in
+    P.enc_consume e (n / 2);
+    Alcotest.(check bool) "kept while bytes are pending" true
+      (Bytes.length (P.enc_buffer e) >= n);
+    P.enc_consume e (n - (n / 2));
+    Alcotest.(check int) "drained: back to 4 KiB" 4096
+      (Bytes.length (P.enc_buffer e));
+    got
+  in
+  P.encode_responses e memo rs;
+  Alcotest.(check bool) "the reply outgrew 4 KiB" true
+    (P.enc_pending e > 4096);
+  Alcotest.(check string) "fresh render = reference" (reference rs) (drained ());
+  P.encode_responses e memo rs;
+  Alcotest.(check string) "memo render after the shrink = reference"
+    (reference rs) (drained ())
+
+(* ---------------- the line decoder ---------------- *)
+
+let line_text_gen =
+  Gen.map (String.concat "")
+    (Gen.list_size (Gen.int_range 0 30)
+       (Gen.oneof
+          [
+            Gen.oneofl [ "\n"; "\r\n"; "\r"; "pay"; "cost 1 2 3.5"; " " ];
+            Gen.string_size ~gen:Gen.printable (Gen.int_range 0 12);
+          ]))
+
+let lines_prop (text, cuts) =
+  let d = P.dec_create () in
+  let n = String.length text in
+  let cuts = List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts) in
+  let got = ref [] in
+  let rec take () =
+    match P.next_line d with
+    | `Line l ->
+      got := l :: !got;
+      take ()
+    | `Need_more -> ()
+    | `Too_long -> Test.fail_report "short line reported too long"
+  in
+  ignore
+    (List.fold_left
+       (fun pos c ->
+         P.dec_feed_string d text pos (c - pos);
+         take ();
+         c)
+       0 (cuts @ [ n ]));
+  (* the reference split: every '\n'-terminated piece, one '\r' off *)
+  let pieces = String.split_on_char '\n' text in
+  let complete = List.filteri (fun i _ -> i < List.length pieces - 1) pieces in
+  let strip l =
+    let k = String.length l in
+    if k > 0 && l.[k - 1] = '\r' then String.sub l 0 (k - 1) else l
+  in
+  let rest = List.nth pieces (List.length pieces - 1) in
+  List.rev !got = List.map strip complete
+  && String.equal (P.dec_take_rest d) rest
+  || Test.fail_report "decoded lines differ from the split"
+
+let test_line_cap () =
+  let cap = P.max_line in
+  Alcotest.(check int) "the cap is the binary frame cap" Wnet_proto_bin.max_frame
+    cap;
+  let line_of k = String.make k 'a' in
+  (* a line of exactly the cap, then its newline *)
+  let d = P.dec_create () in
+  P.dec_feed_string d (line_of cap ^ "\n") 0 (cap + 1);
+  (match P.next_line d with
+  | `Line l -> Alcotest.(check int) "a line of max_line bytes passes" cap
+                 (String.length l)
+  | _ -> Alcotest.fail "a line of max_line bytes must pass");
+  (* a partial line over the cap, fed in chunks *)
+  let d = P.dec_create () in
+  let chunk = line_of 4096 in
+  let rec feed k =
+    match P.next_line d with
+    | `Too_long -> k
+    | `Line _ -> Alcotest.fail "no newline was fed"
+    | `Need_more ->
+      P.dec_feed_string d chunk 0 4096;
+      feed (k + 4096)
+  in
+  let fed = feed 0 in
+  Alcotest.(check bool) "partial line refused just past the cap" true
+    (fed > cap && fed <= cap + 4096);
+  Alcotest.(check bool) "too long is sticky" true
+    (P.next_line d = `Too_long);
+  (* a complete line over the cap *)
+  let d = P.dec_create () in
+  P.dec_feed_string d "pay\n" 0 4;
+  P.dec_feed_string d (line_of (cap + 1) ^ "\npay\n") 0 (cap + 6);
+  Alcotest.(check bool) "lines before it still come out" true
+    (P.next_line d = `Line "pay");
+  Alcotest.(check bool) "a complete line over the cap is refused" true
+    (P.next_line d = `Too_long)
+
 let fig_digraph () =
   Wnet_graph.Digraph.create ~n:3 ~links:[ (2, 1, 1.0); (1, 0, 1.0) ]
 
@@ -540,4 +901,19 @@ let suite =
     Test_util.qcheck_case ~count:500
       "stats line parses at every arity (6/8/10/12 tokens)" stats_arity_gen
       stats_arity_prop;
+    Alcotest.test_case "line decoder: 1 MiB cap, partial and complete" `Quick
+      test_line_cap;
+    Test_util.qcheck_case ~count:1000
+      "text encoder = Printf reference + newline, every constructor"
+      render_gen render_prop;
+    Test_util.qcheck_case ~count:300
+      "pay-line memo output = fresh output over reply sequences" memo_gen
+      memo_prop;
+    Test_util.qcheck_case ~count:300 "encoder drained at random split points"
+      split_gen split_prop;
+    Alcotest.test_case "encoder scratch over 4 KiB shrinks once drained"
+      `Quick test_scratch_shrinks;
+    Test_util.qcheck_case ~count:500 "line decoder fed at random split points"
+      (Gen.pair line_text_gen (Gen.list_size (Gen.int_range 0 8) Gen.nat))
+      lines_prop;
   ]

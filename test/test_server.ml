@@ -1074,6 +1074,272 @@ let test_client_batch_verify_sharded () =
       "no foreign session's bytes interleave the batch transcript" expected
       own
 
+(* ---------------- bounded buffers and pipelined bursts ---------------- *)
+
+(* The stdin path's bytes for a reply list: the Printf reference, one
+   line per response. *)
+let stdin_bytes rs =
+  String.concat "" (List.map (fun r -> Proto_ref.print_response r ^ "\n") rs)
+
+let read_exactly fd len =
+  let b = Bytes.create len in
+  let rec go off =
+    if off < len then begin
+      let n = Unix.read fd b off (len - off) in
+      if n = 0 then Alcotest.failf "eof after %d of %d bytes" off len;
+      go (off + n)
+    end
+  in
+  go 0;
+  Bytes.to_string b
+
+let copy_digraph dg = Digraph.create ~n:(Digraph.n dg) ~links:(Digraph.links dg)
+
+(* A read that waits this long fails the test instead of hanging it. *)
+let read_timeout fd = Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0
+
+let pay_lines ic oc =
+  send oc "pay";
+  let rec go acc =
+    let l = input_line ic in
+    match P.parse_response l with
+    | Ok (P.Paid _) -> List.rev (l :: acc)
+    | Ok (P.Served _) -> go (l :: acc)
+    | _ -> Alcotest.failf "unexpected pay line %S" l
+  in
+  go []
+
+(* 4096 edits in one write, then a pay: the server splits them across
+   its 4 KiB reads, and every reply byte must equal the stdin path's. *)
+let test_pipelined_burst () =
+  let dg = random_digraph 42 ~n:24 in
+  let links = Array.of_list (Digraph.links dg) in
+  let path = socket_path "burst" in
+  let server =
+    Sv.create (Sv.Unix_path path) [| W.make ~root:0 (`Link (copy_digraph dg)) |]
+  in
+  let th = Thread.create Sv.serve server in
+  let reqs =
+    List.init 4096 (fun i ->
+        let u, v, _ = links.(i mod Array.length links) in
+        P.Cost_link { u; v; w = 1.0 +. (0.25 *. float_of_int (i mod 7)) })
+    @ [ P.Pay ]
+  in
+  let mirror = W.make ~root:0 (`Link (copy_digraph dg)) in
+  let want = String.concat "" (List.map (fun r -> stdin_bytes (P.handle mirror r)) reqs) in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  read_timeout fd;
+  ignore (read_line_fd fd);
+  let text =
+    String.concat "" (List.map (fun r -> P.print_request r ^ "\n") reqs)
+  in
+  write_all fd (Bytes.of_string text) 0 (String.length text);
+  let got = read_exactly fd (String.length want) in
+  Alcotest.(check bool) "burst replies byte-identical to the stdin path" true
+    (String.equal got want);
+  Unix.close fd;
+  Sv.shutdown server;
+  Thread.join th
+
+(* A peer that never ends its line: refused at the 1 MiB cap with err
+   and bye, and closed, while another client's payments do not move. *)
+let test_oversize_line () =
+  let dg = random_digraph 42 ~n:24 in
+  let path = socket_path "oversize" in
+  let server =
+    Sv.create (Sv.Unix_path path) [| W.make ~root:0 (`Link (copy_digraph dg)) |]
+  in
+  let th = Thread.create Sv.serve server in
+  let fd2, ic2, oc2 = connect path in
+  ignore (input_line ic2);
+  let before = pay_lines ic2 oc2 in
+  let fd, ic, _ = connect path in
+  read_timeout fd;
+  ignore (input_line ic);
+  (* 2 MiB, no newline; the server stops reading at the cap, so the
+     writer runs on its own thread and ends on the close *)
+  let writer =
+    Thread.create
+      (fun () ->
+        let chunk = Bytes.make 65536 'a' in
+        try
+          for _ = 1 to 32 do
+            write_all fd chunk 0 65536
+          done
+        with Unix.Unix_error _ -> ())
+      ()
+  in
+  Alcotest.(check string) "refused with a reason" "err line too long"
+    (input_line ic);
+  Alcotest.(check string) "then dismissed" "bye" (input_line ic);
+  (match input_line ic with
+  | exception (End_of_file | Sys_error _) -> ()
+  | l -> Alcotest.failf "expected the connection closed, got %S" l);
+  Thread.join writer;
+  Unix.close fd;
+  Alcotest.(check (list string)) "the other client's payments are unchanged"
+    before (pay_lines ic2 oc2);
+  send oc2 "quit";
+  Alcotest.(check string) "other client still answered" "bye" (input_line ic2);
+  Unix.close fd2;
+  Sv.shutdown server;
+  Thread.join th
+
+(* The published request count, once it has not moved for 0.1 s.  On
+   a loaded host that may come early; the checks below are bounds that
+   hold whenever the count is read. *)
+let settled_requests server =
+  let rec go last stable tries =
+    Thread.delay 0.02;
+    let r = (Sv.stats server).Sv.requests in
+    if r = last && stable >= 5 then r
+    else if tries = 0 then Alcotest.fail "server never settled"
+    else go r (if r = last then stable + 1 else 0) (tries - 1)
+  in
+  go (-1) 0 500
+
+(* A client that has read its greeting and reads nothing more. *)
+let stalled_client path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  read_timeout fd;
+  ignore (read_line_fd fd);
+  fd
+
+let send_pays fd k =
+  let pays = String.concat "" (List.init k (fun _ -> "pay\n")) in
+  write_all fd (Bytes.of_string pays) 0 (String.length pays)
+
+(* More pays than the output cap plus whatever the kernel may hold
+   between the two ends (at most 2 x SO_SNDBUF; 4 x for room), so a
+   server that never pauses would answer them all. *)
+let pays_past_cap fd reply =
+  ((P.max_line + (4 * Unix.getsockopt_int fd Unix.SO_SNDBUF))
+  / String.length reply)
+  + 50
+
+(* A client that pipelines pays past the cap and reads nothing: its
+   shard holds at most the output cap plus one reply, serves a second
+   client meanwhile, and then delivers every reply in order. *)
+let test_stalled_reader () =
+  let dg0 = random_digraph 7 ~n:60 and dg1 = random_digraph 42 ~n:24 in
+  let path = socket_path "stalled" in
+  let server =
+    Sv.create (Sv.Unix_path path)
+      [|
+        W.make ~root:0 (`Link (copy_digraph dg0));
+        W.make ~root:0 (`Link (copy_digraph dg1));
+      |]
+  in
+  let th = Thread.create Sv.serve server in
+  let reply = stdin_bytes (P.handle (W.make ~root:0 (`Link dg0)) P.Pay) in
+  let fd = stalled_client path in
+  let pays = pays_past_cap fd reply in
+  send_pays fd pays;
+  let kernel = 2 * Unix.getsockopt_int fd Unix.SO_SNDBUF in
+  let check_held what answered =
+    let held = (answered * String.length reply) - kernel in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: output held at the cap (%d of %d pays answered, %d B each)"
+         what answered pays (String.length reply))
+      true
+      (answered < pays && held <= P.max_line + String.length reply)
+  in
+  check_held "paused" (settled_requests server);
+  (* a second client, on the other session, is served meanwhile *)
+  let fd2, ic2, oc2 = connect path in
+  ignore (input_line ic2);
+  send oc2 "session 1";
+  ignore (input_line ic2);
+  let mirror = W.make ~root:0 (`Link (copy_digraph dg1)) in
+  let links = Array.of_list (Digraph.links dg1) in
+  for i = 0 to 3 do
+    let u, v, _ = links.(i) in
+    let r = P.Cost_link { u; v; w = 2.0 +. float_of_int i } in
+    send oc2 (P.print_request r);
+    Alcotest.(check string) "second client's edit acked"
+      (Proto_ref.print_response (List.hd (P.handle mirror r)))
+      (input_line ic2)
+  done;
+  Alcotest.(check string) "second client's payments = stdin path"
+    (stdin_bytes (P.handle mirror P.Pay))
+    (String.concat "" (List.map (fun l -> l ^ "\n") (pay_lines ic2 oc2)));
+  send oc2 "quit";
+  ignore (input_line ic2);
+  Unix.close fd2;
+  (* session 1, four edits, pay and quit: 7 requests of the second client *)
+  check_held "still paused" (settled_requests server - 7);
+  let got = read_exactly fd (pays * String.length reply) in
+  Alcotest.(check bool) "every reply in order, byte-identical to stdin" true
+    (String.equal got (String.concat "" (List.init pays (fun _ -> reply))));
+  write_all fd (Bytes.of_string "quit\n") 0 5;
+  Alcotest.(check string) "then quit" "bye" (read_line_fd fd);
+  Unix.close fd;
+  Sv.shutdown server;
+  Thread.join th
+
+let cpu_seconds () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
+
+(* With an idle timeout, two clients stall past the limit: one paused
+   over the output cap with requests still buffered, one under the cap
+   with output the kernel would not take.  The shard does not spin on
+   them, a third client is served meanwhile, and once each reads it
+   gets every reply, then [err idle timeout] and [bye]. *)
+let test_stalled_reader_idle () =
+  let limit = 0.5 in
+  let dg = random_digraph 7 ~n:60 in
+  let path = socket_path "stalled-idle" in
+  let server =
+    Sv.create ~idle_timeout:limit (Sv.Unix_path path)
+      [| W.make ~root:0 (`Link (copy_digraph dg)) |]
+  in
+  let th = Thread.create Sv.serve server in
+  let reply = stdin_bytes (P.handle (W.make ~root:0 (`Link dg)) P.Pay) in
+  let fda = stalled_client path in
+  let pays_a = pays_past_cap fda reply in
+  send_pays fda pays_a;
+  (* past what the kernel takes, well under the cap at the usual
+     socket buffer sizes (paused too otherwise: it ends the same) *)
+  let fdb = stalled_client path in
+  let pays_b =
+    (2 * Unix.getsockopt_int fdb Unix.SO_SNDBUF / String.length reply) + 10
+  in
+  send_pays fdb pays_b;
+  ignore (settled_requests server);
+  Thread.delay (2.0 *. limit);
+  let cpu0 = cpu_seconds () in
+  Thread.delay 1.0;
+  let cpu = cpu_seconds () -. cpu0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "no spin on stalled clients (%.3f s CPU in 1 s)" cpu)
+    true (cpu < 0.5);
+  let fdc, icc, occ = connect path in
+  ignore (input_line icc);
+  Alcotest.(check string) "third client's payments = stdin path" reply
+    (String.concat "" (List.map (fun l -> l ^ "\n") (pay_lines icc occ)));
+  send occ "quit";
+  Alcotest.(check string) "third client done" "bye" (input_line icc);
+  Unix.close fdc;
+  let finish what fd k =
+    let got = read_exactly fd (k * String.length reply) in
+    Alcotest.(check bool)
+      (what ^ ": every reply in order, byte-identical to stdin")
+      true
+      (String.equal got (String.concat "" (List.init k (fun _ -> reply))));
+    Alcotest.(check string) (what ^ ": then told why") "err idle timeout"
+      (read_line_fd fd);
+    Alcotest.(check string) (what ^ ": then dismissed") "bye" (read_line_fd fd);
+    expect_eof_fd fd (what ^ ": closed");
+    Unix.close fd
+  in
+  finish "paused client" fda pays_a;
+  finish "closing client" fdb pays_b;
+  Sv.shutdown server;
+  Thread.join th
+
 let suite =
   [
     Alcotest.test_case "socket smoke: greet, pay, quit" `Quick test_smoke;
@@ -1097,4 +1363,12 @@ let suite =
       test_shard_shutdown_drains;
     Alcotest.test_case "batch --verify-responses client vs 2-shard server"
       `Quick test_client_batch_verify_sharded;
+    Alcotest.test_case "4096-line pipelined burst = stdin path" `Quick
+      test_pipelined_burst;
+    Alcotest.test_case "line over 1 MiB: err, bye, close; others unchanged"
+      `Quick test_oversize_line;
+    Alcotest.test_case "stalled reader paused at the output cap" `Quick
+      test_stalled_reader;
+    Alcotest.test_case "stalled readers past the idle limit: replies, then bye"
+      `Quick test_stalled_reader_idle;
   ]
