@@ -6,7 +6,8 @@ type t = {
   path : Path.t;
   lcp_cost : float;
   relay_cost : float;
-  payments : float array;
+  relay_pay : float array;
+  charge : float;
 }
 
 let validate g ~src ~dst =
@@ -17,16 +18,24 @@ let validate g ~src ~dst =
 
 let build_result g ~src ~dst ~path ~lcp_cost ~avoid_dist =
   (* [avoid_dist k] = cost of the best src->dst path with node k silenced. *)
-  let payments = Array.make (Digraph.n g) 0.0 in
   let len = Array.length path in
-  for l = 1 to len - 2 do
-    let k = path.(l) in
-    let used_link = Digraph.weight g k path.(l + 1) in
-    let delta = avoid_dist k -. lcp_cost in
-    payments.(k) <- used_link +. delta
-  done;
+  let relay_pay =
+    Array.init (max 0 (len - 2)) (fun i ->
+        let k = path.(i + 1) in
+        let used_link = Digraph.weight g k path.(i + 2) in
+        let delta = avoid_dist k -. lcp_cost in
+        used_link +. delta)
+  in
   let first_link = if len >= 2 then Digraph.weight g path.(0) path.(1) else 0.0 in
-  { src; dst; path; lcp_cost; relay_cost = lcp_cost -. first_link; payments }
+  {
+    src;
+    dst;
+    path;
+    lcp_cost;
+    relay_cost = lcp_cost -. first_link;
+    relay_pay;
+    charge = Wnet_session.relay_charge path relay_pay;
+  }
 
 let run g ~src ~dst =
   validate g ~src ~dst;
@@ -42,9 +51,9 @@ let run g ~src ~dst =
     in
     Some (build_result g ~src ~dst ~path ~lcp_cost ~avoid_dist)
 
-let total_payment r = Wnet_session.sum_payments r.payments
+let total_payment r = r.charge
 
-let payment_to r v = r.payments.(v)
+let payment_to r v = Wnet_session.relay_payment r.path r.relay_pay v
 
 type batch = {
   root : int;
@@ -94,7 +103,8 @@ let all_to_root ?(strategy = Zero_copy) ?(pool = Wnet_par.sequential)
                  path = o.S.path;
                  lcp_cost = o.S.lcp_cost;
                  relay_cost = o.S.relay_cost;
-                 payments = o.S.payments;
+                 relay_pay = o.S.relay_pay;
+                 charge = o.S.charge;
                }))
           b.S.results;
     }
@@ -157,8 +167,8 @@ let ic_spot_check rng g ~src ~dst ~trials =
       else used (l + 1)
     in
     match used 0 with
-    | Some w when k <> dst -> result.payments.(k) -. w
-    | _ -> result.payments.(k)
+    | Some w when k <> dst -> payment_to result k -. w
+    | _ -> payment_to result k
   in
   match run g ~src ~dst with
   | None -> []

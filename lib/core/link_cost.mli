@@ -24,8 +24,14 @@ type t = {
       (** [lcp_cost] minus the source's first-link cost: the cost incurred
           by the {e paid} nodes.  Overpayment ratios use this, matching
           the node-cost model's "relay cost" convention. *)
-  payments : float array;
-      (** per node; [infinity] marks a monopoly transmitter. *)
+  relay_pay : float array;
+      (** aligned with [path]: [relay_pay.(i)] pays [path.(i + 1)];
+          [infinity] marks a monopoly transmitter.  Every other node is
+          paid nothing. *)
+  charge : float;
+      (** the total payment: [relay_pay] added from [+0.0] in ascending
+          relay id ({!Wnet_session.relay_charge}), bit-identical to
+          folding the dense per-node vector left to right *)
 }
 
 val run : Wnet_graph.Digraph.t -> src:int -> dst:int -> t option
@@ -33,8 +39,11 @@ val run : Wnet_graph.Digraph.t -> src:int -> dst:int -> t option
     @raise Invalid_argument if [src = dst] or out of range. *)
 
 val total_payment : t -> float
+(** [charge]: what the source is charged. *)
 
 val payment_to : t -> int -> float
+(** The payment to one node: its [relay_pay] entry, [0.0] off the
+    relays. *)
 
 type batch = {
   root : int;

@@ -7,17 +7,27 @@ type t = {
   dst : int;
   path : Path.t;
   lcp_cost : float;
-  payments : float array;
+  relay_pay : float array;
+  charge : float;
 }
 
 let of_replacements g (res : Avoid.result) ~src ~dst =
-  let payments = Array.make (Graph.n g) 0.0 in
   let path = res.Avoid.path in
-  for l = 1 to Array.length path - 2 do
-    let k = path.(l) in
-    payments.(k) <- res.Avoid.replacement.(l) -. res.Avoid.lcp_cost +. Graph.cost g k
-  done;
-  { src; dst; path; lcp_cost = res.Avoid.lcp_cost; payments }
+  let relay_pay =
+    Array.init
+      (max 0 (Array.length path - 2))
+      (fun i ->
+        let l = i + 1 in
+        res.Avoid.replacement.(l) -. res.Avoid.lcp_cost +. Graph.cost g path.(l))
+  in
+  {
+    src;
+    dst;
+    path;
+    lcp_cost = res.Avoid.lcp_cost;
+    relay_pay;
+    charge = Wnet_session.relay_charge path relay_pay;
+  }
 
 let run ?algo g ~src ~dst =
   let algo =
@@ -32,15 +42,15 @@ let run ?algo g ~src ~dst =
   in
   Option.map (fun r -> of_replacements g r ~src ~dst) res
 
-let total_payment r = Wnet_session.sum_payments r.payments
+let total_payment r = r.charge
 
-let payment_to r v = r.payments.(v)
+let payment_to r v = Wnet_session.relay_payment r.path r.relay_pay v
 
 let relays r = Array.to_list (Path.relays r.path)
 
 let utility r ~truth k =
   let relaying = Path.mem r.path k && k <> r.src && k <> r.dst in
-  r.payments.(k) -. (if relaying then truth.(k) else 0.0)
+  payment_to r k -. (if relaying then truth.(k) else 0.0)
 
 let overpayment r = total_payment r -. r.lcp_cost
 
@@ -71,7 +81,8 @@ let all_to_root ?(pool = Wnet_par.sequential) ?(kernel = `CsrBounded) g ~root =
            dst = root;
            path = o.S.path;
            lcp_cost = o.S.lcp_cost;
-           payments = o.S.payments;
+           relay_pay = o.S.relay_pay;
+           charge = o.S.charge;
          }))
     (S.payments s)
 

@@ -22,9 +22,14 @@ type t = {
   dst : int;
   path : Wnet_graph.Path.t;  (** the chosen LCP *)
   lcp_cost : float;  (** its relay cost [||P||] *)
-  payments : float array;
-      (** [payments.(v)]: payment to node [v]; non-zero only on relays.
-          [infinity] marks a monopoly relay (graph not biconnected). *)
+  relay_pay : float array;
+      (** aligned with [path]: [relay_pay.(i)] is the payment to relay
+          [path.(i + 1)]; every other node is paid 0.  [infinity] marks
+          a monopoly relay (graph not biconnected). *)
+  charge : float;
+      (** the total payment: [relay_pay] added from [+0.0] in ascending
+          relay id ({!Wnet_session.relay_charge}), bit-identical to
+          folding the dense per-node vector left to right *)
 }
 
 val run : ?algo:algo -> Wnet_graph.Graph.t -> src:int -> dst:int -> t option
@@ -34,9 +39,11 @@ val run : ?algo:algo -> Wnet_graph.Graph.t -> src:int -> dst:int -> t option
     @raise Invalid_argument if [src = dst] or out of range. *)
 
 val total_payment : t -> float
-(** Sum of all payments — what the source is charged. *)
+(** [charge]: the sum of all payments, what the source is charged. *)
 
 val payment_to : t -> int -> float
+(** The payment to one node: its [relay_pay] entry, [0.0] off the
+    relays. *)
 
 val relays : t -> int list
 

@@ -50,6 +50,22 @@ let make_index (tree : Dijkstra.tree) =
 
 let index_size idx = idx.idx_n
 
+(* [buf] is the queue: children are appended behind the node whose
+   children are being listed. *)
+let descendants idx k buf =
+  let len = ref 0 and i = ref (-1) and x = ref k in
+  while !i < !len do
+    let c = ref idx.first_child.(!x) in
+    while !c >= 0 do
+      buf.(!len) <- !c;
+      incr len;
+      c := idx.next_sib.(!c)
+    done;
+    incr i;
+    if !i < !len then x := buf.(!i)
+  done;
+  !len
+
 (* Breadth-first from the source over the child lists, then one reverse
    pass folding each node's count into its parent. *)
 let subtree_sizes idx (tree : Dijkstra.tree) =

@@ -28,6 +28,12 @@ val make_index : Dijkstra.tree -> index
 val index_size : index -> int
 (** Number of nodes the index was built over. *)
 
+val descendants : index -> int -> int array -> int
+(** [descendants idx k buf] writes the strict descendants of [k] in the
+    indexed tree into [buf], breadth-first, and returns their count.
+    [buf] must hold at least as many slots as the index has nodes.
+    Allocates nothing. *)
+
 val subtree_sizes : index -> Dijkstra.tree -> int array
 (** [subtree_sizes idx tree] counts, for every node, itself plus its
     descendants in [tree] (the tree [idx] was built from).  Nodes the

@@ -7,7 +7,13 @@ let never _ = false
    loop is monomorphic int indexing with no per-link tuple to chase.
    Settling pops only the key — the indexed heap keeps priority =
    distance for every live key, so the popped distance is read back from
-   the dist array without allocating the (key, prio) tuple. *)
+   the dist array without allocating the (key, prio) tuple.  Priorities
+   are written through [prios] and ordered by [touch], as in the scratch
+   kernels below: classic ocamlopt boxes a float passed to [insert] or
+   [insert_or_decrease], so the solvers allocate only the arrays they
+   return and their heap.  [forbidden] is asked only about a node a
+   relaxation would improve: a forbidden node is never labelled, and
+   the answer is the same whenever it is asked. *)
 
 let node_weighted ?(forbidden = never) g ~source =
   let n = Graph.n g in
@@ -18,8 +24,10 @@ let node_weighted ?(forbidden = never) g ~source =
   let dist = Array.make n infinity in
   let parent = Array.make n (-1) in
   let heap = Indexed_heap.create n in
+  let prio = Indexed_heap.prios heap in
   dist.(source) <- 0.0;
-  Indexed_heap.insert heap source 0.0;
+  prio.(source) <- 0.0;
+  Indexed_heap.touch heap source;
   while not (Indexed_heap.is_empty heap) do
     let u = Indexed_heap.pop_min_key heap in
     let du = dist.(u) in
@@ -27,12 +35,12 @@ let node_weighted ?(forbidden = never) g ~source =
     let cand = if u = source then du else du +. cost.(u) in
     for i = row_off.(u) to row_off.(u + 1) - 1 do
       let w = Array.unsafe_get col i in
-      if not (forbidden w) then
-        if cand < dist.(w) then begin
-          dist.(w) <- cand;
-          parent.(w) <- u;
-          Indexed_heap.insert_or_decrease heap w cand
-        end
+      if cand < dist.(w) && not (forbidden w) then begin
+        dist.(w) <- cand;
+        parent.(w) <- u;
+        prio.(w) <- cand;
+        Indexed_heap.touch heap w
+      end
     done
   done;
   parent.(source) <- -1;
@@ -46,20 +54,21 @@ let link_weighted ?(forbidden = never) g source =
   let dist = Array.make n infinity in
   let parent = Array.make n (-1) in
   let heap = Indexed_heap.create n in
+  let prio = Indexed_heap.prios heap in
   dist.(source) <- 0.0;
-  Indexed_heap.insert heap source 0.0;
+  prio.(source) <- 0.0;
+  Indexed_heap.touch heap source;
   while not (Indexed_heap.is_empty heap) do
     let u = Indexed_heap.pop_min_key heap in
     let du = dist.(u) in
     for i = row_off.(u) to row_off.(u + 1) - 1 do
       let w = Array.unsafe_get col i in
-      if not (forbidden w) then begin
-        let cand = du +. Array.unsafe_get wgt i in
-        if cand < dist.(w) then begin
-          dist.(w) <- cand;
-          parent.(w) <- u;
-          Indexed_heap.insert_or_decrease heap w cand
-        end
+      let cand = du +. Array.unsafe_get wgt i in
+      if cand < dist.(w) && not (forbidden w) then begin
+        dist.(w) <- cand;
+        parent.(w) <- u;
+        prio.(w) <- cand;
+        Indexed_heap.touch heap w
       end
     done
   done;
@@ -300,10 +309,18 @@ let dist t v = t.dist.(v)
 
 let reachable t v = t.dist.(v) < infinity
 
-let path_in_tree t v =
-  if not (reachable t v) then invalid_arg "Dijkstra.path_in_tree: unreachable";
-  let rec up v acc = if v = t.source then v :: acc else up t.parent.(v) (v :: acc) in
-  List.rev (up v [])
+let path_up t v =
+  if not (reachable t v) then invalid_arg "Dijkstra.path_up: unreachable";
+  let len = ref 1 and u = ref v in
+  while !u <> t.source do
+    u := t.parent.(!u);
+    incr len
+  done;
+  let p = Array.make !len v in
+  for i = 1 to !len - 1 do
+    p.(i) <- t.parent.(p.(i - 1))
+  done;
+  p
 
 let path_to t v =
   if not (reachable t v) then None

@@ -23,7 +23,10 @@
      ({!Wnet_graph.Avoid_region}: only the relay's subtree is settled).
 
    Both give bit-identical arrays, so the choice moves time, never a
-   payment. *)
+   payment.
+
+   The cache also assembles the payments from its arrays ({!charges}):
+   one pass over the relays, no vector per source. *)
 
 open Wnet_graph
 
@@ -44,8 +47,9 @@ type t = {
   region_hist : int array;
   mutable index : (int * Avoid_region.index * int array) option;
       (* the shared tree's child lists and subtree sizes, keyed by the
-         engine's tree stamp: built once per tree, for the flush and the
-         refill after it *)
+         engine's tree stamp: built once per tree, for the flush, the
+         refill after it and the payment pass *)
+  mutable below : int array;  (* the payment pass's subtree buffer *)
 }
 
 (* Region-size histogram: bucket 0 holds empty regions, bucket [i >= 1]
@@ -81,6 +85,7 @@ let create pool n =
     avoid_fallback = 0;
     region_hist = Array.make hist_buckets 0;
     index = None;
+    below = [||];
   }
 
 let record_region t r =
@@ -163,16 +168,17 @@ let relays (tree : Dijkstra.tree) =
 (* The cost model.
 
    Refilling entry [j] copies the [n] tree distances into its array,
-   which the payment vectors of the last payments call have pushed out
-   of cache, and re-settles [j]'s strict descendants in the shared SPT;
-   past the region budget it is a full Dijkstra.  Repairing [j]
-   re-settles the part of [j]'s search tree its touching edits disturb.
-   Outside subtree([j]) that search's labels equal the tree's, so an
-   edit on the shared tree disturbs about its head's subtree there, and
-   an edit off the tree (which the tree, hence that exterior, does not
-   use) disturbs at most subtree([j]) itself.  A rise first chases and
-   wipes the labels its old weight realised, a fall only seeds and
-   settles the labels it improves, so the two are priced apart.  Constants are ns per edit and per region
+   priced as a copy into an array out of cache (which assumes the work
+   between two flushes evicts the entry arrays), and re-settles [j]'s
+   strict descendants in the shared SPT; past the region budget it is a
+   full Dijkstra.  Repairing [j] re-settles the part of [j]'s search
+   tree its touching edits disturb.  Outside subtree([j]) that search's
+   labels equal the tree's, so an edit on the shared tree disturbs about
+   its head's subtree there, and an edit off the tree (which the tree,
+   hence that exterior, does not use) disturbs at most subtree([j])
+   itself.  A rise first chases and wipes the labels its old weight
+   realised, a fall only seeds and settles the labels it improves, so
+   the two are priced apart.  Constants are ns per edit and per region
    node, fitted to the micro rows [repair/*] on the served topology
    (DESIGN.md has the table); only their ratios steer the choice. *)
 
@@ -307,3 +313,64 @@ let refill t ~(tree : Dijkstra.tree) ~stamp ~bounded ~full relays =
   end;
   t.avoid_runs <- t.avoid_runs + Array.length missing;
   t.avoid_reused <- t.avoid_reused + (Array.length relays - Array.length missing)
+
+(* ------------------------------------------------------------------ *)
+(* Payment assembly (DESIGN.md, "Payment assembly").
+
+   Source [s] pays relay [k] of its path [own k +. (a -. d)] in the link
+   model and [own k +. a -. d] in the node model: [a] is [s]'s label in
+   [k]'s avoidance array, [d] its tree distance, and [own k] the cost
+   [k] declares for forwarding (the weight of its tree link, or its node
+   cost).  A charge is the dense payment vector folded left from [+0.0]
+   in ascending node id.  That vector is [+0.0] off the relays, and
+   adding [+0.0] never changes a sum that starts at [+0.0] (such a sum
+   is never [-0.0]), so the charge is the relays' payments added in
+   ascending id.  The relays of [s] are its strict ancestors in the
+   shared tree, the root excepted; so a pass over the relays in
+   ascending id that adds each relay's payment into every strict
+   descendant makes, for every source, exactly those additions in
+   exactly that order. *)
+
+let[@inline] pay model own a d =
+  match model with `Link -> own +. (a -. d) | `Node -> own +. a -. d
+
+let avoid_of t k =
+  match t.avoid.(k) with
+  | Some a -> a
+  | None -> invalid_arg "Avoid_cache: relay without an avoidance array"
+
+(* Per source, its charge ([+0.0] for the root, for sources next to it
+   and for unreached ones), and the relays some source pays [infinity]
+   (ascending).  Every relay's entry must be exact: call after
+   {!refill}. *)
+let charges t ~(tree : Dijkstra.tree) ~stamp ~model ~own relays =
+  let n = Array.length tree.Dijkstra.dist in
+  let idx, _ = index t ~stamp tree in
+  if Array.length t.below < n then t.below <- Array.make n 0;
+  let below = t.below and dist = tree.Dijkstra.dist in
+  let charge = Array.make n 0.0 in
+  let cut = ref [] in
+  for r = 0 to Array.length relays - 1 do
+    let k = relays.(r) in
+    let a = avoid_of t k in
+    let w = own k in
+    let monopoly = ref false in
+    for i = 0 to Avoid_region.descendants idx k below - 1 do
+      let s = Array.unsafe_get below i in
+      charge.(s) <- charge.(s) +. pay model w a.(s) dist.(s);
+      if a.(s) = infinity then monopoly := true
+    done;
+    if !monopoly then cut := k :: !cut
+  done;
+  (charge, List.rev !cut)
+
+(* The payments along [path], aligned with it: entry [i] pays
+   [path.(i + 1)]. *)
+let relay_pay t ~(tree : Dijkstra.tree) ~model ~own path =
+  let src = path.(0) in
+  let d = tree.Dijkstra.dist.(src) in
+  Array.init
+    (max 0 (Array.length path - 2))
+    (fun i ->
+      let k = path.(i + 1) in
+      pay model (own k) (avoid_of t k).(src) d)

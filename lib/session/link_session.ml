@@ -5,7 +5,8 @@ type outcome = {
   path : Path.t;
   lcp_cost : float;
   relay_cost : float;
-  payments : float array;
+  relay_pay : float array;
+  charge : float;
 }
 
 type batch = {
@@ -46,6 +47,8 @@ type t = {
   mutable tree_version : int;
   cache : Avoid_cache.t;
   mutable unbounded : int list;
+  mutable settled : (int * Dijkstra.tree * float array) option;
+      (* the tree and the payment pass's charges, keyed by version *)
   mutable last : (int * batch) option;  (* memoized batch, keyed by version *)
   pending : (int * int, float) Hashtbl.t;
       (* links cost-edited since the last flush, mapped to their weight
@@ -73,6 +76,7 @@ let create ?(pool = Wnet_par.sequential) ?(copy = true) ?(kernel = `CsrBounded)
     tree_version = -1;
     cache = Avoid_cache.create pool n;
     unbounded = [];
+    settled = None;
     last = None;
     pending = Hashtbl.create 16;
     pending_order = [];
@@ -85,7 +89,18 @@ let create ?(pool = Wnet_par.sequential) ?(copy = true) ?(kernel = `CsrBounded)
 
 let n t = Digraph.n t.g
 let root t = t.root
-let cost t u v = Digraph.weight t.g u v
+
+(* [Digraph.weight] indexes the row of [u] unchecked. *)
+let check_link ~what t u v =
+  let nn = n t in
+  if u < 0 || u >= nn || v < 0 || v >= nn then
+    invalid_arg
+      (Printf.sprintf "%s: link %d -> %d: node out of range 0..%d" what u v (nn - 1))
+
+let cost t u v =
+  check_link ~what:"Link_session.cost" t u v;
+  Digraph.weight t.g u v
+
 let version t = Digraph.version t.g
 let snapshot t = Digraph.copy t.g
 let stats t =
@@ -181,6 +196,7 @@ let flush t =
   end
 
 let set_cost t u v w =
+  check_link ~what:"Link_session.set_cost" t u v;
   let w0 = Digraph.weight t.g u v in
   if not (Float.equal w0 w) then begin
     Digraph.set_weight t.g u v w;
@@ -307,14 +323,17 @@ let shared_tree t =
     t.spt_runs <- t.spt_runs + 1;
     Dynamic_sssp.tree dy
 
-let payments t =
-  match t.last with
-  | Some (v, batch) when v = version t -> batch
+(* The weight of [k]'s tree link: what relay [k] declares for
+   forwarding every source of its subtree. *)
+let own_link t (tree : Dijkstra.tree) k =
+  Digraph.weight t.g k tree.Dijkstra.parent.(k)
+
+let charges t =
+  match t.settled with
+  | Some (v, tree, charge) when v = version t -> (tree, charge)
   | _ ->
     flush t;
-    let nn = n t in
     let tree = shared_tree t in
-    let next_hop v = tree.Dijkstra.parent.(v) in
     (* Per-relay fills bounded to the relay's SPT subtree: exterior
        distances are copied bit-for-bit from the shared tree, only the
        region is wiped/reseeded/settled.  Oversized subtrees fall back to
@@ -335,51 +354,40 @@ let payments t =
       | `Boxed ->
         Dijkstra.link_weighted_dist scratch ~forbidden:(fun v -> v = k) t.rev t.root
     in
-    Avoid_cache.refill t.cache ~tree ~stamp:t.tree_version ~bounded ~full
-      (Avoid_cache.relays tree);
-    let avoid = t.cache.Avoid_cache.avoid in
-    let cut = Array.make nn false in
+    let relays = Avoid_cache.relays tree in
+    Avoid_cache.refill t.cache ~tree ~stamp:t.tree_version ~bounded ~full relays;
+    let charge, cut =
+      Avoid_cache.charges t.cache ~tree ~stamp:t.tree_version ~model:`Link
+        ~own:(own_link t tree) relays
+    in
+    t.unbounded <- cut;
+    t.settled <- Some (version t, tree, charge);
+    (tree, charge)
+
+let payments t =
+  match t.last with
+  | Some (v, batch) when v = version t -> batch
+  | _ ->
+    let tree, charge = charges t in
     let results =
-      Array.init nn (fun src ->
+      Array.init (n t) (fun src ->
           if src = t.root || not (Dijkstra.reachable tree src) then None
           else begin
-            let rec chain v acc =
-              if v = t.root then List.rev (t.root :: acc)
-              else chain (next_hop v) (v :: acc)
-            in
-            let path = Array.of_list (chain src []) in
+            let path = Dijkstra.path_up tree src in
             let lcp_cost = Dijkstra.dist tree src in
-            let len = Array.length path in
-            let payments = Array.make nn 0.0 in
-            for l = 1 to len - 2 do
-              let k = path.(l) in
-              let used_link = Digraph.weight t.g k path.(l + 1) in
-              let avoid_k =
-                match avoid.(k) with
-                | Some d -> d.(src)
-                | None -> assert false (* every internal node is a relay *)
-              in
-              let delta = avoid_k -. lcp_cost in
-              payments.(k) <- used_link +. delta;
-              if avoid_k = infinity then cut.(k) <- true
-            done;
-            let first_link =
-              if len >= 2 then Digraph.weight t.g path.(0) path.(1) else 0.0
-            in
             Some
               {
                 src;
                 path;
                 lcp_cost;
-                relay_cost = lcp_cost -. first_link;
-                payments;
+                relay_cost = lcp_cost -. Digraph.weight t.g src path.(1);
+                relay_pay =
+                  Avoid_cache.relay_pay t.cache ~tree ~model:`Link
+                    ~own:(own_link t tree) path;
+                charge = charge.(src);
               }
           end)
     in
-    t.unbounded <- [];
-    for k = nn - 1 downto 0 do
-      if cut.(k) then t.unbounded <- k :: t.unbounded
-    done;
     let batch =
       { root = t.root; to_root_dist = Array.copy tree.Dijkstra.dist; results }
     in

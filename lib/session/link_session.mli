@@ -24,7 +24,7 @@
     - each exact avoidance array is slack-tested against the burst's
       net edits; an array no edit touches is kept as it is;
     - a touched array is either repaired in place with only the edits
-      that touch it, or dropped and refilled at the next {!payments}
+      that touch it, or dropped and refilled at the next {!charges}
       by the subtree-bounded kernel ({!Wnet_graph.Avoid_region}),
       into its own storage.  A cost model picks the cheaper per entry,
       from subtree sizes in the repaired tree: the labels the touching
@@ -48,8 +48,14 @@ type outcome = {
   path : Wnet_graph.Path.t;  (** [src; ...; root] *)
   lcp_cost : float;  (** full directed path cost *)
   relay_cost : float;  (** [lcp_cost] minus the source's first link *)
-  payments : float array;
-      (** per node; [infinity] marks a cut-vertex (monopoly) relay *)
+  relay_pay : float array;
+      (** aligned with [path]: [relay_pay.(i)] pays [path.(i + 1)];
+          [infinity] marks a cut-vertex (monopoly) relay.  Every other
+          node is paid nothing. *)
+  charge : float;
+      (** the total payment: [relay_pay] added from [+0.0] in ascending
+          relay id, bit-identical to folding the dense per-node vector
+          left to right *)
 }
 
 type batch = {
@@ -70,7 +76,7 @@ type stats = {
           non-empty net burst, one per join/leave/rejoin *)
   spt_runs : int;  (** shared-tree Dijkstras (initial build + rebuilds) *)
   avoid_runs : int;
-      (** avoidance arrays refilled at {!payments}: first fills, entries
+      (** avoidance arrays refilled at {!charges}: first fills, entries
           the flush policy dropped, and entries whose repair overflowed *)
   avoid_reused : int;  (** relay results served from cache *)
   repaired_entries : int;
@@ -126,7 +132,8 @@ val n : t -> int
 val root : t -> int
 
 val cost : t -> int -> int -> float
-(** Current declared cost of a link, [infinity] when absent. *)
+(** Current declared cost of a link, [infinity] when absent.
+    @raise Invalid_argument if an endpoint is out of range. *)
 
 val version : t -> int
 (** The underlying graph's version stamp; bumps on every edit. *)
@@ -139,17 +146,19 @@ val set_cost : t -> int -> int -> float -> unit
 (** [set_cost s u v w] sets the declared cost of link [u -> v]:
     update, insert, or remove ([w = infinity]).  The graph mutates
     immediately, but cache maintenance is {e deferred}: a burst of cost
-    edits arriving before the next {!payments} (or structural delta) is
+    edits arriving before the next {!charges} (or structural delta) is
     coalesced into one {!flush} pass that applies the flush policy to
     the burst's net link changes, instead of one pass per edit.  Edits
     reverted within a burst cancel out entirely.
-    @raise Invalid_argument as {!Wnet_graph.Digraph.set_weight}. *)
+    @raise Invalid_argument, before any change, when an endpoint is out
+    of range, and as {!Wnet_graph.Digraph.set_weight} otherwise
+    (self-loop, NaN or negative weight). *)
 
 val flush : t -> unit
 (** Fold the cost edits buffered since the last flush into one pass of
     the flush policy, now: the shared tree is repaired, and every exact
     avoidance cache is kept, repaired or dropped.  Called automatically
-    by {!payments} and by the structural deltas ({!add_node},
+    by {!charges} and by the structural deltas ({!add_node},
     {!remove_node}, {!rejoin_node}); calling it after every edit
     reproduces eager per-edit maintenance (what the bench's
     one-at-a-time baseline does).  A no-op when nothing is buffered. *)
@@ -180,15 +189,26 @@ val rejoin_node :
     @raise Invalid_argument when [v] is the root, out of range, or not
     isolated, or on invalid endpoints or weights. *)
 
-val payments : t -> batch
-(** The all-to-root batch for the current topology.  Flushes, then
+val charges : t -> Wnet_graph.Dijkstra.tree * float array
+(** [charges s] brings the session up to date and returns the shared
+    reversed-graph tree (a source's next hop towards the root is its
+    [parent]; unreached sources have [dist = infinity]) and every
+    source's total payment, from one relay-major pass over the
+    avoidance caches (DESIGN.md, "Payment assembly").  Flushes, then
     refills only the relays whose cache is missing or was dropped
     (fanned out over the pool, through the session's per-domain
-    scratches, each into its own array), and memoizes the batch until
-    the next edit. *)
+    scratches, each into its own array).  A charge is [+0.0] for the
+    root, for sources next to it and for unreached sources.  Memoized
+    until the next edit; both values are the session's own and valid
+    until then. *)
+
+val payments : t -> batch
+(** The all-to-root batch for the current topology, one outcome per
+    served source, built from {!charges}; memoized until the next
+    edit. *)
 
 val unbounded_relays : t -> int list
-(** Cut-vertex relays as of the last {!payments} call: relays whose
+(** Cut-vertex relays as of the last {!charges} call: relays whose
     removal disconnects some served source from the root, making their
     VCG payment unbounded (Sec. III-G).  Tracked from the cached
     avoidance arrays — no extra graph traversal.  Sorted ascending. *)

@@ -4,7 +4,8 @@ type outcome = {
   src : int;
   path : Path.t;
   lcp_cost : float;
-  payments : float array;
+  relay_pay : float array;
+  charge : float;
 }
 
 type stats = {
@@ -38,6 +39,8 @@ type t = {
   mutable tree_version : int;
   cache : Avoid_cache.t;
   mutable unbounded : int list;
+  mutable settled : (int * Dijkstra.tree * float array) option;
+      (* the tree and the payment pass's charges, keyed by version *)
   mutable last : (int * outcome option array) option;
   pending : (int, float) Hashtbl.t;
       (* nodes cost-edited since the last flush, mapped to their cost
@@ -62,6 +65,7 @@ let create ?(pool = Wnet_par.sequential) ?(kernel = `CsrBounded) g ~root =
     tree_version = -1;
     cache = Avoid_cache.create pool n;
     unbounded = [];
+    settled = None;
     last = None;
     pending = Hashtbl.create 16;
     pending_order = [];
@@ -204,15 +208,13 @@ let remove_node t x =
       | _ -> ())
     c.Avoid_cache.avoid
 
-let payments t =
-  match t.last with
-  | Some (v, results) when v = t.gver -> results
+let charges t =
+  match t.settled with
+  | Some (v, tree, charge) when v = t.gver -> (tree, charge)
   | _ ->
     flush t;
-    let nn = n t in
     let tree = shared_tree t in
-    let next_hop v = tree.Dijkstra.parent.(v) in
-    (* Subtree-bounded fills; see {!Link_session.payments}. *)
+    (* Subtree-bounded fills; see {!Link_session.charges}. *)
     let bounded =
       match t.kernel with
       | `CsrBounded ->
@@ -229,36 +231,38 @@ let payments t =
         Dijkstra.node_weighted_dist scratch ~forbidden:(fun v -> v = k) t.g
           ~source:t.root
     in
-    Avoid_cache.refill t.cache ~tree ~stamp:t.tree_version ~bounded ~full
-      (Avoid_cache.relays tree);
-    let avoid = t.cache.Avoid_cache.avoid in
-    let cut = Array.make nn false in
+    let relays = Avoid_cache.relays tree in
+    Avoid_cache.refill t.cache ~tree ~stamp:t.tree_version ~bounded ~full relays;
+    let charge, cut =
+      Avoid_cache.charges t.cache ~tree ~stamp:t.tree_version ~model:`Node
+        ~own:(Graph.cost t.g) relays
+    in
+    t.unbounded <- cut;
+    t.settled <- Some (t.gver, tree, charge);
+    (tree, charge)
+
+let payments t =
+  match t.last with
+  | Some (v, results) when v = t.gver -> results
+  | _ ->
+    let tree, charge = charges t in
     let results =
-      Array.init nn (fun src ->
+      Array.init (n t) (fun src ->
           if src = t.root || not (Dijkstra.reachable tree src) then None
           else begin
-            let rec chain v acc =
-              if v = t.root then List.rev (t.root :: acc)
-              else chain (next_hop v) (v :: acc)
-            in
-            let path = Array.of_list (chain src []) in
-            let lcp_cost = Dijkstra.dist tree src in
-            let payments = Array.make nn 0.0 in
-            Array.iter
-              (fun k ->
-                let avoid_k =
-                  match avoid.(k) with Some d -> d.(src) | None -> assert false
-                in
-                payments.(k) <- Graph.cost t.g k +. avoid_k -. lcp_cost;
-                if avoid_k = infinity then cut.(k) <- true)
-              (Path.relays path);
-            Some { src; path; lcp_cost; payments }
+            let path = Dijkstra.path_up tree src in
+            Some
+              {
+                src;
+                path;
+                lcp_cost = Dijkstra.dist tree src;
+                relay_pay =
+                  Avoid_cache.relay_pay t.cache ~tree ~model:`Node
+                    ~own:(Graph.cost t.g) path;
+                charge = charge.(src);
+              }
           end)
     in
-    t.unbounded <- [];
-    for k = nn - 1 downto 0 do
-      if cut.(k) then t.unbounded <- k :: t.unbounded
-    done;
     t.last <- Some (t.gver, results);
     results
 
@@ -266,13 +270,11 @@ let payments t =
    it: per source, a (relay, payment) assoc sorted by relay id.  Used as
    the oracle side of the dsim cross-check. *)
 let relay_tables t =
-  let results = payments t in
   Array.map
-    (fun o ->
-      match o with
+    (function
       | None -> []
       | Some o ->
-        Path.relays o.path |> Array.to_list
-        |> List.map (fun k -> (k, o.payments.(k)))
-        |> List.sort compare)
-    results
+        List.sort compare
+          (List.init (Array.length o.relay_pay) (fun i ->
+               (o.path.(i + 1), o.relay_pay.(i)))))
+    (payments t)

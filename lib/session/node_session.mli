@@ -9,12 +9,12 @@
     node's declared cost changing ({!set_cost}) and a node leaving
     ({!remove_node}).  Each coalesced burst runs the flush policy of
     {!Link_session}: the shared node-weighted tree is rebuilt at the
-    flush (one Dijkstra per burst, which the next {!payments} needs
+    flush (one Dijkstra per burst, which the next {!charges} needs
     anyway), each exact [k]-avoiding array is slack-tested against the
     burst, kept when no edit touches it, and otherwise either repaired
     in place with only its touching edits
     ({!Wnet_graph.Dynamic_sssp.repair_node_dist}) or dropped and
-    refilled by the subtree-bounded kernel at the next {!payments} —
+    refilled by the subtree-bounded kernel at the next {!charges} —
     whichever the cost model prices lower.
 
     {b Determinism contract:} {!payments} after any edit sequence is
@@ -28,8 +28,12 @@ type outcome = {
   src : int;
   path : Wnet_graph.Path.t;  (** [src; ...; root] *)
   lcp_cost : float;  (** relay cost of the path *)
-  payments : float array;
-      (** per node; [infinity] marks a monopoly (cut-vertex) relay *)
+  relay_pay : float array;
+      (** aligned with [path]: [relay_pay.(i)] pays [path.(i + 1)];
+          [infinity] marks a monopoly (cut-vertex) relay *)
+  charge : float;
+      (** the total payment, [relay_pay] added from [+0.0] in ascending
+          relay id (see {!Link_session.outcome}) *)
 }
 
 type stats = {
@@ -40,7 +44,7 @@ type stats = {
       (** passes over the avoidance-cache array (flushes + leaves) *)
   spt_runs : int;  (** shared-tree Dijkstras: one per flush or edit *)
   avoid_runs : int;
-      (** avoidance arrays refilled at {!payments}: first fills, entries
+      (** avoidance arrays refilled at {!charges}: first fills, entries
           the flush policy dropped, and entries whose repair overflowed *)
   avoid_reused : int;
   repaired_entries : int;
@@ -96,14 +100,14 @@ val version : t -> int
 val set_cost : t -> int -> float -> unit
 (** [set_cost s v c] re-declares node [v]'s relay cost.  The cost vector
     swaps immediately; the avoidance-cache invalidation is deferred and
-    coalesced — a burst of cost edits before the next {!payments} (or
+    coalesced — a burst of cost edits before the next {!charges} (or
     {!remove_node}) is folded into one {!flush} pass of the flush
     policy over the burst's net changes.
     @raise Invalid_argument on a negative or non-finite cost. *)
 
 val flush : t -> unit
 (** Apply the flush policy to every buffered cost edit in one pass,
-    now.  Called automatically by {!payments} and
+    now.  Called automatically by {!charges} and
     {!remove_node}; a no-op when nothing is buffered. *)
 
 val remove_node : t -> int -> unit
@@ -111,12 +115,19 @@ val remove_node : t -> int -> unit
     valid so ids are stable).
     @raise Invalid_argument when [v] is the root or out of range. *)
 
+val charges : t -> Wnet_graph.Dijkstra.tree * float array
+(** The shared from-root tree (a source's next hop towards the root is
+    its [parent]) and every source's total payment, from one
+    relay-major pass over the avoidance caches, as
+    {!Link_session.charges}.  Shared tree recomputed only after an
+    edit; avoidance arrays refilled only for relays whose cache is
+    missing or was dropped, over the session's pool and per-domain
+    scratches; memoized until the next edit. *)
+
 val payments : t -> outcome option array
-(** The all-to-root batch on the current topology: entry [src] is
-    [None] for the root and disconnected sources.  Shared tree
-    recomputed only after an edit; avoidance arrays refilled only for
-    relays whose cache is missing or was dropped, over the session's
-    pool and per-domain scratches; memoized until the next edit. *)
+(** The all-to-root batch on the current topology, built from
+    {!charges}: entry [src] is [None] for the root and disconnected
+    sources.  Memoized until the next edit. *)
 
 val relay_tables : t -> (int * float) list array
 (** {!payments} reshaped the way the distributed stage-2 protocol
@@ -127,7 +138,7 @@ val relay_tables : t -> (int * float) list array
     outcomes compare against it entry for entry). *)
 
 val unbounded_relays : t -> int list
-(** Monopoly relays as of the last {!payments}: sorted, derived from
+(** Monopoly relays as of the last {!charges}: sorted, derived from
     the cached avoidance arrays. *)
 
 val stats : t -> stats

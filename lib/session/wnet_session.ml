@@ -121,20 +121,26 @@ module type S = sig
   val stats : unit -> stats
 end
 
-(* Assemble the protocol-level pay summary from per-source outcomes: one
-   [served] line per reachable non-root source, a charge of [infinity]
-   marking a monopoly (cut-vertex) relay on its path. *)
-let collect_pay outcomes =
-  let served = ref [] and unbounded = ref 0 and total = ref 0.0 in
-  Array.iter
-    (function
-      | None -> ()
-      | Some (src, path, charge) ->
-        if charge < infinity then total := !total +. charge
-        else incr unbounded;
-        served := { src; path = Array.to_list path; charge } :: !served)
-    outcomes;
-  { served = List.rev !served; unbounded = !unbounded; total = !total }
+(* The protocol-level pay summary, straight from a payment pass: one
+   [served] line per reachable non-root source, its path read up the
+   tree's parent chain, a charge of [infinity] marking a monopoly
+   (cut-vertex) relay on it.  The total adds the finite charges in
+   ascending source order. *)
+let summary ~root (tree, charge) =
+  let served v = v <> root && Wnet_graph.Dijkstra.reachable tree v in
+  let lines = ref [] in
+  for src = Array.length charge - 1 downto 0 do
+    if served src then
+      let path = Array.to_list (Wnet_graph.Dijkstra.path_up tree src) in
+      lines := { src; path; charge = charge.(src) } :: !lines
+  done;
+  let unbounded = ref 0 and total = ref 0.0 in
+  for src = 0 to Array.length charge - 1 do
+    if served src then
+      if charge.(src) < infinity then total := !total +. charge.(src)
+      else incr unbounded
+  done;
+  { served = !lines; unbounded = !unbounded; total = !total }
 
 (* Left to right from [0.0], exactly as [Array.fold_left ( +. ) 0.0],
    so the result is bit-identical; but the local float ref stays
@@ -146,6 +152,30 @@ let sum_payments p =
     s := !s +. Array.unsafe_get p i
   done;
   !s
+
+(* Ascending relay id by repeated selection of the next larger id:
+   paths are short and their nodes distinct, and nothing is allocated. *)
+let relay_charge (path : Wnet_graph.Path.t) relay_pay =
+  let r = Array.length relay_pay in
+  let s = ref 0.0 and last = ref (-1) in
+  for _ = 1 to r do
+    let next = ref (-1) in
+    for i = 0 to r - 1 do
+      let k = path.(i + 1) in
+      if k > !last && (!next < 0 || k < path.(!next + 1)) then next := i
+    done;
+    s := !s +. relay_pay.(!next);
+    last := path.(!next + 1)
+  done;
+  !s
+
+let relay_payment (path : Wnet_graph.Path.t) relay_pay v =
+  let rec find i =
+    if i >= Array.length relay_pay then 0.0
+    else if path.(i + 1) = v then relay_pay.(i)
+    else find (i + 1)
+  in
+  find 0
 
 (* Shard-safe ownership: a session's mutable engine state (topology,
    caches, pending-edit buffers) is single-owner by design.  The sharded
@@ -196,11 +226,7 @@ let make ?(pool = Wnet_par.sequential) ~root g =
 
       let pay () =
         own ();
-        collect_pay
-          (Array.map
-             (Option.map (fun (o : NS.outcome) ->
-                  (o.NS.src, o.NS.path, sum_payments o.NS.payments)))
-             (NS.payments s))
+        summary ~root (NS.charges s)
 
       let flush () =
         own ();
@@ -254,11 +280,7 @@ let make ?(pool = Wnet_par.sequential) ~root g =
 
       let pay () =
         own ();
-        collect_pay
-          (Array.map
-             (Option.map (fun (o : LS.outcome) ->
-                  (o.LS.src, o.LS.path, sum_payments o.LS.payments)))
-             (LS.payments s).LS.results)
+        summary ~root (LS.charges s)
 
       let flush () =
         own ();

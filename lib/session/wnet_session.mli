@@ -13,7 +13,10 @@
     {!make} opens a session on either graph kind and returns the
     packaged instance.  All determinism contracts of the underlying
     engines carry over: {!S.pay} is bit-identical to a from-scratch
-    batch on the edited topology, at every pool size. *)
+    batch on the edited topology, at every pool size.  {!S.pay} is
+    built straight from the engine's payment pass and tree (no
+    per-source outcome records); the engine memoizes the pass per
+    session version. *)
 
 module Link_session = Link_session
 module Node_session = Node_session
@@ -89,10 +92,23 @@ type pay = {
 }
 
 val sum_payments : float array -> float
-(** The total of a payment vector, added left to right from [0.0]:
-    bit-identical to [Array.fold_left ( +. ) 0.0], [infinity] and
-    [-0.0] included, without boxing a float per element.  Every served
-    charge and every [total_payment] goes through it. *)
+(** The total of a dense payment vector, added left to right from
+    [0.0]: bit-identical to [Array.fold_left ( +. ) 0.0], [infinity]
+    and [-0.0] included, without boxing a float per element.  The
+    mechanisms that keep a dense vector ([Payment_scheme],
+    [Edge_unicast]) total through it. *)
+
+val relay_charge : Wnet_graph.Path.t -> float array -> float
+(** [relay_charge path relay_pay] totals path-aligned relay payments
+    ([relay_pay.(i)] pays [path.(i + 1)]) from [+0.0] in ascending relay
+    id: bit-identical to {!sum_payments} of the dense per-node vector
+    they stand for, whose other entries are [+0.0].  Single-pair runs
+    total through it; the sessions get the same sums from their
+    relay-major pass. *)
+
+val relay_payment : Wnet_graph.Path.t -> float array -> int -> float
+(** [relay_payment path relay_pay v] is [v]'s entry of path-aligned
+    relay payments, [0.0] when [v] does not relay on [path]. *)
 
 (** A running session, model-erased.  Operations raise [Failure] on a
     delta the model does not support and [Invalid_argument] exactly as

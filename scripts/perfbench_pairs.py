@@ -4,11 +4,16 @@
     python3 scripts/perfbench_pairs.py --rev REV --workload W --pairs N --seed S
 
 REV is checked out into a git worktree under _perfbench/, removed on exit
-(a SIGTERM or Ctrl-C included).  Pair i runs
+(a SIGTERM or Ctrl-C included).  Both sides are built once, before the
+first pair, with the TARGETS of their own perfbench/run.py, so a build
+cannot stall inside a timed pair.  Pair i runs
 `perfbench/run.py --workload W --seed S+i --trace 0` for BENCHMARK.json's
 run_seconds once on each side, the base first on even pairs and this
 checkout first on odd ones, so a drift in host speed weighs on both sides
-alike.
+alike.  A build or run that outlives its time limit (BUILD_TIMEOUT
+seconds; 60 + 6 x run_seconds for a run) has its whole process group
+killed; a run that does counts as a failed run, named by its side and
+seed.
 
 For each end-to-end metric of BENCHMARK.json it prints each side's median
 [q1, q3], the base's quartile spread relative to its median, the pairs
@@ -23,6 +28,7 @@ if any run reports "correct": false or failed ops, or gives no result;
 """
 
 import argparse
+import ast
 import json
 import os
 import shutil
@@ -32,6 +38,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BUILD_TIMEOUT = 900
 
 
 def fail(msg, code):
@@ -47,21 +54,69 @@ def quartiles(xs):
     return q1, q2, q3
 
 
-def run_once(root, workload, seed, seconds):
-    """The result dict of one perfbench run in checkout [root], or None."""
-    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    # Its own process group, so an abort also stops the server it spawned.
-    p = subprocess.Popen(cmd, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                         universal_newlines=True, start_new_session=True)
+def run_group(cmd, cwd, timeout, env=None):
+    """(returncode, stdout, stderr) of [cmd], or None when it outlives
+    [timeout] seconds.  It runs in its own process group, so a timeout or
+    an abort also stops whatever it spawned (perfbench's server)."""
+    p = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, universal_newlines=True,
+                         start_new_session=True)
     try:
-        out, err = p.communicate()
+        out, err = p.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(p.pid, signal.SIGKILL)
+        p.communicate()
+        # run.py execs perfbench, whose work directory is named by its pid
+        # and is removed only on a normal exit.
+        shutil.rmtree(os.path.join(cwd, "_perfbench", "run-%d" % p.pid),
+                      ignore_errors=True)
+        return None
     except BaseException:
         os.killpg(p.pid, signal.SIGKILL)
         p.wait()
         raise
+    return p.returncode, out, err
+
+
+def run_py_targets(root):
+    """The TARGETS that perfbench/run.py in checkout [root] builds, read
+    from its source without running it."""
+    with open(os.path.join(root, "perfbench", "run.py")) as f:
+        tree = ast.parse(f.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and \
+                any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    fail("no TARGETS in %s/perfbench/run.py" % root, 2)
+
+
+def build(root, side, timeout):
+    """Build the targets perfbench/run.py builds; exit on failure.  Its
+    other build flags (display, cache) do not change what is built."""
+    dune = shutil.which("dune")
+    if dune is None:
+        fail("dune is not on PATH", 2)
+    r = run_group([dune, "build", "--root", ".", "--display", "quiet"]
+                  + run_py_targets(root),
+                  root, timeout, env=dict(os.environ, DUNE_CACHE="disabled"))
+    if r is None:
+        fail("building the %s side timed out after %d s" % (side, timeout), 1)
+    if r[0] != 0:
+        sys.stderr.write(r[2][-2000:])
+        fail("building the %s side failed" % side, 1)
+
+
+def run_once(root, workload, seed, seconds, timeout):
+    """The result dict of one perfbench run in checkout [root]; None when
+    it fails or gives no result, "timeout" when it outlives [timeout]."""
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    r = run_group(cmd, root, timeout)
+    if r is None:
+        return "timeout"
+    code, out, err = r
     lines = out.strip().splitlines()
-    if p.returncode != 0 or not lines:
+    if code != 0 or not lines:
         sys.stderr.write(err[-2000:])
         return None
     try:
@@ -71,7 +126,8 @@ def run_once(root, workload, seed, seconds):
 
 
 def ok(result):
-    return result is not None and result.get("correct") is True and result.get("failed") == 0
+    return isinstance(result, dict) and result.get("correct") is True \
+        and result.get("failed") == 0
 
 
 def summarize(metrics, base_runs, change_runs):
@@ -118,6 +174,7 @@ def main():
         fail("--pairs must be at least 1", 2)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
+    run_timeout = 60 + 6 * bench["run_seconds"]
     if a.workload not in [w["name"] for w in bench["workloads"]]:
         fail("workload %s is not in BENCHMARK.json" % a.workload, 2)
 
@@ -133,18 +190,24 @@ def main():
     runs = {"base": [], "change": []}
     bad = False
     try:
+        for side in ("base", "change"):
+            build(sides[side], side, BUILD_TIMEOUT)
         for i in range(a.pairs):
             seed = a.seed + i
             order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
             for side in order:
-                r = run_once(sides[side], a.workload, seed, bench["run_seconds"])
+                r = run_once(sides[side], a.workload, seed, bench["run_seconds"],
+                             run_timeout)
                 if not ok(r):
                     bad = True
+                    if r == "timeout":
+                        why = "timed out after %d s, process group killed" % run_timeout
+                    elif r is None:
+                        why = "no result"
+                    else:
+                        why = "correct=%s failed=%s" % (r.get("correct"), r.get("failed"))
                     print("pair %d seed %d %s: no correct result (%s)" % (
-                        i + 1, seed, side,
-                        "no result" if r is None
-                        else "correct=%s failed=%s" % (r.get("correct"), r.get("failed"))),
-                        flush=True)
+                        i + 1, seed, side, why), flush=True)
                     continue
                 runs[side].append(r)
                 print("pair %d seed %d %-6s %s" % (

@@ -148,7 +148,8 @@ let batch_equal (a : LS.batch) (b : LS.batch) =
          match (x, y) with
          | None, None -> true
          | Some (x : LS.outcome), Some (y : LS.outcome) ->
-           x.LS.path = y.LS.path && floats_equal x.LS.payments y.LS.payments
+           x.LS.path = y.LS.path && floats_equal x.LS.relay_pay y.LS.relay_pay
+           && Float.equal x.LS.charge y.LS.charge
          | _ -> false)
        a.LS.results b.LS.results
 
@@ -230,7 +231,8 @@ let node_session_prop seed =
           match (x, y) with
           | None, None -> true
           | Some (x : NS.outcome), Some (y : NS.outcome) ->
-            x.NS.path = y.NS.path && floats_equal x.NS.payments y.NS.payments
+            x.NS.path = y.NS.path && floats_equal x.NS.relay_pay y.NS.relay_pay
+           && Float.equal x.NS.charge y.NS.charge
           | _ -> false)
         a b
     in

@@ -240,7 +240,8 @@ let link_batch_equal (a : LC.batch) (b : LC.batch) =
          | Some (x : LC.t), Some (y : LC.t) ->
            x.LC.path = y.LC.path
            && Float.equal x.LC.lcp_cost y.LC.lcp_cost
-           && floats_equal x.LC.payments y.LC.payments
+           && floats_equal x.LC.relay_pay y.LC.relay_pay
+           && Float.equal x.LC.charge y.LC.charge
          | _ -> false)
        a.LC.results b.LC.results
 
@@ -277,7 +278,8 @@ let node_session_kernel_prop seed =
             | Some (x : U.t), Some (y : U.t) ->
               x.U.path = y.U.path
               && Float.equal x.U.lcp_cost y.U.lcp_cost
-              && floats_equal x.U.payments y.U.payments
+              && floats_equal x.U.relay_pay y.U.relay_pay
+           && Float.equal x.U.charge y.U.charge
             | _ -> false)
           a b
       in
@@ -306,7 +308,8 @@ let link_session_edit_kernel_prop seed =
            match (x, y) with
            | None, None -> true
            | Some (x : LS.outcome), Some (y : LS.outcome) ->
-             x.LS.path = y.LS.path && floats_equal x.LS.payments y.LS.payments
+             x.LS.path = y.LS.path && floats_equal x.LS.relay_pay y.LS.relay_pay
+           && Float.equal x.LS.charge y.LS.charge
            | _ -> false)
          a.LS.results b.LS.results
   in

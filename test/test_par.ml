@@ -242,7 +242,8 @@ let unicast_batch_equal (a : Unicast.t option array) b =
            && x.Unicast.dst = y.Unicast.dst
            && x.Unicast.path = y.Unicast.path
            && Float.equal x.Unicast.lcp_cost y.Unicast.lcp_cost
-           && Array.for_all2 Float.equal x.Unicast.payments y.Unicast.payments
+           && Array.for_all2 Float.equal x.Unicast.relay_pay y.Unicast.relay_pay
+           && Float.equal x.Unicast.charge y.Unicast.charge
          | _ -> false)
        a b
 
@@ -280,8 +281,9 @@ let test_unicast_batch_matches_per_source () =
                 (fun v pb ->
                   Test_util.check_float
                     (Printf.sprintf "payment src=%d node=%d" src v)
-                    pb a.Unicast.payments.(v))
-                b.Unicast.payments
+                    pb (Unicast.payment_to a v))
+                (Test_util.dense_payments ~n:(Wnet_graph.Graph.n g) b.Unicast.path
+                   b.Unicast.relay_pay)
             | _ -> Alcotest.fail "batch/per-source reachability mismatch")
         batch)
 
@@ -296,8 +298,9 @@ let link_batch_equal (a : Link_cost.batch) (b : Link_cost.batch) =
            x.Link_cost.path = y.Link_cost.path
            && Float.equal x.Link_cost.lcp_cost y.Link_cost.lcp_cost
            && Float.equal x.Link_cost.relay_cost y.Link_cost.relay_cost
-           && Array.for_all2 Float.equal x.Link_cost.payments
-                y.Link_cost.payments
+           && Array.for_all2 Float.equal x.Link_cost.relay_pay
+                y.Link_cost.relay_pay
+           && Float.equal x.Link_cost.charge y.Link_cost.charge
          | _ -> false)
        a.Link_cost.results b.Link_cost.results
 

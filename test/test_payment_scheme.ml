@@ -18,7 +18,7 @@ let test_vcg_equals_unicast () =
     | Some a, Some b ->
       Array.iteri
         (fun v p -> Test_util.check_float "same payments" p a.Payment_scheme.payments.(v))
-        b.Unicast.payments
+        (Test_util.dense_payments ~n b.Unicast.path b.Unicast.relay_pay)
     | None, None -> ()
     | _ -> Alcotest.fail "feasibility mismatch"
   done

@@ -855,7 +855,7 @@ let test_handle_drives_session () =
   let oracle = LC.all_to_root ~strategy:LC.Copy_graph edited ~root:0 in
   let expected src =
     match oracle.LC.results.(src) with
-    | Some r -> Array.fold_left ( +. ) 0.0 r.LC.payments
+    | Some r -> Test_util.dense_charge ~n:3 r.LC.path r.LC.relay_pay
     | None -> Alcotest.failf "oracle must serve source %d" src
   in
   (match P.handle session P.Pay with
@@ -878,6 +878,123 @@ let test_handle_drives_session () =
   match P.handle_line session "quit" with
   | `Quit [ P.Bye ] -> ()
   | _ -> Alcotest.fail "quit must reply bye and close"
+
+(* ---------------- malformed edits: err, never an exception ---------------- *)
+
+module Rng = Wnet_prng.Rng
+
+(* Ids below 0, at and past [n] and at the int extremes, or a valid one. *)
+let sweep_id rng n =
+  match Rng.int rng 9 with
+  | 0 -> -1
+  | 1 -> min_int
+  | 2 -> n
+  | 3 -> n + 1 + Rng.int rng 5
+  | 4 -> max_int
+  | _ -> Rng.int rng n
+
+(* NaN, negative and infinite costs, negative zero, or a valid one. *)
+let sweep_cost rng =
+  match Rng.int rng 9 with
+  | 0 -> nan
+  | 1 -> -1.0
+  | 2 -> -.Rng.float_range rng 0.01 5.0
+  | 3 -> infinity
+  | 4 -> neg_infinity
+  | 5 -> -0.0
+  | _ -> Rng.float_range rng 0.5 10.0
+
+let sweep_links rng n =
+  List.init (Rng.int rng 3) (fun _ -> (sweep_id rng n, sweep_cost rng))
+
+(* One request, malformed or not, for a session of [n] nodes rooted at
+   0: cost edits of either model (self-loops included), leaves (the
+   root's too), joins and rejoins with bad endpoints, and pays. *)
+let sweep_request rng model n =
+  let link () =
+    let u = sweep_id rng n in
+    let v = if Rng.bernoulli rng 0.15 then u else sweep_id rng n in
+    P.Cost_link { u; v; w = sweep_cost rng }
+  and node () = P.Cost_node { node = sweep_id rng n; cost = sweep_cost rng } in
+  match Rng.int rng 12 with
+  | 0 | 1 | 2 | 3 -> if model = `Link then link () else node ()
+  | 4 -> if model = `Link then node () else link ()
+  | 5 | 6 -> P.Leave { node = (if Rng.bernoulli rng 0.3 then 0 else sweep_id rng n) }
+  | 7 -> P.Join { out = sweep_links rng n; inn = sweep_links rng n }
+  | 8 | 9 ->
+    P.Rejoin { node = sweep_id rng n; out = sweep_links rng n; inn = sweep_links rng n }
+  | _ -> P.Pay
+
+let sweep_session rng model =
+  match model with
+  | `Node -> W.make ~root:0 (`Node (Test_util.random_ring_graph ~max_n:16 rng))
+  | `Link ->
+    let n = 4 + Rng.int rng 12 in
+    let links = ref [] in
+    for u = 0 to n - 1 do
+      for v = 0 to n - 1 do
+        if u <> v && Rng.bernoulli rng 0.3 then
+          links := (u, v, Rng.float_range rng 0.5 10.0) :: !links
+      done
+    done;
+    W.make ~root:0 (`Link (Wnet_graph.Digraph.create ~n ~links:!links))
+
+(* Every edit is answered [ack] or [err] and none raises; a refused edit
+   changes nothing, so a later pay equals a fresh session's fed only the
+   accepted edits. *)
+let malformed_sweep_prop model seed =
+  let sess = sweep_session (Rng.create seed) model in
+  let replay = sweep_session (Rng.create seed) model in
+  let rng = Rng.create (seed lxor 0x5bd1e995) in
+  let accepted = ref [] in
+  for _ = 1 to 1 + Rng.int rng 40 do
+    let (module S : W.S) = sess in
+    let req = sweep_request rng model (S.n ()) in
+    match P.handle sess req with
+    | exception e ->
+      QCheck2.Test.fail_reportf "%s raised %s" (P.print_request req)
+        (Printexc.to_string e)
+    | [ P.Ack _ ] -> accepted := req :: !accepted
+    | [ P.Err _ ] -> ()
+    | _ when req = P.Pay -> ()
+    | rs ->
+      QCheck2.Test.fail_reportf "%s answered %s" (P.print_request req)
+        (String.concat "; " (List.map P.print_response rs))
+  done;
+  List.iter
+    (fun req ->
+      match P.handle replay req with
+      | [ P.Ack _ ] -> ()
+      | _ -> QCheck2.Test.fail_reportf "replay refused %s" (P.print_request req))
+    (List.rev !accepted);
+  let pay s = List.map P.print_response (P.handle s P.Pay) in
+  let got = pay sess and want = pay replay in
+  if got <> want then
+    QCheck2.Test.fail_reportf "pay after the sweep:\n%s\nfresh session:\n%s"
+      (String.concat "\n" got) (String.concat "\n" want);
+  true
+
+(* The link engine reads a link's row by [u] before the graph's own
+   range check: the session checks both endpoints first and says so. *)
+let test_link_endpoint_range () =
+  let session =
+    W.make ~root:0
+      (`Link (Wnet_graph.Digraph.create ~n:3 ~links:[ (2, 1, 1.0); (1, 0, 1.0) ]))
+  in
+  List.iter
+    (fun (u, v) ->
+      match P.handle session (P.Cost_link { u; v; w = 1.0 }) with
+      | [ P.Err m ] ->
+        Alcotest.(check bool)
+          (Printf.sprintf "cost %d %d names the range: %S" u v m)
+          true
+          (Test_util.contains m "out of range")
+      | rs ->
+        Alcotest.failf "cost %d %d: unexpected %s" u v
+          (String.concat "; " (List.map P.print_response rs)))
+    [ (999, 2); (2, 999); (-1, 0); (0, -1); (max_int, 1) ];
+  let (module S : W.S) = session in
+  Alcotest.(check int) "refused edits leave the version" 0 (S.version ())
 
 let suite =
   [
@@ -916,4 +1033,10 @@ let suite =
     Test_util.qcheck_case ~count:500 "line decoder fed at random split points"
       (Gen.pair line_text_gen (Gen.list_size (Gen.int_range 0 8) Gen.nat))
       lines_prop;
+    Alcotest.test_case "link endpoints out of range: err names it" `Quick
+      test_link_endpoint_range;
+    Test_util.qcheck_case ~count:300 "malformed link edits: err, never raise"
+      Test_util.seed_gen (malformed_sweep_prop `Link);
+    Test_util.qcheck_case ~count:300 "malformed node edits: err, never raise"
+      Test_util.seed_gen (malformed_sweep_prop `Node)
   ]

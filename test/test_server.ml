@@ -24,9 +24,19 @@ let socket_path name =
   (try Unix.unlink p with Unix.Unix_error _ -> ());
   p
 
-let connect path =
+(* Every test client reads with a receive timeout, so a server that
+   stops answering fails the test (a read raises) instead of hanging
+   the suite. *)
+let read_timeout = 30.0
+
+let connect_fd path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX path);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO read_timeout;
+  fd
+
+let connect path =
+  let fd = connect_fd path in
   (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
 
 let send oc line =
@@ -220,7 +230,8 @@ let test_concurrent_clients () =
               (Printf.sprintf "round %d src %d charge bit-identical" r src)
               true
               (Float.equal charge
-                 (Array.fold_left ( +. ) 0.0 o.LC.payments))
+                 (Test_util.dense_charge ~n:(Array.length oracle.LC.results)
+                    o.LC.path o.LC.relay_pay))
           | None -> Alcotest.failf "oracle does not serve source %d" src)
         | Ok (P.Paid { served; _ }) ->
           let oracle_served =
@@ -292,8 +303,7 @@ let read_line_fd fd =
   go ()
 
 let bin_client path =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX path);
+  let fd = connect_fd path in
   (match P.parse_response (read_line_fd fd) with
   | Ok (P.Ready { proto = 1; _ }) -> ()
   | _ -> Alcotest.fail "binary client: greeting must be a proto=1 banner");
@@ -1095,9 +1105,6 @@ let read_exactly fd len =
 
 let copy_digraph dg = Digraph.create ~n:(Digraph.n dg) ~links:(Digraph.links dg)
 
-(* A read that waits this long fails the test instead of hanging it. *)
-let read_timeout fd = Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0
-
 let pay_lines ic oc =
   send oc "pay";
   let rec go acc =
@@ -1127,9 +1134,7 @@ let test_pipelined_burst () =
   in
   let mirror = W.make ~root:0 (`Link (copy_digraph dg)) in
   let want = String.concat "" (List.map (fun r -> stdin_bytes (P.handle mirror r)) reqs) in
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX path);
-  read_timeout fd;
+  let fd = connect_fd path in
   ignore (read_line_fd fd);
   let text =
     String.concat "" (List.map (fun r -> P.print_request r ^ "\n") reqs)
@@ -1155,7 +1160,6 @@ let test_oversize_line () =
   ignore (input_line ic2);
   let before = pay_lines ic2 oc2 in
   let fd, ic, _ = connect path in
-  read_timeout fd;
   ignore (input_line ic);
   (* 2 MiB, no newline; the server stops reading at the cap, so the
      writer runs on its own thread and ends on the close *)
@@ -1201,9 +1205,7 @@ let settled_requests server =
 
 (* A client that has read its greeting and reads nothing more. *)
 let stalled_client path =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX path);
-  read_timeout fd;
+  let fd = connect_fd path in
   ignore (read_line_fd fd);
   fd
 

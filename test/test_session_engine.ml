@@ -30,7 +30,8 @@ let link_outcome_matches (x : LS.outcome) (y : LC.t) =
   && x.LS.path = y.LC.path
   && Float.equal x.LS.lcp_cost y.LC.lcp_cost
   && Float.equal x.LS.relay_cost y.LC.relay_cost
-  && floats_equal x.LS.payments y.LC.payments
+  && floats_equal x.LS.relay_pay y.LC.relay_pay
+           && Float.equal x.LS.charge y.LC.charge
 
 let link_matches_oracle (b : LS.batch) (o : LC.batch) =
   b.LS.root = o.LC.root
@@ -56,7 +57,8 @@ let link_batches_equal (a : LS.batch) (b : LS.batch) =
            x.LS.src = y.LS.src && x.LS.path = y.LS.path
            && Float.equal x.LS.lcp_cost y.LS.lcp_cost
            && Float.equal x.LS.relay_cost y.LS.relay_cost
-           && floats_equal x.LS.payments y.LS.payments
+           && floats_equal x.LS.relay_pay y.LS.relay_pay
+           && Float.equal x.LS.charge y.LS.charge
          | _ -> false)
        a.LS.results b.LS.results
 
@@ -69,7 +71,9 @@ let oracle_unbounded (o : LC.batch) =
     (function
       | None -> ()
       | Some (r : LC.t) ->
-        Array.iteri (fun k p -> if p = infinity then cut.(k) <- true) r.LC.payments)
+        Array.iteri
+          (fun i p -> if p = infinity then cut.(r.LC.path.(i + 1)) <- true)
+          r.LC.relay_pay)
     o.LC.results;
   List.filter (fun k -> cut.(k)) (List.init nn Fun.id)
 
@@ -201,7 +205,8 @@ let node_matches (x : NS.outcome option array) (y : U.t option array) =
          | Some (a : NS.outcome), Some (b : U.t) ->
            a.NS.src = b.U.src && a.NS.path = b.U.path
            && Float.equal a.NS.lcp_cost b.U.lcp_cost
-           && floats_equal a.NS.payments b.U.payments
+           && floats_equal a.NS.relay_pay b.U.relay_pay
+           && Float.equal a.NS.charge b.U.charge
          | _ -> false)
        x y
 
@@ -215,7 +220,8 @@ let node_sessions_equal (x : NS.outcome option array) (y : NS.outcome option arr
          | Some (a : NS.outcome), Some (b : NS.outcome) ->
            a.NS.src = b.NS.src && a.NS.path = b.NS.path
            && Float.equal a.NS.lcp_cost b.NS.lcp_cost
-           && floats_equal a.NS.payments b.NS.payments
+           && floats_equal a.NS.relay_pay b.NS.relay_pay
+           && Float.equal a.NS.charge b.NS.charge
          | _ -> false)
        x y
 
@@ -226,7 +232,9 @@ let node_oracle_unbounded (y : U.t option array) =
     (function
       | None -> ()
       | Some (r : U.t) ->
-        Array.iteri (fun k p -> if p = infinity then cut.(k) <- true) r.U.payments)
+        Array.iteri
+          (fun i p -> if p = infinity then cut.(r.U.path.(i + 1)) <- true)
+          r.U.relay_pay)
     y;
   List.filter (fun k -> cut.(k)) (List.init nn Fun.id)
 
@@ -424,7 +432,10 @@ let test_cut_vertex_tracking () =
   let s = LS.create g ~root:0 in
   let b = LS.payments s in
   (match b.LS.results.(2) with
-  | Some o -> check_exact "monopoly relay is paid infinity" infinity o.LS.payments.(1)
+  | Some o ->
+    Alcotest.(check (array int)) "path 2 -> 1 -> 0" [| 2; 1; 0 |] o.LS.path;
+    check_exact "monopoly relay is paid infinity" infinity o.LS.relay_pay.(0);
+    check_exact "so is the source's charge" infinity o.LS.charge
   | None -> Alcotest.fail "source 2 should be served");
   Alcotest.(check (list int)) "relay 1 reported unbounded" [ 1 ]
     (LS.unbounded_relays s);
@@ -433,7 +444,8 @@ let test_cut_vertex_tracking () =
   (match b.LS.results.(2) with
   | Some o ->
     (* used link 1 + (avoidance 10 - lcp 2) *)
-    check_exact "alternate route bounds the payment" 9.0 o.LS.payments.(1)
+    check_exact "alternate route bounds the payment" 9.0 o.LS.relay_pay.(0);
+    check_exact "and the charge" 9.0 o.LS.charge
   | None -> Alcotest.fail "source 2 should be served");
   Alcotest.(check (list int)) "no unbounded relays left" []
     (LS.unbounded_relays s)
@@ -568,6 +580,145 @@ let sum_matches_fold seed =
     (Int64.bits_of_float (Wnet_session.sum_payments a))
     (Int64.bits_of_float (Array.fold_left ( +. ) 0.0 a))
 
+(* ---------------- payment assembly: the relay-major pass ---------------- *)
+
+(* A charge, bit for bit, against the dense per-node vector built in the
+   test from the outcome's [path] and [relay_pay], folded left from
+   [0.0]: the sum the relay-major pass (and single-pair runs) must
+   reproduce without building that vector. *)
+let charge_is_dense_fold ~what ~n path relay_pay charge =
+  let want = Test_util.dense_charge ~n path relay_pay in
+  if not (Int64.equal (Int64.bits_of_float charge) (Int64.bits_of_float want))
+  then
+    QCheck2.Test.fail_reportf "%s: charge %h, dense fold %h" what charge want
+
+(* Both engines, sequential and on a 3-domain pool, through random edit
+   bursts on sparse graphs (cut relays and unreached sources occur):
+   every outcome's charge is its dense fold.  At the end, the served
+   summary of a session opened on the edited graph
+   ({!Wnet_session.S.pay}, built from the pass without outcomes) carries
+   the same paths and charges as the edited session's outcomes. *)
+let session_charges_prop model seed =
+  let rng = Rng.create seed in
+  let nops = 4 + Rng.int rng 40 in
+  let ends = burst_ends rng nops in
+  let oseed = seed lxor 0x3c6ef372 in
+  Par.with_pool ~domains:3 (fun pool ->
+      let check_served label (pay : Wnet_session.pay) outcomes =
+        let want =
+          List.filter_map
+            (Option.map (fun (src, path, charge) ->
+                 (src, Array.to_list path, Int64.bits_of_float charge)))
+            (Array.to_list outcomes)
+        in
+        let got =
+          List.map
+            (fun (x : Wnet_session.served) ->
+              (x.Wnet_session.src, x.Wnet_session.path,
+               Int64.bits_of_float x.Wnet_session.charge))
+            pay.Wnet_session.served
+        in
+        if got <> want then
+          QCheck2.Test.fail_reportf "%s: served summary differs from the outcomes"
+            label
+      in
+      match model with
+      | `Link ->
+        let g = random_digraph rng ~n:(8 + Rng.int rng 21) in
+        let replicas =
+          List.map (fun pool -> (LS.create ~pool g ~root:0, Rng.create oseed))
+            [ Par.sequential; pool ]
+        in
+        for i = 0 to nops do
+          List.iter (fun (s, r) -> if i > 0 then apply_random_op r s) replicas;
+          if ends.(i) then
+            List.iter
+              (fun (s, _) ->
+                let b = LS.payments s in
+                Array.iter
+                  (Option.iter (fun (o : LS.outcome) ->
+                       charge_is_dense_fold
+                         ~what:(Printf.sprintf "op %d src %d" i o.LS.src)
+                         ~n:(LS.n s) o.LS.path o.LS.relay_pay o.LS.charge))
+                  b.LS.results)
+              replicas
+        done;
+        List.iter
+          (fun (s, _) ->
+            let (module S : Wnet_session.S) =
+              Wnet_session.make ~pool ~root:0 (`Link (LS.snapshot s))
+            in
+            check_served "link" (S.pay ())
+              (Array.map
+                 (Option.map (fun (o : LS.outcome) -> (o.LS.src, o.LS.path, o.LS.charge)))
+                 (LS.payments s).LS.results))
+          replicas;
+        true
+      | `Node ->
+        let g =
+          if Rng.bernoulli rng 0.5 then Test_util.random_ring_graph rng
+          else Test_util.random_sparse_graph rng
+        in
+        let replicas =
+          List.map (fun pool -> (NS.create ~pool g ~root:0, Rng.create oseed))
+            [ Par.sequential; pool ]
+        in
+        for i = 0 to nops do
+          List.iter (fun (s, r) -> if i > 0 then apply_random_node_op r s) replicas;
+          if ends.(i) then
+            List.iter
+              (fun (s, _) ->
+                Array.iter
+                  (Option.iter (fun (o : NS.outcome) ->
+                       charge_is_dense_fold
+                         ~what:(Printf.sprintf "op %d src %d" i o.NS.src)
+                         ~n:(NS.n s) o.NS.path o.NS.relay_pay o.NS.charge))
+                  (NS.payments s))
+              replicas
+        done;
+        List.iter
+          (fun (s, _) ->
+            let (module S : Wnet_session.S) =
+              Wnet_session.make ~pool ~root:0 (`Node (NS.graph s))
+            in
+            check_served "node" (S.pay ())
+              (Array.map
+                 (Option.map (fun (o : NS.outcome) -> (o.NS.src, o.NS.path, o.NS.charge)))
+                 (NS.payments s)))
+          replicas;
+        true)
+
+(* The one-shot wrappers: [Link_cost] batches on both strategies and its
+   single-pair [run], [Unicast] batches and its single-pair runs under
+   both algorithms — every charge is its outcome's dense fold. *)
+let one_shot_charges_prop seed =
+  let rng = Rng.create seed in
+  let n = 6 + Rng.int rng 20 in
+  let g = random_digraph rng ~n in
+  let check_link what (r : LC.t) =
+    charge_is_dense_fold ~what ~n r.LC.path r.LC.relay_pay r.LC.charge
+  in
+  List.iter
+    (fun strategy ->
+      Array.iter (Option.iter (check_link "link batch"))
+        (LC.all_to_root ~strategy g ~root:0).LC.results)
+    [ LC.Zero_copy; LC.Copy_graph ];
+  for src = 1 to n - 1 do
+    Option.iter (check_link "link run") (LC.run g ~src ~dst:0)
+  done;
+  let ng = Test_util.random_sparse_graph rng in
+  let nn = Graph.n ng in
+  let check_node what (r : U.t) =
+    charge_is_dense_fold ~what ~n:nn r.U.path r.U.relay_pay r.U.charge
+  in
+  Array.iter (Option.iter (check_node "node batch")) (U.all_to_root ng ~root:0);
+  for src = 1 to nn - 1 do
+    Option.iter (check_node "naive run") (U.run ~algo:U.Naive ng ~src ~dst:0);
+    if Graph.all_positive_costs ng then
+      Option.iter (check_node "fast run") (U.run ~algo:U.Fast ng ~src ~dst:0)
+  done;
+  true
+
 (* ---------------- pool plumbing the sessions rely on ---------------- *)
 
 let test_map_array_pooled () =
@@ -613,6 +764,15 @@ let suite =
       test_map_array_pooled;
     Test_util.qcheck_case ~count:200 "sum_payments = left fold (bits)"
       Test_util.seed_gen sum_matches_fold;
+    Test_util.qcheck_case ~count:60
+      "link session pools 1/3: charges = dense fold (bits)" Test_util.seed_gen
+      (session_charges_prop `Link);
+    Test_util.qcheck_case ~count:60
+      "node session pools 1/3: charges = dense fold (bits)" Test_util.seed_gen
+      (session_charges_prop `Node);
+    Test_util.qcheck_case ~count:100
+      "Link_cost and Unicast charges = dense fold (bits)" Test_util.seed_gen
+      one_shot_charges_prop;
     Test_util.qcheck_case ~count:60
       "link session: random edit sequences = Copy_graph oracle (bits)"
       Test_util.seed_gen link_equiv_prop;

@@ -56,8 +56,9 @@ let test_fast_naive_same_payments () =
     with
     | Some a, Some b ->
       Alcotest.(check bool) "same payments" true
-        (Array.for_all2 (fun x y -> Test_util.approx x y) a.Unicast.payments
-           b.Unicast.payments)
+        (Array.for_all2 (fun x y -> Test_util.approx x y)
+           (Test_util.dense_payments ~n a.Unicast.path a.Unicast.relay_pay)
+           (Test_util.dense_payments ~n b.Unicast.path b.Unicast.relay_pay))
     | None, None -> ()
     | _ -> Alcotest.fail "reachability mismatch"
   done
@@ -77,7 +78,7 @@ let test_matches_generic_clarke () =
     with
     | Some a, Some (_, clarke) ->
       Array.iteri
-        (fun v p -> Test_util.check_float "clarke agreement" p a.Unicast.payments.(v))
+        (fun v p -> Test_util.check_float "clarke agreement" p (Unicast.payment_to a v))
         clarke
     | None, None -> ()
     | _ -> Alcotest.fail "feasibility mismatch"
@@ -204,7 +205,9 @@ let test_corridor_fast_naive () =
     with
     | Some a, Some b ->
       Alcotest.(check bool) "corridor payments agree" true
-        (Array.for_all2 Test_util.approx a.Unicast.payments b.Unicast.payments)
+        (Array.for_all2 Test_util.approx
+           (Test_util.dense_payments ~n:60 a.Unicast.path a.Unicast.relay_pay)
+           (Test_util.dense_payments ~n:60 b.Unicast.path b.Unicast.relay_pay))
     | None, None -> ()
     | _ -> Alcotest.fail "reachability mismatch"
   done

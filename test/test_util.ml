@@ -51,3 +51,23 @@ let qcheck_case ?(count = 100) name gen prop =
    generate a seed and derive the structure, which shrinks poorly but
    keeps generation deterministic and cheap. *)
 let seed_gen = QCheck2.Gen.int_range 0 1_000_000
+
+(* The dense per-node payment vector a path-aligned outcome stands for:
+   relay [path.(i + 1)] is paid [relay_pay.(i)], every other node
+   [+0.0].  Built here, independently of lib/, for the assertions that
+   compare node by node. *)
+let dense_payments ~n (path : int array) relay_pay =
+  let p = Array.make n 0.0 in
+  Array.iteri (fun i x -> p.(path.(i + 1)) <- x) relay_pay;
+  p
+
+(* The charge the dense vector stands for, folded left from [0.0] the
+   way the paper's sum reads: the bit pattern every [charge] must
+   reproduce. *)
+let dense_charge ~n path relay_pay =
+  Array.fold_left ( +. ) 0.0 (dense_payments ~n path relay_pay)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
