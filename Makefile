@@ -68,13 +68,14 @@ dsim-smoke:
 	dune exec --no-build bin/unicast.exe -- dsim -n 200 --seed 7 --scenario costshare --mode async --oracle
 
 # Served-path correctness: one short perfbench run per workload that
-# BENCHMARK.json gates.  Each run replays its ops in-process and checks
-# the server's bytes, a naive reference and the stats counters; the
-# target fails unless the result line reports "correct": true and
+# BENCHMARK.json gates, plus the ungated serve-node-bin, the only one
+# that serves the node engine.  Each run replays its ops in-process and
+# checks the server's bytes, a naive reference and the stats counters;
+# the target fails unless the result line reports "correct": true and
 # "failed": 0.  No timing is gated here.
 perfbench-check:
 	@mkdir -p _perfbench
-	@for w in $$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do \
+	@for w in $$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))') serve-node-bin; do \
 	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 15 --trace 0 \
 	    > _perfbench/check.out || { tail -n 5 _perfbench/check.out; exit 1; }; \
 	  tail -n 1 _perfbench/check.out | python3 -c 'import json, sys; r = json.load(sys.stdin); print(sys.argv[1], "correct=%s failed=%s" % (r["correct"], r["failed"])); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' $$w \

@@ -589,8 +589,10 @@ let avoid_region () =
 
 (* The repair and refill rows below time the two ways the session
    flush policy can bring a touched avoidance array up to date, on the
-   paper UDG, so the policy's cost constants (Avoid_cache) can be read
-   off them. *)
+   paper UDG, over hot data.  The policy's cost constants (Avoid_cache)
+   are fitted to the calls a session makes instead: there a rise pair
+   costs 2.3 refill nodes and a full-run node 0.8, against 1.3 and 0.4
+   in these rows (DESIGN.md, "Cache maintenance"). *)
 
 (* In-budget repairs of the source's distance array after tree links
    rise or fall by 5 %, the drift of the served workload.  Each op
@@ -606,7 +608,7 @@ let repair () =
   let n = Digraph.n g in
   let mirror = Digraph.reverse g in
   let tree = Dijkstra.link_weighted g 0 in
-  let size = Avoid_region.subtree_sizes (Avoid_region.make_index tree) tree in
+  let size = (Avoid_region.make_index tree).Avoid_region.size in
   let scratch = Dynamic_sssp.make_dist_scratch n in
   let dist = Array.make n 0.0 in
   let into pred =
@@ -729,8 +731,8 @@ let repair () =
           set e e.w0
         done)
   in
-  (* the other branch: one relay's bounded refill, at the smallest and
-     the largest subtree the budget admits; allocation free *)
+  (* the other branch: one relay's region-only refill, at the smallest
+     and the largest subtree the budget admits; allocation free *)
   let idx = Avoid_region.make_index tree in
   let relays =
     List.sort_uniq compare
@@ -748,63 +750,113 @@ let repair () =
   in
   let refill k =
     {
-      name = Printf.sprintf "bounded-refill/subtree=%d/n=%d" size.(k) n;
+      name = Printf.sprintf "region-refill/subtree=%d/n=%d" size.(k) n;
       ops = reps;
       alloc_free = true;
       run =
         (fun () ->
           for _ = 1 to reps do
             let r =
-              Avoid_region.link_avoid scratch idx ~graph:g ~mirror ~tree ~avoid:k
+              Avoid_region.link_fill scratch idx ~graph:g ~mirror ~tree ~avoid:k
                 ~dist
             in
             assert (r >= 0)
           done);
     }
   in
-  (* every in-budget relay refilled in turn, each into its own array, as
-     the session stores them: against the one-array rows this prices the
-     copy into a cold array *)
+  (* every in-budget relay refilled in turn, each into its own array,
+     allocated as the session allocates it *)
   let in_budget = List.filter (fun k -> size.(k) <= budget) relays in
-  let own = List.map (fun k -> (k, Array.make n infinity)) in_budget in
-  let fill_into pick (k, d) =
-    let r =
-      Avoid_region.link_avoid scratch idx ~graph:g ~mirror ~tree ~avoid:k
-        ~dist:(pick d)
-    in
-    assert (r >= 0)
-  in
-  let into_own = fill_into Fun.id and into_one = fill_into (fun _ -> dist) in
-  let sweep label mean f =
-    {
-      name =
-        Printf.sprintf "bounded-refill/%s/relays=%d%s/n=%d" label
-          (List.length in_budget) mean n;
-      ops = List.length own;
-      alloc_free = true;
-      run = (fun () -> List.iter f own);
-    }
-  in
+  let own = List.map (fun k -> (k, Array.make n neg_infinity)) in_budget in
   let mean =
     List.fold_left (fun a k -> a + size.(k)) 0 in_budget / List.length in_budget
   in
-  let shared = sweep "one-array" "" into_one in
-  let sweep = sweep "own-arrays" (Printf.sprintf "/mean-subtree=%d" mean) into_own in
-  (* a refill's first step, the copy of the n tree distances, into
-     arrays cycling through 8 MB, so each copy lands in an array out of
-     cache, as the cost model assumes a refill's copy does *)
-  let cold_copy =
-    let arrays = Array.init (8 lsl 20 / (8 * n)) (fun _ -> Array.make n 0.0) in
-    let next = ref 0 in
+  let fill_own (k, d) =
+    let r =
+      Avoid_region.link_fill scratch idx ~graph:g ~mirror ~tree ~avoid:k ~dist:d
+    in
+    assert (r >= 0)
+  in
+  let sweep =
     {
-      name = Printf.sprintf "cold-copy/n=%d" n;
+      name =
+        Printf.sprintf "region-refill/own-arrays/relays=%d/mean-subtree=%d/n=%d"
+          (List.length in_budget) mean n;
+      ops = List.length own;
+      alloc_free = true;
+      run = (fun () -> List.iter fill_own own);
+    }
+  in
+  (* An in-subtree repair of relay [j]'s entry, driven by one change: a
+     5 % rise of a candidate that realises a label in subtree([j]).  The
+     change record claims a rise the graph and the tree do not carry, so
+     each op runs a rise's closure, wipe, reseed and settle and re-derives
+     the labels it started from: the op needs no restore, and allocates
+     nothing.  [j] is the relay with such a link whose subtree is
+     nearest the mean in-budget subtree; [boundary] picks a tail outside
+     the subtree (whose tree label rises) or inside it (the link's weight
+     rises). *)
+  let subtree_repair ~boundary =
+    let entry = Array.make n infinity in
+    let ch = Dynamic_sssp.make_changes 1 in
+    let { Digraph.row_off; col; wgt } = Digraph.csr mirror in
+    let tight j =
+      ignore
+        (Avoid_region.link_avoid scratch ~budget:n idx ~graph:g ~mirror ~tree
+           ~avoid:j ~dist:entry);
+      let found = ref None in
+      let lo = idx.Avoid_region.pre.(j) in
+      for i = lo + 1 to lo + size.(j) - 1 do
+        let x = idx.Avoid_region.order.(i) in
+        for e = row_off.(x) to row_off.(x + 1) - 1 do
+          let p = col.(e) in
+          let out = p <> j && not (Avoid_region.inside idx j p) in
+          if
+            !found = None && out = boundary && p <> j && entry.(p) < infinity
+            && Float.equal (entry.(p) +. wgt.(e)) entry.(x)
+          then found := Some (p, x, wgt.(e))
+        done
+      done;
+      !found
+    in
+    let j, (p, x, w) =
+      List.fold_left
+        (fun best k ->
+          match (best, tight k) with
+          | Some (b, _), Some l when abs (size.(k) - mean) < abs (size.(b) - mean) ->
+            Some (k, l)
+          | None, Some l -> Some (k, l)
+          | _ -> best)
+        None in_budget
+      |> Option.get
+    in
+    ignore (tight j);
+    let label = entry.(p) in
+    ch.Dynamic_sssp.tail.(0) <- p;
+    ch.Dynamic_sssp.head.(0) <- x;
+    ch.Dynamic_sssp.before.(0) <- label +. w;
+    ch.Dynamic_sssp.after.(0) <-
+      (if boundary then (label *. 1.05) +. w else label +. (w *. 1.05));
+    ch.Dynamic_sssp.len <- 1;
+    let region =
+      Avoid_region.link_repair scratch idx ~graph:g ~mirror ~tree ~avoid:j
+        ~dist:entry ch ~first:0 ~last:1
+    in
+    {
+      name =
+        Printf.sprintf "subtree-repair/%s/subtree=%d/region=%d/n=%d"
+          (if boundary then "boundary-label" else "inner-edit")
+          (size.(j) - 1) region n;
       ops = reps;
       alloc_free = true;
       run =
         (fun () ->
           for _ = 1 to reps do
-            Array.blit tree.Dijkstra.dist 0 arrays.(!next) 0 n;
-            next := (!next + 1) mod Array.length arrays
+            let r =
+              Avoid_region.link_repair scratch idx ~graph:g ~mirror ~tree ~avoid:j
+                ~dist:entry ch ~first:0 ~last:1
+            in
+            assert (r >= 0)
           done);
     }
   in
@@ -835,10 +887,10 @@ let repair () =
       link_sweep "fall";
       row "rise" (take 8 leaves);
       row "fall" (take 8 leaves);
-      cold_copy;
+      subtree_repair ~boundary:true;
+      subtree_repair ~boundary:false;
       refill (pick ( < ));
       refill (pick ( > ));
-      shared;
       sweep;
       full;
     ]

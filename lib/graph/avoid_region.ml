@@ -1,21 +1,22 @@
 (* Subtree-bounded avoidance distances.
 
-   The batch payment engine needs, for every relay [k], the full
-   distance array of a source Dijkstra with [k] forbidden.  Running that
-   from scratch costs O(m log n) per relay — but silencing [k] can only
-   change the labels of nodes whose shortest-path-tree route passes
-   through [k], i.e. [k]'s subtree of the shared SPT.  Every node
-   outside the subtree keeps a label that is {e bit-identical} to its
-   tree distance: its tree path avoids [k], forbidding [k] cannot
-   shorten anything, and equal IEEE-754 values have equal bit patterns.
+   The payment batch needs, for every relay [k], the distances of a
+   source Dijkstra with [k] forbidden.  Running that from scratch costs
+   O(m log n) per relay — but silencing [k] can only change the labels
+   of nodes whose shortest-path-tree route passes through [k], i.e.
+   [k]'s subtree of the shared SPT.  Every node outside the subtree
+   keeps a label that is {e bit-identical} to its tree distance: its
+   tree path avoids [k], forbidding [k] cannot shorten anything, and
+   equal IEEE-754 values have equal bit patterns.
 
-   So the kernel copies the tree distances wholesale, marks subtree(k)
-   minus [k] as the affected region (breadth-first over the index's
-   child lists, using the region log itself as the queue — no
-   allocation), and runs the Dynamic_sssp wipe / boundary-reseed /
-   bounded-settle discipline over just that region, with "silence k" as
-   the virtual edit.  Work drops to O(|subtree(k)| log |subtree(k)|)
-   per relay; on sparse instances most subtrees are tiny.
+   So the fill scopes a Dynamic_sssp run to subtree(k) minus [k] (a
+   contiguous pre-order range of the index), reads every label outside
+   it from the tree, marks the range as the region, and runs the wipe /
+   boundary-reseed / bounded-settle discipline over just that region,
+   with "silence k" as the virtual edit.  It writes only the region:
+   work is O(|subtree(k)| log |subtree(k)|) per relay, with no n-length
+   copy.  The repair runs the scoped distance repair over the same
+   range, driven by the candidate changes the caller found.
 
    Exactness needs no tie detection: each region label is a minimum
    over candidates [d(p) +. w] whose prefixes [d(p)] are bit-identical
@@ -30,90 +31,68 @@
 
 type index = {
   idx_n : int;
-  first_child : int array;
-  next_sib : int array;
+  pre : int array;
+  size : int array;
+  order : int array;
 }
 
+(* Child lists (ascending), then a threaded pre-order walk — down to the
+   first child, else across to the next sibling of the nearest ancestor
+   that has one — then one reverse pass folding each node's size into
+   its parent's. *)
 let make_index (tree : Dijkstra.tree) =
   let n = Array.length tree.Dijkstra.parent in
+  let parent = tree.Dijkstra.parent in
   let first_child = Array.make (max n 1) (-1) in
   let next_sib = Array.make (max n 1) (-1) in
-  (* downward loop: child lists come out in ascending node order *)
   for v = n - 1 downto 0 do
-    let p = tree.Dijkstra.parent.(v) in
+    let p = parent.(v) in
     if p >= 0 then begin
       next_sib.(v) <- first_child.(p);
       first_child.(p) <- v
     end
   done;
-  { idx_n = n; first_child; next_sib }
-
-let index_size idx = idx.idx_n
-
-(* [buf] is the queue: children are appended behind the node whose
-   children are being listed. *)
-let descendants idx k buf =
-  let len = ref 0 and i = ref (-1) and x = ref k in
-  while !i < !len do
-    let c = ref idx.first_child.(!x) in
-    while !c >= 0 do
-      buf.(!len) <- !c;
-      incr len;
-      c := idx.next_sib.(!c)
-    done;
-    incr i;
-    if !i < !len then x := buf.(!i)
-  done;
-  !len
-
-(* Breadth-first from the source over the child lists, then one reverse
-   pass folding each node's count into its parent. *)
-let subtree_sizes idx (tree : Dijkstra.tree) =
-  let n = idx.idx_n in
-  let size = Array.make n 1 and order = Array.make n 0 in
+  let pre = Array.make (max n 1) (-1) in
+  let size = Array.make (max n 1) 1 in
+  let order = Array.make (max n 1) 0 in
   let len = ref 0 in
+  let visit x =
+    pre.(x) <- !len;
+    order.(!len) <- x;
+    incr len
+  in
   if n > 0 then begin
-    order.(0) <- tree.Dijkstra.source;
-    len := 1
-  end;
-  let i = ref 0 in
-  while !i < !len do
-    let c = ref idx.first_child.(order.(!i)) in
-    incr i;
-    while !c >= 0 do
-      order.(!len) <- !c;
-      incr len;
-      c := idx.next_sib.(!c)
+    let src = tree.Dijkstra.source in
+    visit src;
+    let x = ref src in
+    while !x >= 0 do
+      let c = first_child.(!x) in
+      if c >= 0 then begin
+        visit c;
+        x := c
+      end
+      else begin
+        let y = ref !x in
+        while !y <> src && next_sib.(!y) < 0 do
+          y := parent.(!y)
+        done;
+        if !y = src then x := -1
+        else begin
+          visit next_sib.(!y);
+          x := next_sib.(!y)
+        end
+      end
     done
-  done;
+  end;
   for i = !len - 1 downto 1 do
     let x = order.(i) in
-    let p = tree.Dijkstra.parent.(x) in
-    size.(p) <- size.(p) + size.(x)
+    size.(parent.(x)) <- size.(parent.(x)) + size.(x)
   done;
-  size
+  { idx_n = n; pre; size; order }
 
-(* Mark the strict descendants of [k], breadth-first: the region log is
-   append-only, so walking it by position while appending children IS
-   the queue.  Returns [false] on budget overflow. *)
-let mark_subtree ds ~budget idx k =
-  let ok = ref true in
-  let c = ref idx.first_child.(k) in
-  while !ok && !c >= 0 do
-    ok := Dynamic_sssp.region_mark ds ~budget !c;
-    c := idx.next_sib.(!c)
-  done;
-  let i = ref 0 in
-  while !ok && !i < Dynamic_sssp.region_size ds do
-    let x = Dynamic_sssp.region_nth ds !i in
-    incr i;
-    let c = ref idx.first_child.(x) in
-    while !ok && !c >= 0 do
-      ok := Dynamic_sssp.region_mark ds ~budget !c;
-      c := idx.next_sib.(!c)
-    done
-  done;
-  !ok
+let[@inline] inside idx j x =
+  let p = Array.unsafe_get idx.pre x and pj = Array.unsafe_get idx.pre j in
+  p > pj && p < pj + Array.unsafe_get idx.size j
 
 let check ~what ~n idx (tree : Dijkstra.tree) ~avoid ~dist =
   if idx.idx_n <> n || Array.length tree.Dijkstra.dist <> n then
@@ -123,16 +102,28 @@ let check ~what ~n idx (tree : Dijkstra.tree) ~avoid ~dist =
     invalid_arg (what ^ ": cannot avoid the source");
   if Array.length dist < n then invalid_arg (what ^ ": dist too short")
 
-let link_avoid ds ?budget idx ~graph ~mirror ~tree ~avoid:k ~dist:d =
+let budget_or n = function Some b -> b | None -> Dynamic_sssp.default_budget n
+
+(* Open a run scoped to subtree(k) minus [k] and mark all of it; [false]
+   past the budget. *)
+let open_region ds ~budget idx (tree : Dijkstra.tree) k =
+  let lo = idx.pre.(k) in
+  let hi = lo + idx.size.(k) - 1 in
+  Dynamic_sssp.region_begin ds idx.idx_n;
+  Dynamic_sssp.region_restrict ds ~pre:idx.pre ~lo ~hi ~ext:tree.Dijkstra.dist;
+  hi - lo <= budget
+  && begin
+       for i = lo + 1 to hi do
+         ignore (Dynamic_sssp.region_mark ds ~budget idx.order.(i))
+       done;
+       true
+     end
+
+let link_fill ds ?budget idx ~graph ~mirror ~tree ~avoid:k ~dist:d =
   let n = Digraph.n graph in
-  let budget =
-    match budget with Some b -> b | None -> Dynamic_sssp.default_budget n
-  in
-  check ~what:"Avoid_region.link_avoid" ~n idx tree ~avoid:k ~dist:d;
-  Dynamic_sssp.region_begin ds n;
-  Array.blit tree.Dijkstra.dist 0 d 0 n;
-  d.(k) <- infinity;
-  if not (mark_subtree ds ~budget idx k) then -1
+  let budget = budget_or n budget in
+  check ~what:"Avoid_region.link_fill" ~n idx tree ~avoid:k ~dist:d;
+  if not (open_region ds ~budget idx tree k) then -1
   else begin
     Dynamic_sssp.region_wipe ds ~dist:d;
     Dynamic_sssp.region_reseed_link ds ~forbidden:k ~mirror ~dist:d;
@@ -141,17 +132,12 @@ let link_avoid ds ?budget idx ~graph ~mirror ~tree ~avoid:k ~dist:d =
     else -1
   end
 
-let node_avoid ds ?budget idx ~graph ~tree ~avoid:k ~dist:d =
+let node_fill ds ?budget idx ~graph ~tree ~avoid:k ~dist:d =
   let n = Graph.n graph in
-  let budget =
-    match budget with Some b -> b | None -> Dynamic_sssp.default_budget n
-  in
-  check ~what:"Avoid_region.node_avoid" ~n idx tree ~avoid:k ~dist:d;
+  let budget = budget_or n budget in
+  check ~what:"Avoid_region.node_fill" ~n idx tree ~avoid:k ~dist:d;
   let source = tree.Dijkstra.source in
-  Dynamic_sssp.region_begin ds n;
-  Array.blit tree.Dijkstra.dist 0 d 0 n;
-  d.(k) <- infinity;
-  if not (mark_subtree ds ~budget idx k) then -1
+  if not (open_region ds ~budget idx tree k) then -1
   else begin
     Dynamic_sssp.region_wipe ds ~dist:d;
     Dynamic_sssp.region_reseed_node ds ~forbidden:k ~graph ~source ~dist:d;
@@ -161,3 +147,35 @@ let node_avoid ds ?budget idx ~graph ~tree ~avoid:k ~dist:d =
     then Dynamic_sssp.region_size ds
     else -1
   end
+
+(* The full-array contract: the tree's labels everywhere, [k] silenced,
+   then the fill over the region. *)
+let blit (tree : Dijkstra.tree) k d =
+  Array.blit tree.Dijkstra.dist 0 d 0 (Array.length tree.Dijkstra.dist);
+  d.(k) <- infinity
+
+let link_avoid ds ?budget idx ~graph ~mirror ~tree ~avoid ~dist =
+  check ~what:"Avoid_region.link_avoid" ~n:(Digraph.n graph) idx tree ~avoid
+    ~dist;
+  blit tree avoid dist;
+  link_fill ds ?budget idx ~graph ~mirror ~tree ~avoid ~dist
+
+let node_avoid ds ?budget idx ~graph ~tree ~avoid ~dist =
+  check ~what:"Avoid_region.node_avoid" ~n:(Graph.n graph) idx tree ~avoid
+    ~dist;
+  blit tree avoid dist;
+  node_fill ds ?budget idx ~graph ~tree ~avoid ~dist
+
+let link_repair ds idx ~graph ~mirror ~tree ~avoid:k ~dist ch ~first ~last =
+  let lo = idx.pre.(k) in
+  Dynamic_sssp.repair_scoped ds
+    ~budget:(Dynamic_sssp.default_budget (Digraph.n graph))
+    ~forbidden:k ~graph ~mirror ~source:tree.Dijkstra.source ~scope:idx.pre ~lo
+    ~hi:(lo + idx.size.(k) - 1) ~ext:tree.Dijkstra.dist ~dist ch ~first ~last
+
+let node_repair ds idx ~graph ~tree ~avoid:k ~dist ch ~first ~last =
+  let lo = idx.pre.(k) in
+  Dynamic_sssp.repair_node_scoped ds
+    ~budget:(Dynamic_sssp.default_budget (Graph.n graph))
+    ~forbidden:k ~graph ~source:tree.Dijkstra.source ~scope:idx.pre ~lo
+    ~hi:(lo + idx.size.(k) - 1) ~ext:tree.Dijkstra.dist ~dist ch ~first ~last

@@ -4,10 +4,10 @@
     source Dijkstra with [k] forbidden.  Silencing [k] only changes
     labels inside [k]'s subtree of the shared shortest-path tree; every
     exterior node keeps a label bit-identical to its tree distance.  So
-    instead of a full-graph run per relay, these kernels copy the tree
-    distances, mark subtree([k]) minus [k] as the affected region, and
-    run {!Dynamic_sssp}'s wipe / boundary-reseed / bounded-settle
-    discipline over just that region.
+    instead of a full-graph run per relay, these kernels scope
+    {!Dynamic_sssp}'s wipe / boundary-reseed / bounded-settle discipline
+    to subtree([k]) minus [k], reading every label outside it from the
+    tree.
 
     The result is {e unconditionally} [Float.equal]-identical to the
     from-scratch forbidden run — no tie detection needed, because every
@@ -17,27 +17,101 @@
     Allocation-free after scratch/index construction: safe inside the
     work-stealing fan-out with per-participant scratches. *)
 
-type index
-(** First-child / next-sibling lists over a {!Dijkstra.tree}, for O(1)
-    child enumeration during subtree marking.  Valid only for the tree
-    it was built from; rebuild after the tree changes. *)
+type index = private {
+  idx_n : int;  (** nodes the index was built over *)
+  pre : int array;
+      (** [pre.(x)]: [x]'s number in a pre-order walk of the tree (child
+          lists ascending), [-1] for a node the tree does not reach *)
+  size : int array;
+      (** [size.(x)]: [x] plus its descendants; 1 for an unreached node *)
+  order : int array;
+      (** the reached nodes in pre-order: [order.(pre.(x)) = x], so the
+          strict descendants of [k] are
+          [order.(pre.(k) + 1) .. order.(pre.(k) + size.(k) - 1)] *)
+}
+(** A pre-order numbering of a {!Dijkstra.tree}.  Valid only for the
+    tree it was built from; rebuild after the tree changes. *)
 
 val make_index : Dijkstra.tree -> index
 (** O(n) construction from the tree's parent array. *)
 
-val index_size : index -> int
-(** Number of nodes the index was built over. *)
+val inside : index -> int -> int -> bool
+(** [inside idx j x]: [x] is a strict descendant of [j] — two integer
+    comparisons. *)
 
-val descendants : index -> int -> int array -> int
-(** [descendants idx k buf] writes the strict descendants of [k] in the
-    indexed tree into [buf], breadth-first, and returns their count.
-    [buf] must hold at least as many slots as the index has nodes.
-    Allocates nothing. *)
+(** {1 Region-only kernels}
 
-val subtree_sizes : index -> Dijkstra.tree -> int array
-(** [subtree_sizes idx tree] counts, for every node, itself plus its
-    descendants in [tree] (the tree [idx] was built from).  Nodes the
-    tree does not reach count 1.  O(n); allocates two [n]-arrays. *)
+    These read and write [dist] on the strict descendants of [avoid]
+    only, and take every other label from [tree]: the session's
+    per-relay entries hold nothing else. *)
+
+val link_fill :
+  Dynamic_sssp.dist_scratch ->
+  ?budget:int ->
+  index ->
+  graph:Digraph.t ->
+  mirror:Digraph.t ->
+  tree:Dijkstra.tree ->
+  avoid:int ->
+  dist:float array ->
+  int
+(** [link_fill ds idx ~graph ~mirror ~tree ~avoid:k ~dist] writes
+    [Dijkstra.link_weighted_dist_csr ~avoid:k graph tree.source] into
+    [dist] on the strict descendants of [k], bit for bit, and no other
+    slot.  [tree] must be the current shortest-path tree of [graph] from
+    its source, [mirror] the reverse of [graph], and [idx] built from
+    [tree].  Returns the region size [>= 0] on success; returns [-1] —
+    with [dist] left corrupted there — when the subtree exceeded
+    [budget] (default {!Dynamic_sssp.default_budget}), and the caller
+    must fall back to the full-graph kernel.
+    @raise Invalid_argument if sizes disagree, [avoid] is out of range,
+    or [avoid = tree.source]. *)
+
+val node_fill :
+  Dynamic_sssp.dist_scratch ->
+  ?budget:int ->
+  index ->
+  graph:Graph.t ->
+  tree:Dijkstra.tree ->
+  avoid:int ->
+  dist:float array ->
+  int
+(** Node-weighted {!link_fill}: matches [Dijkstra.node_weighted_dist_csr
+    ~avoid:k graph tree.source] on the subtree. *)
+
+val link_repair :
+  Dynamic_sssp.dist_scratch ->
+  index ->
+  graph:Digraph.t ->
+  mirror:Digraph.t ->
+  tree:Dijkstra.tree ->
+  avoid:int ->
+  dist:float array ->
+  Dynamic_sssp.changes ->
+  first:int ->
+  last:int ->
+  int
+(** [link_repair ds idx ~graph ~mirror ~tree ~avoid:k ~dist ch ~first
+    ~last] is {!Dynamic_sssp.repair_scoped} over the strict descendants
+    of [k] in [tree], with exterior labels from [tree]: [dist] must be
+    exact there for the old graph and tree, [k]'s descendants must be the
+    same set in both, and the changes must include every one touching
+    it.  Region size, or [-1] past {!Dynamic_sssp.default_budget}. *)
+
+val node_repair :
+  Dynamic_sssp.dist_scratch ->
+  index ->
+  graph:Graph.t ->
+  tree:Dijkstra.tree ->
+  avoid:int ->
+  dist:float array ->
+  Dynamic_sssp.changes ->
+  first:int ->
+  last:int ->
+  int
+(** Node-weighted {!link_repair}. *)
+
+(** {1 Full arrays} *)
 
 val link_avoid :
   Dynamic_sssp.dist_scratch ->
@@ -49,18 +123,12 @@ val link_avoid :
   avoid:int ->
   dist:float array ->
   int
-(** [link_avoid ds idx ~graph ~mirror ~tree ~avoid:k ~dist] fills
+(** [link_avoid ds idx ~graph ~mirror ~tree ~avoid:k ~dist] fills all of
     [dist] with the distances of [Dijkstra.link_weighted_dist_csr
-    ~avoid:k graph tree.source], bit for bit.  [tree] must be the
-    current shortest-path tree of [graph] from its source, [mirror] the
-    reverse of [graph], and [idx] built from [tree].  Returns the
-    region size [>= 0] on success; returns [-1] — with [dist] left
-    corrupted — when the subtree or settled region exceeded [budget]
-    (default {!Dynamic_sssp.default_budget}), and the caller must fall
-    back to the full-graph kernel.  The result is an immediate int (no
-    variant) so the call allocates nothing.
-    @raise Invalid_argument if sizes disagree, [avoid] is out of range,
-    or [avoid = tree.source]. *)
+    ~avoid:k graph tree.source], bit for bit: it copies the tree's
+    labels, sets [dist.(k) = infinity], then runs {!link_fill}.  Same
+    preconditions, result and failure mode.  The result is an immediate
+    int (no variant) so the call allocates nothing. *)
 
 val node_avoid :
   Dynamic_sssp.dist_scratch ->

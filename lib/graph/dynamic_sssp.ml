@@ -9,11 +9,14 @@
       risen tree links); the distance-only repair, having no parents,
       chases realisation equalities [d.(x) +. w_old = d.(y)] instead
       (a superset of the truly affected nodes, which is safe: they are
-      re-derived to the same values).
+      re-derived to the same values).  It works on candidate changes
+      (a link whose [label tail +. weight] moved), so one loop serves an
+      edited link and, in a run scoped to a subtree, a boundary link
+      whose exterior tail's label moved.
    2. {e Wipe and reseed}: set the region's labels to [infinity], then
       offer each region node its best candidate through its in-links
       from the intact boundary (current weights), and seed every
-      dropped link whose tail kept its label.
+      changed link whose tail kept its label.
    3. {e Bounded frontier Dijkstra}: settle the region in label order,
       relaxing out-links with current weights.  A label improved after
       its node settled is simply re-settled (label-correcting), which
@@ -41,18 +44,60 @@ exception Tie
 (* ------------------------------------------------------------------ *)
 (* Distance-only repair                                                 *)
 
+type changes = {
+  mutable tail : int array;
+  mutable head : int array;
+  mutable before : float array;
+  mutable after : float array;
+  mutable len : int;
+}
+
+let make_changes cap =
+  let c = max cap 1 in
+  {
+    tail = Array.make c 0;
+    head = Array.make c 0;
+    before = Array.make c 0.0;
+    after = Array.make c 0.0;
+    len = 0;
+  }
+
+let reserve_changes ch k =
+  let cap = Array.length ch.tail in
+  if ch.len + k > cap then begin
+    let c = max (ch.len + k) (2 * cap) in
+    let ints a = Array.append (Array.sub a 0 ch.len) (Array.make (c - ch.len) 0) in
+    let floats a =
+      Array.append (Array.sub a 0 ch.len) (Array.make (c - ch.len) 0.0)
+    in
+    ch.tail <- ints ch.tail;
+    ch.head <- ints ch.head;
+    ch.before <- floats ch.before;
+    ch.after <- floats ch.after
+  end
+
 type dist_scratch = {
-  mutable cap : int;
-  mutable mark : int array;  (* mark.(x) = epoch: x is in the region *)
+  cap : int;
+  mark : int array;  (* mark.(x) = epoch: x is in the region *)
   mutable epoch : int;
-  mutable region : int array;  (* marked nodes, in marking order *)
+  region : int array;  (* marked nodes, in marking order *)
   mutable n_region : int;
-  mutable heap : Indexed_heap.t;
+  heap : Indexed_heap.t;
+  (* The run's scope: [x] lies in it iff [lo < pre.(x) <= hi]; a label
+     outside it is read from [ext].  [everywhere] (all zero, with
+     [lo = -1], [hi = max_int - 1]) is the whole graph. *)
+  everywhere : int array;
+  mutable pre : int array;
+  mutable lo : int;
+  mutable hi : int;
+  mutable ext : float array;
+  own : changes;  (* the edit-list repairs' changes *)
 }
 
 let make_dist_scratch cap =
   if cap < 0 then invalid_arg "Dynamic_sssp.make_dist_scratch: negative capacity";
   let c = max cap 1 in
+  let everywhere = Array.make c 0 in
   {
     cap;
     mark = Array.make c 0;
@@ -60,6 +105,12 @@ let make_dist_scratch cap =
     region = Array.make c 0;
     n_region = 0;
     heap = Indexed_heap.create cap;
+    everywhere;
+    pre = everywhere;
+    lo = -1;
+    hi = max_int - 1;
+    ext = [||];
+    own = make_changes 16;
   }
 
 let dist_scratch_capacity s = s.cap
@@ -69,6 +120,9 @@ let begin_dist_run s n =
     invalid_arg "Dynamic_sssp: graph exceeds scratch capacity";
   s.epoch <- s.epoch + 1;
   s.n_region <- 0;
+  s.pre <- s.everywhere;
+  s.lo <- -1;
+  s.hi <- max_int - 1;
   (* a completed repair leaves the heap empty; one aborted by Overflow
      may not *)
   while not (Indexed_heap.is_empty s.heap) do
@@ -83,18 +137,37 @@ let smark s ~budget x =
     s.n_region <- s.n_region + 1
   end
 
+let[@inline] marked s x = Array.unsafe_get s.mark x = s.epoch
+
+(* [lo < pre.(x) <= hi] as one unsigned comparison: with [lo1 = lo + 1]
+   and [span = hi - lo], [pre.(x) - lo1] is in [0, span) exactly then,
+   and a negative difference masks to a huge value.  Hot loops hoist the
+   three into locals. *)
+let[@inline] within pre lo1 span x =
+  (Array.unsafe_get pre x - lo1) land max_int < span
+
+let[@inline] inside s x = within s.pre (s.lo + 1) (s.hi - s.lo) x
+
 (* ------------------------------------------------------------------ *)
 (* Region primitives.
 
-   Steps 2 (wipe + boundary reseed) and 4 (bounded-frontier settle) of
-   the repairs below, factored out so {!Avoid_region} can run the same
-   wipe/reseed/settle discipline over a subtree region it marked itself
-   ("silence node k" as a virtual edit).  The settle loops go through
+   The wipe, boundary reseed and bounded-frontier settle of the repairs
+   below, factored out so {!Avoid_region} can run the same discipline
+   over a subtree region it marked itself ("silence node k" as a
+   virtual edit).  Every loop keeps to the run's scope: a node outside
+   it is never marked, written or relaxed into, and its label is read
+   from [ext].  The settle loops go through
    [Indexed_heap.prios]/[touch] rather than [insert_or_decrease]:
    classic ocamlopt boxes float arguments at those non-inlined call
-   boundaries, and the bounded avoidance kernel must not allocate. *)
+   boundaries, and the kernels must not allocate. *)
 
 let region_begin = begin_dist_run
+
+let region_restrict s ~pre ~lo ~hi ~ext =
+  s.pre <- pre;
+  s.lo <- lo;
+  s.hi <- hi;
+  s.ext <- ext
 
 let region_mark s ~budget x =
   match smark s ~budget x with
@@ -102,7 +175,6 @@ let region_mark s ~budget x =
   | exception Overflow -> false
 
 let region_size s = s.n_region
-let region_nth s i = s.region.(i)
 
 let region_wipe s ~dist:d =
   for k = 0 to s.n_region - 1 do
@@ -111,16 +183,19 @@ let region_wipe s ~dist:d =
 
 (* Offer each region node its best candidate through its in-links from
    the unmarked boundary (current weights, read through the mirror);
-   [forbidden] is invisible. *)
+   [forbidden] is invisible.  When the region is the whole scope (a
+   fill), every unmarked tail lies outside it. *)
 let reseed_link s ~j ~m_off ~m_col ~m_wgt d =
   let heap = s.heap in
   let prio = Indexed_heap.prios heap in
+  let pre = s.pre and lo1 = s.lo + 1 and span = s.hi - s.lo and ext = s.ext in
+  let whole = s.n_region = span in
   for k = 0 to s.n_region - 1 do
     let x = s.region.(k) in
     for i = m_off.(x) to m_off.(x + 1) - 1 do
       let p = Array.unsafe_get m_col i in
-      if p <> j && s.mark.(p) <> s.epoch then begin
-        let dp = d.(p) in
+      if p <> j && not (marked s p) then begin
+        let dp = if (not whole) && within pre lo1 span p then d.(p) else ext.(p) in
         if dp < infinity then begin
           let cand = dp +. Array.unsafe_get m_wgt i in
           if cand < d.(x) then begin
@@ -140,6 +215,7 @@ let reseed_link s ~j ~m_off ~m_col ~m_wgt d =
 let settle_link s ~budget ~j ~g_off ~g_col ~g_wgt d =
   let heap = s.heap in
   let prio = Indexed_heap.prios heap in
+  let pre = s.pre and lo1 = s.lo + 1 and span = s.hi - s.lo in
   while not (Indexed_heap.is_empty heap) do
     let x = Indexed_heap.pop_min_key heap in
     let dx = d.(x) in
@@ -148,7 +224,10 @@ let settle_link s ~budget ~j ~g_off ~g_col ~g_wgt d =
       let y = Array.unsafe_get g_col i in
       if y <> j then begin
         let cand = dx +. Array.unsafe_get g_wgt i in
-        if cand < d.(y) then begin
+        (* [d.(y)] outside the scope is any float (a fresh entry holds
+           [neg_infinity] there, which fails this test at once): the
+           scope test decides *)
+        if cand < d.(y) && within pre lo1 span y then begin
           d.(y) <- cand;
           prio.(y) <- cand;
           Indexed_heap.touch heap y
@@ -163,12 +242,14 @@ let settle_link s ~budget ~j ~g_off ~g_col ~g_wgt d =
 let reseed_node s ~j ~row_off ~col ~cost ~source d =
   let heap = s.heap in
   let prio = Indexed_heap.prios heap in
+  let pre = s.pre and lo1 = s.lo + 1 and span = s.hi - s.lo and ext = s.ext in
+  let whole = s.n_region = span in
   for k = 0 to s.n_region - 1 do
     let x = s.region.(k) in
     for i = row_off.(x) to row_off.(x + 1) - 1 do
       let p = Array.unsafe_get col i in
-      if p <> j && s.mark.(p) <> s.epoch then begin
-        let dp = d.(p) in
+      if p <> j && not (marked s p) then begin
+        let dp = if (not whole) && within pre lo1 span p then d.(p) else ext.(p) in
         if dp < infinity then begin
           let leave = if p = source then 0.0 else Array.unsafe_get cost p in
           let cand = dp +. leave in
@@ -185,6 +266,7 @@ let reseed_node s ~j ~row_off ~col ~cost ~source d =
 let settle_node s ~budget ~j ~row_off ~col ~cost ~source d =
   let heap = s.heap in
   let prio = Indexed_heap.prios heap in
+  let pre = s.pre and lo1 = s.lo + 1 and span = s.hi - s.lo in
   while not (Indexed_heap.is_empty heap) do
     let x = Indexed_heap.pop_min_key heap in
     let dx = d.(x) in
@@ -193,8 +275,7 @@ let settle_node s ~budget ~j ~row_off ~col ~cost ~source d =
     let cand = dx +. leave in
     for i = row_off.(x) to row_off.(x + 1) - 1 do
       let y = Array.unsafe_get col i in
-      if y <> j then
-        if cand < d.(y) then begin
+      if y <> j && cand < d.(y) && within pre lo1 span y then begin
           d.(y) <- cand;
           prio.(y) <- cand;
           Indexed_heap.touch heap y
@@ -224,24 +305,157 @@ let region_settle_node s ~budget ~forbidden ~graph ~source ~dist =
   | () -> true
   | exception Overflow -> false
 
-(* Edit-list scans for the closure step, as plain recursion: they run
-   per scanned link and per region node, where a [List.exists] or
-   [List.iter] closure would allocate each time. *)
-let rec is_edited x y = function
-  | [] -> false
-  | e :: rest -> (e.u = x && e.v = y) || is_edited x y rest
+(* ------------------------------------------------------------------ *)
+(* The repairs, one per model, over candidate changes [first, last) of
+   [ch].  A change is a link [tail -> head] whose candidate
+   [label tail +. weight] moved from [before] to [after]: an edited
+   link, or (for a scoped run) a boundary link whose exterior tail's
+   label moved.  Every head lies in the scope and is neither the source
+   nor [j]; no tail is [j].  The changes passed must include every one
+   that touches [d]; one that does not only widens the region. *)
 
-(* Mark the heads of edited links out of [x] that realised their label
-   at the old weight. *)
-let rec mark_old_tight s ~budget ~source d x = function
-  | [] -> ()
-  | e :: rest ->
-    if
-      e.u = x && e.w0 < infinity && e.v <> source
-      && s.mark.(e.v) <> s.epoch
-      && Float.equal (d.(x) +. e.w0) d.(e.v)
-    then smark s ~budget e.v;
-    mark_old_tight s ~budget ~source d x rest
+(* Is [x -> y] one of the changes? *)
+let rec changed (ch : changes) x y i last =
+  i < last
+  && ((Array.unsafe_get ch.tail i = x && Array.unsafe_get ch.head i = y)
+     || changed ch x y (i + 1) last)
+
+(* Closure seeds: a candidate that rose off the label it realised. *)
+let seed_closure s ~budget (ch : changes) first last d =
+  for k = first to last - 1 do
+    let h = ch.head.(k) and b = ch.before.(k) in
+    if ch.after.(k) > b && Float.equal b d.(h) then smark s ~budget h
+  done
+
+(* Closure chase over the changed links out of region node [x], at their
+   old candidates. *)
+let chase_changed s ~budget (ch : changes) first last x d =
+  for k = first to last - 1 do
+    if ch.tail.(k) = x then begin
+      let h = ch.head.(k) and b = ch.before.(k) in
+      if b < infinity && (not (marked s h)) && Float.equal b d.(h) then
+        smark s ~budget h
+    end
+  done
+
+(* After the reseed: a change whose tail kept its label offers its new
+   candidate (a marked tail relaxes when it settles). *)
+let seed_kept s (ch : changes) first last d =
+  let prio = Indexed_heap.prios s.heap in
+  for k = first to last - 1 do
+    if not (marked s ch.tail.(k)) then begin
+      let h = ch.head.(k) and a = ch.after.(k) in
+      if a < d.(h) then begin
+        d.(h) <- a;
+        prio.(h) <- a;
+        Indexed_heap.touch s.heap h
+      end
+    end
+  done
+
+(* 1. closure: every node whose old label was realised (possibly as a
+   tie) through a risen candidate, transitively, chasing unchanged links
+   at current weights and changed ones at their old candidates; 2. wipe
+   and reseed from the boundary; 3. the kept tails' new candidates;
+   4. the bounded settle.  Region size, or [-1] past the budget. *)
+let repair_link s ~budget ~j ~source ~graph ~mirror d ch first last =
+  let { Digraph.row_off = g_off; col = g_col; wgt = g_wgt } = Digraph.csr graph in
+  let { Digraph.row_off = m_off; col = m_col; wgt = m_wgt } = Digraph.csr mirror in
+  match
+    seed_closure s ~budget ch first last d;
+    let i = ref 0 in
+    while !i < s.n_region do
+      let x = s.region.(!i) in
+      incr i;
+      let dx = d.(x) in
+      if dx < infinity then begin
+        for k = g_off.(x) to g_off.(x + 1) - 1 do
+          let y = Array.unsafe_get g_col k in
+          if
+            y <> j && y <> source
+            && (not (marked s y))
+            && inside s y
+            && Float.equal (dx +. Array.unsafe_get g_wgt k) d.(y)
+            && not (changed ch x y first last)
+          then smark s ~budget y
+        done;
+        chase_changed s ~budget ch first last x d
+      end
+    done;
+    region_wipe s ~dist:d;
+    reseed_link s ~j ~m_off ~m_col ~m_wgt d;
+    seed_kept s ch first last d;
+    settle_link s ~budget ~j ~g_off ~g_col ~g_wgt d
+  with
+  | () -> s.n_region
+  | exception Overflow -> -1
+
+(* Node-weighted: leaving [x] costs its relay cost (0 from the source)
+   and adjacency is symmetric.  A node's own label never depends on its
+   own cost, so a cost edit on [x] is a change on each link out of [x]. *)
+let repair_node s ~budget ~j ~source ~graph d ch first last =
+  let { Graph.row_off; col } = Graph.csr graph in
+  let cost = Graph.costs_view graph in
+  match
+    seed_closure s ~budget ch first last d;
+    let i = ref 0 in
+    while !i < s.n_region do
+      let x = s.region.(!i) in
+      incr i;
+      let dx = d.(x) in
+      if dx < infinity then begin
+        let cand = dx +. if x = source then 0.0 else cost.(x) in
+        for k = row_off.(x) to row_off.(x + 1) - 1 do
+          let y = Array.unsafe_get col k in
+          if
+            y <> j && y <> source
+            && (not (marked s y))
+            && inside s y
+            && Float.equal cand d.(y)
+            && not (changed ch x y first last)
+          then smark s ~budget y
+        done;
+        chase_changed s ~budget ch first last x d
+      end
+    done;
+    region_wipe s ~dist:d;
+    reseed_node s ~j ~row_off ~col ~cost ~source d;
+    seed_kept s ch first last d;
+    settle_node s ~budget ~j ~row_off ~col ~cost ~source d
+  with
+  | () -> s.n_region
+  | exception Overflow -> -1
+
+let check_scoped ~n dist =
+  if Array.length dist < n then
+    invalid_arg "Dynamic_sssp: scoped repair of a dist array shorter than the graph"
+
+let repair_scoped s ~budget ~forbidden ~graph ~mirror ~source ~scope ~lo ~hi ~ext
+    ~dist ch ~first ~last =
+  check_scoped ~n:(Digraph.n graph) dist;
+  begin_dist_run s (Digraph.n graph);
+  region_restrict s ~pre:scope ~lo ~hi ~ext;
+  repair_link s ~budget ~j:forbidden ~source ~graph ~mirror dist ch first last
+
+let repair_node_scoped s ~budget ~forbidden ~graph ~source ~scope ~lo ~hi ~ext
+    ~dist ch ~first ~last =
+  check_scoped ~n:(Graph.n graph) dist;
+  begin_dist_run s (Graph.n graph);
+  region_restrict s ~pre:scope ~lo ~hi ~ext;
+  repair_node s ~budget ~j:forbidden ~source ~graph dist ch first last
+
+(* The unscoped repairs take net edits and turn each into changes, its
+   candidates read off [d] itself. *)
+let push s ~tail ~head ~label ~w0 ~w1 =
+  let ch = s.own in
+  reserve_changes ch 1;
+  ch.tail.(ch.len) <- tail;
+  ch.head.(ch.len) <- head;
+  ch.before.(ch.len) <- label +. w0;
+  ch.after.(ch.len) <- label +. w1;
+  ch.len <- ch.len + 1
+
+let result r = if r < 0 then `Overflow else `Patched r
 
 let repair_dist s ?budget ?(forbidden = -1) ~graph ~mirror ~source ~dist:d
     edits =
@@ -250,77 +464,14 @@ let repair_dist s ?budget ?(forbidden = -1) ~graph ~mirror ~source ~dist:d
   if Array.length d < n then
     invalid_arg "Dynamic_sssp.repair_dist: dist array shorter than the graph";
   begin_dist_run s n;
-  (* Flat views of both orientations; [Digraph.set_weight] keeps them
-     live, so a weight-only edit burst pays no rebuild here. *)
-  let { Digraph.row_off = g_off; col = g_col; wgt = g_wgt } =
-    Digraph.csr graph
-  in
-  let { Digraph.row_off = m_off; col = m_col; wgt = m_wgt } =
-    Digraph.csr mirror
-  in
-  let j = forbidden in
-  let edits =
-    List.filter
-      (fun e -> e.u <> j && e.v <> j && not (Float.equal e.w0 e.w1))
-      edits
-  in
-  let marked x = s.mark.(x) = s.epoch in
-  try
-    (* 1. increase-affected closure: nodes whose old label was realised
-       (possibly as a tie) through a risen link, transitively.  Old
-       weights apply: edited out-links are chased through the edit list
-       (deleted ones are no longer in the graph at all). *)
-    List.iter
-      (fun e ->
-        if
-          e.w1 > e.w0 && e.v <> source && d.(e.u) < infinity
-          && Float.equal (d.(e.u) +. e.w0) d.(e.v)
-        then smark s ~budget e.v)
-      edits;
-    let i = ref 0 in
-    while !i < s.n_region do
-      let x = s.region.(!i) in
-      incr i;
-      let dx = d.(x) in
-      if dx < infinity then begin
-        for i = g_off.(x) to g_off.(x + 1) - 1 do
-          let y = Array.unsafe_get g_col i in
-          if
-            y <> j && y <> source && (not (marked y))
-            && Float.equal (dx +. Array.unsafe_get g_wgt i) d.(y)
-            && not (is_edited x y edits)
-          then smark s ~budget y
-        done;
-        mark_old_tight s ~budget ~source d x edits
-      end
-    done;
-    (* 2. wipe the region, then reseed each member from the boundary
-       through its in-links (current weights, via the mirror) *)
-    region_wipe s ~dist:d;
-    reseed_link s ~j ~m_off ~m_col ~m_wgt d;
-    (* 3. dropped links whose tail kept its label seed directly (a
-       marked tail relaxes when it settles) *)
-    let prio = Indexed_heap.prios s.heap in
-    List.iter
-      (fun e ->
-        if e.w1 < e.w0 && (not (marked e.u)) && d.(e.u) < infinity then begin
-          let cand = d.(e.u) +. e.w1 in
-          if cand < d.(e.v) then begin
-            d.(e.v) <- cand;
-            prio.(e.v) <- cand;
-            Indexed_heap.touch s.heap e.v
-          end
-        end)
-      edits;
-    (* 4. bounded-frontier Dijkstra over the region *)
-    settle_link s ~budget ~j ~g_off ~g_col ~g_wgt d;
-    `Patched s.n_region
-  with Overflow -> `Overflow
-
-(* Node-weighted variant: leaving [x] costs its relay cost (0 from the
-   source), adjacency is symmetric, and the edits are node-cost
-   changes.  A node's own label never depends on its own cost, so an
-   edit on [x] seeds [x]'s neighbours, not [x]. *)
+  s.own.len <- 0;
+  List.iter
+    (fun e ->
+      if e.u <> forbidden && e.v <> forbidden && e.v <> source
+         && not (Float.equal e.w0 e.w1)
+      then push s ~tail:e.u ~head:e.v ~label:d.(e.u) ~w0:e.w0 ~w1:e.w1)
+    edits;
+  result (repair_link s ~budget ~j:forbidden ~source ~graph ~mirror d s.own 0 s.own.len)
 
 type node_edit = { x : int; nbrs : int array; c0 : float; c1 : float }
 
@@ -332,69 +483,17 @@ let repair_node_dist s ?budget ?(forbidden = -1) ~graph ~source ~dist:d
     invalid_arg
       "Dynamic_sssp.repair_node_dist: dist array shorter than the graph";
   begin_dist_run s n;
-  let { Graph.row_off; col } = Graph.csr graph in
-  let j = forbidden in
-  let edits =
-    List.filter
-      (fun e -> e.x <> j && e.x <> source && not (Float.equal e.c0 e.c1))
-      edits
-  in
-  let marked x = s.mark.(x) = s.epoch in
-  let rec old_cost x = function
-    | [] -> Graph.cost graph x
-    | e :: rest -> if e.x = x then e.c0 else old_cost x rest
-  in
-  let leave_old x = if x = source then 0.0 else old_cost x edits in
-  try
-    List.iter
-      (fun e ->
-        if e.c1 > e.c0 && d.(e.x) < infinity then
-          Array.iter
-            (fun y ->
-              if
-                y <> j && y <> source && (not (marked y))
-                && Float.equal (d.(e.x) +. e.c0) d.(y)
-              then smark s ~budget y)
-            e.nbrs)
-      edits;
-    let i = ref 0 in
-    while !i < s.n_region do
-      let x = s.region.(!i) in
-      incr i;
-      let dx = d.(x) in
-      if dx < infinity then begin
-        let lo = leave_old x in
-        for i = row_off.(x) to row_off.(x + 1) - 1 do
-          let y = Array.unsafe_get col i in
-          if
-            y <> j && y <> source && (not (marked y))
-            && Float.equal (dx +. lo) d.(y)
-          then smark s ~budget y
-        done
-      end
-    done;
-    region_wipe s ~dist:d;
-    let cost = Graph.costs_view graph in
-    reseed_node s ~j ~row_off ~col ~cost ~source d;
-    let prio = Indexed_heap.prios s.heap in
-    List.iter
-      (fun e ->
-        if e.c1 < e.c0 && (not (marked e.x)) && d.(e.x) < infinity then
-          Array.iter
-            (fun y ->
-              if y <> j then begin
-                let cand = d.(e.x) +. e.c1 in
-                if cand < d.(y) then begin
-                  d.(y) <- cand;
-                  prio.(y) <- cand;
-                  Indexed_heap.touch s.heap y
-                end
-              end)
-            e.nbrs)
-      edits;
-    settle_node s ~budget ~j ~row_off ~col ~cost ~source d;
-    `Patched s.n_region
-  with Overflow -> `Overflow
+  s.own.len <- 0;
+  List.iter
+    (fun e ->
+      if e.x <> forbidden && e.x <> source && not (Float.equal e.c0 e.c1) then
+        Array.iter
+          (fun y ->
+            if y <> forbidden && y <> source then
+              push s ~tail:e.x ~head:y ~label:d.(e.x) ~w0:e.c0 ~w1:e.c1)
+          e.nbrs)
+    edits;
+  result (repair_node s ~budget ~j:forbidden ~source ~graph d s.own 0 s.own.len)
 
 (* ------------------------------------------------------------------ *)
 (* Tree repair                                                          *)

@@ -10,8 +10,10 @@
       parents) over a mutable {!Digraph} — the session's shared
       reversed SPT;
     - {!repair_dist}/{!repair_node_dist}: repair a caller-owned
-      distance-only array (no parents) — the session's per-relay
-      avoidance caches.
+      distance-only array (no parents) after net edits;
+      {!repair_scoped}/{!repair_node_scoped} run the same repair inside
+      one subtree, driven by candidate changes — the session's
+      per-relay avoidance entries.
 
     {b Exactness contract.}  A successful repair leaves the structure
     {e bit-identical} ([Float.equal] on every distance, [=] on every
@@ -98,6 +100,25 @@ val make_dist_scratch : int -> dist_scratch
 
 val dist_scratch_capacity : dist_scratch -> int
 
+(** Candidate changes, flat: change [i] is the link [tail.(i) -> head.(i)]
+    of the searched graph whose candidate [label tail +. weight] moved
+    from [before.(i)] to [after.(i)] — an edited link, or a link whose
+    tail's label moved.  Callers fill the arrays in place (after
+    {!reserve_changes}), so no float crosses a call. *)
+type changes = {
+  mutable tail : int array;
+  mutable head : int array;
+  mutable before : float array;
+  mutable after : float array;
+  mutable len : int;  (** changes held *)
+}
+
+val make_changes : int -> changes
+(** [make_changes cap] is an empty buffer with room for [cap]. *)
+
+val reserve_changes : changes -> int -> unit
+(** [reserve_changes ch k] makes room for [k] more past [ch.len]. *)
+
 val repair_dist :
   dist_scratch ->
   ?budget:int ->
@@ -116,7 +137,10 @@ val repair_dist :
     region] on success.  On [`Overflow] (region exceeded the budget)
     [dist] is {b left corrupted} and must be rebuilt from scratch.
     @raise Invalid_argument if the graph exceeds the scratch capacity
-    or [dist] is shorter than the graph. *)
+    or [dist] is shorter than the graph.
+
+    Each net edit becomes one candidate change (its candidates read off
+    [dist]) and the repair is {!repair_scoped}'s, over the whole graph. *)
 
 type node_edit = { x : int; nbrs : int array; c0 : float; c1 : float }
 (** Node [x]'s relay cost changed from [c0] to [c1]; [nbrs] is [x]'s
@@ -137,6 +161,58 @@ val repair_node_dist :
     (leaving [source] is free, leaving any other node [x] costs its
     relay cost).  Same contract and failure mode. *)
 
+val repair_scoped :
+  dist_scratch ->
+  budget:int ->
+  forbidden:int ->
+  graph:Digraph.t ->
+  mirror:Digraph.t ->
+  source:int ->
+  scope:int array ->
+  lo:int ->
+  hi:int ->
+  ext:float array ->
+  dist:float array ->
+  changes ->
+  first:int ->
+  last:int ->
+  int
+(** [repair_scoped s ~budget ~forbidden ~graph ~mirror ~source ~scope
+    ~lo ~hi ~ext ~dist ch ~first ~last] repairs [dist] on the scope
+    [S = { x | lo < scope.(x) <= hi }] only: [dist] is read and written
+    on [S] alone, and a label outside it is [ext]'s.  Before the call,
+    [dist] on [S] must be exact for the [forbidden]-avoiding search with
+    exterior labels at their old values and the links at their old
+    weights; changes [first .. last - 1] of [ch] must include every
+    candidate change into [S] that touches [dist] (a new candidate below
+    its head's label, or an old one equal to it that rose), and every
+    head must lie in [S], with no tail or head [forbidden] or [source].
+    [ext] must hold the new exterior labels, exact for the search.  On
+    return [dist] is exact on [S], bit for bit.  Closure, wipe, reseed
+    and settle never mark a node outside [S].  Returns the region size,
+    or [-1] past [budget] (with [dist] left corrupted on [S]); an
+    immediate int, so the call allocates nothing.  {!repair_dist} is the
+    unscoped case.
+    @raise Invalid_argument if [dist] is shorter than the graph. *)
+
+val repair_node_scoped :
+  dist_scratch ->
+  budget:int ->
+  forbidden:int ->
+  graph:Graph.t ->
+  source:int ->
+  scope:int array ->
+  lo:int ->
+  hi:int ->
+  ext:float array ->
+  dist:float array ->
+  changes ->
+  first:int ->
+  last:int ->
+  int
+(** Node-weighted {!repair_scoped}: a change's weight is its tail's relay
+    cost (0 from [source]). *)
+
 (** {1 Region primitives}
 
     The wipe / boundary-reseed / bounded-settle machinery of the
@@ -144,7 +220,8 @@ val repair_node_dist :
     same discipline over a region they delimit themselves —
     {!Avoid_region} marks a relay's SPT subtree and recomputes exactly
     those labels, with everything outside the region serving as the
-    intact boundary.  Protocol, per run: {!region_begin}, then
+    intact boundary.  Protocol, per run: {!region_begin}, optionally
+    {!region_restrict}, then
     {!region_mark} every region node, then {!region_wipe},
     [region_reseed_*], optional direct seeds, and [region_settle_*].
     All of it is allocation-free after scratch creation (the settle
@@ -161,13 +238,15 @@ val region_mark : dist_scratch -> budget:int -> int -> bool
     holds [budget] nodes: the caller must abandon the run and fall back
     to a from-scratch computation. *)
 
+val region_restrict :
+  dist_scratch -> pre:int array -> lo:int -> hi:int -> ext:float array -> unit
+(** [region_restrict s ~pre ~lo ~hi ~ext] scopes the current run to the
+    nodes [x] with [lo < pre.(x) <= hi]: the reseed reads a label outside
+    the scope from [ext], and the settle never relaxes into it.
+    {!region_begin} resets the scope to the whole graph. *)
+
 val region_size : dist_scratch -> int
 (** Nodes marked in the current epoch. *)
-
-val region_nth : dist_scratch -> int -> int
-(** [region_nth s i] is the [i]-th marked node, in marking order —
-    letting callers drive a breadth-first expansion by treating the
-    region log itself as the work queue. *)
 
 val region_wipe : dist_scratch -> dist:float array -> unit
 (** Set [dist] to [infinity] on every marked node. *)
@@ -176,7 +255,8 @@ val region_reseed_link :
   dist_scratch -> forbidden:int -> mirror:Digraph.t -> dist:float array -> unit
 (** Offer each marked node its best candidate through its in-links from
     unmarked, finite-labelled boundary nodes (current weights, scanned
-    through [mirror]); links incident to [forbidden] are invisible.
+    through [mirror]; a label outside the scope read from its [ext]);
+    links incident to [forbidden] are invisible.
     Improvements enter the scratch's frontier heap. *)
 
 val region_settle_link :
@@ -187,7 +267,7 @@ val region_settle_link :
   dist:float array ->
   bool
 (** Settle the seeded frontier in label order, relaxing out-links over
-    [graph] (with [forbidden] invisible).  Settled nodes are marked
+    [graph] into the scope (with [forbidden] invisible).  Settled nodes are marked
     against [budget]; [false] means the region outgrew it and [dist] is
     left corrupted. *)
 

@@ -1,31 +1,43 @@
 (* The per-relay avoidance cache both session engines share, and its
    flush policy (DESIGN.md, "Cache maintenance").
 
-   [avoid.(k)] holds the root-side distances of the search with relay
-   [k] forbidden.  An array outlives its exactness: a dropped entry
-   keeps its storage, and the refill at the next payments writes into
-   it, so steady-state flushes allocate no distance arrays.
+   The entry for relay [j] holds the labels of the root-side search with
+   [j] forbidden on S(j), the strict descendants of [j] in the current
+   shared tree, and nothing else: outside S(j) that search's labels are
+   the tree's (their tree paths avoid [j]), and [j] reads as
+   unreachable.  Every reader takes them from there.  An entry's array is
+   indexed by node and outlives its exactness: a dropped entry keeps its
+   storage, and the refill at the next payments writes its S(j) into
+   it, so steady-state flushes allocate no distance arrays.  A node that
+   is no longer a relay (S(j) empty) gives its array up at the refill,
+   so the session keeps one array per relay.
 
-   After a burst of net edits (already applied to the graph) and once
-   the shared SPT is up to date, each exact entry is slack-tested
-   against every edit.  An entry no edit touches is exact as it stands
-   (a kept decrease improves no label, a kept rise was strictly slack,
-   so no shortest path ran through it — and jointly, the untouched
-   edits leave every old shortest path and every feasibility
-   constraint intact).  A touched entry is brought up to date one of two
-   exact ways, whichever the cost model below prices lower:
+   After a burst (already applied to the graph) and once the shared SPT
+   is up to date, the flush compares the tree with the one the entries
+   were exact against ([snap_*]) and works from what moved:
 
-   - repair in place with only the edits that touch it.  The
-     untouched ones already hold for the old labels, so the array is
-     exact for the graph minus the touching edits, which is the repair's
-     precondition; the settle loop reads current weights throughout;
-   - or drop it, for {!refill} to recompute from the shared tree
-     ({!Wnet_graph.Avoid_region}: only the relay's subtree is settled).
+   - membership: reparenting [x] moves [x]'s subtree out of the relays
+     strictly below the point where [x]'s old and new parent chains
+     meet, and into those below it on the new chain.  Those entries
+     lose their exactness and are refilled;
+   - candidate changes: a link [p -> x] whose candidate
+     [label p +. weight] moved, because the link was edited or [p]'s
+     tree label moved.  It concerns the relays [j] whose S(j) holds [x],
+     [x]'s ancestors, read with [p]'s label from the entry when [p] is
+     in S(j) and from the old or new tree otherwise.  The pair touches
+     [j] when its new candidate is below [j]'s label of [x], or when its
+     old candidate equalled that label bit for bit and the new one is
+     larger.
 
-   Both give bit-identical arrays, so the choice moves time, never a
-   payment.
+   An entry no pair touches is exact as it stands: every new candidate
+   into S(j) is at least its head's label and every candidate that
+   realised a label still does, so the labels on S(j) are still the
+   minima the search finds.  A touched entry is repaired inside S(j)
+   with its pairs ({!Wnet_graph.Avoid_region.link_repair}), or dropped
+   for {!refill} when the cost model prices a refill lower.  Both give
+   bit-identical labels, so the choice moves time, never a payment.
 
-   The cache also assembles the payments from its arrays ({!charges}):
+   The cache also assembles the payments from its entries ({!charges}):
    one pass over the relays, no vector per source. *)
 
 open Wnet_graph
@@ -33,7 +45,7 @@ open Wnet_graph
 type t = {
   pool : Wnet_par.t;
   mutable avoid : float array option array;
-  mutable exact : bool array;  (* exact.(k): avoid.(k) is exact now *)
+  mutable exact : bool array;  (* exact.(k): avoid.(k) is exact on S(k) *)
   mutable scratches : Dijkstra.scratch array;  (* one per pool slot *)
   mutable dscratches : Dynamic_sssp.dist_scratch array;  (* likewise *)
   mutable avoid_runs : int;
@@ -45,11 +57,23 @@ type t = {
   mutable avoid_bounded : int;
   mutable avoid_fallback : int;
   region_hist : int array;
-  mutable index : (int * Avoid_region.index * int array) option;
-      (* the shared tree's child lists and subtree sizes, keyed by the
-         engine's tree stamp: built once per tree, for the flush, the
-         refill after it and the payment pass *)
-  mutable below : int array;  (* the payment pass's subtree buffer *)
+  mutable index : (int * Avoid_region.index) option;
+      (* the shared tree's pre-order index, keyed by the engine's tree
+         stamp: built once per tree, for the flush, the refill after it
+         and the payment pass *)
+  (* the tree the exact entries are exact against, by stamp (-1: none) *)
+  mutable snap : int;
+  mutable snap_dist : float array;
+  mutable snap_parent : int array;
+  (* per-flush work, by node: a stamp per old parent chain walked, and
+     per entry its touching pairs ([count]) and where they start in
+     [pairs] once grouped ([first]) *)
+  mutable walk : int array;
+  mutable walks : int;
+  mutable count : int array;
+  mutable first : int array;
+  pairs : Dynamic_sssp.changes;  (* touching pairs, then grouped by entry *)
+  mutable pair_entry : int array;  (* the entry of each *)
 }
 
 (* Region-size histogram: bucket 0 holds empty regions, bucket [i >= 1]
@@ -85,7 +109,15 @@ let create pool n =
     avoid_fallback = 0;
     region_hist = Array.make hist_buckets 0;
     index = None;
-    below = [||];
+    snap = -1;
+    snap_dist = [||];
+    snap_parent = [||];
+    walk = [||];
+    walks = 0;
+    count = [||];
+    first = [||];
+    pairs = Dynamic_sssp.make_changes 64;
+    pair_entry = Array.make 64 0;
   }
 
 let record_region t r =
@@ -100,16 +132,12 @@ let region_histogram t =
   done;
   !out
 
-(* A node joined: extend every array with an [infinity] slot (exact for
-   a linkless newcomer) and grow the scratches to match. *)
+(* A node joined.  No entry is copied: the newcomer enters a subtree
+   only by a membership change, and the refill that follows sizes that
+   entry's array. *)
 let grow t nn =
   let old = Array.length t.avoid in
-  let extend d =
-    let d' = Array.make nn infinity in
-    Array.blit d 0 d' 0 old;
-    d'
-  in
-  t.avoid <- Array.init nn (fun k -> if k < old then Option.map extend t.avoid.(k) else None);
+  t.avoid <- Array.init nn (fun k -> if k < old then t.avoid.(k) else None);
   t.exact <- Array.init nn (fun k -> k < old && t.exact.(k));
   let slots = Wnet_par.size t.pool in
   if nn > Dijkstra.scratch_capacity t.scratches.(0) then
@@ -140,12 +168,11 @@ let steal_map t ~states f a =
 (* [stamp] names the tree: equal stamps, equal trees. *)
 let index t ~stamp tree =
   match t.index with
-  | Some (s, idx, size) when s = stamp -> (idx, size)
+  | Some (s, idx) when s = stamp -> idx
   | _ ->
     let idx = Avoid_region.make_index tree in
-    let size = Avoid_region.subtree_sizes idx tree in
-    t.index <- Some (stamp, idx, size);
-    (idx, size)
+    t.index <- Some (stamp, idx);
+    idx
 
 (* Relays: internal nodes of the shared tree other than its source, in
    ascending order. *)
@@ -164,115 +191,256 @@ let relays (tree : Dijkstra.tree) =
   done;
   Array.of_list !l
 
+(* The old tree: nodes past the snapshot joined since, unreached. *)
+let[@inline] old_dist t v =
+  if v < Array.length t.snap_dist then t.snap_dist.(v) else infinity
+
+let[@inline] old_parent t v =
+  if v < Array.length t.snap_parent then t.snap_parent.(v) else -1
+
+let snapshot t ~stamp (tree : Dijkstra.tree) =
+  let n = Array.length tree.Dijkstra.dist in
+  if Array.length t.snap_dist <> n then begin
+    t.snap_dist <- Array.make n 0.0;
+    t.snap_parent <- Array.make n 0
+  end;
+  Array.blit tree.Dijkstra.dist 0 t.snap_dist 0 n;
+  Array.blit tree.Dijkstra.parent 0 t.snap_parent 0 n;
+  t.snap <- stamp
+
+(* The nodes whose label in [tree] differs from the snapshot's: during
+   a flush, those whose tree label the burst moved. *)
+let relabelled t (tree : Dijkstra.tree) f =
+  for v = 0 to Array.length tree.Dijkstra.dist - 1 do
+    if not (Float.equal (old_dist t v) tree.Dijkstra.dist.(v)) then f v
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Membership.  [v] was reparented: its subtree leaves the relays on its
+   old parent chain strictly below the first node the new chain shares,
+   and joins those on the new chain below it.  Relays at or above the
+   meeting point keep it.  The old chain is walked through the old
+   parents, each node stamped; the new chain stops at the first stamp. *)
+
+let moved t (tree : Dijkstra.tree) v =
+  t.walks <- t.walks + 1;
+  let y = ref (old_parent t v) in
+  while !y >= 0 do
+    t.walk.(!y) <- t.walks;
+    y := old_parent t !y
+  done;
+  let y = ref tree.Dijkstra.parent.(v) in
+  while !y >= 0 && t.walk.(!y) <> t.walks do
+    t.exact.(!y) <- false;
+    y := tree.Dijkstra.parent.(!y)
+  done;
+  let meet = !y in
+  let y = ref (old_parent t v) in
+  while !y <> meet do
+    t.exact.(!y) <- false;
+    y := old_parent t !y
+  done
+
+(* Diff the parents against the snapshot: a reparented node drops the
+   entries whose subtree it changes. *)
+let diff t (tree : Dijkstra.tree) =
+  let n = Array.length tree.Dijkstra.dist in
+  if Array.length t.walk < n then begin
+    t.walk <- Array.make n 0;
+    t.walks <- 0;
+    t.count <- Array.make n 0;
+    t.first <- Array.make n 0
+  end;
+  for v = 0 to n - 1 do
+    if old_parent t v <> tree.Dijkstra.parent.(v) then moved t tree v
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Candidate changes.  [p -> x] (weight [w0] before, [w1] now) is tested
+   against every exact entry whose S(j) holds [x]: [x]'s strict
+   ancestors below the source.  Past the first ancestor of [p], [p] is
+   inside S(j) and the entry's own label of [p] applies, which an
+   unedited link leaves unmoved: the walk stops there. *)
+
+let candidate t (tree : Dijkstra.tree) (idx : Avoid_region.index) p x w0 w1 =
+  let edited = not (Float.equal w0 w1) in
+  let l0 = old_dist t p and l1 = tree.Dijkstra.dist.(p) in
+  let src = tree.Dijkstra.source in
+  let k = ref (if idx.Avoid_region.pre.(x) >= 0 then tree.Dijkstra.parent.(x) else -1) in
+  let inner = ref false in
+  while !k >= 0 && !k <> src do
+    let j = !k in
+    k := tree.Dijkstra.parent.(j);
+    if j = p then inner := true
+    else begin
+      if not !inner then inner := Avoid_region.inside idx j p;
+      if !inner && not edited then k := -1
+      else if t.exact.(j) then
+        match t.avoid.(j) with
+        | None -> ()
+        | Some a ->
+          let before = (if !inner then a.(p) else l0) +. w0 in
+          let after = (if !inner then a.(p) else l1) +. w1 in
+          let ax = a.(x) in
+          if after < ax || (Float.equal before ax && after > before) then begin
+            let ps = t.pairs in
+            Dynamic_sssp.reserve_changes ps 1;
+            let i = ps.Dynamic_sssp.len in
+            if i >= Array.length t.pair_entry then
+              t.pair_entry <-
+                Array.append t.pair_entry (Array.make (Array.length t.pair_entry) 0);
+            ps.Dynamic_sssp.tail.(i) <- p;
+            ps.Dynamic_sssp.head.(i) <- x;
+            ps.Dynamic_sssp.before.(i) <- before;
+            ps.Dynamic_sssp.after.(i) <- after;
+            ps.Dynamic_sssp.len <- i + 1;
+            t.pair_entry.(i) <- j;
+            t.count.(j) <- t.count.(j) + 1
+          end
+    end
+  done
+
+let swap_pair t a b =
+  let ints (x : int array) =
+    let v = x.(a) in
+    x.(a) <- x.(b);
+    x.(b) <- v
+  in
+  let floats (x : float array) =
+    let v = x.(a) in
+    x.(a) <- x.(b);
+    x.(b) <- v
+  in
+  let ps = t.pairs in
+  ints ps.Dynamic_sssp.tail;
+  ints ps.Dynamic_sssp.head;
+  floats ps.Dynamic_sssp.before;
+  floats ps.Dynamic_sssp.after;
+  ints t.pair_entry
+
 (* ------------------------------------------------------------------ *)
 (* The cost model.
 
-   Refilling entry [j] copies the [n] tree distances into its array,
-   priced as a copy into an array out of cache (which assumes the work
-   between two flushes evicts the entry arrays), and re-settles [j]'s
-   strict descendants in the shared SPT; past the region budget it is a
-   full Dijkstra.  Repairing [j] re-settles the part of [j]'s search
-   tree its touching edits disturb.  Outside subtree([j]) that search's
-   labels equal the tree's, so an edit on the shared tree disturbs about
-   its head's subtree there, and an edit off the tree (which the tree,
-   hence that exterior, does not use) disturbs at most subtree([j])
-   itself.  A rise first chases and wipes the labels its old weight
-   realised, a fall only seeds and settles the labels it improves, so
-   the two are priced apart.  Constants are ns per edit and per region
-   node, fitted to the micro rows [repair/*] on the served topology
-   (DESIGN.md has the table); only their ratios steer the choice. *)
+   Refilling entry [j] re-settles S(j), or runs a full Dijkstra past the
+   region budget.  Repairing [j] re-settles the part of S(j) its pairs
+   disturb: about the subtree of each pair's head.  A rise first chases
+   and wipes the labels its old candidate realised, a fall only seeds
+   and settles the labels it improves, so the two are priced apart.
+   Constants are ns per pair and per region node, fitted to the time
+   each repair and refill call took inside a session serving the
+   [serve-link-text] op stream (DESIGN.md has the fit and why it is not
+   taken from the micro rows); only their ratios steer the choice. *)
 
-let rise_edit_ns = 250
-let rise_node_ns = 353
-let fall_edit_ns = 150
-let fall_node_ns = 47
-let fill_copy_ns = 1 (* per node of the copy into a cold array *)
-let fill_node_ns = 208
-let full_node_ns = 85 (* per node of a full-graph ban-mask Dijkstra *)
+let rise_edit_ns = 840
+let rise_node_ns = 490
+let fall_edit_ns = 145
+let fall_node_ns = 130
+let fill_node_ns = 360
+let full_node_ns = 290 (* per node of a full-graph ban-mask Dijkstra *)
 
-(* Per-entry task outcomes besides a repaired region (>= 0) and an
-   overflowed repair (-1). *)
-let kept = -2
-let dropped = -3
-
-(* One flush: [tree] is the shared SPT for the edited graph; [touches d j
-   e] is the slack test (false: [e] provably leaves the [j]-forbidden
-   array [d] exact), [disturbs size j e] the estimated number of labels
-   [e] disturbs in that array given the tree's subtree sizes, [rises e]
-   whether [e] raised a cost, and [repair] the in-place distance
-   repair.  Each exact entry is one task — test, price, then repair or
-   drop — so its array is read while it is in cache; the counters are
-   folded here afterwards. *)
-let maintain t ~(tree : Dijkstra.tree) ~stamp ~touches ~disturbs ~rises
-    ~repair edits =
-  let n = Array.length tree.Dijkstra.dist in
-  let budget = Dynamic_sssp.default_budget n in
-  let _, size = index t ~stamp tree in
-  let rec touching d j = function
-    | [] -> []
-    | e :: rest ->
-      if touches d j e then e :: touching d j rest else touching d j rest
-  in
-  (* the repair's estimated region, and its price *)
-  let rec region j acc = function
-    | [] -> acc
-    | e :: rest -> region j (acc + disturbs size j e) rest
-  in
-  let rec repair_ns j acc = function
-    | [] -> acc
-    | e :: rest ->
-      let extra = max 0 (disturbs size j e - 1) in
-      repair_ns j
-        (acc
-        +
-        if rises e then rise_edit_ns + (rise_node_ns * extra)
-        else fall_edit_ns + (fall_node_ns * extra))
-        rest
-  in
-  let fill_ns j =
-    if size.(j) > budget then full_node_ns * n
-    else (fill_copy_ns * n) + (fill_node_ns * (size.(j) - 1))
-  in
-  let entries = ref [] in
-  for j = Array.length t.avoid - 1 downto 0 do
-    match t.avoid.(j) with
-    | Some d when t.exact.(j) -> entries := (j, d) :: !entries
-    | _ -> ()
-  done;
-  let entries = Array.of_list !entries in
-  let outcomes =
-    steal_map t ~states:t.dscratches
-      (fun ds (j, d) ->
-        match touching d j edits with
-        | [] -> kept
-        | es ->
-          if region j 0 es <= budget && repair_ns j 0 es < fill_ns j then
-            match repair ds ~forbidden:j ~dist:d es with
-            | `Patched r -> r
-            | `Overflow -> -1
-          else dropped)
-      entries
-  in
-  Array.iteri
-    (fun i (j, _) ->
-      let r = outcomes.(i) in
-      if r >= 0 then begin
-        t.repaired <- t.repaired + 1;
-        record_region t r
+(* One flush: [tree] is the shared SPT for the edited graph, [candidates
+   emit] calls [emit p x w0 w1] for every candidate change of the burst
+   (every net edit, and every other link out of a node {!relabelled}
+   reports), and [repair] is the region-only repair of one entry over its
+   pairs.  Entries are dropped for membership first, then each touched
+   entry is priced and repaired or dropped; the repairs fan out over the
+   pool, one task each. *)
+let maintain t ~(tree : Dijkstra.tree) ~stamp ~candidates ~repair =
+  if t.snap >= 0 then begin
+    let n = Array.length tree.Dijkstra.dist in
+    let budget = Dynamic_sssp.default_budget n in
+    let idx = index t ~stamp tree in
+    diff t tree;
+    t.pairs.Dynamic_sssp.len <- 0;
+    candidates (candidate t tree idx);
+    (* group the pairs by entry in place: [first.(j)] is the next slot
+       of [j]'s block to fill, and a pair found in a slot that is not
+       its entry's is swapped into its entry's next slot.  Each swap
+       places one pair; [first.(j)] ends up past [j]'s last. *)
+    let g = t.pairs in
+    let off = ref 0 in
+    for j = 0 to n - 1 do
+      t.first.(j) <- !off;
+      off := !off + t.count.(j)
+    done;
+    let stop = ref 0 in
+    for j = 0 to n - 1 do
+      stop := !stop + t.count.(j);
+      while t.first.(j) < !stop do
+        let k = t.first.(j) in
+        let e = t.pair_entry.(k) in
+        if e <> j then swap_pair t k t.first.(e);
+        t.first.(e) <- t.first.(e) + 1
+      done
+    done;
+    (* price each touched entry: repair it, or drop it *)
+    let fixes = ref [] in
+    for j = n - 1 downto 0 do
+      if t.count.(j) > 0 then begin
+        let last = t.first.(j) in
+        let first = last - t.count.(j) in
+        t.count.(j) <- 0;
+        let region = ref 0 and ns = ref 0 in
+        for k = first to last - 1 do
+          let r = idx.Avoid_region.size.(g.Dynamic_sssp.head.(k)) in
+          region := !region + r;
+          ns :=
+            !ns
+            +
+            if g.Dynamic_sssp.after.(k) > g.Dynamic_sssp.before.(k) then
+              rise_edit_ns + (rise_node_ns * (r - 1))
+            else fall_edit_ns + (fall_node_ns * (r - 1))
+        done;
+        let sub = idx.Avoid_region.size.(j) - 1 in
+        let fill_ns = if sub > budget then full_node_ns * n else fill_node_ns * sub in
+        (* an array from before a join is refilled, which sizes it *)
+        let short = match t.avoid.(j) with Some a -> Array.length a < n | None -> true in
+        if !region <= budget && !ns < fill_ns && not short then
+          fixes := (j, first, last) :: !fixes
+        else t.exact.(j) <- false
       end
-      else if r = -1 then begin
-        (* an overflowed repair leaves the array corrupted *)
-        t.exact.(j) <- false;
-        t.fallbacks <- t.fallbacks + 1
-      end
-      else if r = dropped then t.exact.(j) <- false)
-    entries
+    done;
+    let fixes = Array.of_list !fixes in
+    if Array.length fixes > 0 then begin
+      let outcomes =
+        steal_map t ~states:t.dscratches
+          (fun ds (j, first, last) ->
+            match t.avoid.(j) with
+            | Some d -> repair ds idx j d g ~first ~last
+            | None -> -1)
+          fixes
+      in
+      Array.iteri
+        (fun i (j, _, _) ->
+          let r = outcomes.(i) in
+          if r >= 0 then begin
+            t.repaired <- t.repaired + 1;
+            record_region t r
+          end
+          else begin
+            (* an overflowed repair leaves the entry corrupted *)
+            t.exact.(j) <- false;
+            t.fallbacks <- t.fallbacks + 1
+          end)
+        fixes
+    end;
+    snapshot t ~stamp tree
+  end
 
 (* Make every relay's entry exact: the exact ones are reused, the rest
-   filled over the pool.  [bounded], when given, is the subtree-bounded
+   filled over the pool.  [bounded], when given, is the region-only
    kernel (region size, or [-1] past the budget), writing into the
    entry's own array; [full] is the full-graph run it falls back to. *)
 let refill t ~(tree : Dijkstra.tree) ~stamp ~bounded ~full relays =
+  (* entries of nodes that are no longer relays: S(j) is empty *)
+  let r = ref 0 in
+  for j = 0 to Array.length t.avoid - 1 do
+    if !r < Array.length relays && relays.(!r) = j then incr r
+    else if Option.is_some t.avoid.(j) then begin
+      t.avoid.(j) <- None;
+      t.exact.(j) <- false
+    end
+  done;
   let missing = ref [] in
   for i = Array.length relays - 1 downto 0 do
     if not t.exact.(relays.(i)) then missing := relays.(i) :: !missing
@@ -288,11 +456,15 @@ let refill t ~(tree : Dijkstra.tree) ~stamp ~bounded ~full relays =
       match bounded with
       | None -> steal_map t ~states (fun (s, _) k -> (full s k, -1)) missing
       | Some fill ->
-        let idx, _ = index t ~stamp tree in
+        let idx = index t ~stamp tree in
         steal_map t ~states
           (fun (s, ds) k ->
+            (* a fresh array holds [neg_infinity] outside S(k), never
+               read, which the settle rejects without a scope test *)
             let d =
-              match t.avoid.(k) with Some d -> d | None -> Array.make n infinity
+              match t.avoid.(k) with
+              | Some d when Array.length d >= n -> d
+              | _ -> Array.make n neg_infinity
             in
             let r = fill ds idx k d in
             if r >= 0 then (d, r) else (full s k, -1))
@@ -312,7 +484,18 @@ let refill t ~(tree : Dijkstra.tree) ~stamp ~bounded ~full relays =
       missing
   end;
   t.avoid_runs <- t.avoid_runs + Array.length missing;
-  t.avoid_reused <- t.avoid_reused + (Array.length relays - Array.length missing)
+  t.avoid_reused <- t.avoid_reused + (Array.length relays - Array.length missing);
+  if t.snap <> stamp then snapshot t ~stamp tree
+
+(* The exact entries, as (relay, array), in ascending relay order. *)
+let entries t =
+  let l = ref [] in
+  for j = Array.length t.avoid - 1 downto 0 do
+    match t.avoid.(j) with
+    | Some a when t.exact.(j) -> l := (j, a) :: !l
+    | _ -> ()
+  done;
+  !l
 
 (* ------------------------------------------------------------------ *)
 (* Payment assembly (DESIGN.md, "Payment assembly").
@@ -345,9 +528,8 @@ let avoid_of t k =
    {!refill}. *)
 let charges t ~(tree : Dijkstra.tree) ~stamp ~model ~own relays =
   let n = Array.length tree.Dijkstra.dist in
-  let idx, _ = index t ~stamp tree in
-  if Array.length t.below < n then t.below <- Array.make n 0;
-  let below = t.below and dist = tree.Dijkstra.dist in
+  let idx = index t ~stamp tree in
+  let { Avoid_region.pre; size; order; _ } = idx and dist = tree.Dijkstra.dist in
   let charge = Array.make n 0.0 in
   let cut = ref [] in
   for r = 0 to Array.length relays - 1 do
@@ -355,8 +537,8 @@ let charges t ~(tree : Dijkstra.tree) ~stamp ~model ~own relays =
     let a = avoid_of t k in
     let w = own k in
     let monopoly = ref false in
-    for i = 0 to Avoid_region.descendants idx k below - 1 do
-      let s = Array.unsafe_get below i in
+    for i = pre.(k) + 1 to pre.(k) + size.(k) - 1 do
+      let s = Array.unsafe_get order i in
       charge.(s) <- charge.(s) +. pay model w a.(s) dist.(s);
       if a.(s) = infinity then monopoly := true
     done;

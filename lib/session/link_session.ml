@@ -113,38 +113,46 @@ let stats t =
     avoid_bounded = c.avoid_bounded; avoid_fallback = c.avoid_fallback }
 let unbounded_relays t = t.unbounded
 let region_histogram t = Avoid_cache.region_histogram t.cache
+let entries t = Avoid_cache.entries t.cache
 
 (* ------------------------------------------------------------------ *)
 (* Cache maintenance.
 
-   Every cached array [d] for relay [j] is the distance-from-root array
-   of a Dijkstra over [rev] with [j] forbidden.  After each burst the
-   shared SPT is repaired in place ({!Dynamic_sssp.apply}, which falls
-   back to a from-scratch run on an oversized region or a parent tie),
-   then {!Avoid_cache.maintain} applies the flush policy to every exact
-   entry.  Its slack test, for a rev-link [v -> u] of the burst:
-
-   - whose weight drops to [w1]: no distance changes iff the new
-     relaxation does not improve [u]: [d.(u) <= d.(v) +. w1];
-   - whose weight rises from [w0]: no distance changes iff the link was
-     strictly slack: [d.(u) < d.(v) +. w0] (a tie might have been
-     realised through the link, so ties touch);
-   - incident to the forbidden node [j], or leaving an unreachable tail
-     ([d.(v) = infinity]): invisible to the search.
-
-   The comparisons mirror the float arithmetic of the relaxation itself
-   ([d.(v) +. w]), so "unchanged" means bit-for-bit: the qcheck suite
-   holds every branch to [Float.equal] against a from-scratch oracle. *)
+   The entry for relay [j] holds the labels of a Dijkstra over [rev]
+   with [j] forbidden, on [j]'s subtree of the shared SPT.  After each
+   burst the shared SPT is repaired in place ({!Dynamic_sssp.apply},
+   which falls back to a from-scratch run on an oversized region or a
+   parent tie), then {!Avoid_cache.maintain} applies the flush policy to
+   the burst's candidate changes: every net rev-link edit, and every
+   other rev-link out of a node whose tree label moved. *)
 
 let mark_edit t =
   t.edits <- t.edits + 1;
   t.last <- None
 
-let edit_touches d j (e : Dynamic_sssp.edit) =
-  let dv = d.(e.u) in
-  not
-    (j = e.u || j = e.v || dv = infinity
-    || if e.w1 < e.w0 then d.(e.v) <= dv +. e.w1 else d.(e.v) < dv +. e.w0)
+(* Is rev-link [u -> v] in the sorted edit keys [u * n + v]? *)
+let edited keys n u v =
+  let key = (u * n) + v in
+  let lo = ref 0 and hi = ref (Array.length keys) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if keys.(mid) < key then lo := mid + 1 else hi := mid
+  done;
+  !lo < Array.length keys && keys.(!lo) = key
+
+let candidates t tree redits emit =
+  List.iter (fun (e : Dynamic_sssp.edit) -> emit e.u e.v e.w0 e.w1) redits;
+  let n = Digraph.n t.rev in
+  let keys =
+    Array.of_list (List.map (fun (e : Dynamic_sssp.edit) -> (e.u * n) + e.v) redits)
+  in
+  Array.sort Int.compare keys;
+  let { Digraph.row_off; col; wgt } = Digraph.csr t.rev in
+  Avoid_cache.relabelled t.cache tree (fun p ->
+      for i = row_off.(p) to row_off.(p + 1) - 1 do
+        let x = col.(i) in
+        if not (edited keys n p x) then emit p x wgt.(i) wgt.(i)
+      done)
 
 (* One invalidation pass over net rev-graph edits already applied to
    both orientations.  Before the first payments there is no tree and no
@@ -164,15 +172,11 @@ let maintain t redits =
       c.fallbacks <- c.fallbacks + 1);
     t.tree_version <- version t;
     let tree = Dynamic_sssp.tree dy in
-    Avoid_cache.maintain c ~tree ~stamp:t.tree_version ~touches:edit_touches
-      ~disturbs:(fun size j (e : Dynamic_sssp.edit) ->
-        if tree.Dijkstra.parent.(e.v) = e.u then size.(e.v)
-        else min size.(e.v) (size.(j) - 1))
-      ~rises:(fun (e : Dynamic_sssp.edit) -> e.w1 > e.w0)
-      ~repair:(fun ds ~forbidden ~dist es ->
-        Dynamic_sssp.repair_dist ds ~forbidden ~graph:t.rev ~mirror:t.g
-          ~source:t.root ~dist es)
-      redits
+    Avoid_cache.maintain c ~tree ~stamp:t.tree_version
+      ~candidates:(candidates t tree redits)
+      ~repair:(fun ds idx k dist ch ~first ~last ->
+        Avoid_region.link_repair ds idx ~graph:t.rev ~mirror:t.g ~tree ~avoid:k
+          ~dist ch ~first ~last)
 
 (* Cost edits mutate the graph eagerly but defer the cache maintenance:
    the burst accumulated since the last flush is folded into ONE pass,
@@ -214,9 +218,10 @@ let remove_node t k =
   let nn = n t in
   if k < 0 || k >= nn then invalid_arg "Link_session.remove_node: out of range";
   if k = t.root then invalid_arg "Link_session.remove_node: cannot remove the root";
-  (* every incident link deleted, expressed as rev-graph edits.  The
-     entry for k itself survives untouched (and exact): links incident
-     to k are invisible to the k-forbidden search. *)
+  (* every incident link deleted, expressed as rev-graph edits.
+     Detaching k moves or strands its descendants, a membership change
+     {!Avoid_cache.maintain} finds in the tree diff; an unreached node
+     is in no subtree, so no entry holds a label for k afterwards. *)
   let redits =
     Array.fold_left
       (fun acc (u, w) -> { Dynamic_sssp.u = k; v = u; w0 = w; w1 = infinity } :: acc)
@@ -250,9 +255,9 @@ let apply_links t id ~out ~inn =
 
 (* A freshly attached node's links, as rev-graph insertions, read off
    the graph itself (so duplicates in the caller's link lists fold
-   away).  Every surviving cache holds [d.(id) = infinity] (extended
-   row, or a node isolated by {!remove_node}), exact before the
-   insertions. *)
+   away).  The node was in no subtree and no entry holds a label for
+   it; entering the tree is a membership change that
+   {!Avoid_cache.maintain} finds in the tree diff. *)
 let attach t id =
   let redits =
     Array.fold_left
@@ -297,9 +302,8 @@ let rejoin_node t k ~out ~inn =
   List.iter (check_attach_link ~what:"Link_session.rejoin_node" ~n:nn ~self:k) inn;
   apply_links t k ~out ~inn;
   mark_edit t;
-  (* Surviving caches hold d.(k) = infinity — exactly the add_node
-     situation, minus the array extension.  The node's own entry stays
-     exact: k's links are invisible to the k-forbidden search. *)
+  (* the add_node situation, minus the array extension: an isolated k
+     is in no subtree, and k itself has no descendants *)
   attach t k
 
 (* ------------------------------------------------------------------ *)
@@ -334,16 +338,16 @@ let charges t =
   | _ ->
     flush t;
     let tree = shared_tree t in
-    (* Per-relay fills bounded to the relay's SPT subtree: exterior
-       distances are copied bit-for-bit from the shared tree, only the
-       region is wiped/reseeded/settled.  Oversized subtrees fall back to
-       the full-graph CSR kernel. *)
+    (* Per-relay fills of the relay's SPT subtree only: exterior labels
+       are read off the shared tree, only the region is
+       wiped/reseeded/settled.  Oversized subtrees fall back to the
+       full-graph CSR kernel. *)
     let bounded =
       match t.kernel with
       | `CsrBounded ->
         Some
           (fun ds idx k d ->
-            Avoid_region.link_avoid ds idx ~graph:t.rev ~mirror:t.g ~tree ~avoid:k
+            Avoid_region.link_fill ds idx ~graph:t.rev ~mirror:t.g ~tree ~avoid:k
               ~dist:d)
       | `Csr | `Boxed -> None
     in

@@ -8,8 +8,9 @@
     batch payment engine builds from it:
 
     - the shared reversed-graph shortest-path tree (one Dijkstra),
-    - the per-relay avoidance-distance arrays (one Dijkstra per relay —
-      the expensive part),
+    - the per-relay avoidance entries: relay [j]'s holds the labels of
+      the [j]-avoiding search on [j]'s subtree of the shared tree
+      (elsewhere they equal the tree's),
     - a {!Wnet_par} domain pool and one Dijkstra scratch per domain,
       alive across requests.
 
@@ -21,15 +22,20 @@
       region ({!Wnet_graph.Dynamic_sssp}), falling back to a
       from-scratch run on an oversized region or a bit-equal parent
       tie;
-    - each exact avoidance array is slack-tested against the burst's
-      net edits; an array no edit touches is kept as it is;
-    - a touched array is either repaired in place with only the edits
-      that touch it, or dropped and refilled at the next {!charges}
-      by the subtree-bounded kernel ({!Wnet_graph.Avoid_region}),
-      into its own storage.  A cost model picks the cheaper per entry,
-      from subtree sizes in the repaired tree: the labels the touching
-      edits can disturb, priced apart for rises and falls, against the
-      relay's own subtree.
+    - an entry whose subtree gained or lost a node (a reparent moved
+      it) is dropped;
+    - every other entry is tested against the burst's candidate
+      changes — each edited link, and each link out of a node whose
+      tree label moved — that enter its subtree.  An entry none
+      touches is kept as it is;
+    - a touched entry is either repaired inside its subtree with the
+      changes that touch it, or dropped.  Dropped entries are refilled
+      at the next {!charges} by the region-only kernel
+      ({!Wnet_graph.Avoid_region}), into their own storage.  A cost
+      model picks the cheaper per entry, from subtree sizes in the
+      repaired tree: the labels the touching changes can disturb,
+      priced apart for rises and falls, against the relay's own
+      subtree.
 
     Every branch is exact, so the policy moves time, never a payment.
 
@@ -76,30 +82,33 @@ type stats = {
           non-empty net burst, one per join/leave/rejoin *)
   spt_runs : int;  (** shared-tree Dijkstras (initial build + rebuilds) *)
   avoid_runs : int;
-      (** avoidance arrays refilled at {!charges}: first fills, entries
-          the flush policy dropped, and entries whose repair overflowed *)
-  avoid_reused : int;  (** relay results served from cache *)
+      (** avoidance entries refilled at {!charges}: first fills, entries
+          whose subtree changed membership, entries the cost model
+          dropped, and entries whose repair overflowed *)
+  avoid_reused : int;
+      (** relays served at {!charges} from an exact entry: one no
+          candidate change touched, or one repaired in place *)
   repaired_entries : int;
       (** structures patched in place: the shared tree once per flush
-          (unless rebuilt), plus each touched avoidance array the policy
-          chose to repair.  Untouched arrays are kept without a repair
-          call and do not count *)
+          (unless rebuilt), plus each touched entry the policy repaired
+          inside its subtree.  Untouched entries are kept without a
+          repair call and do not count *)
   fallback_recomputes : int;
       (** repairs that could not finish in place: a shared-tree rebuild
           (oversized region, or a bit-equal tie that could flip a
-          parent), or an avoidance repair that overflowed its budget and
+          parent), or an entry repair that overflowed its budget and
           left the entry to be refilled *)
   tasks_executed : int;
       (** units of work run through the pool's work-stealing scheduler:
-          one per exact avoidance array per flush (slack test, then
-          repair or drop), one per refill *)
+          one per entry repaired at a flush, one per refill.  A kept
+          entry and a dropped one make no task at the flush *)
   tasks_stolen : int;
       (** the subset executed by a domain other than the one that queued
           them — nonzero only when stealing actually rebalanced load *)
   avoid_bounded : int;
-      (** cache-miss fills served by the subtree-bounded region kernel
-          (exterior distances copied from the shared tree, only the
-          relay's SPT subtree recomputed) *)
+      (** refills served by the region-only kernel (only the relay's
+          SPT subtree computed, exterior labels read off the shared
+          tree) *)
   avoid_fallback : int;
       (** bounded fills whose region outgrew the budget and fell back to
           a full-graph CSR Dijkstra *)
@@ -168,7 +177,8 @@ val add_node :
 (** [add_node s ~out ~inn] joins a new node with declared out-links
     [out = (target, cost)] and in-links [inn = (source, cost)], and
     returns its identifier.  The newcomer's links enter the flush
-    policy as insertions: caches they cannot improve are kept, the
+    policy as insertions: the entries whose subtree the newcomer
+    enters are dropped, caches the links cannot improve are kept, the
     others repaired or dropped.
     @raise Invalid_argument on invalid endpoints or weights. *)
 
@@ -184,8 +194,7 @@ val rejoin_node :
     {!remove_node} detached, or that joined linkless) under its existing
     identifier — the node-rejoin half of churn.  The links enter the
     flush policy as one burst of insertions, exactly as in
-    {!add_node}, and the node's own cache survives (its links are
-    invisible to the search that forbids it).
+    {!add_node}.
     @raise Invalid_argument when [v] is the root, out of range, or not
     isolated, or on invalid endpoints or weights. *)
 
@@ -222,3 +231,9 @@ val region_histogram : t -> (int * int) list
     subtree-bounded refill, as [(class lower bound, count)]
     pairs with power-of-two size classes [{0}, {1}, [2,4), [4,8), ...]
     — ascending, zero-count classes omitted. *)
+
+val entries : t -> (int * float array) list
+(** The exact avoidance entries, as [(relay, array)] in ascending relay
+    order.  Relay [j]'s array holds the labels of the [j]-avoiding
+    search on [j]'s strict descendants in the current shared tree
+    ([fst (charges t)]) and nothing meaningful elsewhere.  For tests. *)

@@ -91,6 +91,7 @@ let stats t =
     avoid_bounded = c.avoid_bounded; avoid_fallback = c.avoid_fallback }
 let unbounded_relays t = t.unbounded
 let region_histogram t = Avoid_cache.region_histogram t.cache
+let entries t = Avoid_cache.entries t.cache
 
 let mark_edit t =
   t.gver <- t.gver + 1;
@@ -107,44 +108,39 @@ let shared_tree t =
     t.spt_runs <- t.spt_runs + 1;
     tree
 
-(* Node [x]'s cost changed from [c0] to [c1] (removal: [c1 = infinity],
-   which kills every relaxation out of [x]).  A cached [j]-avoiding
-   array [d] is touched unless no root-side shortest path of that search
-   can be: relaxations out of [x] offer each neighbour [w] the candidate
-   [d.(x) +. cost x] (node-weighted Dijkstra charges the relay cost on
-   *leaving* [x]), so the cache is exact as long as no such candidate
-   improves — or was tight for — its target.  The float comparisons
-   mirror the relaxation arithmetic bit for bit. *)
-let edit_touches d j (e : Dynamic_sssp.node_edit) =
-  let dx = d.(e.x) in
-  j <> e.x && dx < infinity
-  &&
-  let touched = ref false and i = ref 0 in
-  while (not !touched) && !i < Array.length e.nbrs do
-    let w = e.nbrs.(!i) in
-    if
-      w <> j
-      && not (if e.c1 < e.c0 then d.(w) <= dx +. e.c1 else d.(w) < dx +. e.c0)
-    then touched := true;
-    incr i
-  done;
-  !touched
+(* The burst's candidate changes: in the node model a link [p -> y]
+   weighs [p]'s relay cost (0 from the root), so a cost edit on [x]
+   changes every link out of [x] (a removal, to [infinity], the links of
+   its old adjacency), and a node whose tree label moved changes every
+   link out of it. *)
+let rec edits_node x = function
+  | [] -> false
+  | (e : Dynamic_sssp.node_edit) :: rest -> e.x = x || edits_node x rest
+
+let candidates t tree nedits emit =
+  List.iter
+    (fun (e : Dynamic_sssp.node_edit) ->
+      Array.iter (fun y -> emit e.x y e.c0 e.c1) e.nbrs)
+    nedits;
+  Avoid_cache.relabelled t.cache tree (fun p ->
+      if not (edits_node p nedits) then begin
+        let c = if p = t.root then 0.0 else Graph.cost t.g p in
+        Array.iter (fun y -> emit p y c c) (Graph.neighbors t.g p)
+      end)
 
 (* One invalidation pass of the flush policy (see {!Avoid_cache}) over
-   net node-cost edits.  The tree is built here rather than at the next
-   payments, which needs it anyway: the policy prices each entry off its
-   subtree sizes.  An edit on [x] disturbs [x]'s subtree: leaving [x] is
-   what it re-prices. *)
+   net node-cost edits.  The tree is rebuilt here rather than at the
+   next payments, which needs it anyway: the policy works from what the
+   rebuild moved. *)
 let maintain t nedits =
   t.inval_passes <- t.inval_passes + 1;
   let graph = t.g in
   let tree = shared_tree t in
-  Avoid_cache.maintain t.cache ~tree ~stamp:t.tree_version ~touches:edit_touches
-    ~disturbs:(fun size _ (e : Dynamic_sssp.node_edit) -> size.(e.x))
-    ~rises:(fun (e : Dynamic_sssp.node_edit) -> e.c1 > e.c0)
-    ~repair:(fun ds ~forbidden ~dist es ->
-      Dynamic_sssp.repair_node_dist ds ~forbidden ~graph ~source:t.root ~dist es)
-    nedits
+  Avoid_cache.maintain t.cache ~tree ~stamp:t.tree_version
+    ~candidates:(candidates t tree nedits)
+    ~repair:(fun ds idx k dist ch ~first ~last ->
+      Avoid_region.node_repair ds idx ~graph ~tree ~avoid:k ~dist ch ~first
+        ~last)
 
 (* Deferred, coalesced maintenance: cost edits swap the cost vector
    eagerly, the cache pass waits for the next flush and handles each
@@ -195,18 +191,9 @@ let remove_node t x =
   let c0 = Graph.cost t.g x in
   t.g <- Graph.remove_node t.g x;
   mark_edit t;
-  (* as a cost edit to infinity: no search relays x any more.  The entry
-     for x itself stays exact (x is invisible to its own search); in
-     every other exact entry x's now-adjacencyless label is forced to
-     the from-scratch value. *)
-  maintain t [ { Dynamic_sssp.x; nbrs; c0; c1 = infinity } ];
-  let c = t.cache in
-  Array.iteri
-    (fun j entry ->
-      match entry with
-      | Some d when c.Avoid_cache.exact.(j) -> d.(x) <- infinity
-      | _ -> ())
-    c.Avoid_cache.avoid
+  (* as a cost edit to infinity on x's old links: no search relays x any
+     more.  x leaves every subtree it was in, a membership change. *)
+  maintain t [ { Dynamic_sssp.x; nbrs; c0; c1 = infinity } ]
 
 let charges t =
   match t.settled with
@@ -214,13 +201,13 @@ let charges t =
   | _ ->
     flush t;
     let tree = shared_tree t in
-    (* Subtree-bounded fills; see {!Link_session.charges}. *)
+    (* Region-only fills; see {!Link_session.charges}. *)
     let bounded =
       match t.kernel with
       | `CsrBounded ->
         Some
           (fun ds idx k d ->
-            Avoid_region.node_avoid ds idx ~graph:t.g ~tree ~avoid:k ~dist:d)
+            Avoid_region.node_fill ds idx ~graph:t.g ~tree ~avoid:k ~dist:d)
       | `Csr | `Boxed -> None
     in
     let full scratch k =

@@ -10,12 +10,13 @@
     ({!remove_node}).  Each coalesced burst runs the flush policy of
     {!Link_session}: the shared node-weighted tree is rebuilt at the
     flush (one Dijkstra per burst, which the next {!charges} needs
-    anyway), each exact [k]-avoiding array is slack-tested against the
-    burst, kept when no edit touches it, and otherwise either repaired
-    in place with only its touching edits
-    ({!Wnet_graph.Dynamic_sssp.repair_node_dist}) or dropped and
-    refilled by the subtree-bounded kernel at the next {!charges} —
-    whichever the cost model prices lower.
+    anyway) and compared with the old one: an entry whose subtree
+    changed membership is dropped, one no candidate change touches is
+    kept, and a touched one is either repaired inside its subtree
+    ({!Wnet_graph.Avoid_region.node_repair}) or dropped and refilled by
+    the region-only kernel at the next {!charges} — whichever the cost
+    model prices lower.  A node-model link weighs its tail's relay cost,
+    so a cost edit on [x] changes every link out of [x].
 
     {b Determinism contract:} {!payments} after any edit sequence is
     bit-identical ([Float.equal], identical paths) to a from-scratch
@@ -44,25 +45,27 @@ type stats = {
       (** passes over the avoidance-cache array (flushes + leaves) *)
   spt_runs : int;  (** shared-tree Dijkstras: one per flush or edit *)
   avoid_runs : int;
-      (** avoidance arrays refilled at {!charges}: first fills, entries
-          the flush policy dropped, and entries whose repair overflowed *)
+      (** avoidance entries refilled at {!charges}: first fills, entries
+          whose subtree changed membership, entries the cost model
+          dropped, and entries whose repair overflowed *)
   avoid_reused : int;
+      (** relays served at {!charges} from an exact entry (untouched or
+          repaired) *)
   repaired_entries : int;
-      (** touched avoidance arrays the policy repaired in place;
-          untouched arrays are kept without a repair call and do not
-          count *)
+      (** touched entries the policy repaired inside their subtree (the
+          tree is rebuilt, not repaired, and does not count); untouched
+          entries are kept without a repair call and do not count *)
   fallback_recomputes : int;
-      (** avoidance repairs that overflowed their budget and left the
-          entry to be refilled *)
+      (** entry repairs that overflowed their budget and left the entry
+          to be refilled *)
   tasks_executed : int;
       (** units of work run through the pool's work-stealing scheduler:
-          one per exact avoidance array per flush (slack test, then
-          repair or drop), one per refill *)
+          one per entry repaired at a flush, one per refill *)
   tasks_stolen : int;
       (** the subset executed by a domain other than the one that queued
           them — nonzero only when stealing actually rebalanced load *)
   avoid_bounded : int;
-      (** cache-miss fills served by the subtree-bounded region kernel *)
+      (** refills served by the region-only kernel *)
   avoid_fallback : int;
       (** bounded fills that outgrew the budget and fell back to a
           full-graph CSR Dijkstra *)
@@ -147,3 +150,6 @@ val region_histogram : t -> (int * int) list
 (** Histogram of bounded-region sizes (successful repairs and
     subtree-bounded refills), same power-of-two size classes
     as {!Link_session.region_histogram}. *)
+
+val entries : t -> (int * float array) list
+(** The exact avoidance entries, as {!Link_session.entries}. *)

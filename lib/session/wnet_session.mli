@@ -38,7 +38,14 @@ type stats = Link_session.stats = {
   avoid_fallback : int;
 }
 (** The unified work ledger (the node engine's counters are converted
-    into the same record). *)
+    into the same record).  Under the region-only flush policy
+    ({!Link_session}): [repaired_entries] counts the link model's tree
+    repair and every entry repaired inside its subtree; [avoid_runs]
+    every refill, membership changes and cost-model drops included;
+    [avoid_reused] the relays served from an exact entry, untouched or
+    repaired; [fallback_recomputes] tree rebuilds and overflowed entry
+    repairs; [avoid_bounded] the refills the region-only kernel served;
+    and [tasks_executed] one task per entry repair and per refill. *)
 
 val stats_version : int
 (** Version of the stats wire layout: 1 = the first 6 counters, 2 = the

@@ -320,6 +320,154 @@ let test_leaf_relay_pinned () =
   Alcotest.(check (list int)) "session flags the monopoly relay" [ 1 ]
     (LS.unbounded_relays s)
 
+(* ---------------- region-only session entries ---------------- *)
+
+(* After every payments, each exact entry must hold, on its relay's
+   strict descendants in the current shared tree, exactly the labels of
+   the full-array kernel — compared as bits — and every charge must be
+   the from-scratch oracle's.  Weights and costs are small integers, so
+   ties occur; bursts mix rises and falls, deletions and insertions,
+   joins, leaves and rejoins (links), or cost edits and leaves (nodes). *)
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let int_weight rng = float_of_int (1 + Rng.int rng 4)
+
+let int_digraph rng ~n =
+  let links = ref [] in
+  let p = 3.0 /. float_of_int n in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      if u <> v && Rng.bernoulli rng p then links := (u, v, int_weight rng) :: !links
+    done
+  done;
+  Digraph.create ~n ~links:!links
+
+let check_entries ~what (tree : Dijkstra.tree) entries fresh =
+  let idx = Avoid_region.make_index tree in
+  List.iter
+    (fun (j, a) ->
+      let d = fresh idx j in
+      let lo = idx.Avoid_region.pre.(j) in
+      for i = lo + 1 to lo + idx.Avoid_region.size.(j) - 1 do
+        let x = idx.Avoid_region.order.(i) in
+        if not (bits_equal a.(x) d.(x)) then
+          QCheck2.Test.fail_reportf "%s: entry %d, node %d: %h, fresh %h" what j x
+            a.(x) d.(x)
+      done)
+    entries
+
+let random_int_link_op rng s =
+  let nn = LS.n s in
+  let u = Rng.int rng nn and v = Rng.int rng nn in
+  match Rng.int rng 10 with
+  | 0 | 1 | 2 | 3 | 4 ->
+    (* a rise or a fall of an existing link, else an insertion *)
+    if u <> v then
+      let w = LS.cost s u v in
+      LS.set_cost s u v
+        (if w = infinity then int_weight rng
+         else if Rng.bernoulli rng 0.5 then w +. 1.0
+         else Float.max 0.0 (w -. 1.0))
+  | 5 -> if u <> v then LS.set_cost s u v infinity
+  | 6 -> LS.remove_node s (1 + Rng.int rng (nn - 1))
+  | 7 ->
+    let g = LS.snapshot s in
+    let in_deg = Array.make nn 0 in
+    List.iter (fun (_, y, _) -> in_deg.(y) <- in_deg.(y) + 1) (Digraph.links g);
+    let iso = ref None in
+    for k = nn - 1 downto 1 do
+      if Digraph.out_degree g k = 0 && in_deg.(k) = 0 then iso := Some k
+    done;
+    Option.iter
+      (fun k ->
+        let link () = ((k + 1 + Rng.int rng (nn - 1)) mod nn, int_weight rng) in
+        LS.rejoin_node s k ~out:[ link () ] ~inn:[ link (); link () ])
+      !iso
+  | _ ->
+    let link () = (Rng.int rng nn, int_weight rng) in
+    ignore (LS.add_node s ~out:[ link () ] ~inn:[ link (); link () ])
+
+let link_entries_prop ~domains seed =
+  let rng = Rng.create seed in
+  let n = 8 + Rng.int rng 20 in
+  let g = int_digraph rng ~n in
+  Wnet_par.with_pool ~domains (fun pool ->
+      let s = LS.create ~pool g ~root:0 in
+      for burst = 0 to 12 do
+        for _ = 1 to Rng.int rng 8 do
+          random_int_link_op rng s
+        done;
+        let b = LS.payments s in
+        let what = Printf.sprintf "burst %d" burst in
+        let graph = LS.snapshot s in
+        let rev = Digraph.reverse graph in
+        let nn = Digraph.n graph in
+        let oracle = LC.all_to_root ~strategy:LC.Copy_graph graph ~root:0 in
+        Array.iteri
+          (fun src o ->
+            match (o, oracle.LC.results.(src)) with
+            | None, None -> ()
+            | Some (o : LS.outcome), Some (r : LC.t)
+              when o.LS.path = r.LC.path && bits_equal o.LS.charge r.LC.charge -> ()
+            | _ -> QCheck2.Test.fail_reportf "%s: source %d differs from the oracle" what src)
+          b.LS.results;
+        let tree, _ = LS.charges s in
+        let ds = Dynamic_sssp.make_dist_scratch nn in
+        check_entries ~what tree (LS.entries s) (fun idx j ->
+            let d = Array.make nn nan in
+            if Avoid_region.link_avoid ds ~budget:nn idx ~graph:rev ~mirror:graph ~tree
+                 ~avoid:j ~dist:d < 0
+            then QCheck2.Test.fail_reportf "%s: fresh kernel overflowed" what;
+            d)
+      done;
+      true)
+
+let int_node_graph rng =
+  let n = 6 + Rng.int rng 25 in
+  let costs = Array.init n (fun _ -> float_of_int (Rng.int rng 4)) in
+  let edges = ref (List.init n (fun v -> (v, (v + 1) mod n))) in
+  for _ = 1 to Rng.int rng n do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    if u <> v then edges := (u, v) :: !edges
+  done;
+  Graph.create ~costs ~edges:!edges
+
+let node_entries_prop ~domains seed =
+  let rng = Rng.create seed in
+  let g = int_node_graph rng in
+  let n = Graph.n g in
+  Wnet_par.with_pool ~domains (fun pool ->
+      let s = NS.create ~pool g ~root:0 in
+      for burst = 0 to 12 do
+        for _ = 1 to Rng.int rng 8 do
+          let x = Rng.int rng n in
+          if Rng.bernoulli rng 0.85 then NS.set_cost s x (float_of_int (Rng.int rng 5))
+          else if x <> 0 then NS.remove_node s x
+        done;
+        let b = NS.payments s in
+        let what = Printf.sprintf "burst %d" burst in
+        let oracle = Wnet_core.Unicast.all_to_root (NS.graph s) ~root:0 in
+        Array.iteri
+          (fun src o ->
+            match (o, oracle.(src)) with
+            | None, None -> ()
+            | Some (o : NS.outcome), Some (r : Wnet_core.Unicast.t)
+              when o.NS.path = r.Wnet_core.Unicast.path
+                   && bits_equal o.NS.charge r.Wnet_core.Unicast.charge -> ()
+            | _ -> QCheck2.Test.fail_reportf "%s: source %d differs from the oracle" what src)
+          b;
+        let tree, _ = NS.charges s in
+        let ds = Dynamic_sssp.make_dist_scratch n in
+        check_entries ~what tree (NS.entries s) (fun idx j ->
+            let d = Array.make n nan in
+            if Avoid_region.node_avoid ds ~budget:n idx ~graph:(NS.graph s) ~tree ~avoid:j
+                 ~dist:d < 0
+            then QCheck2.Test.fail_reportf "%s: fresh kernel overflowed" what;
+            d)
+      done;
+      true)
+
 let suite =
   [
     Test_util.qcheck_case ~count:60 "link bounded = full CSR = boxed"
@@ -340,4 +488,16 @@ let suite =
       test_tied_path_forces_fallback;
     Alcotest.test_case "leaf relay: size-1 region, cut-vertex variant" `Quick
       test_leaf_relay_pinned;
+    Test_util.qcheck_case ~count:40
+      "link entries (pool 1) = fresh kernel on S(j), charges = oracle (bits)"
+      Test_util.seed_gen (link_entries_prop ~domains:1);
+    Test_util.qcheck_case ~count:25
+      "link entries (pool 3) = fresh kernel on S(j), charges = oracle (bits)"
+      Test_util.seed_gen (link_entries_prop ~domains:3);
+    Test_util.qcheck_case ~count:40
+      "node entries (pool 1) = fresh kernel on S(j), charges = oracle (bits)"
+      Test_util.seed_gen (node_entries_prop ~domains:1);
+    Test_util.qcheck_case ~count:25
+      "node entries (pool 3) = fresh kernel on S(j), charges = oracle (bits)"
+      Test_util.seed_gen (node_entries_prop ~domains:3);
   ]

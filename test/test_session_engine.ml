@@ -402,6 +402,94 @@ let test_policy_drops_heavy_burst () =
   Alcotest.(check bool) "refilled caches match the oracle" true
     (link_matches_oracle b oracle)
 
+(* ---------------- region-only entries: the three outcomes ---------------- *)
+
+(* Chains 3 -> 2 -> 1 -> 0 and 5 -> 4 -> 0; the burst re-prices the
+   slack links 4 -> 1 and 1 -> 4, whose heads are children of the root:
+   no relay's subtree holds them, and no tree label moves.  Every entry
+   is kept with no repair or refill task. *)
+let test_untouched_burst_keeps_entries () =
+  let g =
+    Digraph.create ~n:6
+      ~links:
+        [ (1, 0, 1.0); (2, 1, 1.0); (3, 2, 1.0); (4, 0, 1.0); (5, 4, 1.0);
+          (4, 1, 50.0); (1, 4, 50.0) ]
+  in
+  let s = LS.create g ~root:0 in
+  ignore (LS.payments s);
+  let st1 = LS.stats s in
+  LS.set_cost s 4 1 45.0;
+  LS.set_cost s 1 4 55.0;
+  let b = LS.payments s in
+  let st2 = LS.stats s in
+  Alcotest.(check int) "only the tree repaired" (st1.LS.repaired_entries + 1)
+    st2.LS.repaired_entries;
+  Alcotest.(check int) "no refill" st1.LS.avoid_runs st2.LS.avoid_runs;
+  Alcotest.(check int) "all three relays reused" (st1.LS.avoid_reused + 3)
+    st2.LS.avoid_reused;
+  Alcotest.(check int) "no kernel task at all" st1.LS.tasks_executed
+    st2.LS.tasks_executed;
+  let oracle = LC.all_to_root ~strategy:LC.Copy_graph (LS.snapshot s) ~root:0 in
+  Alcotest.(check bool) "payments match the oracle" true
+    (link_matches_oracle b oracle)
+
+(* Node model.  Relay 1 serves 2 and the leaves 4..8; relay 10 serves 3.
+   Avoiding 1, node 2 is reached through 3, whose tree label (via 10)
+   lies outside subtree(1): raising 10's cost raises that boundary label
+   and nothing else.  Entry 1 is repaired inside its subtree — cheaper
+   than refilling its six nodes — and entry 10, whose subtree no change
+   enters, is kept.  The node model rebuilds its tree, which [repaired]
+   does not count. *)
+let test_boundary_rise_repaired_in_subtree () =
+  let g =
+    Graph.create
+      ~costs:[| 0.0; 1.0; 3.0; 5.0; 1.0; 1.0; 1.0; 1.0; 1.0; 5.0; 1.0 |]
+      ~edges:
+        ([ (0, 1); (1, 2); (2, 3); (3, 10); (10, 0); (0, 9) ]
+        @ List.concat_map (fun x -> [ (1, x); (9, x) ]) [ 4; 5; 6; 7; 8 ])
+  in
+  let s = NS.create g ~root:0 in
+  ignore (NS.payments s);
+  let st1 = NS.stats s in
+  NS.set_cost s 10 2.0;
+  let r = NS.payments s in
+  let st2 = NS.stats s in
+  Alcotest.(check int) "entry 1 repaired in place" (st1.NS.repaired_entries + 1)
+    st2.NS.repaired_entries;
+  Alcotest.(check int) "nothing refilled" st1.NS.avoid_runs st2.NS.avoid_runs;
+  Alcotest.(check int) "one repair task" (st1.NS.tasks_executed + 1)
+    st2.NS.tasks_executed;
+  Alcotest.(check bool) "payments match a fresh batch" true
+    (node_matches r (U.all_to_root (NS.graph s) ~root:0))
+
+(* 5 forwards through 2 -> 1 -> 0 until its link to 2 rises past its
+   detour 5 -> 4 -> 3 -> 0: it leaves subtrees 2 and 1 and joins 4 (its
+   first child) and 3, whose chains meet only at the root.  Exactly the
+   relays 1, 3 and 4 are refilled (2 is no relay any more); relay 6, on
+   its own branch, is reused. *)
+let test_reparent_refills_moved_relays () =
+  let g =
+    Digraph.create ~n:8
+      ~links:
+        [ (1, 0, 1.0); (2, 1, 1.0); (3, 0, 1.0); (4, 3, 1.0); (5, 2, 1.0);
+          (5, 4, 1.5); (6, 0, 1.0); (7, 6, 1.0) ]
+  in
+  let s = LS.create g ~root:0 in
+  ignore (LS.payments s);
+  let st1 = LS.stats s in
+  LS.set_cost s 5 2 2.0;
+  let b = LS.payments s in
+  let st2 = LS.stats s in
+  Alcotest.(check int) "relays 1, 3 and 4 refilled" (st1.LS.avoid_runs + 3)
+    st2.LS.avoid_runs;
+  Alcotest.(check int) "relay 6 reused" (st1.LS.avoid_reused + 1)
+    st2.LS.avoid_reused;
+  Alcotest.(check int) "only the tree repaired" (st1.LS.repaired_entries + 1)
+    st2.LS.repaired_entries;
+  let oracle = LC.all_to_root ~strategy:LC.Copy_graph (LS.snapshot s) ~root:0 in
+  Alcotest.(check bool) "payments match the oracle" true
+    (link_matches_oracle b oracle)
+
 (* Inserting forward link 3 -> 2 gives node 3 a second root-side path of
    bit-identical cost 2.0 with a different next hop: from-scratch
    settlement order decides the tree parent, so the repair must detect
@@ -746,6 +834,12 @@ let suite =
       test_policy_repairs_light_burst;
     Alcotest.test_case "flush policy drops a 64-edit burst" `Quick
       test_policy_drops_heavy_burst;
+    Alcotest.test_case "untouched burst keeps every entry, no task" `Quick
+      test_untouched_burst_keeps_entries;
+    Alcotest.test_case "boundary rise repaired inside the subtree" `Quick
+      test_boundary_rise_repaired_in_subtree;
+    Alcotest.test_case "reparent refills exactly the moved relays" `Quick
+      test_reparent_refills_moved_relays;
     Alcotest.test_case "bit-equal tie triggers repair fallback" `Quick
       test_tie_triggers_fallback;
     Alcotest.test_case "cut-vertex tracking across edits" `Quick
