@@ -3,17 +3,12 @@
    repair), each primitive a closed loop of [ops] steady-state
    operations over preallocated state.
 
-   Two consumers share these definitions:
-
-   - the one-exe-per-primitive suite ([bench_proto_encode] & co., via
-     {!run_family}): human-readable ns/op plus a hard assertion that
-     every [alloc_free] primitive allocates ZERO minor-heap words per
-     operation (native code only — bytecode boxes freely and is
-     exempt).  [--smoke] runs a single timed rep with no timing gate
-     but keeps the allocation assertion: that is what CI runs.
-   - bench/main.ml embeds the same primitives as "micro/..." headline
-     rows of BENCH_latest.json, where the 20% regression gate and the
-     machine canary apply to them like to any other wall-clock row.
+   The one-exe-per-primitive suite ([bench_proto_encode] & co., via
+   {!run_family}) prints human-readable ns/op and hard-asserts that
+   every [alloc_free] primitive allocates ZERO minor-heap words per
+   operation (native code only — bytecode boxes freely and is exempt).
+   [--smoke] runs a single timed rep with no timing gate but keeps the
+   allocation assertion: that is what CI runs.
 
    Primitives must not allocate in their [run] when [alloc_free] —
    measurement overhead ([Gc.minor_words] boxes its float result) is
@@ -386,8 +381,7 @@ let bench_graph ~n ~seed =
 
 (* Full single-source runs: the CSR scratch kernels must be exactly
    zero-allocation (ban-mask bytes, key-only pops, result left in the
-   scratch); the boxed closure oracles allocate their result array and
-   per-run closure, and are benched alongside for the ns/op contrast. *)
+   scratch). *)
 let dijkstra () =
   let n = 256 in
   let dg = bench_digraph ~n ~seed:11 in
@@ -409,17 +403,6 @@ let dijkstra () =
           done);
     };
     {
-      name = Printf.sprintf "boxed/link-dist/n=%d" n;
-      ops = reps;
-      alloc_free = false (* copies the result array out of the scratch *);
-      run =
-        (fun () ->
-          for _ = 1 to reps do
-            ignore
-              (Sys.opaque_identity (Wnet_graph.Dijkstra.link_weighted_dist s dg 0))
-          done);
-    };
-    {
       name = Printf.sprintf "csr/node-scratch/n=%d" n;
       ops = reps;
       alloc_free = true;
@@ -429,18 +412,6 @@ let dijkstra () =
             ignore
               (Sys.opaque_identity
                  (Wnet_graph.Dijkstra.node_weighted_scratch s ng ~source:0))
-          done);
-    };
-    {
-      name = Printf.sprintf "boxed/node-dist/n=%d" n;
-      ops = reps;
-      alloc_free = false;
-      run =
-        (fun () ->
-          for _ = 1 to reps do
-            ignore
-              (Sys.opaque_identity
-                 (Wnet_graph.Dijkstra.node_weighted_dist s ng ~source:0))
           done);
     };
   ]
@@ -487,9 +458,9 @@ let tree_solvers () =
 
 (* ---------------- avoidance sweeps ---------------- *)
 
-(* The payments hot loop: one forbidden-node Dijkstra per relay.  The
-   CSR sweep sets one ban byte per run and clears it after; the boxed
-   sweep builds the [fun v -> v = k] closure the old path used. *)
+(* The full-graph avoidance sweep, the region-only kernel's overflow
+   fallback: one forbidden-node Dijkstra per relay, each setting one ban
+   byte and clearing it after. *)
 let avoid () =
   let n = 256 in
   let dg = bench_digraph ~n ~seed:13 in
@@ -509,20 +480,6 @@ let avoid () =
             ignore
               (Sys.opaque_identity (Wnet_graph.Dijkstra.link_weighted_scratch s dg 0));
             Bytes.set ban k '\000'
-          done);
-    };
-    {
-      name = Printf.sprintf "boxed/closure-sweep/n=%d" n;
-      ops = reps;
-      alloc_free = false (* per-relay closure + result array *);
-      run =
-        (fun () ->
-          for k = 1 to reps do
-            ignore
-              (Sys.opaque_identity
-                 (Wnet_graph.Dijkstra.link_weighted_dist s
-                    ~forbidden:(fun v -> v = k)
-                    dg 0))
           done);
     };
   ]

@@ -61,97 +61,32 @@ type batch = {
   results : t option array;
 }
 
-type strategy = Copy_graph | Zero_copy
-
-(* Relay ids ascending, one counted pass — no intermediate list. *)
-let relay_array is_relay =
-  let c = ref 0 in
-  Array.iter (fun b -> if b then incr c) is_relay;
-  let out = Array.make !c 0 in
-  let i = ref 0 in
-  Array.iteri
-    (fun k b ->
-      if b then begin
-        out.(!i) <- k;
-        incr i
-      end)
-    is_relay;
-  out
-
-let all_to_root ?(strategy = Zero_copy) ?(pool = Wnet_par.sequential)
-    ?(kernel = `CsrBounded) g ~root =
-  let n = Digraph.n g in
-  if root < 0 || root >= n then invalid_arg "Link_cost.all_to_root";
-  match strategy with
-  | Zero_copy ->
-    (* A one-shot session: same shared reversed tree, same forbidden-node
-       avoidance Dijkstras over per-domain scratches, same assembly —
-       delegated to the incremental engine, opened on a borrowed graph
-       (no edits ever happen, so borrowing is safe). *)
-    let module S = Wnet_session.Link_session in
-    let s = S.create ~pool ~copy:false ~kernel g ~root in
-    let b = S.payments s in
-    {
-      root = b.S.root;
-      to_root_dist = b.S.to_root_dist;
-      results =
-        Array.map
-          (Option.map (fun (o : S.outcome) ->
-               {
-                 src = o.S.src;
-                 dst = root;
-                 path = o.S.path;
-                 lcp_cost = o.S.lcp_cost;
-                 relay_cost = o.S.relay_cost;
-                 relay_pay = o.S.relay_pay;
-                 charge = o.S.charge;
-               }))
-          b.S.results;
-    }
-  | Copy_graph ->
-    (* Reference implementation: one shared reversal and one relay
-       sweep up front, then a clone of the reversed graph per relay.
-       Produces distances identical to the session path; kept as the
-       from-scratch oracle the equivalence suites check against. *)
-    let rev = Digraph.reverse g in
-    let tree = Dijkstra.link_weighted rev root in
-    (* In the reversed tree, a node's parent is its next hop towards the
-       root in the original graph. *)
-    let next_hop v = tree.Dijkstra.parent.(v) in
-    (* Which nodes relay for somebody?  Exactly the internal nodes of the
-       reversed shortest-path tree. *)
-    let is_relay = Array.make n false in
-    for v = 0 to n - 1 do
-      if v <> root && Dijkstra.reachable tree v then begin
-        let h = next_hop v in
-        if h <> root && h >= 0 then is_relay.(h) <- true
-      end
-    done;
-    let relays = relay_array is_relay in
-    let dists =
-      Wnet_par.map_array pool
-        (fun k ->
-          let revk = Digraph.remove_links_to rev k in
-          (Dijkstra.link_weighted revk root).Dijkstra.dist)
-        relays
-    in
-    let avoid = Array.make n [||] in
-    Array.iteri (fun i k -> avoid.(k) <- dists.(i)) relays;
-    let results =
-      Array.init n (fun src ->
-          if src = root || not (Dijkstra.reachable tree src) then None
-          else begin
-            let rec chain v acc =
-              if v = root then List.rev (root :: acc)
-              else chain (next_hop v) (v :: acc)
-            in
-            let path = Array.of_list (chain src []) in
-            let lcp_cost = Dijkstra.dist tree src in
-            let avoid_dist k = avoid.(k).(src) in
-            Some (build_result g ~src ~dst:root ~path ~lcp_cost ~avoid_dist)
-          end)
-    in
-    { root; to_root_dist = Array.copy tree.Dijkstra.dist; results }
+let all_to_root ?(pool = Wnet_par.sequential) g ~root =
+  if root < 0 || root >= Digraph.n g then invalid_arg "Link_cost.all_to_root";
+  (* A one-shot session: the shared reversed tree, one region-only
+     avoidance fill per relay over per-domain scratches, the relay-major
+     assembly — delegated to the incremental engine, opened on a
+     borrowed graph (no edits ever happen, so borrowing is safe). *)
+  let module S = Wnet_session.Link_session in
+  let s = S.create ~pool ~copy:false g ~root in
+  let b = S.payments s in
+  {
+    root = b.S.root;
+    to_root_dist = b.S.to_root_dist;
+    results =
+      Array.map
+        (Option.map (fun (o : S.outcome) ->
+             {
+               src = o.S.src;
+               dst = root;
+               path = o.S.path;
+               lcp_cost = o.S.lcp_cost;
+               relay_cost = o.S.relay_cost;
+               relay_pay = o.S.relay_pay;
+               charge = o.S.charge;
+             }))
+        b.S.results;
+  }
 
 let ic_spot_check rng g ~src ~dst ~trials =
   validate g ~src ~dst;

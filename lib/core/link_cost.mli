@@ -51,35 +51,19 @@ type batch = {
   results : t option array;  (** per-source outcome, [None] when disconnected; entry [root] is [None] *)
 }
 
-type strategy =
-  | Copy_graph
-      (** the original implementation: clone the reversed digraph per
-          relay via [Digraph.remove_links_to] — O(n + m) allocation per
-          relay.  Kept as the reference for equivalence testing. *)
-  | Zero_copy
-      (** the default: forbid the relay in the search itself
-          ([Dijkstra.link_weighted_dist ~forbidden]) over the shared
-          reversed digraph — no copies, and scratch reuse across the
-          whole batch.  Identical output. *)
-
-val all_to_root :
-  ?strategy:strategy -> ?pool:Wnet_par.t ->
-  ?kernel:[ `CsrBounded | `Csr | `Boxed ] ->
-  Wnet_graph.Digraph.t -> root:int -> batch
+val all_to_root : ?pool:Wnet_par.t -> Wnet_graph.Digraph.t -> root:int -> batch
 (** Every node's unicast to the access point at once — the workload of
     the paper's simulations.  Runs one reverse Dijkstra for the shared
-    shortest-path tree plus one per distinct relay for the avoidance
-    distances, so the whole batch costs O(#relays * (m + n log n)) instead
-    of O(n * #relays * ...) for repeated {!run} calls.
+    shortest-path tree plus one avoidance search per distinct relay,
+    each confined to the relay's subtree of that tree (exterior labels
+    are the tree's), so the whole batch costs at most
+    O(#relays * (m + n log n)) instead of O(n * #relays * ...) for
+    repeated {!run} calls.  It is a one-shot {!Wnet_session.Link_session}.
 
     [?pool] (default {!Wnet_par.sequential}) fans the per-relay
-    avoidance Dijkstras out over domains with positional merging: the
-    batch is bit-identical for every pool size and strategy.  [?kernel]
-    (Zero_copy only) picks the avoidance kernel: [`CsrBounded]
-    (default) recomputes only each relay's SPT subtree with exterior
-    distances copied from the shared tree, [`Csr] is the full-graph
-    flat ban-mask kernel, [`Boxed] the closure oracle — all
-    bit-identical. *)
+    avoidance searches out over domains with positional merging: the
+    batch is bit-identical for every pool size.
+    @raise Invalid_argument if [root] is out of range. *)
 
 val ic_spot_check :
   Wnet_prng.Rng.t ->

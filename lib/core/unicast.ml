@@ -65,15 +65,15 @@ let session_charge r ~packets =
   check_packets packets;
   float_of_int packets *. total_payment r
 
-let all_to_root ?(pool = Wnet_par.sequential) ?(kernel = `CsrBounded) g ~root =
+let all_to_root ?(pool = Wnet_par.sequential) g ~root =
   let n = Graph.n g in
   if root < 0 || root >= n then invalid_arg "Unicast.all_to_root";
-  (* A one-shot session: the shared from-root tree, one avoidance
-     Dijkstra per relay over per-domain scratches, positional merge —
-     delegated to the incremental engine ([Graph.t] is immutable, so
-     sharing is free). *)
+  (* A one-shot session: the shared from-root tree, one region-only
+     avoidance fill per relay over per-domain scratches, positional
+     merge — delegated to the incremental engine ([Graph.t] is
+     immutable, so sharing is free). *)
   let module S = Wnet_session.Node_session in
-  let s = S.create ~pool ~kernel g ~root in
+  let s = S.create ~pool g ~root in
   Array.map
     (Option.map (fun (o : S.outcome) ->
          {

@@ -65,20 +65,17 @@ val session_charge : t -> packets:int -> float
 (** Total session charge to the source, [packets * total_payment]. *)
 
 val all_to_root :
-  ?pool:Wnet_par.t -> ?kernel:[ `CsrBounded | `Csr | `Boxed ] ->
-  Wnet_graph.Graph.t -> root:int -> t option array
+  ?pool:Wnet_par.t -> Wnet_graph.Graph.t -> root:int -> t option array
 (** Every node's unicast to the access point in one pass: one Dijkstra
-    from [root] for the shared tree plus one per distinct relay for the
-    avoidance distances (node-weighted distances are symmetric, so
-    from-root trees serve to-root queries).  [results.(root)] is [None],
-    as are unreachable sources.
+    from [root] for the shared tree plus one avoidance search per
+    distinct relay, confined to the relay's subtree of that tree
+    (node-weighted distances are symmetric, so from-root trees serve
+    to-root queries).  [results.(root)] is [None], as are unreachable
+    sources.  It is a one-shot {!Wnet_session.Node_session}.
 
-    The per-relay avoidance Dijkstras are independent; [?pool] (default
+    The per-relay avoidance searches are independent; [?pool] (default
     {!Wnet_par.sequential}) fans them out over domains with positional
-    merging, so the result is bit-identical for every pool size.
-    [?kernel] picks the avoidance kernel: [`CsrBounded] (default)
-    subtree-bounded over the shared tree, [`Csr] full-graph flat
-    ban-mask, [`Boxed] closure oracle — all bit-identical. *)
+    merging, so the result is bit-identical for every pool size. *)
 
 val vcg_problem : Wnet_graph.Graph.t -> src:int -> dst:int -> Wnet_mech.Vcg.problem
 (** The unicast instance phrased as a generic VCG problem (agent [k]

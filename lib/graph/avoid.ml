@@ -6,23 +6,21 @@ let validate_endpoints g ~src ~dst =
     invalid_arg "Avoid: endpoint out of range";
   if src = dst then invalid_arg "Avoid: src = dst"
 
-let avoiding_cost ?scratch g ~src ~dst ~avoid =
+let avoiding_cost scratch g ~src ~dst ~avoid =
   validate_endpoints g ~src ~dst;
   if avoid = src || avoid = dst then
     invalid_arg "Avoid.avoiding_cost: cannot avoid an endpoint";
-  match scratch with
-  | Some s ->
-    (* Ban mask instead of a closure: set the one byte, run the CSR
-       kernel, read the answer out of the scratch, clear the byte.
-       Nothing is allocated. *)
-    let ban = Dijkstra.ban_mask s in
-    Bytes.set ban avoid '\001';
-    let d = (Dijkstra.node_weighted_scratch s g ~source:src).(dst) in
-    Bytes.set ban avoid '\000';
-    d
-  | None ->
-    let t = Dijkstra.node_weighted ~forbidden:(fun v -> v = avoid) g ~source:src in
-    Dijkstra.dist t dst
+  (* Ban mask instead of a closure: set the one byte, run the CSR
+     kernel, read the answer out of the scratch, clear the byte.
+     Nothing is allocated.  The capacity is checked first, so the run
+     cannot raise with the byte set. *)
+  if Graph.n g > Dijkstra.scratch_capacity scratch then
+    invalid_arg "Dijkstra: graph exceeds scratch capacity";
+  let ban = Dijkstra.ban_mask scratch in
+  Bytes.set ban avoid '\001';
+  let d = (Dijkstra.node_weighted_scratch scratch g ~source:src).(dst) in
+  Bytes.set ban avoid '\000';
+  d
 
 let replacement_costs_naive g ~src ~dst =
   validate_endpoints g ~src ~dst;
@@ -34,7 +32,7 @@ let replacement_costs_naive g ~src ~dst =
     let replacement = Array.make len nan in
     let scratch = Dijkstra.make_scratch (Graph.n g) in
     for l = 1 to len - 2 do
-      replacement.(l) <- avoiding_cost ~scratch g ~src ~dst ~avoid:path.(l)
+      replacement.(l) <- avoiding_cost scratch g ~src ~dst ~avoid:path.(l)
     done;
     Some { path; lcp_cost = Dijkstra.dist t dst; replacement }
 

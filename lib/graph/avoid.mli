@@ -46,15 +46,14 @@ val replacement_costs_fast : Graph.t -> src:int -> dst:int -> result option
     strictly positive. *)
 
 val avoiding_cost :
-  ?scratch:Dijkstra.scratch -> Graph.t -> src:int -> dst:int -> avoid:int -> float
-(** One-shot [||P_{-avoid}(src, dst)||] by removal + Dijkstra;
-    [infinity] when disconnected.  With [?scratch] the search runs the
-    allocation-free CSR kernel through the caller's buffers, banning
-    [avoid] via the scratch's {!Dijkstra.ban_mask} (set before the run,
-    cleared after) — pass one when calling in a loop, as
-    {!replacement_costs_naive} does.
+  Dijkstra.scratch -> Graph.t -> src:int -> dst:int -> avoid:int -> float
+(** [avoiding_cost scratch g ~src ~dst ~avoid] is [||P_{-avoid}(src,
+    dst)||], [infinity] when disconnected.  The search runs the
+    allocation-free CSR kernel through [scratch], banning [avoid] via
+    its {!Dijkstra.ban_mask} (set before the run, cleared after), so a
+    loop of calls, as in {!replacement_costs_naive}, allocates nothing.
     @raise Invalid_argument if [avoid] is [src] or [dst], or the graph
-    exceeds the scratch capacity. *)
+    exceeds the scratch capacity; the mask is then left as it was. *)
 
 val levels : Graph.t -> tree:Dijkstra.tree -> Path.t -> int array
 (** [levels g ~tree path] exposes the level labelling used by the fast

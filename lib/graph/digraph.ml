@@ -160,8 +160,6 @@ let reverse g =
   done;
   fresh out_adj g.m
 
-let owner_of_link u _v = u
-
 (* A fresh copy of row [a] without slot [i]. *)
 let remove_at a i =
   let len = Array.length a in
@@ -182,38 +180,6 @@ let silence_node g v =
   let removed = Array.length out_adj.(v) in
   out_adj.(v) <- [||];
   fresh out_adj (g.m - removed)
-
-let remove_node g v =
-  if v < 0 || v >= n g then invalid_arg "Digraph.remove_node: out of range";
-  let m = ref (g.m - Array.length g.out_adj.(v)) in
-  let out_adj =
-    Array.mapi
-      (fun u l ->
-        if u = v then [||]
-        else
-          (* every row fresh: the result shares no row with [g] *)
-          let kept = without_target l v in
-          if kept == l then Array.copy l
-          else begin
-            decr m;
-            kept
-          end)
-      g.out_adj
-  in
-  fresh out_adj !m
-
-let remove_links_to g v =
-  if v < 0 || v >= n g then invalid_arg "Digraph.remove_links_to: out of range";
-  let m = ref g.m in
-  let out_adj =
-    Array.map
-      (fun l ->
-        let kept = without_target l v in
-        if kept != l then decr m;
-        kept)
-      g.out_adj
-  in
-  fresh out_adj !m
 
 (* ------------------------------------------------------------------ *)
 (* In-place mutation.

@@ -45,25 +45,11 @@ val reverse : t -> t
     point).  O(n + m); the result shares no mutable array with [g], so
     either can be mutated in place without affecting the other. *)
 
-val owner_of_link : int -> int -> int
-(** [owner_of_link u v] is the agent that pays for link [u -> v] — the
-    transmitter [u].  Trivial, but kept as the single point of truth for
-    the "node is the agent" convention of Sec. III-F. *)
-
 val silence_node : t -> int -> t
 (** [silence_node g v] removes all links {e leaving} [v] — exactly the
     paper's [d_{k,j} = infinity for each j] operation used to compute the
     [v_k]-avoiding least cost path.  Links entering [v] remain, but they
     are dead ends for reaching anything beyond [v]. *)
-
-val remove_node : t -> int -> t
-(** [remove_node g v] removes all links incident to [v] in either
-    direction. *)
-
-val remove_links_to : t -> int -> t
-(** [remove_links_to g v] removes all links {e entering} [v].  On a
-    reversed graph this is exactly {!silence_node} of the original — the
-    operation batch payment computation needs. *)
 
 (** {1 In-place mutation}
 

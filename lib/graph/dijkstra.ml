@@ -11,9 +11,9 @@ let never _ = false
    are written through [prios] and ordered by [touch], as in the scratch
    kernels below: classic ocamlopt boxes a float passed to [insert] or
    [insert_or_decrease], so the solvers allocate only the arrays they
-   return and their heap.  [forbidden] is asked only about a node a
-   relaxation would improve: a forbidden node is never labelled, and
-   the answer is the same whenever it is asked. *)
+   return and their heap.  [node_weighted]'s [forbidden] is asked only
+   about a node a relaxation would improve: a forbidden node is never
+   labelled, and the answer is the same whenever it is asked. *)
 
 let node_weighted ?(forbidden = never) g ~source =
   let n = Graph.n g in
@@ -46,10 +46,9 @@ let node_weighted ?(forbidden = never) g ~source =
   parent.(source) <- -1;
   { source; dist; parent }
 
-let link_weighted ?(forbidden = never) g source =
+let link_weighted g source =
   let n = Digraph.n g in
   if source < 0 || source >= n then invalid_arg "Dijkstra: source out of range";
-  if forbidden source then invalid_arg "Dijkstra: source is forbidden";
   let { Digraph.row_off; col; wgt } = Digraph.csr g in
   let dist = Array.make n infinity in
   let parent = Array.make n (-1) in
@@ -64,7 +63,7 @@ let link_weighted ?(forbidden = never) g source =
     for i = row_off.(u) to row_off.(u + 1) - 1 do
       let w = Array.unsafe_get col i in
       let cand = du +. Array.unsafe_get wgt i in
-      if cand < dist.(w) && not (forbidden w) then begin
+      if cand < dist.(w) then begin
         dist.(w) <- cand;
         parent.(w) <- u;
         prio.(w) <- cand;
@@ -85,13 +84,13 @@ let link_weighted ?(forbidden = never) g source =
    logs each node it touches and the next run resets exactly those
    entries, so the hot relaxation loop reads and writes a single plain
    array (no epoch indirection) while repeated runs neither reallocate
-   nor re-fill n-sized buffers.  The [*_dist] runs below also skip
+   nor re-fill n-sized buffers.  The scratch runs below also skip
    parent bookkeeping entirely — avoidance runs never walk paths.
 
-   The ban mask replaces the closure-typed [?forbidden] predicate on the
-   CSR paths: one byte per node, consulted with an unsafe load instead
-   of an indirect call (and no closure to allocate per run).  It is the
-   caller's steady-state: set the bytes you need, run, clear them.
+   The ban mask stands in for a [?forbidden] predicate: one byte per
+   node, consulted with an unsafe load instead of an indirect call (and
+   no closure to allocate per run).  It is the caller's steady-state:
+   set the bytes you need, run, clear them.
 
    A scratch is single-owner state: one concurrent run per scratch (each
    pool participant gets its own via [Wnet_par.map_array_with]). *)
@@ -132,82 +131,11 @@ let begin_run s n =
   done;
   s.n_touched <- 0
 
-(* The boxed closure-predicate runs.  Retained verbatim over the boxed
-   adjacency as the differential oracle for the CSR kernels below (the
-   same role [Copy_graph] plays for the zero-copy batch): the qcheck
-   suites hold the pairs to [Float.equal]-identical outputs. *)
-
-let node_weighted_dist scratch ?(forbidden = never) g ~source =
-  let n = Graph.n g in
-  if source < 0 || source >= n then invalid_arg "Dijkstra: source out of range";
-  if forbidden source then invalid_arg "Dijkstra: source is forbidden";
-  begin_run scratch n;
-  let heap = scratch.sheap in
-  let dist = scratch.sdist in
-  dist.(source) <- 0.0;
-  scratch.touched.(scratch.n_touched) <- source;
-  scratch.n_touched <- scratch.n_touched + 1;
-  Indexed_heap.insert heap source 0.0;
-  while not (Indexed_heap.is_empty heap) do
-    let u, du = Indexed_heap.pop_min heap in
-    if du <= dist.(u) then begin
-      let leave = if u = source then 0.0 else Graph.cost g u in
-      Array.iter
-        (fun w ->
-          if not (forbidden w) then begin
-            let cand = du +. leave in
-            let dw = dist.(w) in
-            if cand < dw then begin
-              if dw = infinity then begin
-                scratch.touched.(scratch.n_touched) <- w;
-                scratch.n_touched <- scratch.n_touched + 1
-              end;
-              dist.(w) <- cand;
-              Indexed_heap.insert_or_decrease heap w cand
-            end
-          end)
-        (Graph.neighbors g u)
-    end
-  done;
-  Array.sub dist 0 n
-
-let link_weighted_dist scratch ?(forbidden = never) g source =
-  let n = Digraph.n g in
-  if source < 0 || source >= n then invalid_arg "Dijkstra: source out of range";
-  if forbidden source then invalid_arg "Dijkstra: source is forbidden";
-  begin_run scratch n;
-  let heap = scratch.sheap in
-  let dist = scratch.sdist in
-  dist.(source) <- 0.0;
-  scratch.touched.(scratch.n_touched) <- source;
-  scratch.n_touched <- scratch.n_touched + 1;
-  Indexed_heap.insert heap source 0.0;
-  while not (Indexed_heap.is_empty heap) do
-    let u, du = Indexed_heap.pop_min heap in
-    if du <= dist.(u) then
-      Array.iter
-        (fun (w, weight) ->
-          if not (forbidden w) then begin
-            let cand = du +. weight in
-            let dw = dist.(w) in
-            if cand < dw then begin
-              if dw = infinity then begin
-                scratch.touched.(scratch.n_touched) <- w;
-                scratch.n_touched <- scratch.n_touched + 1
-              end;
-              dist.(w) <- cand;
-              Indexed_heap.insert_or_decrease heap w cand
-            end
-          end)
-        (Digraph.out_links g u)
-  done;
-  Array.sub dist 0 n
-
 (* The CSR scratch kernels: flat rows, ban-mask bytes, key-only pops,
    results left in the scratch — zero steady-state allocation (the
-   micro suite hard-asserts it).  Relaxation order matches the boxed
-   runs link for link (CSR rows preserve the sorted boxed rows), so
-   distances are bit-identical. *)
+   micro suite hard-asserts it).  They settle in the tree solvers'
+   (distance, id) order with the same strict relaxation, so their
+   distances are the tree solvers' bit for bit. *)
 
 let node_weighted_scratch scratch g ~source =
   let n = Graph.n g in
@@ -291,8 +219,19 @@ let link_weighted_scratch scratch g source =
   done;
   dist
 
+(* The [*_dist_csr] runs set [avoid]'s ban byte around one scratch run.
+   Every argument that run would reject is checked before the byte is
+   set: a run that raised with it set would leave it set, and every
+   later run on the scratch would silently skip [avoid]. *)
+let check_dist_csr scratch n ~avoid ~source =
+  if source < 0 || source >= n then invalid_arg "Dijkstra: source out of range";
+  if n > scratch.cap then invalid_arg "Dijkstra: graph exceeds scratch capacity";
+  if avoid = source || Bytes.get scratch.sban source <> '\000' then
+    invalid_arg "Dijkstra: source is forbidden"
+
 let node_weighted_dist_csr scratch ?(avoid = -1) g ~source =
   let n = Graph.n g in
+  check_dist_csr scratch n ~avoid ~source;
   if avoid >= 0 then Bytes.set scratch.sban avoid '\001';
   let dist = node_weighted_scratch scratch g ~source in
   if avoid >= 0 then Bytes.set scratch.sban avoid '\000';
@@ -300,6 +239,7 @@ let node_weighted_dist_csr scratch ?(avoid = -1) g ~source =
 
 let link_weighted_dist_csr scratch ?(avoid = -1) g source =
   let n = Digraph.n g in
+  check_dist_csr scratch n ~avoid ~source;
   if avoid >= 0 then Bytes.set scratch.sban avoid '\001';
   let dist = link_weighted_scratch scratch g source in
   if avoid >= 0 then Bytes.set scratch.sban avoid '\000';

@@ -24,10 +24,11 @@ val node_weighted : ?forbidden:(int -> bool) -> Graph.t -> source:int -> tree
     through (the source itself must not be forbidden).
     @raise Invalid_argument if [source] is out of range or forbidden. *)
 
-val link_weighted : ?forbidden:(int -> bool) -> Digraph.t -> int -> tree
+val link_weighted : Digraph.t -> int -> tree
 (** [link_weighted g source] computes the link-weighted tree following
     out-links from [source].  To get distances from every node {e to} a
-    root, run this on [Digraph.reverse g] and read paths backwards. *)
+    root, run this on [Digraph.reverse g] and read paths backwards.
+    @raise Invalid_argument if [source] is out of range. *)
 
 type scratch
 (** A reusable single-owner workspace (dist array, heap, touched-node
@@ -43,28 +44,12 @@ val make_scratch : int -> scratch
 
 val scratch_capacity : scratch -> int
 
-val node_weighted_dist :
-  scratch -> ?forbidden:(int -> bool) -> Graph.t -> source:int -> float array
-(** [node_weighted_dist scratch g ~source] is
-    [(node_weighted g ~source).dist] — bit-identical — computed through
-    [scratch] with no parent bookkeeping.  The returned array is fresh;
-    the scratch may be reused immediately.
-    @raise Invalid_argument if the graph exceeds the scratch capacity,
-    or as {!node_weighted}. *)
-
-val link_weighted_dist :
-  scratch -> ?forbidden:(int -> bool) -> Digraph.t -> int -> float array
-(** [link_weighted_dist scratch g source] is
-    [(link_weighted g source).dist], likewise. *)
-
 (** {1 CSR kernels}
 
     The zero-allocation runs: flat {!Digraph.csr} / {!Graph.csr} rows, a
-    byte-per-node ban mask in place of the [?forbidden] closure, and the
-    result left {e in} the scratch.  Relaxation order matches the boxed
-    runs above link for link, so distances are [Float.equal]-identical;
-    the boxed closure runs are retained unchanged as the differential
-    oracle. *)
+    byte-per-node ban mask in place of a [?forbidden] closure, and the
+    result left {e in} the scratch.  They settle in the tree solvers'
+    order, so distances are [Float.equal] to theirs. *)
 
 val ban_mask : scratch -> Bytes.t
 (** The scratch's ban mask, one byte per node: ['\000'] allowed,
@@ -75,8 +60,8 @@ val ban_mask : scratch -> Bytes.t
 
 val node_weighted_scratch : scratch -> Graph.t -> source:int -> float array
 (** [node_weighted_scratch scratch g ~source] is
-    [node_weighted_dist scratch g ~source] with the ban mask standing in
-    for [?forbidden], except the returned array is the scratch's
+    [(node_weighted ~forbidden g ~source).dist], [forbidden] being the
+    ban mask, except the returned array is the scratch's
     {e internal} distance array (length [scratch_capacity], entries
     beyond [Graph.n g] are [infinity]): read what you need before the
     next run on the same scratch overwrites it, and never mutate it.
@@ -85,16 +70,19 @@ val node_weighted_scratch : scratch -> Graph.t -> source:int -> float array
     the graph exceeds the scratch capacity. *)
 
 val link_weighted_scratch : scratch -> Digraph.t -> int -> float array
-(** [link_weighted_scratch scratch g source] is the link-weighted
-    analogue of {!node_weighted_scratch}. *)
+(** [link_weighted_scratch scratch g source] is
+    [(link_weighted g source).dist] with the banned nodes never
+    labelled, returned and raising as {!node_weighted_scratch}. *)
 
 val node_weighted_dist_csr :
   scratch -> ?avoid:int -> Graph.t -> source:int -> float array
 (** [node_weighted_dist_csr scratch ~avoid g ~source] runs the CSR
-    kernel with only [avoid] banned (in addition to any bytes the caller
-    already set) and returns a {e fresh} copy of the first [Graph.n g]
-    distances — the drop-in CSR counterpart of
-    [node_weighted_dist scratch ~forbidden:(fun v -> v = avoid)]. *)
+    kernel with [avoid] banned as well (in addition to any bytes the
+    caller already set) and returns a {e fresh} copy of the first
+    [Graph.n g] distances.  Its arguments are checked before [avoid]'s
+    byte is set, so a call that raises leaves the mask as it found it.
+    @raise Invalid_argument as {!node_weighted_scratch}, or when [avoid]
+    is [source]. *)
 
 val link_weighted_dist_csr :
   scratch -> ?avoid:int -> Digraph.t -> int -> float array

@@ -133,7 +133,7 @@ val repair_dist :
     the distance array from [source] over [graph] with node [forbidden]
     excluded from the search, exact {e before} the edits — so it is
     exact {e after} them.  Links incident to [forbidden] are invisible,
-    matching [Dijkstra.link_weighted ~forbidden].  Returns [`Patched
+    matching [Dijkstra.link_weighted_dist_csr ~avoid:forbidden].  Returns [`Patched
     region] on success.  On [`Overflow] (region exceeded the budget)
     [dist] is {b left corrupted} and must be rebuilt from scratch.
     @raise Invalid_argument if the graph exceeds the scratch capacity

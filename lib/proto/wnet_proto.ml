@@ -603,17 +603,13 @@ let parse_served line =
     | None -> bad ())
   | _ -> bad ()
 
-(* The session counters in wire order, straight from the layout table.
-   Older peers end the line early — a wnet/1 server stops after
-   [avoid_reused], a wnet-bench/4 one after [fallbacks] — so any
-   even-length prefix of at least 6 keys parses, with the omitted
-   trailing counters read as 0 by [Wnet_session.of_fields]. *)
+(* The session counters in wire order, straight from the layout table:
+   a stats line carries every one of them, as [print_response] writes
+   it. *)
 let session_counter_keys = Wnet_session.stats_field_names
 
 let parse_session_stats line toks =
-  let nkeys = Array.length session_counter_keys in
-  let k = List.length toks in
-  if k < 6 || k > nkeys || k mod 2 <> 0 then
+  if List.length toks <> Array.length session_counter_keys then
     Error (Printf.sprintf "bad stats line %S" line)
   else begin
     let rec go i acc = function
@@ -706,17 +702,11 @@ let parse_response line =
            bytes_in;
            bytes_out;
          })
-  | "conn" :: a :: b :: c :: rest ->
+  | [ "conn"; a; b; c; p ] ->
     let* requests = int_kv "requests" a in
     let* bytes_in = int_kv "bytes_in" b in
     let* bytes_out = int_kv "bytes_out" c in
-    (* pre-binary peers (wnet-bench/5 era) omit the proto token *)
-    let* proto =
-      match rest with
-      | [] -> Ok version
-      | [ p ] -> int_kv "proto" p
-      | _ -> Error (Printf.sprintf "bad conn line %S" line)
-    in
+    let* proto = int_kv "proto" p in
     Ok (Conn_stats { requests; bytes_in; bytes_out; proto })
   | [ "bye" ] -> Ok Bye
   | [ "err" ] -> Ok (Err "")

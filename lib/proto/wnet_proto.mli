@@ -35,7 +35,7 @@
     ok node=13 version=6          join applied, node id assigned
     src 3: path 3 -> 2 -> 0, charge 4.5        (one per served source)
     ok served=11 unbounded=1 total=33.25       (ends a pay reply)
-    ok edits=4 coalesced=4 inval_passes=1 spt_runs=2 avoid_runs=5 avoid_reused=9
+    ok edits=4 coalesced=4 inval_passes=1 spt_runs=2 avoid_runs=5 avoid_reused=9 repaired=1 fallbacks=0 tasks=5 stolen=0 avoid_bounded=5 avoid_fallback=0
     server clients=2 requests=10 edits=4 coalesced=4 cache_hits=9 cache_misses=5 bytes_in=120 bytes_out=456
     shard id=0 conns=1 requests=5 edits=2 coalesced=2 inval_passes=1 cache_hits=4 cache_misses=2 repaired=0 tasks=8 stolen=0 bytes_in=60 bytes_out=228
     conn requests=3 bytes_in=40 bytes_out=152 proto=1
@@ -43,9 +43,9 @@
     err <reason>
     v}
 
-    The session-stats [ok] line and the [conn] line both parse with
-    trailing counters omitted (older peers printed fewer), the missing
-    values reading as 0 (resp. [proto=1]).
+    The parser takes exactly what the printer writes: the session-stats
+    [ok] line with all twelve counters in order, and the [conn] line
+    with its [proto] token.
 
     Floats print in the shortest decimal form that parses back to the
     identical bit pattern ([inf] for infinity), so replies round-trip

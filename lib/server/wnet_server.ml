@@ -46,14 +46,6 @@ type server_stats = {
   per_shard : shard_stats array;
 }
 
-type counters = {
-  clients : int;
-  clients_served : int;
-  requests : int;
-  bytes_in : int;
-  bytes_out : int;
-}
-
 type t = {
   sh : Shard.shared;
   listener : Listener.t;
@@ -98,16 +90,6 @@ let stats t : server_stats =
     bytes_in = sum (fun (r : shard_stats) -> r.bytes_in);
     bytes_out = sum (fun (r : shard_stats) -> r.bytes_out);
     per_shard = rows;
-  }
-
-let counters t : counters =
-  let s = stats t in
-  {
-    clients = s.clients;
-    clients_served = s.clients_served;
-    requests = s.requests;
-    bytes_in = s.bytes_in;
-    bytes_out = s.bytes_out;
   }
 
 let serve t =

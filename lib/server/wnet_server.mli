@@ -87,15 +87,6 @@ type server_stats = {
                                       above are the column sums *)
 }
 
-type counters = {
-  clients : int;
-  clients_served : int;
-  requests : int;
-  bytes_in : int;
-  bytes_out : int;
-}
-(** @deprecated The pre-shard counter record; use {!server_stats}. *)
-
 type t
 
 val create :
@@ -140,10 +131,6 @@ val stats : t -> server_stats
     and totals come from one snapshot, so the rows always sum to the
     totals.  Valid during {!serve} and after it returns (the final
     tallies). *)
-
-val counters : t -> counters
-[@@ocaml.deprecated "use Wnet_server.stats"]
-(** The pre-shard totals, kept one release for migration. *)
 
 val run :
   ?backlog:int ->

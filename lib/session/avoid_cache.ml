@@ -428,9 +428,9 @@ let maintain t ~(tree : Dijkstra.tree) ~stamp ~candidates ~repair =
   end
 
 (* Make every relay's entry exact: the exact ones are reused, the rest
-   filled over the pool.  [bounded], when given, is the region-only
-   kernel (region size, or [-1] past the budget), writing into the
-   entry's own array; [full] is the full-graph run it falls back to. *)
+   filled over the pool.  [bounded] is the region-only kernel (region
+   size, or [-1] past the budget), writing into the entry's own array;
+   [full] is the full-graph run it falls back to. *)
 let refill t ~(tree : Dijkstra.tree) ~stamp ~bounded ~full relays =
   (* entries of nodes that are no longer relays: S(j) is empty *)
   let r = ref 0 in
@@ -452,35 +452,31 @@ let refill t ~(tree : Dijkstra.tree) ~stamp ~bounded ~full relays =
       Array.init (Array.length t.scratches) (fun i ->
           (t.scratches.(i), t.dscratches.(i)))
     in
+    let idx = index t ~stamp tree in
     let filled =
-      match bounded with
-      | None -> steal_map t ~states (fun (s, _) k -> (full s k, -1)) missing
-      | Some fill ->
-        let idx = index t ~stamp tree in
-        steal_map t ~states
-          (fun (s, ds) k ->
-            (* a fresh array holds [neg_infinity] outside S(k), never
-               read, which the settle rejects without a scope test *)
-            let d =
-              match t.avoid.(k) with
-              | Some d when Array.length d >= n -> d
-              | _ -> Array.make n neg_infinity
-            in
-            let r = fill ds idx k d in
-            if r >= 0 then (d, r) else (full s k, -1))
-          missing
+      steal_map t ~states
+        (fun (s, ds) k ->
+          (* a fresh array holds [neg_infinity] outside S(k), never
+             read, which the settle rejects without a scope test *)
+          let d =
+            match t.avoid.(k) with
+            | Some d when Array.length d >= n -> d
+            | _ -> Array.make n neg_infinity
+          in
+          let r = bounded ds idx k d in
+          if r >= 0 then (d, r) else (full s k, -1))
+        missing
     in
     Array.iteri
       (fun i k ->
         let d, r = filled.(i) in
         t.avoid.(k) <- Some d;
         t.exact.(k) <- true;
-        if Option.is_some bounded then
-          if r >= 0 then begin
-            t.avoid_bounded <- t.avoid_bounded + 1;
-            record_region t r
-          end
-          else t.avoid_fallback <- t.avoid_fallback + 1)
+        if r >= 0 then begin
+          t.avoid_bounded <- t.avoid_bounded + 1;
+          record_region t r
+        end
+        else t.avoid_fallback <- t.avoid_fallback + 1)
       missing
   end;
   t.avoid_runs <- t.avoid_runs + Array.length missing;

@@ -32,13 +32,6 @@ type stats = {
 
 type t = {
   root : int;
-  kernel : [ `CsrBounded | `Csr | `Boxed ];
-      (* which avoidance Dijkstra fills cache misses: the
-         subtree-bounded region kernel over the shared SPT (default,
-         falls back to full CSR on budget overflow), the flat CSR
-         ban-mask kernel, or the boxed closure oracle.  All three
-         produce bit-identical distances; [`Csr]/[`Boxed] exist for
-         differential testing and benchmarking. *)
   g : Digraph.t;  (* forward topology, mutated in place *)
   rev : Digraph.t;  (* reversed mirror, kept in lockstep *)
   mutable dyn : Dynamic_sssp.t option;
@@ -62,14 +55,12 @@ type t = {
   mutable spt_runs : int;
 }
 
-let create ?(pool = Wnet_par.sequential) ?(copy = true) ?(kernel = `CsrBounded)
-    g ~root =
+let create ?(pool = Wnet_par.sequential) ?(copy = true) g ~root =
   let n = Digraph.n g in
   if root < 0 || root >= n then invalid_arg "Link_session.create: root out of range";
   let g = if copy then Digraph.copy g else g in
   {
     root;
-    kernel;
     g;
     rev = Digraph.reverse g;
     dyn = None;
@@ -342,21 +333,11 @@ let charges t =
        are read off the shared tree, only the region is
        wiped/reseeded/settled.  Oversized subtrees fall back to the
        full-graph CSR kernel. *)
-    let bounded =
-      match t.kernel with
-      | `CsrBounded ->
-        Some
-          (fun ds idx k d ->
-            Avoid_region.link_fill ds idx ~graph:t.rev ~mirror:t.g ~tree ~avoid:k
-              ~dist:d)
-      | `Csr | `Boxed -> None
+    let bounded ds idx k d =
+      Avoid_region.link_fill ds idx ~graph:t.rev ~mirror:t.g ~tree ~avoid:k ~dist:d
     in
     let full scratch k =
-      match t.kernel with
-      | `CsrBounded | `Csr ->
-        Dijkstra.link_weighted_dist_csr scratch ~avoid:k t.rev t.root
-      | `Boxed ->
-        Dijkstra.link_weighted_dist scratch ~forbidden:(fun v -> v = k) t.rev t.root
+      Dijkstra.link_weighted_dist_csr scratch ~avoid:k t.rev t.root
     in
     let relays = Avoid_cache.relays tree in
     Avoid_cache.refill t.cache ~tree ~stamp:t.tree_version ~bounded ~full relays;

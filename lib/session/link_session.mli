@@ -42,10 +42,9 @@
     {b Determinism contract:} after any edit sequence, {!payments} is
     bit-identical ([Float.equal], including [infinity] payments for
     cut-vertex relays and identical paths) to a from-scratch batch on
-    the edited graph — the zero-copy
-    [Wnet_core.Link_cost.all_to_root] path, which is itself a one-shot
-    session.  The qcheck suite drives random edit sequences against
-    that oracle. *)
+    the edited graph.  The qcheck suites drive random edit sequences
+    against an independent reference under [test/] that runs one
+    Dijkstra per relay on a rebuilt adjacency. *)
 
 type t
 
@@ -115,26 +114,18 @@ type stats = {
 }
 
 val create :
-  ?pool:Wnet_par.t ->
-  ?copy:bool ->
-  ?kernel:[ `CsrBounded | `Csr | `Boxed ] ->
-  Wnet_graph.Digraph.t ->
-  root:int ->
-  t
+  ?pool:Wnet_par.t -> ?copy:bool -> Wnet_graph.Digraph.t -> root:int -> t
 (** [create g ~root] opens a session on [g].  With [~copy:true] (the
     default) the session deep-copies [g] and later edits never touch the
     caller's graph; [~copy:false] borrows it — the caller must neither
     mutate nor rely on it afterwards (used by the one-shot wrappers).
     [?pool] (default {!Wnet_par.sequential}) fans avoidance Dijkstras
     out over domains; every pool size yields bit-identical payments.
-    [?kernel] selects the avoidance Dijkstra that fills cache misses:
-    [`CsrBounded] (default) copies exterior distances from the shared
-    SPT and recomputes only the relay's subtree region
-    ({!Wnet_graph.Avoid_region}), falling back to the full-graph CSR
-    kernel on budget overflow; [`Csr] is the flat zero-allocation
-    full-graph ban-mask kernel; [`Boxed] the original closure-predicate
-    run over boxed adjacency.  All three are kept as differential
-    oracles — payments are bit-identical whichever is selected.
+    A cache miss is filled by the region-only kernel
+    ({!Wnet_graph.Avoid_region}): exterior distances come from the
+    shared SPT and only the relay's subtree is recomputed, with the
+    full-graph CSR kernel as the fallback when the subtree outgrows the
+    budget.
     @raise Invalid_argument if [root] is out of range. *)
 
 val n : t -> int

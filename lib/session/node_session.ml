@@ -25,11 +25,6 @@ type stats = {
 
 type t = {
   root : int;
-  kernel : [ `CsrBounded | `Csr | `Boxed ];
-      (* avoidance kernel for cache misses: subtree-bounded region
-         kernel over the shared SPT (default, full-CSR fallback on
-         budget overflow), flat CSR ban-mask, or the boxed closure
-         oracle — bit-identical outputs *)
   mutable g : Graph.t;  (* adjacency shared; cost vector swapped per edit *)
   mutable gver : int;  (* session-managed version stamp *)
   mutable tree : Dijkstra.tree option;
@@ -53,12 +48,11 @@ type t = {
   mutable spt_runs : int;
 }
 
-let create ?(pool = Wnet_par.sequential) ?(kernel = `CsrBounded) g ~root =
+let create ?(pool = Wnet_par.sequential) g ~root =
   let n = Graph.n g in
   if root < 0 || root >= n then invalid_arg "Node_session.create: root out of range";
   {
     root;
-    kernel;
     g;
     gver = 0;
     tree = None;
@@ -202,21 +196,11 @@ let charges t =
     flush t;
     let tree = shared_tree t in
     (* Region-only fills; see {!Link_session.charges}. *)
-    let bounded =
-      match t.kernel with
-      | `CsrBounded ->
-        Some
-          (fun ds idx k d ->
-            Avoid_region.node_fill ds idx ~graph:t.g ~tree ~avoid:k ~dist:d)
-      | `Csr | `Boxed -> None
+    let bounded ds idx k d =
+      Avoid_region.node_fill ds idx ~graph:t.g ~tree ~avoid:k ~dist:d
     in
     let full scratch k =
-      match t.kernel with
-      | `CsrBounded | `Csr ->
-        Dijkstra.node_weighted_dist_csr scratch ~avoid:k t.g ~source:t.root
-      | `Boxed ->
-        Dijkstra.node_weighted_dist scratch ~forbidden:(fun v -> v = k) t.g
-          ~source:t.root
+      Dijkstra.node_weighted_dist_csr scratch ~avoid:k t.g ~source:t.root
     in
     let relays = Avoid_cache.relays tree in
     Avoid_cache.refill t.cache ~tree ~stamp:t.tree_version ~bounded ~full relays;

@@ -20,8 +20,8 @@
 
     {b Determinism contract:} {!payments} after any edit sequence is
     bit-identical ([Float.equal], identical paths) to a from-scratch
-    [Wnet_core.Unicast.all_to_root] on the edited graph — which is
-    itself a one-shot session. *)
+    batch on the edited graph, checked as for {!Link_session} against
+    the independent reference under [test/]. *)
 
 type t
 
@@ -71,21 +71,13 @@ type stats = {
           full-graph CSR Dijkstra *)
 }
 
-val create :
-  ?pool:Wnet_par.t ->
-  ?kernel:[ `CsrBounded | `Csr | `Boxed ] ->
-  Wnet_graph.Graph.t ->
-  root:int ->
-  t
+val create : ?pool:Wnet_par.t -> Wnet_graph.Graph.t -> root:int -> t
 (** [create g ~root] opens a session on [g].  [Graph.t] is immutable,
     so the session shares the adjacency structure and swaps cost
-    vectors; the caller's graph is never affected.  [?kernel] selects the avoidance Dijkstra
-    for cache misses — [`CsrBounded] (default) the subtree-bounded
-    region kernel over the shared SPT with full-CSR fallback on budget
-    overflow ({!Wnet_graph.Avoid_region}), [`Csr] the flat
-    zero-allocation full-graph ban-mask kernel, [`Boxed] the
-    closure-predicate oracle; payments are bit-identical whichever is
-    selected.
+    vectors; the caller's graph is never affected.  Cache misses are
+    filled as in {!Link_session.create}: the region-only kernel over
+    the shared SPT ({!Wnet_graph.Avoid_region}), with a full-graph CSR
+    fallback on budget overflow.
     @raise Invalid_argument if [root] is out of range. *)
 
 val n : t -> int

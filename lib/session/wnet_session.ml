@@ -22,9 +22,7 @@ type stats = Link_session.stats = {
    Both directions of the text protocol derive from this table
    (Wnet_proto prints `ok k=v ...` from [to_fields] and rebuilds the
    record through [of_fields]), so adding a counter is one row here —
-   not an arity case in every parser.  Rows are in wire order; older
-   layouts are prefixes (v1 = 6 counters, v2 = 8, v3 = 10, v4 = all
-   12). *)
+   not an arity case in every parser.  Rows are in wire order. *)
 let stats_layout :
     (string * (stats -> int) * (stats -> int -> stats)) array =
   [|
@@ -61,8 +59,6 @@ let stats_layout :
       (fun s -> s.avoid_fallback),
       fun s v -> { s with avoid_fallback = v } );
   |]
-
-let stats_version = 4
 
 let zero_stats =
   {

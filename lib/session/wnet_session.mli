@@ -47,15 +47,9 @@ type stats = Link_session.stats = {
     repairs; [avoid_bounded] the refills the region-only kernel served;
     and [tasks_executed] one task per entry repair and per refill. *)
 
-val stats_version : int
-(** Version of the stats wire layout: 1 = the first 6 counters, 2 = the
-    first 8, 3 = the first 10, 4 = all 12.  Older layouts are strict
-    prefixes of newer ones, which is what lets {!Wnet_proto} keep
-    parsing every legacy arity through one table. *)
-
 val zero_stats : stats
-(** All counters zero — the [of_fields] default for omitted trailing
-    counters on short legacy lines. *)
+(** All counters zero — the [of_fields] default for a counter it is not
+    given. *)
 
 val stats_field_names : string array
 (** The counter keys in wire order ([edits], [coalesced], ...,
@@ -68,9 +62,9 @@ val to_fields : stats -> (string * int) list
     layout table updates printing, parsing and the key list at once. *)
 
 val of_fields : (string * int) list -> (stats, string) result
-(** Rebuild a record from [(key, value)] pairs; keys may be any subset
-    (missing counters default to zero, as on legacy wire forms),
-    unknown keys are an [Error]. *)
+(** Rebuild a record from [(key, value)] pairs: each key sets its
+    counter, counters not named read zero, and an unknown key is an
+    [Error]. *)
 
 (** A topology delta, covering both models.  [Set_node_cost] is valid
     only on [`Node] sessions; [Set_link_cost], [Join] and [Rejoin] only

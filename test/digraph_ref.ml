@@ -37,7 +37,7 @@ let reverse links = create (List.map (fun (u, v, w) -> (v, u, w)) links)
 
 let remove_node links x = List.filter (fun (u, v, _) -> u <> x && v <> x) links
 
-let remove_links_to links x = List.filter (fun (_, v, _) -> v <> x) links
+let drop_links_into links x = List.filter (fun (_, v, _) -> v <> x) links
 
 (* Row [u] of the reference, as [Digraph.out_links] lays it out. *)
 let row links u =

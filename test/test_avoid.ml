@@ -57,11 +57,18 @@ let test_cut_node_infinite () =
 
 let test_avoiding_cost_direct () =
   let g = Wnet_core.Examples.diamond in
+  let scratch = Dijkstra.make_scratch (Graph.n g) in
   Test_util.check_float "detour cost" 3.0
-    (Avoid.avoiding_cost g ~src:0 ~dst:3 ~avoid:1);
+    (Avoid.avoiding_cost scratch g ~src:0 ~dst:3 ~avoid:1);
   Alcotest.check_raises "avoid endpoint"
     (Invalid_argument "Avoid.avoiding_cost: cannot avoid an endpoint")
-    (fun () -> ignore (Avoid.avoiding_cost g ~src:0 ~dst:3 ~avoid:0))
+    (fun () -> ignore (Avoid.avoiding_cost scratch g ~src:0 ~dst:3 ~avoid:0));
+  let small = Dijkstra.make_scratch 2 in
+  Alcotest.check_raises "graph over capacity"
+    (Invalid_argument "Dijkstra: graph exceeds scratch capacity")
+    (fun () -> ignore (Avoid.avoiding_cost small g ~src:0 ~dst:3 ~avoid:1));
+  Alcotest.(check string) "a refused call leaves the ban mask clean" "\000\000"
+    (Bytes.to_string (Dijkstra.ban_mask small))
 
 let test_validation () =
   let g = Wnet_core.Examples.diamond in
@@ -150,6 +157,7 @@ let prop_replacement_is_avoiding_distance =
       let r = Test_util.rng seed in
       let g = Test_util.random_ring_graph ~max_n:20 r in
       let n = Graph.n g in
+      let scratch = Dijkstra.make_scratch n in
       let src = Wnet_prng.Rng.int r n in
       let dst = (src + 1 + Wnet_prng.Rng.int r (n - 1)) mod n in
       match Avoid.replacement_costs_fast g ~src ~dst with
@@ -160,7 +168,7 @@ let prop_replacement_is_avoiding_distance =
           (fun l x ->
             if not (Float.is_nan x) then begin
               let d =
-                Avoid.avoiding_cost g ~src ~dst ~avoid:res.Avoid.path.(l)
+                Avoid.avoiding_cost scratch g ~src ~dst ~avoid:res.Avoid.path.(l)
               in
               if not (Test_util.approx x d) then ok := false
             end)

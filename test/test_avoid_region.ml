@@ -1,15 +1,13 @@
-(* The subtree-bounded avoidance tentpole (ISSUE: subtree-bounded
-   avoidance kernels):
+(* The subtree-bounded avoidance kernels:
 
    - [Avoid_region.link_avoid]/[node_avoid] are [Float.equal]-identical
-     to the full-CSR and boxed forbidden runs for every relay — cut
-     vertices (infinite avoidance) and unreachable nodes included;
+     to the full-CSR run and to {!Payment_ref}'s search for every relay
+     — cut vertices (infinite avoidance) and unreachable nodes included;
    - an undersized budget reports [`Overflow] honestly, and rerunning
      with a sufficient one recovers the exact answer (the session's
      fallback discipline);
-   - whole payment batches stay bit-identical across
-     `CsrBounded/`Csr/`Boxed at pool sizes 1 and 3, under random
-     edit/fill interleavings;
+   - whole payment batches stay bit-identical to the reference at pool
+     sizes 1 and 3, under random edit/fill interleavings;
    - tied integer weights on a path topology force the fallback (a
      subtree larger than the budget) without perturbing payments. *)
 
@@ -17,7 +15,6 @@ open Wnet_graph
 module Rng = Wnet_prng.Rng
 module LS = Wnet_session.Link_session
 module NS = Wnet_session.Node_session
-module LC = Wnet_core.Link_cost
 
 let floats_equal a b =
   Array.length a = Array.length b && Array.for_all2 Float.equal a b
@@ -36,7 +33,7 @@ let random_digraph rng ~n =
 (* ---------------- kernel-level equivalence ---------------- *)
 
 (* Every non-root node is a candidate relay: the bounded run must match
-   the full-CSR and boxed forbidden runs whatever the subtree looks
+   the full-CSR run and the reference's search whatever the subtree looks
    like — empty (leaves), the whole reachable graph (root's only
    child), or disconnected from [k] entirely (unreachable nodes keep
    their [infinity] labels bit-for-bit). *)
@@ -50,7 +47,6 @@ let link_kernel_prop seed =
   let idx = Avoid_region.make_index tree in
   let ds = Dynamic_sssp.make_dist_scratch n in
   let scratch = Dijkstra.make_scratch n in
-  let oracle = Dijkstra.make_scratch n in
   let d = Array.make n nan in
   for k = 0 to n - 1 do
     if k <> root then begin
@@ -60,11 +56,9 @@ let link_kernel_prop seed =
         < 0
       then QCheck2.Test.fail_reportf "budget n can never overflow (k=%d)" k;
       let csr = Dijkstra.link_weighted_dist_csr scratch ~avoid:k rev root in
-      let boxed =
-        Dijkstra.link_weighted_dist oracle ~forbidden:(fun v -> v = k) rev root
-      in
-      if not (floats_equal d csr && floats_equal csr boxed) then
-        QCheck2.Test.fail_reportf "bounded/full/boxed diverged at relay %d" k
+      let reference = Payment_ref.link_dist ~avoid:k rev ~source:root in
+      if not (floats_equal d csr && floats_equal csr reference) then
+        QCheck2.Test.fail_reportf "bounded/full/reference diverged at relay %d" k
     end
   done;
   true
@@ -78,7 +72,6 @@ let node_kernel_prop seed =
   let idx = Avoid_region.make_index tree in
   let ds = Dynamic_sssp.make_dist_scratch n in
   let scratch = Dijkstra.make_scratch n in
-  let oracle = Dijkstra.make_scratch n in
   let d = Array.make n nan in
   for k = 0 to n - 1 do
     if k <> root then begin
@@ -88,12 +81,9 @@ let node_kernel_prop seed =
         < 0
       then QCheck2.Test.fail_reportf "budget n overflowed (k=%d)" k;
       let csr = Dijkstra.node_weighted_dist_csr scratch ~avoid:k g ~source:root in
-      let boxed =
-        Dijkstra.node_weighted_dist oracle ~forbidden:(fun v -> v = k) g
-          ~source:root
-      in
-      if not (floats_equal d csr && floats_equal csr boxed) then
-        QCheck2.Test.fail_reportf "bounded/full/boxed diverged at relay %d" k
+      let reference = Payment_ref.node_dist ~avoid:k g ~source:root in
+      if not (floats_equal d csr && floats_equal csr reference) then
+        QCheck2.Test.fail_reportf "bounded/full/reference diverged at relay %d" k
     end
   done;
   true
@@ -139,38 +129,24 @@ let overflow_recovery_prop seed =
   end;
   true
 
-(* ---------------- sessions: `CsrBounded vs oracles ---------------- *)
+(* ---------------- sessions against the reference ---------------- *)
 
-let batch_equal (a : LS.batch) (b : LS.batch) =
-  floats_equal a.LS.to_root_dist b.LS.to_root_dist
-  && Array.for_all2
-       (fun x y ->
-         match (x, y) with
-         | None, None -> true
-         | Some (x : LS.outcome), Some (y : LS.outcome) ->
-           x.LS.path = y.LS.path && floats_equal x.LS.relay_pay y.LS.relay_pay
-           && Float.equal x.LS.charge y.LS.charge
-         | _ -> false)
-       a.LS.results b.LS.results
+let link_agrees s what =
+  Test_util.fail_on_diff what
+    (Test_util.link_session_diff (LS.payments s)
+       (Payment_ref.link (LS.snapshot s) ~root:0))
 
-(* Random edit/fill interleavings: three sessions (bounded, full-CSR,
-   boxed) absorb the same stream of cost edits, node leaves and rejoins,
-   with payment batches (= cache fills) demanded at random points.  Run
-   once sequentially and once on a 3-domain pool. *)
+(* Random edit/fill interleavings: a session absorbs a stream of cost
+   edits, node leaves and rejoins, with payment batches (= cache fills)
+   demanded at random points, each against the reference.  Run once
+   sequentially and once on a 3-domain pool. *)
 let session_interleaving_prop ~domains seed =
   let rng = Rng.create seed in
   let n = 8 + Rng.int rng 17 in
   let g = random_digraph rng ~n in
   let run pool =
-    let mk kernel = LS.create ?pool ~kernel g ~root:0 in
-    let sb = mk `CsrBounded and sc = mk `Csr and sx = mk `Boxed in
-    let each f = f sb; f sc; f sx in
-    let agree what =
-      let b = LS.payments sb in
-      if not (batch_equal b (LS.payments sc) && batch_equal b (LS.payments sx))
-      then QCheck2.Test.fail_reportf "batches diverged after %s" what
-    in
-    agree "cold start";
+    let s = LS.create ?pool g ~root:0 in
+    link_agrees s "cold start";
     let removed = ref [] in
     for step = 1 to 12 do
       (match Rng.int rng 6 with
@@ -183,12 +159,12 @@ let session_interleaving_prop ~domains seed =
             if Rng.bernoulli rng 0.2 then infinity
             else Rng.float_range rng 0.5 10.0
           in
-          each (fun s -> LS.set_cost s u v w)
+          LS.set_cost s u v w
         end
       | 3 ->
         let k = 1 + Rng.int rng (n - 1) in
         if not (List.mem k !removed) then begin
-          each (fun s -> LS.remove_node s k);
+          LS.remove_node s k;
           removed := k :: !removed
         end
       | 4 -> (
@@ -198,20 +174,17 @@ let session_interleaving_prop ~domains seed =
           (* never link to a node still detached (k included), or that
              node could no longer rejoin *)
           let out = List.filter (fun (v, _) -> not (List.mem v !removed)) out in
-          each (fun s -> LS.rejoin_node s k ~out ~inn:[]);
+          LS.rejoin_node s k ~out ~inn:[];
           removed := rest
         | [] -> ())
-      | _ -> agree (Printf.sprintf "step %d" step));
-      if step mod 4 = 0 then agree (Printf.sprintf "step %d" step)
+      | _ -> link_agrees s (Printf.sprintf "step %d" step));
+      if step mod 4 = 0 then link_agrees s (Printf.sprintf "step %d" step)
     done;
-    agree "final";
-    (* the bounded session must actually have used the bounded path *)
-    let st = LS.stats sb in
-    if st.LS.avoid_runs > 0 && st.LS.avoid_bounded + st.LS.avoid_fallback = 0
-    then QCheck2.Test.fail_reportf "bounded kernel never engaged";
-    let stc = LS.stats sc in
-    if stc.LS.avoid_bounded + stc.LS.avoid_fallback <> 0 then
-      QCheck2.Test.fail_reportf "`Csr session counted bounded fills"
+    link_agrees s "final";
+    (* every refill ran the bounded kernel or its counted fallback *)
+    let st = LS.stats s in
+    if st.LS.avoid_bounded + st.LS.avoid_fallback <> st.LS.avoid_runs then
+      QCheck2.Test.fail_reportf "refills not accounted for"
   in
   if domains = 1 then run None
   else Wnet_par.with_pool ~domains (fun pool -> run (Some pool));
@@ -221,35 +194,19 @@ let node_session_prop seed =
   let rng = Rng.create seed in
   let g = Test_util.random_ring_graph rng in
   let n = Graph.n g in
-  let mk kernel = NS.create ~kernel g ~root:0 in
-  let sb = mk `CsrBounded and sc = mk `Csr and sx = mk `Boxed in
-  let each f = f sb; f sc; f sx in
+  let s = NS.create g ~root:0 in
   let agree what =
-    let eq a b =
-      Array.for_all2
-        (fun x y ->
-          match (x, y) with
-          | None, None -> true
-          | Some (x : NS.outcome), Some (y : NS.outcome) ->
-            x.NS.path = y.NS.path && floats_equal x.NS.relay_pay y.NS.relay_pay
-           && Float.equal x.NS.charge y.NS.charge
-          | _ -> false)
-        a b
-    in
-    let b = NS.payments sb in
-    if not (eq b (NS.payments sc) && eq b (NS.payments sx)) then
-      QCheck2.Test.fail_reportf "node batches diverged after %s" what
+    Test_util.fail_on_diff what
+      (Test_util.node_session_diff (NS.payments s)
+         (Payment_ref.node (NS.graph s) ~root:0))
   in
   agree "cold start";
   for step = 1 to 10 do
     (match Rng.int rng 5 with
     | 0 | 1 | 2 ->
       let x = 1 + Rng.int rng (n - 1) in
-      let c = Rng.float_range rng 0.0 5.0 in
-      each (fun s -> NS.set_cost s x c)
-    | 3 ->
-      let x = 1 + Rng.int rng (n - 1) in
-      each (fun s -> NS.remove_node s x)
+      NS.set_cost s x (Rng.float_range rng 0.0 5.0)
+    | 3 -> NS.remove_node s (1 + Rng.int rng (n - 1))
     | _ -> agree (Printf.sprintf "step %d" step));
     if step mod 3 = 0 then agree (Printf.sprintf "step %d" step)
   done;
@@ -261,7 +218,7 @@ let node_session_prop seed =
 (* A unit-weight path 0 <- 1 <- ... <- n-1: relay 1's subtree holds the
    n-2 nodes behind it, blowing any n/2 budget, and every distance is a
    tie-rich small integer.  The session must fall back (counter) yet
-   keep payments identical to the full-CSR oracle. *)
+   keep payments identical to the reference. *)
 let test_tied_path_forces_fallback () =
   let n = 100 in
   let links = List.init (n - 1) (fun i -> (i + 1, i, 1.0)) in
@@ -269,10 +226,8 @@ let test_tied_path_forces_fallback () =
   let links = (n - 1, 0, float_of_int n) :: links in
   let g = Digraph.create ~n ~links in
   let sb = LS.create g ~root:0 in
-  let sc = LS.create ~kernel:`Csr g ~root:0 in
-  let b = LS.payments sb in
-  Alcotest.(check bool) "payments match full-CSR oracle" true
-    (batch_equal b (LS.payments sc));
+  Alcotest.(check (option string)) "payments match the reference" None
+    (Test_util.link_session_diff (LS.payments sb) (Payment_ref.link g ~root:0));
   let st = LS.stats sb in
   Alcotest.(check bool) "some subtree outgrew the budget" true
     (st.LS.avoid_fallback > 0);
@@ -398,20 +353,11 @@ let link_entries_prop ~domains seed =
         for _ = 1 to Rng.int rng 8 do
           random_int_link_op rng s
         done;
-        let b = LS.payments s in
         let what = Printf.sprintf "burst %d" burst in
         let graph = LS.snapshot s in
         let rev = Digraph.reverse graph in
         let nn = Digraph.n graph in
-        let oracle = LC.all_to_root ~strategy:LC.Copy_graph graph ~root:0 in
-        Array.iteri
-          (fun src o ->
-            match (o, oracle.LC.results.(src)) with
-            | None, None -> ()
-            | Some (o : LS.outcome), Some (r : LC.t)
-              when o.LS.path = r.LC.path && bits_equal o.LS.charge r.LC.charge -> ()
-            | _ -> QCheck2.Test.fail_reportf "%s: source %d differs from the oracle" what src)
-          b.LS.results;
+        link_agrees s what;
         let tree, _ = LS.charges s in
         let ds = Dynamic_sssp.make_dist_scratch nn in
         check_entries ~what tree (LS.entries s) (fun idx j ->
@@ -445,18 +391,10 @@ let node_entries_prop ~domains seed =
           if Rng.bernoulli rng 0.85 then NS.set_cost s x (float_of_int (Rng.int rng 5))
           else if x <> 0 then NS.remove_node s x
         done;
-        let b = NS.payments s in
         let what = Printf.sprintf "burst %d" burst in
-        let oracle = Wnet_core.Unicast.all_to_root (NS.graph s) ~root:0 in
-        Array.iteri
-          (fun src o ->
-            match (o, oracle.(src)) with
-            | None, None -> ()
-            | Some (o : NS.outcome), Some (r : Wnet_core.Unicast.t)
-              when o.NS.path = r.Wnet_core.Unicast.path
-                   && bits_equal o.NS.charge r.Wnet_core.Unicast.charge -> ()
-            | _ -> QCheck2.Test.fail_reportf "%s: source %d differs from the oracle" what src)
-          b;
+        Test_util.fail_on_diff what
+          (Test_util.node_session_diff (NS.payments s)
+             (Payment_ref.node (NS.graph s) ~root:0));
         let tree, _ = NS.charges s in
         let ds = Dynamic_sssp.make_dist_scratch n in
         check_entries ~what tree (NS.entries s) (fun idx j ->
@@ -470,34 +408,34 @@ let node_entries_prop ~domains seed =
 
 let suite =
   [
-    Test_util.qcheck_case ~count:60 "link bounded = full CSR = boxed"
+    Test_util.qcheck_case ~count:60 "link bounded = full CSR = reference"
       Test_util.seed_gen link_kernel_prop;
-    Test_util.qcheck_case ~count:60 "node bounded = full CSR = boxed"
+    Test_util.qcheck_case ~count:60 "node bounded = full CSR = reference"
       Test_util.seed_gen node_kernel_prop;
     Test_util.qcheck_case ~count:60 "overflow is honest, retry recovers"
       Test_util.seed_gen overflow_recovery_prop;
-    Test_util.qcheck_case ~count:15 "link sessions agree under churn (pool 1)"
+    Test_util.qcheck_case ~count:15 "link sessions agree under churn with the reference (pool 1)"
       Test_util.seed_gen
       (session_interleaving_prop ~domains:1);
-    Test_util.qcheck_case ~count:10 "link sessions agree under churn (pool 3)"
+    Test_util.qcheck_case ~count:10 "link sessions agree under churn with the reference (pool 3)"
       Test_util.seed_gen
       (session_interleaving_prop ~domains:3);
-    Test_util.qcheck_case ~count:20 "node sessions agree under churn"
+    Test_util.qcheck_case ~count:20 "node sessions agree under churn with the reference"
       Test_util.seed_gen node_session_prop;
     Alcotest.test_case "tied unit-weight path forces the fallback" `Quick
       test_tied_path_forces_fallback;
     Alcotest.test_case "leaf relay: size-1 region, cut-vertex variant" `Quick
       test_leaf_relay_pinned;
     Test_util.qcheck_case ~count:40
-      "link entries (pool 1) = fresh kernel on S(j), charges = oracle (bits)"
+      "link entries (pool 1) = fresh kernel on S(j), payments = reference (bits)"
       Test_util.seed_gen (link_entries_prop ~domains:1);
     Test_util.qcheck_case ~count:25
-      "link entries (pool 3) = fresh kernel on S(j), charges = oracle (bits)"
+      "link entries (pool 3) = fresh kernel on S(j), payments = reference (bits)"
       Test_util.seed_gen (link_entries_prop ~domains:3);
     Test_util.qcheck_case ~count:40
-      "node entries (pool 1) = fresh kernel on S(j), charges = oracle (bits)"
+      "node entries (pool 1) = fresh kernel on S(j), payments = reference (bits)"
       Test_util.seed_gen (node_entries_prop ~domains:1);
     Test_util.qcheck_case ~count:25
-      "node entries (pool 3) = fresh kernel on S(j), charges = oracle (bits)"
+      "node entries (pool 3) = fresh kernel on S(j), payments = reference (bits)"
       Test_util.seed_gen (node_entries_prop ~domains:3);
   ]

@@ -1,14 +1,13 @@
-(* The CSR tentpole's contracts (ISSUE: CSR graph kernels):
+(* The CSR views and kernels:
 
    - the flat views are semantically the boxed accessors — [Digraph.csr]
      must agree with [out_links]/[weight] after ANY interleaving of
      in-place weight edits, node growth, and detachment (the in-place
      maintenance and the lazy rebuild must be indistinguishable);
    - the CSR Dijkstra kernels (ban mask, key-only pops, scratch-owned
-     result) are [Float.equal]-identical to the boxed closure runs they
-     replace, which stay in the tree as the differential oracle;
-   - whole payment batches come out bit-identical whichever kernel the
-     session fans out, at pool sizes 1 and 3. *)
+     result) are [Float.equal]-identical to {!Payment_ref}'s searches,
+     and a call they refuse leaves the ban mask as it was;
+   - a link session under edits pays what the reference pays. *)
 
 open Wnet_graph
 module Rng = Wnet_prng.Rng
@@ -132,29 +131,23 @@ let egraph_csr_prop seed =
   done;
   floats_equal (Egraph.weights_view g) (Egraph.weights g)
 
-(* ---------------- CSR kernels ≡ boxed closure runs ---------------- *)
+(* ---------------- CSR kernels ≡ the reference's searches ---------------- *)
 
 let link_kernel_prop seed =
   let rng = Rng.create seed in
   let n = 4 + Rng.int rng 25 in
   let g = random_digraph rng ~n in
   let scratch = Dijkstra.make_scratch n in
-  let oracle = Dijkstra.make_scratch n in
   for _ = 1 to 5 do
     let source = Rng.int rng n in
     let avoid =
       let k = Rng.int rng n in
       if k = source then -1 else k
     in
-    let expect =
-      if avoid < 0 then Dijkstra.link_weighted_dist oracle g source
-      else
-        Dijkstra.link_weighted_dist oracle ~forbidden:(fun v -> v = avoid) g
-          source
-    in
+    let expect = Payment_ref.link_dist ~avoid g ~source in
     let got = Dijkstra.link_weighted_dist_csr scratch ~avoid g source in
     if not (floats_equal got expect) then
-      QCheck2.Test.fail_reportf "CSR link kernel diverged from boxed oracle";
+      QCheck2.Test.fail_reportf "CSR link kernel diverged from the reference";
     (* the convenience wrapper must leave the ban mask clean *)
     if Bytes.exists (fun c -> c <> '\000') (Dijkstra.ban_mask scratch) then
       QCheck2.Test.fail_reportf "ban mask left dirty";
@@ -169,22 +162,16 @@ let node_kernel_prop seed =
   let g = Test_util.random_sparse_graph rng in
   let n = Graph.n g in
   let scratch = Dijkstra.make_scratch n in
-  let oracle = Dijkstra.make_scratch n in
   for _ = 1 to 5 do
     let source = Rng.int rng n in
     let avoid =
       let k = Rng.int rng n in
       if k = source then -1 else k
     in
-    let expect =
-      if avoid < 0 then Dijkstra.node_weighted_dist oracle g ~source
-      else
-        Dijkstra.node_weighted_dist oracle ~forbidden:(fun v -> v = avoid) g
-          ~source
-    in
+    let expect = Payment_ref.node_dist ~avoid g ~source in
     let got = Dijkstra.node_weighted_dist_csr scratch ~avoid g ~source in
     if not (floats_equal got expect) then
-      QCheck2.Test.fail_reportf "CSR node kernel diverged from boxed oracle"
+      QCheck2.Test.fail_reportf "CSR node kernel diverged from the reference"
   done;
   true
 
@@ -208,6 +195,37 @@ let test_banned_source_rejected () =
     (Invalid_argument "Dijkstra: source is forbidden") (fun () ->
       ignore (Dijkstra.link_weighted_scratch s g 0))
 
+(* A refused [*_dist_csr] call must leave the ban mask as it found it.
+   On 0 -> 1 -> 2 (weights 1, 1) plus 0 -> 2 (5), a byte left set for
+   node 1 would make the next run from 0 read [0 inf 5]. *)
+let test_refused_run_leaves_mask_clean () =
+  let g = Digraph.create ~n:3 ~links:[ (0, 1, 1.0); (1, 2, 1.0); (0, 2, 5.0) ] in
+  let s = Dijkstra.make_scratch 3 in
+  let clean what =
+    Alcotest.(check bool) (what ^ ": mask clean") false
+      (Bytes.exists (fun c -> c <> '\000') (Dijkstra.ban_mask s));
+    Alcotest.(check (array (float 0.0))) (what ^ ": next run exact") [| 0.0; 1.0; 2.0 |]
+      (Dijkstra.link_weighted_dist_csr s g 0)
+  in
+  Alcotest.check_raises "avoid = source"
+    (Invalid_argument "Dijkstra: source is forbidden") (fun () ->
+      ignore (Dijkstra.link_weighted_dist_csr s ~avoid:1 g 1));
+  clean "avoid = source";
+  Alcotest.check_raises "source out of range"
+    (Invalid_argument "Dijkstra: source out of range") (fun () ->
+      ignore (Dijkstra.link_weighted_dist_csr s ~avoid:1 g 3));
+  clean "source out of range";
+  let big = Digraph.create ~n:4 ~links:[ (0, 1, 1.0) ] in
+  Alcotest.check_raises "graph over capacity"
+    (Invalid_argument "Dijkstra: graph exceeds scratch capacity") (fun () ->
+      ignore (Dijkstra.link_weighted_dist_csr s ~avoid:1 big 0));
+  clean "graph over capacity";
+  let ng = Graph.create ~costs:[| 1.0; 1.0; 1.0 |] ~edges:[ (0, 1); (1, 2) ] in
+  Alcotest.check_raises "node model, avoid = source"
+    (Invalid_argument "Dijkstra: source is forbidden") (fun () ->
+      ignore (Dijkstra.node_weighted_dist_csr s ~avoid:1 ng ~source:1));
+  clean "node model"
+
 let avoiding_cost_prop seed =
   let rng = Rng.create seed in
   let g = Test_util.random_sparse_graph rng in
@@ -218,115 +236,33 @@ let avoiding_cost_prop seed =
   let avoid = Rng.int rng n in
   if avoid = src || avoid = dst then true
   else begin
-    let slow = Avoid.avoiding_cost g ~src ~dst ~avoid in
-    let fast = Avoid.avoiding_cost ~scratch g ~src ~dst ~avoid in
-    Float.equal slow fast
+    let tree_run = (Payment_ref.node_dist ~avoid g ~source:src).(dst) in
+    let fast = Avoid.avoiding_cost scratch g ~src ~dst ~avoid in
+    Float.equal tree_run fast
     && not (Bytes.exists (fun c -> c <> '\000') (Dijkstra.ban_mask scratch))
   end
 
-(* ---------------- sessions: Csr vs Boxed payments ---------------- *)
+(* ---------------- a link session under edits = the reference ---------------- *)
 
 module LS = Wnet_session.Link_session
-module LC = Wnet_core.Link_cost
-module U = Wnet_core.Unicast
 
-let link_batch_equal (a : LC.batch) (b : LC.batch) =
-  a.LC.root = b.LC.root
-  && floats_equal a.LC.to_root_dist b.LC.to_root_dist
-  && Array.for_all2
-       (fun x y ->
-         match (x, y) with
-         | None, None -> true
-         | Some (x : LC.t), Some (y : LC.t) ->
-           x.LC.path = y.LC.path
-           && Float.equal x.LC.lcp_cost y.LC.lcp_cost
-           && floats_equal x.LC.relay_pay y.LC.relay_pay
-           && Float.equal x.LC.charge y.LC.charge
-         | _ -> false)
-       a.LC.results b.LC.results
-
-let link_session_kernel_prop seed =
-  let rng = Rng.create seed in
-  let n = 6 + Rng.int rng 19 in
-  let g = random_digraph rng ~n in
-  Wnet_par.with_pool ~domains:3 (fun pool ->
-      let batches =
-        List.map
-          (fun (pool, kernel) ->
-            match pool with
-            | None -> LC.all_to_root ~kernel g ~root:0
-            | Some pool -> LC.all_to_root ~pool ~kernel g ~root:0)
-          [ (None, `Csr); (None, `Boxed); (Some pool, `Csr); (Some pool, `Boxed) ]
-      in
-      match batches with
-      | b :: rest ->
-        if not (List.for_all (link_batch_equal b) rest) then
-          QCheck2.Test.fail_reportf
-            "link payments differ across kernels/pool sizes";
-        true
-      | [] -> false)
-
-let node_session_kernel_prop seed =
-  let rng = Rng.create seed in
-  let g = Test_util.random_ring_graph rng in
-  Wnet_par.with_pool ~domains:3 (fun pool ->
-      let outcomes_equal a b =
-        Array.for_all2
-          (fun x y ->
-            match (x, y) with
-            | None, None -> true
-            | Some (x : U.t), Some (y : U.t) ->
-              x.U.path = y.U.path
-              && Float.equal x.U.lcp_cost y.U.lcp_cost
-              && floats_equal x.U.relay_pay y.U.relay_pay
-           && Float.equal x.U.charge y.U.charge
-            | _ -> false)
-          a b
-      in
-      let base = U.all_to_root ~kernel:`Csr g ~root:0 in
-      List.for_all
-        (fun r -> outcomes_equal base r)
-        [
-          U.all_to_root ~kernel:`Boxed g ~root:0;
-          U.all_to_root ~pool ~kernel:`Csr g ~root:0;
-          U.all_to_root ~pool ~kernel:`Boxed g ~root:0;
-        ])
-
-(* Edited sessions: the kernel choice must stay invisible through a
-   burst of edits (cache repair fills misses with whichever kernel). *)
-let link_session_edit_kernel_prop seed =
+let link_session_edit_prop seed =
   let rng = Rng.create seed in
   let n = 6 + Rng.int rng 15 in
   let g = random_digraph rng ~n in
-  let s_csr = LS.create g ~root:0 in
-  let s_box = LS.create ~kernel:`Boxed g ~root:0 in
-  let batches_equal () =
-    let a = LS.payments s_csr and b = LS.payments s_box in
-    floats_equal a.LS.to_root_dist b.LS.to_root_dist
-    && Array.for_all2
-         (fun x y ->
-           match (x, y) with
-           | None, None -> true
-           | Some (x : LS.outcome), Some (y : LS.outcome) ->
-             x.LS.path = y.LS.path && floats_equal x.LS.relay_pay y.LS.relay_pay
-           && Float.equal x.LS.charge y.LS.charge
-           | _ -> false)
-         a.LS.results b.LS.results
+  let s = LS.create g ~root:0 in
+  let agree what =
+    Test_util.fail_on_diff what
+      (Test_util.link_session_diff (LS.payments s)
+         (Payment_ref.link (LS.snapshot s) ~root:0))
   in
-  if not (batches_equal ()) then
-    QCheck2.Test.fail_reportf "initial batches differ";
-  for _ = 1 to 8 do
+  agree "initial batch";
+  for i = 1 to 8 do
     let u = Rng.int rng n and v = Rng.int rng n in
-    if u <> v then begin
-      let w =
-        if Rng.bernoulli rng 0.2 then infinity
-        else Rng.float_range rng 0.5 10.0
-      in
-      LS.set_cost s_csr u v w;
-      LS.set_cost s_box u v w
-    end;
-    if not (batches_equal ()) then
-      QCheck2.Test.fail_reportf "batches diverged after edit"
+    if u <> v then
+      LS.set_cost s u v
+        (if Rng.bernoulli rng 0.2 then infinity else Rng.float_range rng 0.5 10.0);
+    agree (Printf.sprintf "after edit %d" i)
   done;
   true
 
@@ -338,20 +274,18 @@ let suite =
       Test_util.seed_gen graph_csr_prop;
     Test_util.qcheck_case ~count:60 "egraph CSR = incident"
       Test_util.seed_gen egraph_csr_prop;
-    Test_util.qcheck_case ~count:60 "link CSR kernel = boxed oracle"
+    Test_util.qcheck_case ~count:60 "link CSR kernel = reference"
       Test_util.seed_gen link_kernel_prop;
-    Test_util.qcheck_case ~count:60 "node CSR kernel = boxed oracle"
+    Test_util.qcheck_case ~count:60 "node CSR kernel = reference"
       Test_util.seed_gen node_kernel_prop;
     Alcotest.test_case "scratch kernels return internal array" `Quick
       test_scratch_result_is_internal;
     Alcotest.test_case "banned source rejected" `Quick
       test_banned_source_rejected;
+    Alcotest.test_case "refused run leaves the ban mask clean" `Quick
+      test_refused_run_leaves_mask_clean;
     Test_util.qcheck_case ~count:60 "avoiding_cost scratch = tree run"
       Test_util.seed_gen avoiding_cost_prop;
-    Test_util.qcheck_case ~count:20 "link payments: kernels x pools identical"
-      Test_util.seed_gen link_session_kernel_prop;
-    Test_util.qcheck_case ~count:20 "node payments: kernels x pools identical"
-      Test_util.seed_gen node_session_kernel_prop;
-    Test_util.qcheck_case ~count:20 "link sessions: kernels agree under edits"
-      Test_util.seed_gen link_session_edit_kernel_prop;
+    Test_util.qcheck_case ~count:20 "link session under edits = reference"
+      Test_util.seed_gen link_session_edit_prop;
   ]

@@ -49,29 +49,14 @@ let test_silence_node () =
   Test_util.check_float "in-links kept" 1.0 (Digraph.weight s 0 1);
   Alcotest.(check int) "m reduced by out-degree" 3 (Digraph.m s)
 
-let test_remove_node () =
-  let g = small () in
-  let s = Digraph.remove_node g 1 in
-  Test_util.check_float "out gone" infinity (Digraph.weight s 1 2);
-  Test_util.check_float "in gone" infinity (Digraph.weight s 0 1);
-  Alcotest.(check int) "m" 2 (Digraph.m s)
-
-let test_remove_links_to () =
-  let g = small () in
-  let s = Digraph.remove_links_to g 0 in
-  Test_util.check_float "3->0 gone" infinity (Digraph.weight s 3 0);
-  Test_util.check_float "1->0 gone" infinity (Digraph.weight s 1 0);
-  Test_util.check_float "0->1 kept" 1.0 (Digraph.weight s 0 1);
-  Alcotest.(check int) "m" 3 (Digraph.m s)
-
 let test_silence_reverse_duality () =
-  (* silence in g == remove_links_to in reverse g: the identity the batch
-     payment computation relies on. *)
+  (* silence in g == dropping the links into the node in reverse g: the
+     identity the batch payment computation relies on. *)
   let g = small () in
   let a = Digraph.reverse (Digraph.silence_node g 1) in
-  let b = Digraph.remove_links_to (Digraph.reverse g) 1 in
+  let b = Digraph_ref.drop_links_into (Digraph_ref.reverse (Digraph.links g)) 1 in
   Alcotest.(check (list (triple int int (float 0.0)))) "duality"
-    (Digraph.links a) (Digraph.links b)
+    (Digraph.links a) b
 
 let test_out_links () =
   let g = small () in
@@ -164,15 +149,13 @@ let links_prop =
       bits_links l = bits_links (Digraph_ref.create links) && sorted l)
 
 let removals_prop =
-  links_case "remove_node/remove_links_to/detach_node = filters" (fun (n, links) ->
+  links_case "detach_node = filter" (fun (n, links) ->
       let g = Digraph.create ~n ~links and r = Digraph_ref.create links in
       List.for_all
         (fun x ->
           let d = Digraph.copy g in
           Digraph.detach_node d x;
-          matches_ref (Digraph.remove_node g x) (Digraph_ref.remove_node r x)
-          && matches_ref (Digraph.remove_links_to g x) (Digraph_ref.remove_links_to r x)
-          && matches_ref d (Digraph_ref.remove_node r x))
+          matches_ref d (Digraph_ref.remove_node r x))
         (List.init n Fun.id))
 
 (* A bad triple spliced into a valid list at a random position. *)
@@ -221,8 +204,6 @@ let suite =
     Alcotest.test_case "validation" `Quick test_validation;
     Alcotest.test_case "reverse" `Quick test_reverse;
     Alcotest.test_case "silence_node" `Quick test_silence_node;
-    Alcotest.test_case "remove_node" `Quick test_remove_node;
-    Alcotest.test_case "remove_links_to" `Quick test_remove_links_to;
     Alcotest.test_case "silence/reverse duality" `Quick test_silence_reverse_duality;
     Alcotest.test_case "out_links sorted" `Quick test_out_links;
     Alcotest.test_case "equal weights keep the first" `Quick test_equal_weights_keep_first;

@@ -116,12 +116,7 @@ let dist_prop seed =
   let source = Rng.int rng n0 in
   let forbidden = (source + 1 + Rng.int rng (n0 - 1)) mod n0 in
   let scratch = Dynamic_sssp.make_dist_scratch 256 in
-  let dscratch = Dijkstra.make_scratch 256 in
-  let oracle () =
-    Dijkstra.link_weighted_dist dscratch
-      ~forbidden:(fun x -> x = forbidden)
-      g source
-  in
+  let oracle () = Payment_ref.link_dist ~avoid:forbidden g ~source in
   let dist = ref (oracle ()) in
   let budget = if Rng.bernoulli rng 0.3 then Some 3 else None in
   for burst = 1 to 8 do
@@ -159,13 +154,8 @@ let node_dist_prop seed =
   let source = Rng.int rng n in
   let forbidden = (source + 1 + Rng.int rng (n - 1)) mod n in
   let scratch = Dynamic_sssp.make_dist_scratch n in
-  let dscratch = Dijkstra.make_scratch n in
   let g = ref g0 in
-  let oracle () =
-    Dijkstra.node_weighted_dist dscratch
-      ~forbidden:(fun x -> x = forbidden)
-      !g ~source
-  in
+  let oracle () = Payment_ref.node_dist ~avoid:forbidden !g ~source in
   let dist = oracle () in
   for burst = 1 to 8 do
     let edits = ref [] in
@@ -277,8 +267,7 @@ let test_overflow_recovery () =
   let g = Digraph.create ~n ~links in
   let mirror = Digraph.reverse g in
   let scratch = Dynamic_sssp.make_dist_scratch n in
-  let dscratch = Dijkstra.make_scratch n in
-  let dist = Dijkstra.link_weighted_dist dscratch g 0 in
+  let dist = Payment_ref.link_dist g ~source:0 in
   Digraph.set_weight g 0 1 2.0;
   Digraph.set_weight mirror 1 0 2.0;
   let edits = [ { Dynamic_sssp.u = 0; v = 1; w0 = 1.0; w1 = 2.0 } ] in
@@ -288,7 +277,7 @@ let test_overflow_recovery () =
    with
   | `Overflow -> ()
   | `Patched _ -> Alcotest.fail "budget not enforced");
-  let fresh = Dijkstra.link_weighted_dist dscratch g 0 in
+  let fresh = Payment_ref.link_dist g ~source:0 in
   Array.blit fresh 0 dist 0 n;
   (* the scratch survives an aborted run: the next repair is exact *)
   Digraph.set_weight g 8 9 0.25;
@@ -299,7 +288,7 @@ let test_overflow_recovery () =
    with
   | `Patched _ -> ()
   | `Overflow -> Alcotest.fail "unexpected overflow");
-  let oracle = Dijkstra.link_weighted_dist dscratch g 0 in
+  let oracle = Payment_ref.link_dist g ~source:0 in
   Array.iteri
     (fun v dv ->
       if not (Float.equal dv dist.(v)) then

@@ -52,6 +52,32 @@ let test_fig4_resale_detected () =
     Alcotest.(check bool) "cheaper than honest" true
       (Collusion.effective_cost_after_resale o < 20.0)
 
+(* The test reference against the paper itself, not only against lib/:
+   Fig. 2's honest total payment and Fig. 4's p_8, both exact. *)
+let test_reference_reproduces_paper () =
+  let served r s =
+    match r.Payment_ref.results.(s) with
+    | Some o -> o
+    | None -> Alcotest.failf "the reference does not serve source %d" s
+  in
+  let f2 = Examples.fig2 in
+  let o =
+    served
+      (Payment_ref.node f2.Examples.graph ~root:f2.Examples.access_point)
+      f2.Examples.source
+  in
+  Alcotest.(check (array int)) "Fig. 2: LCP v1-v4-v3-v2-v0" [| 1; 4; 3; 2; 0 |]
+    o.Payment_ref.path;
+  Alcotest.(check (float 0.0)) "Fig. 2: honest total payment 6 (paper)" 6.0
+    o.Payment_ref.charge;
+  let f4 = Examples.fig4 in
+  let o =
+    served
+      (Payment_ref.node f4.Examples.graph ~root:f4.Examples.access_point)
+      f4.Examples.reseller
+  in
+  Alcotest.(check (float 0.0)) "Fig. 4: p_8 = 20 (paper)" 20.0 o.Payment_ref.charge
+
 let test_diamond_fixture () =
   let g = Examples.diamond in
   Alcotest.(check int) "four nodes" 4 (Wnet_graph.Graph.n g);
@@ -63,5 +89,7 @@ let suite =
     Alcotest.test_case "fig2: hiding an edge pays 5" `Quick test_fig2_lying_pays_less;
     Alcotest.test_case "fig4: pinned values" `Quick test_fig4_pinned_values;
     Alcotest.test_case "fig4: resale detected" `Quick test_fig4_resale_detected;
+    Alcotest.test_case "reference pays Fig. 2's 6 and Fig. 4's 20" `Quick
+      test_reference_reproduces_paper;
     Alcotest.test_case "diamond fixture" `Quick test_diamond_fixture;
   ]

@@ -262,6 +262,20 @@ let test_unicast_batch_parallel_identical () =
         [ 2; 4 ])
     [ 3; 19 ]
 
+(* The one-shot node batch against the reference, bit for bit,
+   sequentially and on a 3-domain pool. *)
+let test_unicast_batch_matches_reference () =
+  Par.with_pool ~domains:3 (fun pool ->
+      List.iter
+        (fun seed ->
+          let g = udg_node_graph seed ~n:120 in
+          let r = Payment_ref.node g ~root:0 in
+          Alcotest.(check (option string)) "pool 1" None
+            (Test_util.unicast_diff (Unicast.all_to_root g ~root:0) r);
+          Alcotest.(check (option string)) "pool 3" None
+            (Test_util.unicast_diff (Unicast.all_to_root ~pool g ~root:0) r))
+        [ 3; 19 ])
+
 let test_unicast_batch_matches_per_source () =
   (* The batch engine (parallel, scratch-reusing) against the per-source
      Algorithm 1 run: same mechanism computed by a different algorithm,
@@ -304,16 +318,28 @@ let link_batch_equal (a : Link_cost.batch) (b : Link_cost.batch) =
          | _ -> false)
        a.Link_cost.results b.Link_cost.results
 
+(* The zero-copy batch against the reference, which rebuilds the graph
+   for every relay: bit for bit, sequentially and on a 3-domain pool. *)
 let test_link_cost_zero_copy_equals_copy () =
   let r = Test_util.rng 47 in
-  for _ = 1 to 6 do
-    let inst = Wnet_topology.Random_range.paper_instance r ~n:60 ~kappa:2.0 in
-    let g = inst.Wnet_topology.Random_range.graph in
-    let copy = Link_cost.all_to_root ~strategy:Link_cost.Copy_graph g ~root:0 in
-    let zero = Link_cost.all_to_root ~strategy:Link_cost.Zero_copy g ~root:0 in
-    Alcotest.(check bool) "zero-copy bit-identical to graph-copy" true
-      (link_batch_equal copy zero)
-  done
+  Par.with_pool ~domains:3 (fun pool ->
+      for _ = 1 to 6 do
+        let inst =
+          Wnet_topology.Random_range.paper_instance r ~n:60 ~kappa:2.0
+        in
+        let g = inst.Wnet_topology.Random_range.graph in
+        let copy = Payment_ref.link g ~root:0 in
+        List.iter
+          (fun (what, b) ->
+            Alcotest.(check (option string)) what None
+              (Test_util.link_cost_diff b copy))
+          [
+            ( "pool 1 bit-identical to the graph-copy reference",
+              Link_cost.all_to_root g ~root:0 );
+            ( "pool 3 bit-identical to the graph-copy reference",
+              Link_cost.all_to_root ~pool g ~root:0 );
+          ]
+      done)
 
 let test_link_cost_parallel_identical () =
   let r = Test_util.rng 53 in
@@ -380,7 +406,7 @@ let test_scratch_reuse_matches_fresh () =
     let g = Test_util.random_ring_graph ~max_n:40 r in
     let n = Wnet_graph.Graph.n g in
     let fresh = Wnet_graph.Dijkstra.node_weighted g ~source:0 in
-    let reused = Wnet_graph.Dijkstra.node_weighted_dist scratch g ~source:0 in
+    let reused = Wnet_graph.Dijkstra.node_weighted_dist_csr scratch g ~source:0 in
     for v = 0 to n - 1 do
       check_exact
         (Printf.sprintf "dist %d" v)
@@ -419,6 +445,8 @@ let suite =
       test_stealing_exception_propagates;
     Alcotest.test_case "unicast batch: parallel = sequential (bits)" `Quick
       test_unicast_batch_parallel_identical;
+    Alcotest.test_case "unicast batch = reference, pools 1/3 (bits)" `Quick
+      test_unicast_batch_matches_reference;
     Alcotest.test_case "unicast batch vs per-source Fast" `Quick
       test_unicast_batch_matches_per_source;
     Alcotest.test_case "link-cost: zero-copy = graph-copy (bits)" `Quick

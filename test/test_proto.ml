@@ -325,46 +325,48 @@ let stats_keys =
     "avoid_bounded"; "avoid_fallback";
   |]
 
-(* One property covering every accepted arity: a 6-, 8-, 10- or
-   12-token stats line parses, with the omitted trailing counters read
-   as 0. *)
-let stats_arity_gen =
-  Gen.pair (Gen.oneofl [ 6; 8; 10; 12 ])
-    (Gen.array_size (Gen.return 12) count_gen)
+(* The stats line parses with all twelve counters, and every shorter
+   even prefix of it — a line cut between two counters — is an
+   [Error]. *)
+let stats_arity_gen = Gen.array_size (Gen.return 12) count_gen
 
-let stats_arity_prop (arity, counts) =
-  let line =
+let stats_arity_prop counts =
+  let line arity =
     "ok "
     ^ String.concat " "
         (List.init arity (fun i ->
              Printf.sprintf "%s=%d" stats_keys.(i) counts.(i)))
   in
-  let expect i = if i < arity then counts.(i) else 0 in
-  match P.parse_response line with
+  (match P.parse_response (line 12) with
   | Ok (P.Session_stats st) ->
     st
     = {
-        W.edits = expect 0;
-        coalesced_edits = expect 1;
-        inval_passes = expect 2;
-        spt_runs = expect 3;
-        avoid_runs = expect 4;
-        avoid_reused = expect 5;
-        repaired_entries = expect 6;
-        fallback_recomputes = expect 7;
-        tasks_executed = expect 8;
-        tasks_stolen = expect 9;
-        avoid_bounded = expect 10;
-        avoid_fallback = expect 11;
+        W.edits = counts.(0);
+        coalesced_edits = counts.(1);
+        inval_passes = counts.(2);
+        spt_runs = counts.(3);
+        avoid_runs = counts.(4);
+        avoid_reused = counts.(5);
+        repaired_entries = counts.(6);
+        fallback_recomputes = counts.(7);
+        tasks_executed = counts.(8);
+        tasks_stolen = counts.(9);
+        avoid_bounded = counts.(10);
+        avoid_fallback = counts.(11);
       }
-    || Test.fail_reportf "stats line parsed with wrong counters: %s" line
-  | Ok _ -> Test.fail_reportf "stats line parsed as something else: %s" line
-  | Error m -> Test.fail_reportf "stats line rejected: %s (%s)" line m
+    || Test.fail_reportf "stats line parsed with wrong counters: %s" (line 12)
+  | Ok _ -> Test.fail_reportf "stats line parsed as something else: %s" (line 12)
+  | Error m -> Test.fail_reportf "stats line rejected: %s (%s)" (line 12) m)
+  && List.for_all
+       (fun arity ->
+         match P.parse_response (line arity) with
+         | Error _ -> true
+         | Ok _ -> Test.fail_reportf "%d-token prefix parsed: %s" arity (line arity))
+       [ 2; 4; 6; 8; 10 ]
 
-let test_stats_line_compat () =
-  (* Pin the wire form of the 12-counter stats line, and the parser's
-     acceptance of the 10- and 8-counter lines older peers still send
-     (omitted trailing counters default to 0). *)
+let test_stats_line_exact () =
+  (* Pin the wire form of the 12-counter stats line and of the conn
+     line: both parse only as the server prints them. *)
   (match
      P.parse_response
        "ok edits=1 coalesced=2 inval_passes=3 spt_runs=4 avoid_runs=5 \
@@ -389,27 +391,15 @@ let test_stats_line_compat () =
           avoid_fallback = 12;
         })
   | _ -> Alcotest.fail "full stats line must parse");
+  (* the 10-token form an older layout printed is no stats line, nor
+     is an odd arity *)
   (match
      P.parse_response
        "ok edits=1 coalesced=2 inval_passes=3 spt_runs=4 avoid_runs=5 \
         avoid_reused=6 repaired=7 fallbacks=8 tasks=9 stolen=2"
    with
-  | Ok (P.Session_stats st) ->
-    Alcotest.(check bool) "10-token line defaults the bounded counters"
-      true
-      (st.W.tasks_executed = 9 && st.W.avoid_bounded = 0
-     && st.W.avoid_fallback = 0)
-  | _ -> Alcotest.fail "10-token stats line must parse");
-  (match
-     P.parse_response
-       "ok edits=1 coalesced=2 inval_passes=3 spt_runs=4 avoid_runs=5 \
-        avoid_reused=6 repaired=7 fallbacks=8"
-   with
-  | Ok (P.Session_stats st) ->
-    Alcotest.(check bool) "8-token line defaults the task counters" true
-      (st.W.tasks_executed = 0 && st.W.tasks_stolen = 0)
-  | _ -> Alcotest.fail "8-token stats line must parse");
-  (* an odd arity is not a stats line *)
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "10-token ok line must be rejected");
   (match
      P.parse_response
        "ok edits=1 coalesced=2 inval_passes=3 spt_runs=4 avoid_runs=5 \
@@ -417,10 +407,10 @@ let test_stats_line_compat () =
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "7-token ok line must be rejected");
-  (* the conn line parses with and without the trailing proto token *)
+  (* the conn line carries its proto token *)
   (match P.parse_response "conn requests=3 bytes_in=40 bytes_out=152" with
-  | Ok (P.Conn_stats { proto = 1; requests = 3; _ }) -> ()
-  | _ -> Alcotest.fail "3-token conn line must parse with proto=1");
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "conn line without proto must be rejected");
   match P.parse_response "conn requests=3 bytes_in=40 bytes_out=152 proto=2" with
   | Ok (P.Conn_stats { proto = 2; _ }) -> ()
   | _ -> Alcotest.fail "4-token conn line must carry its proto"
@@ -428,7 +418,7 @@ let test_stats_line_compat () =
 (* The sharded-server wire additions: the [session N] attach request,
    the per-shard stats row, and the stats-key table staying in lock
    step with Wnet_session's versioned record layout (the printer is
-   table-driven off the record, the legacy arities are parse-only). *)
+   table-driven off the record). *)
 let test_shard_wire () =
   Alcotest.(check (array string)) "stats keys = session record layout"
     stats_keys W.stats_field_names;
@@ -847,15 +837,14 @@ let test_handle_drives_session () =
   | rs ->
     Alcotest.failf "unexpected ack %s"
       (String.concat "; " (List.map P.print_response rs)));
-  let module LC = Wnet_core.Link_cost in
   let edited =
     Wnet_graph.Digraph.create ~n:3
       ~links:[ (2, 1, 1.0); (1, 0, 1.0); (2, 0, 10.0) ]
   in
-  let oracle = LC.all_to_root ~strategy:LC.Copy_graph edited ~root:0 in
+  let oracle = Payment_ref.link edited ~root:0 in
   let expected src =
-    match oracle.LC.results.(src) with
-    | Some r -> Test_util.dense_charge ~n:3 r.LC.path r.LC.relay_pay
+    match oracle.Payment_ref.results.(src) with
+    | Some r -> r.Payment_ref.charge
     | None -> Alcotest.failf "oracle must serve source %d" src
   in
   (match P.handle session P.Pay with
@@ -1003,8 +992,8 @@ let suite =
     Alcotest.test_case "malformed requests hit the error channel" `Quick
       test_malformed;
     Alcotest.test_case "worked parse examples" `Quick test_parse_examples;
-    Alcotest.test_case "stats line: 10-token form + 8-token compat" `Quick
-      test_stats_line_compat;
+    Alcotest.test_case "stats line: 10-token form rejected, conn line needs proto"
+      `Quick test_stats_line_exact;
     Alcotest.test_case "shard wire: session attach + per-shard stats row"
       `Quick test_shard_wire;
     Alcotest.test_case "handle drives a session end to end" `Quick
@@ -1016,8 +1005,8 @@ let suite =
     Test_util.qcheck_case ~count:500 "parse_response (print_response r) = r"
       response_gen response_roundtrip_prop;
     Test_util.qcheck_case ~count:500
-      "stats line parses at every arity (6/8/10/12 tokens)" stats_arity_gen
-      stats_arity_prop;
+      "stats line parses at every counter value in full; shorter even prefixes fail"
+      stats_arity_gen stats_arity_prop;
     Alcotest.test_case "line decoder: 1 MiB cap, partial and complete" `Quick
       test_line_cap;
     Test_util.qcheck_case ~count:1000

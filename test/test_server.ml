@@ -5,13 +5,12 @@
    with payment collections and checks the socket replies three ways:
    textually bit-identical to an in-process mirror session driven
    through the same Wnet_proto.handle (the stdin path), bit-identical
-   ([Float.equal]) to the from-scratch Copy_graph oracle on a tracked
+   ([Float.equal]) to the from-scratch {!Payment_ref} on a tracked
    model digraph, and — via the stats counters — that every round's
    4-edit burst folded into exactly ONE invalidation pass. *)
 
 module P = Wnet_proto
 module W = Wnet_session
-module LC = Wnet_core.Link_cost
 module Sv = Wnet_server
 open Wnet_graph
 
@@ -216,28 +215,26 @@ let test_concurrent_clients () =
     Alcotest.(check (list string))
       (Printf.sprintf "round %d: socket pay = stdin-path pay, textually" r)
       mirror_lines pay_rounds.(r);
-    let oracle = LC.all_to_root ~strategy:LC.Copy_graph model ~root:0 in
+    let oracle = Payment_ref.link model ~root:0 in
     List.iter
       (fun line ->
         match P.parse_response line with
         | Ok (P.Served { src; path; charge }) -> (
-          match oracle.LC.results.(src) with
+          match oracle.Payment_ref.results.(src) with
           | Some o ->
             Alcotest.(check (list int))
               (Printf.sprintf "round %d src %d path" r src)
-              (Array.to_list o.LC.path) path;
+              (Array.to_list o.Payment_ref.path) path;
             Alcotest.(check bool)
               (Printf.sprintf "round %d src %d charge bit-identical" r src)
               true
-              (Float.equal charge
-                 (Test_util.dense_charge ~n:(Array.length oracle.LC.results)
-                    o.LC.path o.LC.relay_pay))
+              (Float.equal charge o.Payment_ref.charge)
           | None -> Alcotest.failf "oracle does not serve source %d" src)
         | Ok (P.Paid { served; _ }) ->
           let oracle_served =
             Array.fold_left
               (fun acc -> function Some _ -> acc + 1 | None -> acc)
-              0 oracle.LC.results
+              0 oracle.Payment_ref.results
           in
           Alcotest.(check int)
             (Printf.sprintf "round %d served count" r)

@@ -2,10 +2,8 @@
    sessions): after ANY sequence of topology deltas, the incrementally
    maintained batch must be bit-identical — [Float.equal], including
    [infinity] payments at cut vertices — to a from-scratch batch on the
-   edited graph, at every pool size.  The link-model oracle is
-   [Link_cost.all_to_root ~strategy:Copy_graph], the original
-   clone-per-relay implementation that shares no code with the session;
-   the node-model oracle is a fresh one-shot [Unicast.all_to_root]. *)
+   edited graph, at every pool size.  The oracle in both models is
+   {!Payment_ref}, which shares no code with the sessions. *)
 
 open Wnet_graph
 module LS = Wnet_session.Link_session
@@ -25,25 +23,11 @@ let floats_equal a b =
 
 (* ---------------- link model: batch comparators ---------------- *)
 
-let link_outcome_matches (x : LS.outcome) (y : LC.t) =
-  x.LS.src = y.LC.src
-  && x.LS.path = y.LC.path
-  && Float.equal x.LS.lcp_cost y.LC.lcp_cost
-  && Float.equal x.LS.relay_cost y.LC.relay_cost
-  && floats_equal x.LS.relay_pay y.LC.relay_pay
-           && Float.equal x.LS.charge y.LC.charge
-
-let link_matches_oracle (b : LS.batch) (o : LC.batch) =
-  b.LS.root = o.LC.root
-  && floats_equal b.LS.to_root_dist o.LC.to_root_dist
-  && Array.length b.LS.results = Array.length o.LC.results
-  && Array.for_all2
-       (fun x y ->
-         match (x, y) with
-         | None, None -> true
-         | Some x, Some y -> link_outcome_matches x y
-         | _ -> false)
-       b.LS.results o.LC.results
+(* A batch of session [s] against the reference on its current
+   topology. *)
+let check_link_ref what s b =
+  Alcotest.(check (option string)) what None
+    (Test_util.link_session_diff b (Payment_ref.link (LS.snapshot s) ~root:0))
 
 let link_batches_equal (a : LS.batch) (b : LS.batch) =
   a.LS.root = b.LS.root
@@ -61,21 +45,6 @@ let link_batches_equal (a : LS.batch) (b : LS.batch) =
            && Float.equal x.LS.charge y.LS.charge
          | _ -> false)
        a.LS.results b.LS.results
-
-(* Relays the oracle charges [infinity] for — what [unbounded_relays]
-   must report. *)
-let oracle_unbounded (o : LC.batch) =
-  let nn = Array.length o.LC.results in
-  let cut = Array.make nn false in
-  Array.iter
-    (function
-      | None -> ()
-      | Some (r : LC.t) ->
-        Array.iteri
-          (fun i p -> if p = infinity then cut.(r.LC.path.(i + 1)) <- true)
-          r.LC.relay_pay)
-    o.LC.results;
-  List.filter (fun k -> cut.(k)) (List.init nn Fun.id)
 
 (* ---------------- link model: random instances and edits ---------------- *)
 
@@ -172,14 +141,9 @@ let link_equiv_prop seed =
         if ends.(i) && not (link_batches_equal b_seq (LS.payments s_burst)) then
           QCheck2.Test.fail_reportf
             "%s: batch paid after a burst differs from paying every op" label;
-        let oracle =
-          LC.all_to_root ~strategy:LC.Copy_graph (LS.snapshot s_seq) ~root:0
-        in
-        if not (link_matches_oracle b_seq oracle) then
-          QCheck2.Test.fail_reportf
-            "%s: incremental batch differs from from-scratch Copy_graph oracle"
-            label;
-        if LS.unbounded_relays s_seq <> oracle_unbounded oracle then
+        let oracle = Payment_ref.link (LS.snapshot s_seq) ~root:0 in
+        Test_util.fail_on_diff label (Test_util.link_session_diff b_seq oracle);
+        if LS.unbounded_relays s_seq <> Test_util.ref_unbounded oracle then
           QCheck2.Test.fail_reportf "%s: unbounded relay set differs" label
       in
       check 0 "initial";
@@ -196,19 +160,10 @@ let link_equiv_prop seed =
 
 (* ---------------- node model: oracle comparison ---------------- *)
 
-let node_matches (x : NS.outcome option array) (y : U.t option array) =
-  Array.length x = Array.length y
-  && Array.for_all2
-       (fun a b ->
-         match (a, b) with
-         | None, None -> true
-         | Some (a : NS.outcome), Some (b : U.t) ->
-           a.NS.src = b.U.src && a.NS.path = b.U.path
-           && Float.equal a.NS.lcp_cost b.U.lcp_cost
-           && floats_equal a.NS.relay_pay b.U.relay_pay
-           && Float.equal a.NS.charge b.U.charge
-         | _ -> false)
-       x y
+(* A batch of session [s] against the reference on its current
+   topology. *)
+let node_ref_diff s b =
+  Test_util.node_session_diff b (Payment_ref.node (NS.graph s) ~root:0)
 
 let node_sessions_equal (x : NS.outcome option array) (y : NS.outcome option array)
     =
@@ -224,19 +179,6 @@ let node_sessions_equal (x : NS.outcome option array) (y : NS.outcome option arr
            && Float.equal a.NS.charge b.NS.charge
          | _ -> false)
        x y
-
-let node_oracle_unbounded (y : U.t option array) =
-  let nn = Array.length y in
-  let cut = Array.make nn false in
-  Array.iter
-    (function
-      | None -> ()
-      | Some (r : U.t) ->
-        Array.iteri
-          (fun i p -> if p = infinity then cut.(r.U.path.(i + 1)) <- true)
-          r.U.relay_pay)
-    y;
-  List.filter (fun k -> cut.(k)) (List.init nn Fun.id)
 
 let apply_random_node_op rng s =
   let nn = NS.n s in
@@ -270,11 +212,9 @@ let node_equiv_prop seed =
         if ends.(i) && not (node_sessions_equal a (NS.payments s_burst)) then
           QCheck2.Test.fail_reportf
             "%s: batch paid after a burst differs from paying every op" label;
-        let oracle = U.all_to_root (NS.graph s_seq) ~root:0 in
-        if not (node_matches a oracle) then
-          QCheck2.Test.fail_reportf
-            "%s: incremental batch differs from fresh all_to_root" label;
-        if NS.unbounded_relays s_seq <> node_oracle_unbounded oracle then
+        let oracle = Payment_ref.node (NS.graph s_seq) ~root:0 in
+        Test_util.fail_on_diff label (Test_util.node_session_diff a oracle);
+        if NS.unbounded_relays s_seq <> Test_util.ref_unbounded oracle then
           QCheck2.Test.fail_reportf "%s: unbounded relay set differs" label
       in
       check 0 "initial";
@@ -345,9 +285,7 @@ let test_selective_invalidation () =
   Alcotest.(check int) "memoized batch does no work" st2.LS.avoid_reused
     (LS.stats s).LS.avoid_reused;
   (* the incremental answer is still the from-scratch answer *)
-  let oracle = LC.all_to_root ~strategy:LC.Copy_graph (LS.snapshot s) ~root:0 in
-  Alcotest.(check bool) "still matches the oracle" true
-    (link_matches_oracle b oracle)
+  check_link_ref "still matches the oracle" s b
 
 (* ---------------- the flush policy's repair and drop branches ---------------- *)
 
@@ -379,9 +317,7 @@ let test_policy_repairs_light_burst () =
   Alcotest.(check int) "nothing refilled" st1.LS.avoid_runs st2.LS.avoid_runs;
   Alcotest.(check int) "no repair fell back" st1.LS.fallback_recomputes
     st2.LS.fallback_recomputes;
-  let oracle = LC.all_to_root ~strategy:LC.Copy_graph (LS.snapshot s) ~root:0 in
-  Alcotest.(check bool) "repaired caches match the oracle" true
-    (link_matches_oracle b oracle)
+  check_link_ref "repaired caches match the oracle" s b
 
 let test_policy_drops_heavy_burst () =
   let s = LS.create (star_graph ()) ~root:0 in
@@ -398,9 +334,7 @@ let test_policy_drops_heavy_burst () =
     (st1.LS.repaired_entries + 1) st2.LS.repaired_entries;
   Alcotest.(check int) "both touched caches dropped and refilled"
     (st1.LS.avoid_runs + 2) st2.LS.avoid_runs;
-  let oracle = LC.all_to_root ~strategy:LC.Copy_graph (LS.snapshot s) ~root:0 in
-  Alcotest.(check bool) "refilled caches match the oracle" true
-    (link_matches_oracle b oracle)
+  check_link_ref "refilled caches match the oracle" s b
 
 (* ---------------- region-only entries: the three outcomes ---------------- *)
 
@@ -429,9 +363,7 @@ let test_untouched_burst_keeps_entries () =
     st2.LS.avoid_reused;
   Alcotest.(check int) "no kernel task at all" st1.LS.tasks_executed
     st2.LS.tasks_executed;
-  let oracle = LC.all_to_root ~strategy:LC.Copy_graph (LS.snapshot s) ~root:0 in
-  Alcotest.(check bool) "payments match the oracle" true
-    (link_matches_oracle b oracle)
+  check_link_ref "payments match the oracle" s b
 
 (* Node model.  Relay 1 serves 2 and the leaves 4..8; relay 10 serves 3.
    Avoiding 1, node 2 is reached through 3, whose tree label (via 10)
@@ -459,8 +391,8 @@ let test_boundary_rise_repaired_in_subtree () =
   Alcotest.(check int) "nothing refilled" st1.NS.avoid_runs st2.NS.avoid_runs;
   Alcotest.(check int) "one repair task" (st1.NS.tasks_executed + 1)
     st2.NS.tasks_executed;
-  Alcotest.(check bool) "payments match a fresh batch" true
-    (node_matches r (U.all_to_root (NS.graph s) ~root:0))
+  Alcotest.(check (option string)) "payments match the reference" None
+    (node_ref_diff s r)
 
 (* 5 forwards through 2 -> 1 -> 0 until its link to 2 rises past its
    detour 5 -> 4 -> 3 -> 0: it leaves subtrees 2 and 1 and joins 4 (its
@@ -486,9 +418,7 @@ let test_reparent_refills_moved_relays () =
     st2.LS.avoid_reused;
   Alcotest.(check int) "only the tree repaired" (st1.LS.repaired_entries + 1)
     st2.LS.repaired_entries;
-  let oracle = LC.all_to_root ~strategy:LC.Copy_graph (LS.snapshot s) ~root:0 in
-  Alcotest.(check bool) "payments match the oracle" true
-    (link_matches_oracle b oracle)
+  check_link_ref "payments match the oracle" s b
 
 (* Inserting forward link 3 -> 2 gives node 3 a second root-side path of
    bit-identical cost 2.0 with a different next hop: from-scratch
@@ -509,9 +439,7 @@ let test_tie_triggers_fallback () =
     (st1.LS.fallback_recomputes + 1) st2.LS.fallback_recomputes;
   Alcotest.(check int) "the fallback recomputed the shared tree"
     (st1.LS.spt_runs + 1) st2.LS.spt_runs;
-  let oracle = LC.all_to_root ~strategy:LC.Copy_graph (LS.snapshot s) ~root:0 in
-  Alcotest.(check bool) "payments still match the oracle after fallback" true
-    (link_matches_oracle b oracle)
+  check_link_ref "payments still match the oracle after fallback" s b
 
 (* Chain 2 -> 1 -> 0: relay 1 is a monopoly (cut vertex), so its payment
    is unbounded — until an alternate route appears. *)
@@ -589,9 +517,7 @@ let test_coalesced_burst () =
     (st0.LS.inval_passes + 1) st2.LS.inval_passes;
   Alcotest.(check int) "every burst edit counted coalesced"
     (st0.LS.coalesced_edits + 3) st2.LS.coalesced_edits;
-  let oracle = LC.all_to_root ~strategy:LC.Copy_graph (LS.snapshot s) ~root:0 in
-  Alcotest.(check bool) "coalesced burst still matches the oracle" true
-    (link_matches_oracle b oracle)
+  check_link_ref "coalesced burst still matches the oracle" s b
 
 (* A burst that nets out to nothing (edit then revert, [Float.equal])
    must cost zero passes and leave the batch bit-identical. *)
@@ -645,9 +571,8 @@ let test_node_coalesced_burst () =
     (st0.NS.inval_passes + 1) st1.NS.inval_passes;
   Alcotest.(check int) "node burst edits counted coalesced"
     (st0.NS.coalesced_edits + 3) st1.NS.coalesced_edits;
-  let oracle = U.all_to_root (NS.graph s) ~root:0 in
-  Alcotest.(check bool) "node burst still matches the fresh batch" true
-    (node_matches b oracle)
+  Alcotest.(check (option string)) "node burst still matches the reference"
+    None (node_ref_diff s b)
 
 (* ---------------- payment sums ---------------- *)
 
@@ -776,9 +701,9 @@ let session_charges_prop model seed =
           replicas;
         true)
 
-(* The one-shot wrappers: [Link_cost] batches on both strategies and its
-   single-pair [run], [Unicast] batches and its single-pair runs under
-   both algorithms — every charge is its outcome's dense fold. *)
+(* The one-shot wrappers: [Link_cost] batches and its single-pair [run],
+   [Unicast] batches and its single-pair runs under both algorithms —
+   every charge is its outcome's dense fold. *)
 let one_shot_charges_prop seed =
   let rng = Rng.create seed in
   let n = 6 + Rng.int rng 20 in
@@ -786,11 +711,8 @@ let one_shot_charges_prop seed =
   let check_link what (r : LC.t) =
     charge_is_dense_fold ~what ~n r.LC.path r.LC.relay_pay r.LC.charge
   in
-  List.iter
-    (fun strategy ->
-      Array.iter (Option.iter (check_link "link batch"))
-        (LC.all_to_root ~strategy g ~root:0).LC.results)
-    [ LC.Zero_copy; LC.Copy_graph ];
+  Array.iter (Option.iter (check_link "link batch"))
+    (LC.all_to_root g ~root:0).LC.results;
   for src = 1 to n - 1 do
     Option.iter (check_link "link run") (LC.run g ~src ~dst:0)
   done;
@@ -868,9 +790,9 @@ let suite =
       "Link_cost and Unicast charges = dense fold (bits)" Test_util.seed_gen
       one_shot_charges_prop;
     Test_util.qcheck_case ~count:60
-      "link session: random edit sequences = Copy_graph oracle (bits)"
+      "link session: random edit sequences = reference (bits)"
       Test_util.seed_gen link_equiv_prop;
     Test_util.qcheck_case ~count:60
-      "node session: random edit sequences = fresh batch (bits)"
+      "node session: random edit sequences = reference (bits)"
       Test_util.seed_gen node_equiv_prop;
   ]

@@ -71,3 +71,97 @@ let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
+
+(* ---------------- engine outcomes against Payment_ref ---------------- *)
+
+let floats_equal a b =
+  Array.length a = Array.length b && Array.for_all2 Float.equal a b
+
+(* The first difference between an engine's per-source outcomes and the
+   reference's, every field compared with [Float.equal]; [None] when
+   they agree.  [fields] reads an engine outcome as (source, path, path
+   cost, relay cost when the engine reports one, relay payments,
+   charge). *)
+let ref_diff (r : Payment_ref.batch) fields got =
+  let n = Array.length r.Payment_ref.results in
+  let rec go s =
+    if s = n then None
+    else
+      match (got.(s), r.Payment_ref.results.(s)) with
+      | None, None -> go (s + 1)
+      | Some o, Some (e : Payment_ref.outcome) ->
+        let src, path, lcp_cost, relay_cost, relay_pay, charge = fields o in
+        if
+          src = e.src && path = e.path
+          && Float.equal lcp_cost e.lcp_cost
+          && Option.fold ~none:true ~some:(Float.equal e.relay_cost) relay_cost
+          && floats_equal relay_pay e.relay_pay
+          && Float.equal charge e.charge
+        then go (s + 1)
+        else
+          Some
+            (Printf.sprintf "source %d: charge %h, reference %h" s charge
+               e.charge)
+      | Some _, None -> Some (Printf.sprintf "source %d served, not by the reference" s)
+      | None, Some _ -> Some (Printf.sprintf "source %d served by the reference only" s)
+  in
+  if Array.length got <> n then
+    Some (Printf.sprintf "%d outcomes, reference %d" (Array.length got) n)
+  else go 0
+
+(* Inside a qcheck property: fail it on a difference, naming [what]. *)
+let fail_on_diff what = function
+  | None -> ()
+  | Some m -> QCheck2.Test.fail_reportf "%s: %s" what m
+
+let to_root_differs dist (r : Payment_ref.batch) =
+  not (floats_equal dist r.Payment_ref.to_root_dist)
+
+let link_cost_diff (b : Wnet_core.Link_cost.batch) r =
+  let module LC = Wnet_core.Link_cost in
+  if to_root_differs b.LC.to_root_dist r then
+    Some "to_root_dist differs from the reference"
+  else
+    ref_diff r
+      (fun (o : LC.t) ->
+        (o.LC.src, o.LC.path, o.LC.lcp_cost, Some o.LC.relay_cost, o.LC.relay_pay,
+         o.LC.charge))
+      b.LC.results
+
+let link_session_diff (b : Wnet_session.Link_session.batch) r =
+  let module LS = Wnet_session.Link_session in
+  if to_root_differs b.LS.to_root_dist r then
+    Some "to_root_dist differs from the reference"
+  else
+    ref_diff r
+      (fun (o : LS.outcome) ->
+        (o.LS.src, o.LS.path, o.LS.lcp_cost, Some o.LS.relay_cost, o.LS.relay_pay,
+         o.LS.charge))
+      b.LS.results
+
+let unicast_diff (a : Wnet_core.Unicast.t option array) r =
+  let module U = Wnet_core.Unicast in
+  ref_diff r
+    (fun (o : U.t) ->
+      (o.U.src, o.U.path, o.U.lcp_cost, None, o.U.relay_pay, o.U.charge))
+    a
+
+let node_session_diff (a : Wnet_session.Node_session.outcome option array) r =
+  let module NS = Wnet_session.Node_session in
+  ref_diff r
+    (fun (o : NS.outcome) ->
+      (o.NS.src, o.NS.path, o.NS.lcp_cost, None, o.NS.relay_pay, o.NS.charge))
+    a
+
+(* The relays some source pays [infinity], ascending: what an engine's
+   [unbounded_relays] must report. *)
+let ref_unbounded (r : Payment_ref.batch) =
+  let n = Array.length r.Payment_ref.results in
+  let cut = Array.make n false in
+  Array.iter
+    (Option.iter (fun (o : Payment_ref.outcome) ->
+         Array.iteri
+           (fun i p -> if p = infinity then cut.(o.Payment_ref.path.(i + 1)) <- true)
+           o.Payment_ref.relay_pay))
+    r.Payment_ref.results;
+  List.filter (fun k -> cut.(k)) (List.init n Fun.id)
