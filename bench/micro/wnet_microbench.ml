@@ -43,13 +43,22 @@ let paper_udg ~n =
 
 (* ---------------- proto encode ---------------- *)
 
-(* The src lines of the pay reply the served link workload renders:
-   every source of the n = 200 paper UDG, with its path and charge.
-   (The closing [ok served=...] line prints its total afresh each
-   time.) *)
-let pay_reply () =
-  let sess = Wnet_session.make ~root:0 (`Link (paper_udg ~n:200)) in
-  List.filter (function P.Served _ -> true | _ -> false) (P.handle sess P.Pay)
+(* The pay view the served link workload renders: every source of the
+   n = 200 paper UDG, with its path and charge.  Nothing pays the
+   session again, so the view stays as it is. *)
+let pay_view () =
+  let (module S : Wnet_session.S) =
+    Wnet_session.make ~root:0 (`Link (paper_udg ~n:200))
+  in
+  S.pay ()
+
+(* Plain recursion over boxed floats: a float read from a float array
+   would be boxed again to be passed. *)
+let rec put_floats e = function
+  | [] -> ()
+  | x :: rest ->
+    P.put_float e x;
+    put_floats e rest
 
 let proto_encode () =
   let enc = B.enc_create () in
@@ -69,14 +78,20 @@ let proto_encode () =
         charge = 4.0e4 /. 3.0;
       }
   in
-  let reply = pay_reply () in
-  let reply_lines = List.length reply in
-  let reply_ulp =
-    List.map
-      (function
-        | P.Served s -> P.Served { s with charge = Float.succ s.charge }
-        | r -> r)
-      reply
+  let view = pay_view () in
+  let reply_lines = view.count + 1 in
+  (* Every charge one ulp up, so that every line misses the memo; a
+     zero charge (a source next to the root) flips to -0.0 instead,
+     which misses too and is written directly, as 0 is: one ulp above
+     0 is a subnormal, which no session serves. *)
+  let view_ulp =
+    { view with
+      charge =
+        Array.map (fun c -> if c = 0.0 then -0.0 else Float.succ c) view.charge }
+  in
+  (* The served charges the exact path writes: the reply's, but 0. *)
+  let charges =
+    List.filter (fun c -> c <> 0.0) (Array.to_list (Array.sub view.charge 0 view.count))
   in
   let text = P.enc_create () in
   let fresh_memo = P.memo_create () and hit_memo = P.memo_create () in
@@ -147,22 +162,23 @@ let proto_encode () =
             ignore (Sys.opaque_identity (P.print_response served_text))
           done);
     };
-    (* The src lines of a real pay reply (ns per line), rendered into
-       an encoder through a memo.  [fresh] alternates the reply with a
-       copy whose charges are one ulp higher, so every line misses the
-       memo and is printed; [memo-hit] renders the same reply again, as
-       a pay after a burst that moved no charge does.  Each drain hands
-       the scratch back to 4 KiB, as the server's does, so each run
-       also grows it again: a few major-heap blocks, no minor words. *)
+    (* A real pay reply (ns per line, its closing ok line included),
+       rendered from the pay view into an encoder through a memo, as
+       the server renders it.  [fresh] alternates the view with a copy
+       whose charges all moved, so every src line misses the memo and
+       is printed; [memo-hit] renders the same view again, as a pay
+       after a burst that moved no charge does.  Each drain hands the
+       scratch back to 4 KiB, as the server's does, so each run also
+       grows it again: a few major-heap blocks, no minor words. *)
     {
       name = "text/pay-reply/fresh";
       ops = 2 * reply_lines;
-      alloc_free = false (* the charge's decimal string *);
+      alloc_free = true;
       run =
         (fun () ->
-          P.encode_responses text fresh_memo reply;
+          P.encode_pay text fresh_memo view;
           text_drain ();
-          P.encode_responses text fresh_memo reply_ulp;
+          P.encode_pay text fresh_memo view_ulp;
           text_drain ());
     };
     {
@@ -171,7 +187,18 @@ let proto_encode () =
       alloc_free = true;
       run =
         (fun () ->
-          P.encode_responses text hit_memo reply;
+          P.encode_pay text hit_memo view;
+          text_drain ());
+    };
+    (* The float writer alone, over the reply's nonzero charges: its
+       exact path, 17 digits written in place. *)
+    {
+      name = "text/float";
+      ops = List.length charges;
+      alloc_free = true;
+      run =
+        (fun () ->
+          put_floats text charges;
           text_drain ());
     };
   ]

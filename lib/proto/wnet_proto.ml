@@ -66,10 +66,192 @@ external format_float : string -> float -> string = "caml_format_float"
 (* Shortest decimal form that parses back bit-identically: %.12g covers
    every weight arising from the short decimal inputs the tools emit,
    %.17g is exact for any double.  "inf"/"nan" round-trip through
-   float_of_string as-is. *)
+   float_of_string as-is.  This is the definition; [put_float] below
+   renders the same bytes without libc wherever it can prove them. *)
 let float_to_string f =
   let s = format_float "%.12g" f in
   if Float.equal (float_of_string s) f then s else format_float "%.17g" f
+
+(* ---------------- the byte writer ---------------- *)
+
+(* Replies are rendered straight into the growable [Bytes] scratch the
+   binary encoder also uses ([Wnet_outbuf]), which the transport drains
+   through buffer/offset/pending/consume: integers digit by digit, fixed
+   text blitted in, floats by [put_float]. *)
+
+type enc = Wnet_outbuf.t = {
+  mutable buf : Bytes.t;
+  mutable off : int;  (* first byte not yet handed to the transport *)
+  mutable len : int;  (* end of rendered bytes *)
+}
+
+let ensure e extra =
+  if e.len + extra > Bytes.length e.buf then Wnet_outbuf.make_room e extra
+
+let put_char e c =
+  ensure e 1;
+  Bytes.unsafe_set e.buf e.len c;
+  e.len <- e.len + 1
+
+let put_string e s =
+  let n = String.length s in
+  ensure e n;
+  Bytes.unsafe_blit_string s 0 e.buf e.len n;
+  e.len <- e.len + n
+
+(* Decimal digits written in place, the bytes of [string_of_int].  The
+   digits come off the non-positive value, so [min_int] needs no
+   negation; loops rather than local functions, which would close
+   over [e]. *)
+let put_int e i =
+  if i < 0 then put_char e '-';
+  let v = if i < 0 then i else -i in
+  let nd = ref 1 and d = ref v in
+  while !d <= -10 do
+    d := !d / 10;
+    incr nd
+  done;
+  ensure e !nd;
+  let pos = ref (e.len + !nd - 1) and r = ref v in
+  while !pos >= e.len do
+    Bytes.unsafe_set e.buf !pos (Char.unsafe_chr (48 - (!r mod 10)));
+    r := !r / 10;
+    decr pos
+  done;
+  e.len <- e.len + !nd
+
+(* ---------------- the float writer ----------------
+
+   [put_float e x] appends [float_to_string x]'s bytes.  A finite
+   x with 1 <= |x| < 1e16 (on the served link workload, every charge
+   and total but 0) is rendered exactly in integer arithmetic, its
+   digits written straight into the scratch; ±0 are written directly;
+   everything else, and the band below, goes to [float_to_string].
+
+   Digits.  Write |x| = m * 2^e2 (m < 2^53) and let E = floor(log10 |x|)
+   in [0, 15], found exactly by comparing against the exact doubles
+   10^0 .. 10^16.  With q = 16 - E, the 17 significant digits %.17g
+   prints are N = round(|x| * 10^q) = round(m * 5^q * 2^(q + e2)), the
+   rounding to nearest, ties to even, as glibc rounds an exact value.
+   5^q < 2^38, so m * 5^q < 2^91 is formed exactly in two limbs of at
+   most 53 bits and shifted right, or is exact when q + e2 >= 0.  If N
+   rounds up to 10^17, E moves up by one.  For E <= 16, %g's layout is
+   fixed notation: E + 1 integer digits, then the fraction with its
+   trailing zeros (and a bare point) stripped; the window never reaches
+   %g's exponent form.
+
+   Which branch of the definition applies.  %.12g is kept only when it
+   parses back to x, i.e. when x lies within half an ulp of a 12-digit
+   decimal D * 10^(E - 11).  With 2^k <= |x| < 10^(E + 1), half an ulp
+   is 2^(k - 53) < 10^(E + 1) / 2^53, which in units of N's last digit,
+   10^(E - 16), is under 10^17 / 2^53 < 11.11.  N is within 1/2 of
+   |x| * 10^q, so |N - D * 10^5| <= 11: N mod 10^5 is at most 11 or at
+   least 99 989.  Outside the band N mod 10^5 in [13, 99 987] (one
+   unit of slack each side) %.12g cannot round-trip, the definition
+   prints %.17g, and that is N laid out; inside it [float_to_string]
+   decides.  On the served link workload the band takes under 0.1 % of
+   the calls (EXPERIMENTS.md). *)
+
+let mant_mask = (1 lsl 52) - 1
+
+(* The fields of a float's bit pattern as two ints: [top] holds the
+   sign and the 11 exponent bits, [mant] the 52 fraction bits.  Inlined,
+   so a float read from a float array is never boxed to be printed. *)
+let[@inline] bits_top b = Int64.to_int (Int64.shift_right_logical b 52)
+let[@inline] bits_mant b = Int64.to_int b land mant_mask
+
+let float_of_fields top mant =
+  Int64.float_of_bits
+    (Int64.logor (Int64.shift_left (Int64.of_int top) 52) (Int64.of_int mant))
+
+(* 1 <= |x| < 2^54 as one int that orders like |x|: the unbiased
+   exponent above the fraction bits. *)
+let[@inline] window_key be mant = ((be - 1023) lsl 52) lor mant
+
+let pow10_key =
+  Array.map
+    (fun x ->
+      let b = Int64.bits_of_float x in
+      window_key (bits_top b) (bits_mant b))
+    [| 1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12;
+       1e13; 1e14; 1e15; 1e16 |]
+
+let pow5 =
+  [| 1; 5; 25; 125; 625; 3125; 15625; 78125; 390625; 1953125; 9765625;
+     48828125; 244140625; 1220703125; 6103515625; 30517578125;
+     152587890625 |]
+
+(* N and E for 1 <= |x| < 1e16; [float_to_string] when N is in the
+   band. *)
+let put_exact e top mant =
+  let be = top land 0x7ff in
+  let key = window_key be mant in
+  let ex = ref (((be - 1023) * 77) lsr 8) (* <= floor(log10 2^k) *) in
+  while pow10_key.(!ex + 1) <= key do
+    incr ex
+  done;
+  let q = 16 - !ex and m = mant lor (1 lsl 52) and e2 = be - 1075 in
+  let p = pow5.(q) in
+  let n =
+    if q + e2 >= 0 then (m * p) lsl (q + e2)
+    else begin
+      (* m * p = hi * 2^52 + lo; every partial product below 2^54 *)
+      let s = -(q + e2) (* 1 .. 36 *) in
+      let ml = m land 0x3ffffff and mh = m lsr 26 in
+      let pl = p land 0x3ffffff and ph = p lsr 26 in
+      let mid = (mh * pl) + (ml * ph) in
+      let lo = (ml * pl) + ((mid land 0x3ffffff) lsl 26) in
+      let hi = (mh * ph) + (mid lsr 26) + (lo lsr 52) in
+      let lo = lo land mant_mask in
+      let n = (hi lsl (52 - s)) lor (lo lsr s) in
+      let r = lo land ((1 lsl s) - 1) and half = 1 lsl (s - 1) in
+      if r > half || (r = half && n land 1 = 1) then n + 1 else n
+    end
+  in
+  let n =
+    if n < 100_000_000_000_000_000 then n
+    else begin
+      incr ex;
+      n / 10
+    end
+  in
+  let ex = !ex and tail = n mod 100_000 in
+  if tail <= 12 || tail >= 99_988 then
+    put_string e (float_to_string (float_of_fields top mant))
+  else begin
+    let nd = ref 17 and n = ref n in
+    while !nd > ex + 1 && !n mod 10 = 0 do
+      n := !n / 10;
+      decr nd
+    done;
+    let nd = !nd and neg = top > 0x7ff in
+    let len = Bool.to_int neg + nd + Bool.to_int (nd > ex + 1) in
+    ensure e len;
+    let start = e.len in
+    let pos = ref (start + len - 1) in
+    for i = nd - 1 downto 0 do
+      Bytes.unsafe_set e.buf !pos (Char.unsafe_chr (48 + (!n mod 10)));
+      n := !n / 10;
+      decr pos;
+      if i = ex + 1 then begin
+        Bytes.unsafe_set e.buf !pos '.';
+        decr pos
+      end
+    done;
+    if neg then Bytes.unsafe_set e.buf start '-';
+    e.len <- start + len
+  end
+
+let put_float_fields e top mant =
+  let be = top land 0x7ff in
+  if be >= 1023 && be <= 1076 && window_key be mant < pow10_key.(16) then
+    put_exact e top mant
+  else if be = 0 && mant = 0 then put_string e (if top = 0 then "0" else "-0")
+  else put_string e (float_to_string (float_of_fields top mant))
+
+let[@inline] put_float e x =
+  let b = Int64.bits_of_float x in
+  put_float_fields e (bits_top b) (bits_mant b)
 
 let ( let* ) = Result.bind
 
@@ -195,12 +377,7 @@ let model_of_string = function
   | "link" -> Ok `Link
   | s -> Error (Printf.sprintf "bad model %S" s)
 
-(* ---------------- text encoder ---------------- *)
-
-(* Replies are rendered straight into the growable [Bytes] scratch the
-   binary encoder also uses ([Wnet_outbuf]), which the transport drains
-   through buffer/offset/pending/consume: integers digit by digit, fixed
-   text blitted in, each float through [float_to_string].
+(* ---------------- text encoder ----------------
 
    [src] lines go through a memo that keeps, per source id, the last
    line rendered together with that line's whole input (the path and
@@ -212,72 +389,35 @@ let model_of_string = function
    server keeps one per session, so a session's clients share it.  A
    miss renders the line and overwrites the entry in place. *)
 
-type enc = Wnet_outbuf.t = {
-  mutable buf : Bytes.t;
-  mutable off : int;  (* first byte not yet handed to the transport *)
-  mutable len : int;  (* end of rendered bytes *)
-}
-
 type memo_line = {
   mutable text : Bytes.t;  (* the line, newline included *)
   mutable tlen : int;
   mutable path : int array;  (* the path it was rendered from *)
   mutable plen : int;
+  mutable ctop : int;  (* its charge's bits, as [bits_top] *)
+  mutable cmant : int;  (* and [bits_mant] *)
 }
 
 type memo = {
   mutable lines : memo_line array;  (* by source id *)
-  mutable charges : float array;
-      (* each line's charge, compared by bit pattern; a flat float
-         array, so storing one does not box it *)
+  mutable scratch : int array;  (* a list path, copied into a slice *)
 }
 
 (* The empty slot; never written (a miss on it allocates the entry). *)
-let no_line = { text = Bytes.empty; tlen = 0; path = [||]; plen = 0 }
+let no_line =
+  { text = Bytes.empty; tlen = 0; path = [||]; plen = 0; ctop = 0; cmant = 0 }
 
 (* Source ids at or above this render fresh, so a stray id cannot size
    the memo; a session's ids are its node indices, far below. *)
 let memo_ids = 1 lsl 20
 
 let enc_create () = Wnet_outbuf.create 512
-let memo_create () = { lines = [||]; charges = [||] }
+let memo_create () = { lines = [||]; scratch = [||] }
 let enc_pending = Wnet_outbuf.pending
 let enc_buffer e = e.buf
 let enc_offset e = e.off
 let enc_reset = Wnet_outbuf.reset
 let enc_consume = Wnet_outbuf.consume
-
-let ensure e extra =
-  if e.len + extra > Bytes.length e.buf then Wnet_outbuf.make_room e extra
-
-let put_char e c =
-  ensure e 1;
-  Bytes.unsafe_set e.buf e.len c;
-  e.len <- e.len + 1
-
-let put_string e s =
-  let n = String.length s in
-  ensure e n;
-  Bytes.unsafe_blit_string s 0 e.buf e.len n;
-  e.len <- e.len + n
-
-(* Decimal digits written in place, the bytes of [string_of_int].  The
-   digits come off the non-positive value, so [min_int] needs no
-   negation. *)
-let put_int e i =
-  if i < 0 then put_char e '-';
-  let v = if i < 0 then i else -i in
-  let rec ndigits v k = if v > -10 then k else ndigits (v / 10) (k + 1) in
-  let nd = ndigits v 1 in
-  ensure e nd;
-  let rec go v pos =
-    Bytes.unsafe_set e.buf pos (Char.unsafe_chr (48 - (v mod 10)));
-    if v <= -10 then go (v / 10) (pos - 1)
-  in
-  go v (e.len + nd - 1);
-  e.len <- e.len + nd
-
-let put_float e f = put_string e (float_to_string f)
 
 (* " key=value", the shape of every counter on a stats line *)
 let put_kv e key v =
@@ -286,24 +426,26 @@ let put_kv e key v =
   put_char e '=';
   put_int e v
 
-let rec put_hops e = function
-  | [] -> ()
-  | v :: rest ->
-    put_string e " -> ";
-    put_int e v;
-    put_hops e rest
-
-let put_served e src path charge =
+(* The one [src] line writer, for the list replies and the pay view
+   alike: the path is the slice [hops.(lo) .. hops.(hi - 1)], and the
+   charge comes as its bit fields, so no caller boxes a float. *)
+let put_served e src (hops : int array) lo hi top mant =
   put_string e "src ";
   put_int e src;
   put_string e ": path ";
-  (match path with
-  | [] -> ()
-  | v :: rest ->
-    put_int e v;
-    put_hops e rest);
+  for i = lo to hi - 1 do
+    if i > lo then put_string e " -> ";
+    put_int e hops.(i)
+  done;
   put_string e ", charge ";
-  put_float e charge
+  put_float_fields e top mant
+
+let put_paid e served unbounded total =
+  put_string e "ok";
+  put_kv e "served" served;
+  put_kv e "unbounded" unbounded;
+  put_string e " total=";
+  put_float e total
 
 let rec put_fields e = function
   | [] -> ()
@@ -325,13 +467,10 @@ let put_response e = function
     put_string e "ok";
     (match node with Some id -> put_kv e "node" id | None -> ());
     put_kv e "version" version
-  | Served { src; path; charge } -> put_served e src path charge
-  | Paid { served; unbounded; total } ->
-    put_string e "ok";
-    put_kv e "served" served;
-    put_kv e "unbounded" unbounded;
-    put_string e " total=";
-    put_float e total
+  | Served { src; path; charge } ->
+    let hops = Array.of_list path and b = Int64.bits_of_float charge in
+    put_served e src hops 0 (Array.length hops) (bits_top b) (bits_mant b)
+  | Paid { served; unbounded; total } -> put_paid e served unbounded total
   | Session_stats st ->
     (* From the layout table, so a counter added to
        [Wnet_session.stats_layout] appears here without touching the
@@ -407,17 +546,56 @@ let print_response r =
 
 let grow_memo m src =
   let old = Array.length m.lines in
-  let cap = max (src + 1) (2 * old) in
-  let lines = Array.make cap no_line and charges = Array.make cap 0.0 in
+  let lines = Array.make (max (src + 1) (2 * old)) no_line in
   Array.blit m.lines 0 lines 0 old;
-  Array.blit m.charges 0 charges 0 old;
-  m.lines <- lines;
-  m.charges <- charges
+  m.lines <- lines
 
-let rec same_path path (a : int array) i n =
-  match path with
-  | [] -> i = n
-  | v :: rest -> i < n && Array.unsafe_get a i = v && same_path rest a (i + 1) n
+let rec same_slice (a : int array) (hops : int array) d i hi =
+  i >= hi
+  || Array.unsafe_get a (i - d) = Array.unsafe_get hops i
+     && same_slice a hops d (i + 1) hi
+
+(* Render the [src] line, then make it the source's memo entry. *)
+let render_served e m src hops lo hi top mant =
+  let rel = e.len - e.off in
+  put_served e src hops lo hi top mant;
+  put_char e '\n';
+  let start = e.off + rel in
+  let l = e.len - start in
+  if m.lines.(src) == no_line then
+    m.lines.(src) <-
+      { text = Bytes.create l; tlen = 0; path = [||]; plen = 0; ctop = 0;
+        cmant = 0 };
+  let line = m.lines.(src) in
+  if Bytes.length line.text < l then line.text <- Bytes.create l;
+  Bytes.blit e.buf start line.text 0 l;
+  line.tlen <- l;
+  let plen = hi - lo in
+  if Array.length line.path < plen then line.path <- Array.make plen 0;
+  Array.blit hops lo line.path 0 plen;
+  line.plen <- plen;
+  line.ctop <- top;
+  line.cmant <- mant
+
+let encode_served e m src hops lo hi top mant =
+  if src < 0 || src >= memo_ids then begin
+    put_served e src hops lo hi top mant;
+    put_char e '\n'
+  end
+  else begin
+    if src >= Array.length m.lines then grow_memo m src;
+    let line = Array.unsafe_get m.lines src in
+    if
+      line != no_line && line.ctop = top && line.cmant = mant
+      && line.plen = hi - lo
+      && same_slice line.path hops lo lo hi
+    then begin
+      ensure e line.tlen;
+      Bytes.unsafe_blit line.text 0 e.buf e.len line.tlen;
+      e.len <- e.len + line.tlen
+    end
+    else render_served e m src hops lo hi top mant
+  end
 
 let rec store_path (a : int array) i = function
   | [] -> ()
@@ -425,48 +603,15 @@ let rec store_path (a : int array) i = function
     Array.unsafe_set a i v;
     store_path a (i + 1) rest
 
-(* Render the [src] line, then make it the source's memo entry. *)
-let render_served e m src path charge =
-  let rel = e.len - e.off in
-  put_served e src path charge;
-  put_char e '\n';
-  let start = e.off + rel in
-  let l = e.len - start in
-  if m.lines.(src) == no_line then
-    m.lines.(src) <- { text = Bytes.create l; tlen = 0; path = [||]; plen = 0 };
-  let line = m.lines.(src) in
-  if Bytes.length line.text < l then line.text <- Bytes.create l;
-  Bytes.blit e.buf start line.text 0 l;
-  line.tlen <- l;
-  let plen = List.length path in
-  if Array.length line.path < plen then line.path <- Array.make plen 0;
-  store_path line.path 0 path;
-  line.plen <- plen;
-  m.charges.(src) <- charge
-
-let encode_served e m src path charge =
-  if src < 0 || src >= memo_ids then begin
-    put_served e src path charge;
-    put_char e '\n'
-  end
-  else begin
-    if src >= Array.length m.lines then grow_memo m src;
-    let line = Array.unsafe_get m.lines src in
-    if
-      line != no_line
-      && Int64.bits_of_float (Array.unsafe_get m.charges src)
-         = Int64.bits_of_float charge
-      && same_path path line.path 0 line.plen
-    then begin
-      ensure e line.tlen;
-      Bytes.unsafe_blit line.text 0 e.buf e.len line.tlen;
-      e.len <- e.len + line.tlen
-    end
-    else render_served e m src path charge
-  end
-
 let encode_response e m = function
-  | Served { src; path; charge } -> encode_served e m src path charge
+  | Served { src; path; charge } ->
+    (* the list path, copied into the memo's scratch for the writer *)
+    let plen = List.length path in
+    if Array.length m.scratch < plen then
+      m.scratch <- Array.make (max plen (2 * Array.length m.scratch)) 0;
+    store_path m.scratch 0 path;
+    let b = Int64.bits_of_float charge in
+    encode_served e m src m.scratch 0 plen (bits_top b) (bits_mant b)
   | r ->
     put_response e r;
     put_char e '\n'
@@ -478,6 +623,15 @@ let rec encode_responses e m = function
   | r :: rs ->
     encode_response e m r;
     encode_responses e m rs
+
+let encode_pay e m (p : Wnet_session.pay) =
+  for i = 0 to p.count - 1 do
+    let b = Int64.bits_of_float p.charge.(i) in
+    encode_served e m p.src.(i) p.hops p.off.(i) p.off.(i + 1) (bits_top b)
+      (bits_mant b)
+  done;
+  put_paid e p.count p.unbounded p.total;
+  put_char e '\n'
 
 (* ---------------- text line decoder ---------------- *)
 
@@ -613,13 +767,11 @@ let parse_session_stats line toks =
     Error (Printf.sprintf "bad stats line %S" line)
   else begin
     let rec go i acc = function
-      | [] -> (
-        match Wnet_session.of_fields (List.rev acc) with
-        | Ok st -> Ok (Session_stats st)
-        | Error m -> Error m)
+      | [] -> Result.map (fun st -> Session_stats st)
+                (Wnet_session.of_fields (List.rev acc))
       | t :: rest ->
         let* v = int_kv session_counter_keys.(i) t in
-        go (i + 1) ((session_counter_keys.(i), v) :: acc) rest
+        go (i + 1) (v :: acc) rest
     in
     go 0 [] toks
   end
@@ -724,6 +876,20 @@ let greeting ?(proto = version) (module S : Wnet_session.S) =
 
 let ack (a : Wnet_session.ack) = Ack { version = a.version; node = a.node }
 
+(* The pay view as reply values: one [Served] per source, then [Paid]. *)
+let rec path_list (hops : int array) lo i acc =
+  if i < lo then acc else path_list hops lo (i - 1) (hops.(i) :: acc)
+
+let pay_replies (p : Wnet_session.pay) =
+  let rec go i acc =
+    if i < 0 then acc
+    else
+      let path = path_list p.hops p.off.(i) (p.off.(i + 1) - 1) [] in
+      go (i - 1) (Served { src = p.src.(i); path; charge = p.charge.(i) } :: acc)
+  in
+  go (p.count - 1)
+    [ Paid { served = p.count; unbounded = p.unbounded; total = p.total } ]
+
 let handle (module S : Wnet_session.S) req =
   try
     match req with
@@ -735,20 +901,7 @@ let handle (module S : Wnet_session.S) req =
     | Rejoin { node; out; inn } ->
       [ ack (S.apply (Wnet_session.Rejoin { node; out; inn })) ]
     | Leave { node } -> [ ack (S.apply (Wnet_session.Leave { node })) ]
-    | Pay ->
-      let p = S.pay () in
-      List.map
-        (fun (s : Wnet_session.served) ->
-          Served { src = s.src; path = s.path; charge = s.charge })
-        p.served
-      @ [
-          Paid
-            {
-              served = List.length p.served;
-              unbounded = p.unbounded;
-              total = p.total;
-            };
-        ]
+    | Pay -> pay_replies (S.pay ())
     | Stats -> [ Session_stats (S.stats ()) ]
     | Proto _ ->
       (* Codec switching is transport-level; only framed front-ends

@@ -123,7 +123,8 @@ type response =
 
 val float_to_string : float -> string
 (** Shortest decimal form that [float_of_string]s back to the identical
-    value; ["inf"]/["-inf"]/["nan"] for the non-finite values. *)
+    value; ["inf"]/["-inf"]/["nan"] for the non-finite values: the
+    bytes of [%.12g] when that round-trips, else [%.17g]. *)
 
 val parse_request : string -> (request option, string) result
 (** [Ok None] for blank lines and [#] comments; [Error reason] on a
@@ -145,9 +146,9 @@ val print_response : response -> string
     The transport's reply writer, on the same growable [Bytes] scratch
     ({!Wnet_outbuf}) as {!Wnet_proto_bin.enc}: reply lines are rendered
     straight into it (integers digit by digit, fixed text blitted in,
-    floats through {!float_to_string}), and the transport drains them
-    with {!enc_buffer}/{!enc_offset}/{!enc_pending} + {!enc_consume}.
-    The bytes are exactly [print_response r ^ "\n"].
+    floats by {!put_float}), and the transport drains them with
+    {!enc_buffer}/{!enc_offset}/{!enc_pending} + {!enc_consume}.  The
+    bytes are exactly [print_response r ^ "\n"].
 
     [src] lines go through a {!memo}, which keeps per source id the
     last line rendered through it, keyed on that line's whole input:
@@ -157,8 +158,9 @@ val print_response : response -> string
     invalidated, and a memo can serve any encoders and sessions.  It
     holds at most one line per source id rendered through it, each in
     storage the size of that source's longest line; ids at or above
-    2{^20} are not memoised.  A hit allocates nothing.  The socket
-    server keeps one memo per session. *)
+    2{^20} are not memoised.  A hit allocates nothing, and neither does
+    a miss whose charge is 0 or in the exact window of {!put_float}.
+    The socket server keeps one memo per session. *)
 
 type enc
 
@@ -189,6 +191,21 @@ val encode_response : enc -> memo -> response -> unit
 (** Append one reply line and its newline. *)
 
 val encode_responses : enc -> memo -> response list -> unit
+
+val encode_pay : enc -> memo -> Wnet_session.pay -> unit
+(** A whole pay reply straight from a session's pay view: its [src]
+    lines through the memo, then the [ok served=...] line.  The bytes
+    of [encode_responses] over the [Served]/[Paid] list {!handle}
+    derives from the same view, without building the list. *)
+
+val put_float : enc -> float -> unit
+(** Append {!float_to_string}'s bytes.  A finite [x] with
+    1 <= |x| < 1e16 is rendered exactly in integer arithmetic, its 17
+    significant digits written straight into the scratch, unless its
+    last five digits lie within 12 of a multiple of 10{^5} (only there
+    can [%.12g] round-trip); that band, and every value outside the
+    window but ±0, fall back to {!float_to_string}.  Nothing is
+    allocated on the exact path. *)
 
 (** {2 Text line decoder}
 
@@ -230,9 +247,11 @@ val greeting : ?proto:int -> (module Wnet_session.S) -> response
 val handle : (module Wnet_session.S) -> request -> response list
 (** The generic serve step shared by the stdin loop and the socket
     server: apply the request to the session and produce the reply
-    lines.  [Pay] yields one [Served] per source plus a closing [Paid];
-    engine errors ([Failure], [Invalid_argument]) surface as [Err];
-    [Quit] yields [Bye] (closing the transport is the caller's job). *)
+    lines.  [Pay] yields one [Served] per source of the session's pay
+    view plus a closing [Paid] (the socket server renders a served pay
+    from the view itself, {!encode_pay}); engine errors ([Failure],
+    [Invalid_argument]) surface as [Err]; [Quit] yields [Bye] (closing
+    the transport is the caller's job). *)
 
 val handle_line :
   (module Wnet_session.S) ->

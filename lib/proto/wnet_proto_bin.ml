@@ -93,7 +93,8 @@ let put_i64 e v =
   Bytes.set_int64_le e.buf e.len (Int64.of_int v);
   e.len <- e.len + 8
 
-let put_f64 e f =
+(* Inlined, so a charge read from a float array is not boxed. *)
+let[@inline] put_f64 e f =
   ensure e 8;
   Bytes.set_int64_le e.buf e.len (Int64.bits_of_float f);
   e.len <- e.len + 8
@@ -172,6 +173,28 @@ let put_request e (r : Wnet_proto.request) =
     put_u32 e session
   | Quit -> put_u8 e tag_quit
 
+(* A [Served] message up to its path: [len] [put_path_node]s and the
+   charge's [put_f64] follow.  [put_response] and [encode_pay] share
+   these, so the list and the view write one layout. *)
+let put_served_head e src len =
+  check_u32 "src" src;
+  put_u8 e tag_served;
+  put_u32 e src;
+  check_u32 "path length" len;
+  put_u32 e len
+
+let put_path_node e v =
+  check_u32 "path node" v;
+  put_u32 e v
+
+let put_paid e served unbounded total =
+  check_u32 "served" served;
+  check_u32 "unbounded" unbounded;
+  put_u8 e tag_paid;
+  put_u32 e served;
+  put_u32 e unbounded;
+  put_f64 e total
+
 let put_response e (r : Wnet_proto.response) =
   match r with
   | Ready { proto; model; n; root; domains } ->
@@ -195,25 +218,10 @@ let put_response e (r : Wnet_proto.response) =
       check_u32 "node" (id + 1);
       put_u32 e (id + 1))
   | Served { src; path; charge } ->
-    check_u32 "src" src;
-    put_u8 e tag_served;
-    put_u32 e src;
-    let len = List.length path in
-    check_u32 "path length" len;
-    put_u32 e len;
-    List.iter
-      (fun v ->
-        check_u32 "path node" v;
-        put_u32 e v)
-      path;
+    put_served_head e src (List.length path);
+    List.iter (fun v -> put_path_node e v) path;
     put_f64 e charge
-  | Paid { served; unbounded; total } ->
-    check_u32 "served" served;
-    check_u32 "unbounded" unbounded;
-    put_u8 e tag_paid;
-    put_u32 e served;
-    put_u32 e unbounded;
-    put_f64 e total
+  | Paid { served; unbounded; total } -> put_paid e served unbounded total
   | Session_stats st ->
     put_u8 e tag_session_stats;
     put_i64 e st.edits;
@@ -309,13 +317,16 @@ let encode_response e r =
   put_response e r;
   end_frame e pos
 
+let check_batch what k =
+  if k > max_batch then
+    invalid_arg (Printf.sprintf "proto_bin: %s batch of %d > %d" what k
+        max_batch)
+
 let batch_count what = function
   | [] -> invalid_arg (Printf.sprintf "proto_bin: empty %s batch" what)
   | l ->
     let k = List.length l in
-    if k > max_batch then
-      invalid_arg (Printf.sprintf "proto_bin: %s batch of %d > %d" what k
-          max_batch);
+    check_batch what k;
     k
 
 (* Plain recursion instead of [List.iter (put_request e)]: the partial
@@ -345,6 +356,26 @@ let encode_responses e rs =
   let pos = begin_frame e in
   put_u16 e k;
   put_responses e rs;
+  end_frame e pos
+
+(* A pay reply straight from a session's pay view: the frame
+   [encode_responses] writes for the [Served]/[Paid] list
+   [Wnet_proto.handle] derives from the same view, through the same
+   message writers, and no list. *)
+let encode_pay e (p : Wnet_session.pay) =
+  let k = p.count + 1 in
+  check_batch "response" k;
+  let pos = begin_frame e in
+  put_u16 e k;
+  for i = 0 to p.count - 1 do
+    let lo = p.off.(i) and hi = p.off.(i + 1) in
+    put_served_head e p.src.(i) (hi - lo);
+    for j = lo to hi - 1 do
+      put_path_node e p.hops.(j)
+    done;
+    put_f64 e p.charge.(i)
+  done;
+  put_paid e p.count p.unbounded p.total;
   end_frame e pos
 
 (* ---------------- decoder ---------------- *)

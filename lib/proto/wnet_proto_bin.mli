@@ -91,6 +91,12 @@ val encode_requests : enc -> Wnet_proto.request list -> unit
 val encode_response : enc -> Wnet_proto.response -> unit
 val encode_responses : enc -> Wnet_proto.response list -> unit
 
+val encode_pay : enc -> Wnet_session.pay -> unit
+(** A whole pay reply straight from a session's pay view: the bytes of
+    [encode_responses] over the [Served]/[Paid] list
+    {!Wnet_proto.handle} derives from the same view (one batch frame),
+    without building the list.  Raises as [encode_responses] would. *)
+
 (** {2 Decoding} *)
 
 type dec

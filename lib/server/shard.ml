@@ -21,7 +21,8 @@
      decoder, frame decoder, pending output) with it, and the source
      shard stops touching it the moment it is pushed;
    - a session's pay-line memo ([memos]) is only ever used by the
-     session's shard: [src] lines come only from that session's pay.
+     session's shard: [src] lines come only from that session's pay,
+     rendered straight from the session's pay view.
 
    Each session's edit stream is therefore applied by exactly one
    domain in arrival order, which is the single-threaded serve loop's
@@ -487,6 +488,16 @@ let process (t : t) (c : conn) parsed =
           c.greet <- true
         end
       end
+    | Wnet_proto.Pay -> (
+      (* Rendered from the session's pay view: no reply list.  A failure
+         is answered as [Wnet_proto.handle] answers it. *)
+      let module S = (val sess : Wnet_session.S) in
+      match S.pay () with
+      | p ->
+        if c.proto = B.version then B.encode_pay c.benc p
+        else P.encode_pay c.tenc t.sh.memos.(c.session) p
+      | exception (Failure m | Invalid_argument m) ->
+        queue t c [ Wnet_proto.Err m ])
     | Wnet_proto.Stats ->
       queue t c (Wnet_proto.handle sess req @ wire_stats t c)
     | Wnet_proto.Quit ->

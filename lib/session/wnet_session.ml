@@ -81,17 +81,18 @@ let stats_field_names = Array.map (fun (k, _, _) -> k) stats_layout
 let to_fields st =
   Array.to_list (Array.map (fun (k, get, _) -> (k, get st)) stats_layout)
 
-let of_fields fields =
-  let rec go acc = function
-    | [] -> Ok acc
-    | (k, v) :: rest -> (
-      match
-        Array.find_opt (fun (k', _, _) -> String.equal k k') stats_layout
-      with
-      | Some (_, _, set) -> go (set acc v) rest
-      | None -> Error (Printf.sprintf "unknown stats counter %S" k))
+let of_fields values =
+  let rec go st i = function
+    | [] when i = Array.length stats_layout -> Ok st
+    | v :: rest when i < Array.length stats_layout ->
+      let _, _, set = stats_layout.(i) in
+      go (set st v) (i + 1) rest
+    | _ ->
+      Error
+        (Printf.sprintf "stats: want %d counters, got %d"
+           (Array.length stats_layout) (List.length values))
   in
-  go zero_stats fields
+  go zero_stats 0 values
 
 type delta =
   | Set_node_cost of { node : int; cost : float }
@@ -102,8 +103,15 @@ type delta =
 
 type ack = { version : int; node : int option }
 
-type served = { src : int; path : int list; charge : float }
-type pay = { served : served list; unbounded : int; total : float }
+type pay = {
+  mutable count : int;
+  mutable src : int array;
+  mutable off : int array;
+  mutable hops : int array;
+  mutable charge : float array;
+  mutable unbounded : int;
+  mutable total : float;
+}
 
 module type S = sig
   val model : model
@@ -117,26 +125,68 @@ module type S = sig
   val stats : unit -> stats
 end
 
-(* The protocol-level pay summary, straight from a payment pass: one
-   [served] line per reachable non-root source, its path read up the
-   tree's parent chain, a charge of [infinity] marking a monopoly
+(* The protocol-level pay view, refilled in place from a payment pass:
+   one entry per reachable non-root source in ascending id, its path
+   written straight into [hops] up the tree's parent chain (source
+   first, root last), a charge of [infinity] marking a monopoly
    (cut-vertex) relay on it.  The total adds the finite charges in
-   ascending source order. *)
-let summary ~root (tree, charge) =
-  let served v = v <> root && Wnet_graph.Dijkstra.reachable tree v in
-  let lines = ref [] in
-  for src = Array.length charge - 1 downto 0 do
-    if served src then
-      let path = Array.to_list (Wnet_graph.Dijkstra.path_up tree src) in
-      lines := { src; path; charge = charge.(src) } :: !lines
+   ascending source order.  The arrays only grow: once they fit the
+   session, a refill allocates nothing but [total]'s box. *)
+let empty_pay () =
+  {
+    count = 0;
+    src = [||];
+    off = [| 0 |];
+    hops = [||];
+    charge = [||];
+    unbounded = 0;
+    total = 0.0;
+  }
+
+let grow_hops p need =
+  let cap = ref (max 64 (Array.length p.hops)) in
+  while !cap < need do
+    cap := 2 * !cap
   done;
+  let hops = Array.make !cap 0 in
+  Array.blit p.hops 0 hops 0 (Array.length p.hops);
+  p.hops <- hops
+
+let fill p ~root ((tree : Wnet_graph.Dijkstra.tree), charge) =
+  let n = Array.length charge in
+  if Array.length p.src < n then begin
+    p.src <- Array.make n 0;
+    p.charge <- Array.make n 0.0;
+    p.off <- Array.make (n + 1) 0
+  end;
+  let parent = tree.parent and top = tree.source in
+  let count = ref 0 and pos = ref 0 in
   let unbounded = ref 0 and total = ref 0.0 in
-  for src = 0 to Array.length charge - 1 do
-    if served src then
-      if charge.(src) < infinity then total := !total +. charge.(src)
-      else incr unbounded
+  for s = 0 to n - 1 do
+    if s <> root && Wnet_graph.Dijkstra.reachable tree s then begin
+      let i = !count in
+      p.src.(i) <- s;
+      p.off.(i) <- !pos;
+      let c = charge.(s) in
+      p.charge.(i) <- c;
+      if c < infinity then total := !total +. c else incr unbounded;
+      let u = ref s in
+      while !u <> top do
+        if !pos >= Array.length p.hops then grow_hops p (!pos + 1);
+        p.hops.(!pos) <- !u;
+        incr pos;
+        u := parent.(!u)
+      done;
+      if !pos >= Array.length p.hops then grow_hops p (!pos + 1);
+      p.hops.(!pos) <- top;
+      incr pos;
+      count := i + 1
+    end
   done;
-  { served = !lines; unbounded = !unbounded; total = !total }
+  p.off.(!count) <- !pos;
+  p.count <- !count;
+  p.unbounded <- !unbounded;
+  p.total <- !total
 
 (* Left to right from [0.0], exactly as [Array.fold_left ( +. ) 0.0],
    so the result is bit-identical; but the local float ref stays
@@ -220,9 +270,12 @@ let make ?(pool = Wnet_par.sequential) ~root g =
         own ();
         apply_delta d
 
+      let view = empty_pay ()
+
       let pay () =
         own ();
-        summary ~root (NS.charges s)
+        fill view ~root (NS.charges s);
+        view
 
       let flush () =
         own ();
@@ -274,9 +327,12 @@ let make ?(pool = Wnet_par.sequential) ~root g =
         own ();
         apply_delta d
 
+      let view = empty_pay ()
+
       let pay () =
         own ();
-        summary ~root (LS.charges s)
+        fill view ~root (LS.charges s);
+        view
 
       let flush () =
         own ();

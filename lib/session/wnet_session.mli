@@ -14,9 +14,10 @@
     packaged instance.  All determinism contracts of the underlying
     engines carry over: {!S.pay} is bit-identical to a from-scratch
     batch on the edited topology, at every pool size.  {!S.pay} is
-    built straight from the engine's payment pass and tree (no
-    per-source outcome records); the engine memoizes the pass per
-    session version. *)
+    written straight from the engine's payment pass and tree into a
+    flat view the session owns (no per-source records, no lists); the
+    engine memoizes the pass per session version, and every {!S.pay}
+    refills the view from it. *)
 
 module Link_session = Link_session
 module Node_session = Node_session
@@ -48,8 +49,7 @@ type stats = Link_session.stats = {
     and [tasks_executed] one task per entry repair and per refill. *)
 
 val zero_stats : stats
-(** All counters zero — the [of_fields] default for a counter it is not
-    given. *)
+(** All counters zero. *)
 
 val stats_field_names : string array
 (** The counter keys in wire order ([edits], [coalesced], ...,
@@ -61,10 +61,10 @@ val to_fields : stats -> (string * int) list
     protocol prints the stats line from this — adding a counter to the
     layout table updates printing, parsing and the key list at once. *)
 
-val of_fields : (string * int) list -> (stats, string) result
-(** Rebuild a record from [(key, value)] pairs: each key sets its
-    counter, counters not named read zero, and an unknown key is an
-    [Error]. *)
+val of_fields : int list -> (stats, string) result
+(** Rebuild a record from its counters in wire order (the values of
+    {!to_fields}, keys already checked by the caller); any other count
+    than {!stats_field_names}' is an [Error]. *)
 
 (** A topology delta, covering both models.  [Set_node_cost] is valid
     only on [`Node] sessions; [Set_link_cost], [Join] and [Rejoin] only
@@ -80,17 +80,25 @@ type ack = { version : int; node : int option }
 (** Result of a delta: the session version after it, and the id
     assigned by [Join]. *)
 
-type served = {
-  src : int;
-  path : int list;  (** [src; ...; root] *)
-  charge : float;  (** total payment; [infinity] = a monopoly relay *)
-}
-
 type pay = {
-  served : served list;  (** ascending [src]; unserved sources omitted *)
-  unbounded : int;  (** served sources whose charge is [infinity] *)
-  total : float;  (** sum of the finite charges *)
+  mutable count : int;  (** served sources: reachable, not the root *)
+  mutable src : int array;  (** [src.(i)], [i < count]: ascending ids *)
+  mutable off : int array;
+      (** source [i]'s path is [hops.(off.(i)) .. hops.(off.(i + 1) - 1)],
+          source first, root last *)
+  mutable hops : int array;  (** every path, concatenated *)
+  mutable charge : float array;
+      (** [charge.(i)]: source [i]'s total payment; [infinity] = a
+          monopoly relay *)
+  mutable unbounded : int;  (** served sources whose charge is [infinity] *)
+  mutable total : float;
+      (** the finite charges, added in ascending source order *)
 }
+(** A session's pay view: flat arrays the session owns and refills in
+    place on every {!S.pay}.  The arrays may be longer than the view;
+    read them through [count] and [off].  The view is valid until the
+    session's next [apply], [flush] or [pay]: copy what must outlive
+    that. *)
 
 val sum_payments : float array -> float
 (** The total of a dense payment vector, added left to right from
@@ -131,6 +139,9 @@ module type S = sig
   val version : unit -> int
   val apply : delta -> ack
   val pay : unit -> pay
+  (** The all-to-root payments at the current version, as the session's
+      own {!pay} view, refilled in place. *)
+
   val flush : unit -> unit
   val stats : unit -> stats
 end

@@ -118,9 +118,12 @@ SERVER_PID=""
 grep -q '^served 3 client(s)' "$SERVER_LOG" || fail "final counters not printed"
 
 # Link model: one transcript (edits and three pays) through `unicast
-# serve` on stdin and through `listen` + `client` on a socket.  Both
-# render with the same text encoder and pay-line memo; their pay lines
-# must be byte-identical.
+# serve` on stdin, and through `listen` + `client` on a socket, once as
+# text and once as binary frames (on the server's second session, so
+# it starts from the same graph).  The stdin loop prints the reply list
+# `handle` builds; the server renders each pay straight from the
+# session's pay view, as text lines through its memo or as one frame.
+# All three sets of pay lines must be byte-identical.
 LGRAPH="$DIR/links.txt"
 LSOCK="$DIR/link.sock"
 $UNICAST generate --model gnp -n 40 --seed 11 \
@@ -139,7 +142,7 @@ awk '/^link/ && n < 3 { printf "cost %s %s %s\n", $2, $3, $4 * 2; n++ }' "$LGRAP
 } > "$DIR/link-transcript.txt"
 $UNICAST serve --model link "$LGRAPH" < "$DIR/link-transcript.txt" > "$OUT.link-stdin"
 
-$UNICAST listen --socket "$LSOCK" --model link "$LGRAPH" > "$SERVER_LOG.link" 2>&1 &
+$UNICAST listen --socket "$LSOCK" --model link --sessions 2 "$LGRAPH" > "$SERVER_LOG.link" 2>&1 &
 LINK_PID=$!
 SERVER_PID=$LINK_PID
 i=0
@@ -152,13 +155,20 @@ done
 $UNICAST client --socket "$LSOCK" --verify-responses < "$DIR/link-transcript.txt" \
   > "$OUT.link-sock"
 
+{ echo "session 1"; cat "$DIR/link-transcript.txt"; } \
+  | $UNICAST client --socket "$LSOCK" --proto 2 --verify-responses \
+  > "$OUT.link-bin"
+
 grep -E '^(src |ok served=)' "$OUT.link-stdin" > "$OUT.link-stdin.pay"
 grep -E '^(src |ok served=)' "$OUT.link-sock" > "$OUT.link-sock.pay"
+grep -E '^(src |ok served=)' "$OUT.link-bin" > "$OUT.link-bin.pay"
 [ "$(grep -c '^ok served=' "$OUT.link-stdin.pay")" = 3 ] \
   || fail "link transcript: expected three pay replies on stdin"
 grep -q '^src ' "$OUT.link-stdin.pay" || fail "link transcript served no source"
 diff "$OUT.link-stdin.pay" "$OUT.link-sock.pay" > /dev/null \
   || fail "link pay lines differ between serve and listen + client"
+diff "$OUT.link-stdin.pay" "$OUT.link-bin.pay" > /dev/null \
+  || fail "link pay lines differ between serve and listen + client --proto 2"
 
 # A request line over the 1 MiB cap (1 MiB + 16 KiB, no newline) is
 # answered with err, then bye, and the connection closes.  The overrun

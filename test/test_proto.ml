@@ -682,6 +682,80 @@ let memo_prop (first, steps) =
             (reply', ok))
           (first, true) steps)
 
+(* ---------------- the float writer ---------------- *)
+
+(* Inputs for the OCaml float writer, each held byte for byte to the
+   Printf definition in [Proto_ref]: random bit patterns, subnormals,
+   the signed zeros, infinities and NaNs, extremes, powers of ten and
+   two, integers up to 2^53, short decimals k/100 (the costs the tools
+   emit), decimals of at most 12 significant digits (where %.12g
+   round-trips, so the writer must defer to libc), ties at the 17th
+   digit, and both edges of the exact window [1, 1e16); every finite
+   kind also one ulp either side, and with either sign. *)
+let writer_float_gen =
+  let ulp x = function 0 -> x | 1 -> Float.succ x | _ -> Float.pred x in
+  let near g = Gen.map2 ulp g (Gen.int_range 0 2) in
+  let signed g = Gen.map2 (fun x neg -> if neg then -.x else x) g Gen.bool in
+  Gen.frequency
+    [
+      (3, Gen.map Int64.float_of_bits Gen.int64);
+      ( 1,
+        Gen.map
+          (fun m -> Int64.float_of_bits (Int64.of_int m))
+          (Gen.int_range 1 ((1 lsl 52) - 1)) );
+      ( 1,
+        Gen.oneofl
+          [
+            0.0; infinity; nan; Int64.float_of_bits 0x7ff0000000000001L;
+            Int64.float_of_bits 0x7ff8000000000123L; 1e300; 1e-300; 5e-324;
+            Float.max_float; Float.min_float;
+          ] );
+      ( 2,
+        near
+          (Gen.map
+             (fun k -> float_of_string ("1e" ^ string_of_int k))
+             (Gen.int_range (-30) 30)) );
+      (2, near (Gen.map (fun k -> Float.ldexp 1.0 k) (Gen.int_range (-1074) 1023)));
+      (2, near (Gen.map float_of_int (Gen.int_range 0 (1 lsl 53))));
+      ( 4,
+        near
+          (Gen.map (fun k -> float_of_int k /. 100.0) (Gen.int_range 0 100_000_000))
+      );
+      ( 4,
+        near
+          (Gen.map2
+             (fun d j -> float_of_string (Printf.sprintf "%de-%d" d j))
+             (Gen.int_range 100_000_000_000 999_999_999_999)
+             (Gen.int_range 0 14)) );
+      ( 2,
+        Gen.map3
+          (fun i j k -> float_of_int i +. Float.ldexp (float_of_int ((2 * j) + 1)) (-k))
+          (Gen.int_range 1 1_000_000) (Gen.int_range 0 1000) (Gen.int_range 10 45)
+      );
+      ( 2,
+        near
+          (Gen.oneofl
+             [ 1.0; 1e16; 9999999999999998.0; 1e15; 9.5; 10.0; 99.99; 1e12 ]) );
+      (3, near (Gen.map exp (Gen.float_range 0.0 36.85)));
+    ]
+  |> signed
+
+let writer_prop x =
+  let want = Proto_ref.float_to_string x in
+  let e = P.enc_create () in
+  P.put_float e x;
+  let put = Bytes.sub_string (P.enc_buffer e) (P.enc_offset e) (P.enc_pending e) in
+  let lines =
+    [ P.Served { src = 7; path = [ 7; 3; 0 ]; charge = x };
+      P.Paid { served = 1; unbounded = 0; total = x } ]
+  in
+  let got_lines = List.map P.print_response lines
+  and want_lines = List.map Proto_ref.print_response lines in
+  (String.equal (P.float_to_string x) want && String.equal put want
+  && got_lines = want_lines)
+  || Test.fail_reportf "%h: float_to_string %S, put_float %S, Printf %S" x
+       (P.float_to_string x) put want
+
 (* ---------------- draining at random split points ---------------- *)
 
 (* Batches of up to 40 replies against chunks of up to 4 KiB: the
@@ -985,6 +1059,141 @@ let test_link_endpoint_range () =
   let (module S : W.S) = session in
   Alcotest.(check int) "refused edits leave the version" 0 (S.version ())
 
+(* ---------------- the pay view, held to the list path ---------------- *)
+
+module B = Wnet_proto_bin
+
+(* A sparse session of either model: a random tree plus a few chords,
+   so cut relays (infinite charges) and long paths both occur. *)
+let view_session rng model pool =
+  match model with
+  | `Node ->
+    W.make ~pool ~root:0 (`Node (Test_util.random_sparse_graph ~max_n:24 rng))
+  | `Link ->
+    let n = 4 + Rng.int rng 24 in
+    let w () = Rng.float_range rng 0.5 10.0 in
+    let links = ref [] in
+    for v = 1 to n - 1 do
+      let u = Rng.int rng v in
+      links := (u, v, w ()) :: (v, u, w ()) :: !links
+    done;
+    for _ = 1 to Rng.int rng n do
+      let u = Rng.int rng n and v = Rng.int rng n in
+      if u <> v then links := (u, v, w ()) :: !links
+    done;
+    W.make ~pool ~root:0 (`Link (Wnet_graph.Digraph.create ~n ~links:!links))
+
+(* A burst of 1, 4 or 16 cost re-declarations (a link now and then
+   removed, a short decimal now and then), sometimes a departure. *)
+let view_burst rng model n =
+  let cost () =
+    match Rng.int rng 10 with
+    | 0 -> infinity
+    | 1 | 2 | 3 -> float_of_int (50 + Rng.int rng 1000) /. 100.0
+    | _ -> Rng.float_range rng 0.5 10.0
+  in
+  let edit () =
+    match model with
+    | `Node -> P.Cost_node { node = Rng.int rng n; cost = cost () }
+    | `Link ->
+      let u = Rng.int rng n in
+      let v = (u + 1 + Rng.int rng (n - 1)) mod n in
+      P.Cost_link { u; v; w = cost () }
+  in
+  let edits = List.init [| 1; 4; 16 |].(Rng.int rng 3) (fun _ -> edit ()) in
+  if Rng.int rng 8 = 0 then edits @ [ P.Leave { node = 1 + Rng.int rng (n - 1) } ]
+  else edits
+
+let bits = Int64.bits_of_float
+
+let same_reply a b =
+  match (a, b) with
+  | P.Served { src; path; charge }, P.Served { src = s'; path = p'; charge = c' }
+    ->
+    src = s' && path = p' && bits charge = bits c'
+  | P.Paid { served; unbounded; total }, P.Paid { served = s'; unbounded = u'; total = t' }
+    ->
+    served = s' && unbounded = u' && bits total = bits t'
+  | _ -> false
+
+let decode_frames bytes =
+  let d = B.dec_create () and v = B.make_view () in
+  B.dec_feed d bytes 0 (Bytes.length bytes);
+  let rec go acc =
+    match B.decode_response d v with
+    | `Resp r -> go (r :: acc)
+    | `Need_more -> List.rev acc
+    | `Corrupt m -> Test.fail_reportf "pay frame corrupt: %s" m
+  in
+  go []
+
+(* Two replicas fed the same bursts: one's pay view rendered by the
+   server's encoders (text through one memo kept across every pay,
+   binary frames), the other's reply list from [handle], printed by
+   the Printf reference.  Text bytes and decoded frames must agree. *)
+let view_prop (model, domains) seed =
+  Wnet_par.with_pool ~domains (fun pool ->
+      let sess = view_session (Rng.create seed) model pool
+      and mirror = view_session (Rng.create seed) model pool in
+      let rng = Rng.create (seed lxor 0x2f6b) in
+      let memo = P.memo_create () and te = P.enc_create () and be = B.enc_create () in
+      let (module S : W.S) = sess in
+      for burst = 1 to 12 do
+        List.iter
+          (fun r -> ignore (P.handle sess r); ignore (P.handle mirror r))
+          (view_burst rng model (S.n ()));
+        let p = S.pay () in
+        P.encode_pay te memo p;
+        let text = Bytes.sub_string (P.enc_buffer te) (P.enc_offset te) (P.enc_pending te) in
+        P.enc_consume te (P.enc_pending te);
+        B.encode_pay be p;
+        let frames = Bytes.sub (B.enc_buffer be) (B.enc_offset be) (B.enc_pending be) in
+        B.enc_consume be (B.enc_pending be);
+        let want = P.handle mirror P.Pay in
+        if not (String.equal text (reference want)) then
+          Test.fail_reportf "burst %d: view text %S, list text %S" burst text
+            (reference want);
+        let got = decode_frames frames in
+        if not (List.length got = List.length want && List.for_all2 same_reply got want)
+        then Test.fail_reportf "burst %d: view frames decode differently" burst
+      done;
+      true)
+
+(* The view is the session's: a second pay at the same version hands
+   back the same view with the same content, and an edit shows after
+   the next pay. *)
+let test_pay_view_lifetime () =
+  let (module S : W.S) = W.make ~root:0 (`Link (fig_digraph ())) in
+  let content (p : W.pay) =
+    ( p.count,
+      Array.sub p.src 0 p.count,
+      Array.sub p.hops 0 p.off.(p.count),
+      Array.sub p.off 0 (p.count + 1),
+      Array.map bits (Array.sub p.charge 0 p.count),
+      p.unbounded,
+      bits p.total )
+  in
+  let p1 = S.pay () in
+  let c1 = content p1 in
+  let p2 = S.pay () in
+  Alcotest.(check bool) "the same view at the same version" true (p1 == p2);
+  Alcotest.(check bool) "the same content at the same version" true (content p2 = c1);
+  Alcotest.(check (array int)) "src 2 goes through 1" [| 1; 0; 2; 1; 0 |]
+    (Array.sub p1.hops 0 p1.off.(p1.count));
+  ignore (S.apply (W.Set_link_cost { u = 2; v = 0; w = 0.5 }));
+  let p3 = S.pay () in
+  Alcotest.(check (array int)) "after the edit, src 2 goes direct" [| 1; 0; 2; 0 |]
+    (Array.sub p3.hops 0 p3.off.(p3.count));
+  let fresh =
+    W.make ~root:0
+      (`Link
+        (Wnet_graph.Digraph.create ~n:3
+           ~links:[ (2, 1, 1.0); (1, 0, 1.0); (2, 0, 0.5) ]))
+  in
+  let (module F : W.S) = fresh in
+  Alcotest.(check bool) "the refilled view = a fresh session's" true
+    (content p3 = content (F.pay ()))
+
 let suite =
   [
     Alcotest.test_case "blank lines and comments are silent" `Quick
@@ -1027,5 +1236,18 @@ let suite =
     Test_util.qcheck_case ~count:300 "malformed link edits: err, never raise"
       Test_util.seed_gen (malformed_sweep_prop `Link);
     Test_util.qcheck_case ~count:300 "malformed node edits: err, never raise"
-      Test_util.seed_gen (malformed_sweep_prop `Node)
+      Test_util.seed_gen (malformed_sweep_prop `Node);
+    Test_util.qcheck_case ~count:20000
+      "float writer = Printf reference: bit patterns, edges, 12-digit band"
+      writer_float_gen writer_prop;
+    Test_util.qcheck_case ~count:40 "pay view = list path: link, one domain"
+      Test_util.seed_gen (view_prop (`Link, 1));
+    Test_util.qcheck_case ~count:40 "pay view = list path: link, three domains"
+      Test_util.seed_gen (view_prop (`Link, 3));
+    Test_util.qcheck_case ~count:40 "pay view = list path: node, one domain"
+      Test_util.seed_gen (view_prop (`Node, 1));
+    Test_util.qcheck_case ~count:40 "pay view = list path: node, three domains"
+      Test_util.seed_gen (view_prop (`Node, 3));
+    Alcotest.test_case "pay view: reused at a version, refilled after an edit"
+      `Quick test_pay_view_lifetime
   ]

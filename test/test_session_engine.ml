@@ -607,10 +607,10 @@ let charge_is_dense_fold ~what ~n path relay_pay charge =
 
 (* Both engines, sequential and on a 3-domain pool, through random edit
    bursts on sparse graphs (cut relays and unreached sources occur):
-   every outcome's charge is its dense fold.  At the end, the served
-   summary of a session opened on the edited graph
-   ({!Wnet_session.S.pay}, built from the pass without outcomes) carries
-   the same paths and charges as the edited session's outcomes. *)
+   every outcome's charge is its dense fold.  At the end, the pay view
+   of a session opened on the edited graph ({!Wnet_session.S.pay},
+   written from the pass without outcomes) carries the same paths and
+   charges as the edited session's outcomes. *)
 let session_charges_prop model seed =
   let rng = Rng.create seed in
   let nops = 4 + Rng.int rng 40 in
@@ -625,11 +625,13 @@ let session_charges_prop model seed =
             (Array.to_list outcomes)
         in
         let got =
-          List.map
-            (fun (x : Wnet_session.served) ->
-              (x.Wnet_session.src, x.Wnet_session.path,
-               Int64.bits_of_float x.Wnet_session.charge))
-            pay.Wnet_session.served
+          List.init pay.Wnet_session.count (fun i ->
+              let lo = pay.Wnet_session.off.(i) in
+              ( pay.Wnet_session.src.(i),
+                Array.to_list
+                  (Array.sub pay.Wnet_session.hops lo
+                     (pay.Wnet_session.off.(i + 1) - lo)),
+                Int64.bits_of_float pay.Wnet_session.charge.(i) ))
         in
         if got <> want then
           QCheck2.Test.fail_reportf "%s: served summary differs from the outcomes"
