@@ -4,9 +4,10 @@
    operations over preallocated state.
 
    The one-exe-per-primitive suite ([bench_proto_encode] & co., via
-   {!run_family}) prints human-readable ns/op and hard-asserts that
-   every [alloc_free] primitive allocates ZERO minor-heap words per
-   operation (native code only — bytecode boxes freely and is exempt).
+   {!run_family}) prints human-readable ns/op and words/op (minor and
+   direct-major) and hard-asserts that every [alloc_free] primitive
+   allocates ZERO minor-heap words per operation (native code only —
+   bytecode boxes freely and is exempt).
    [--smoke] runs a single timed rep with no timing gate but keeps the
    allocation assertion: that is what CI runs.
 
@@ -879,30 +880,68 @@ let repair () =
       full;
     ]
 
-(* ---------------- digraph construction ---------------- *)
+(* ---------------- digraph construction and edits ---------------- *)
 
-(* The construction paths every topology pays once: [create] from a
-   link list (how Graph_io and Udg build graphs), [reverse] (the
-   root-ward graph every payment batch and link session searches) and
-   [links] (how instances are written out), on paper UDGs.  These rows
-   build graphs, so they allocate by design. *)
+(* The paths every topology pays once: [create] from a link list (how
+   Graph_io and Udg build graphs), [reverse] (the root-ward graph every
+   payment batch and link session searches), [links] (how instances are
+   written out) and [copy] (how a session takes its graph), on paper
+   UDGs; these build graphs, so they allocate by design.  Then the
+   in-place edits: a weight update of a present link, hard-asserted at
+   0 words per call (its weights are boxed once, in the tuples, as a
+   decoded delta's are); a single-link insert and delete, each a
+   rebuild; and the one-merge attach of a node's whole link set with
+   the one-merge delete of the same links. *)
 let graph () =
+  let module D = Wnet_graph.Digraph in
   List.concat_map
     (fun n ->
       let g = paper_udg ~n in
-      let links = Wnet_graph.Digraph.links g in
-      let row op run =
+      let links = D.links g in
+      let row ?(ops = 1) ?(alloc_free = false) op run =
         {
           name = Printf.sprintf "%s/n=%d" op n;
-          ops = 1;
-          alloc_free = false;
+          ops;
+          alloc_free;
           run = (fun () -> ignore (Sys.opaque_identity (run ())));
         }
       in
+      let updates = Array.of_list (List.map (fun (u, v, w) -> (u, v, w *. 1.5)) links) in
+      (* an absent pair for the single-link rows, and the node of highest
+         degree with its links for the attach rows *)
+      let u0, v0 =
+        let rec absent u v = if u <> v && D.weight g u v = infinity then (u, v) else absent u (v + 1) in
+        absent 0 1
+      in
+      let x =
+        let best = ref 0 in
+        for k = 0 to n - 1 do
+          if D.out_degree g k > D.out_degree g !best then best := k
+        done;
+        !best
+      in
+      let attach = List.filter (fun (u, v, _) -> u = x || v = x) links in
+      let detach = List.map (fun (u, v, _) -> (u, v, infinity)) attach in
+      let edited = D.copy g in
+      D.set_weights edited detach;
       [
-        row "create" (fun () -> Wnet_graph.Digraph.create ~n ~links);
-        row "reverse" (fun () -> Wnet_graph.Digraph.reverse g);
-        row "links" (fun () -> Wnet_graph.Digraph.links g);
+        row "create" (fun () -> D.create ~n ~links);
+        row "reverse" (fun () -> D.reverse g);
+        row "links" (fun () -> D.links g);
+        row "copy" (fun () -> D.copy g);
+        row ~ops:(Array.length updates) ~alloc_free:true "set_weight/in-place" (fun () ->
+            for i = 0 to Array.length updates - 1 do
+              let u, v, w = updates.(i) in
+              D.set_weight edited u v w
+            done);
+        row ~ops:2 "set_weight/insert+delete" (fun () ->
+            D.set_weight edited u0 v0 1.0;
+            D.set_weight edited u0 v0 infinity);
+        row ~ops:2
+          (Printf.sprintf "attach+detach/deg=%d" (List.length attach))
+          (fun () ->
+            D.set_weights edited attach;
+            D.set_weights edited detach);
       ])
     [ 200; 800 ]
 
@@ -957,6 +996,22 @@ let check_alloc_at_most family p words =
 
 let check_alloc family p = if p.alloc_free then check_alloc_at_most family p 0.0
 
+(* Words per operation as the table prints them: the minor words plus
+   those allocated straight into the major heap (arrays over 256
+   words), which the minor count misses. *)
+let words_per_op ?(reps = 8) p =
+  p.run ();
+  let direct_major () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let minor0 = Gc.minor_words () and major0 = direct_major () in
+  for _ = 1 to reps do
+    p.run ()
+  done;
+  let minor1 = Gc.minor_words () and major1 = direct_major () in
+  (minor1 -. minor0 +. (major1 -. major0)) /. float_of_int (reps * p.ops)
+
 let run_family family prims =
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
   Printf.printf "== %s microbench%s ==\n" family
@@ -969,7 +1024,7 @@ let run_family family prims =
     (fun p ->
       check_alloc family p;
       let words =
-        if native then Printf.sprintf "%.3f" (alloc_words_per_op ~reps:8 p)
+        if native then Printf.sprintf "%.3f" (words_per_op p)
         else "n/a"
       in
       let time_s, runs =

@@ -691,11 +691,40 @@ let client_cmd =
         fd
     in
     let module B = Wnet_proto_bin in
-    let rec write_all b off len =
-      if len > 0 then begin
-        let n = Unix.write fd b off len in
-        write_all b (off + n) (len - n)
-      end
+    (* Bytes bound for the server wait in [outq] and leave only when
+       select reports the socket writable, so the client always keeps
+       reading replies: a server that pauses a connection on its unread
+       output never finds the client blocked in a write.  Stdin is read
+       only while the queue is under [out_cap]. *)
+    Unix.set_nonblock fd;
+    let out_cap = 65536 in
+    let outq = ref (Bytes.create out_cap) and out_lo = ref 0 and out_hi = ref 0 in
+    let queued () = !out_hi - !out_lo in
+    let write_all b off len =
+      if !out_hi + len > Bytes.length !outq then begin
+        let live = queued () in
+        let cap = ref (Bytes.length !outq) in
+        while live + len > !cap do
+          cap := 2 * !cap
+        done;
+        let q = if !cap = Bytes.length !outq then !outq else Bytes.create !cap in
+        Bytes.blit !outq !out_lo q 0 live;
+        outq := q;
+        out_lo := 0;
+        out_hi := live
+      end;
+      Bytes.blit b off !outq !out_hi len;
+      out_hi := !out_hi + len
+    in
+    let send_queued () =
+      match Unix.single_write fd !outq !out_lo (queued ()) with
+      | n ->
+        out_lo := !out_lo + n;
+        if !out_lo = !out_hi then begin
+          out_lo := 0;
+          out_hi := 0
+        end
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
     in
     (* Shuttle stdin -> socket and socket -> stdout until the server
        closes (it does after `quit`, on idle timeout, and on shutdown).
@@ -823,7 +852,8 @@ let client_cmd =
           encode_pending ();
           flush_benc ()
         end
-        else flush_pack ()
+        else flush_pack ();
+        if queued () > 0 then send_queued ()
       with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
     in
     (* --verify-responses: hold every server response to the
@@ -930,27 +960,36 @@ let client_cmd =
        then decodes everything behind it as frames *)
     if proto = 2 then
       send_str (Wnet_proto.print_request (Wnet_proto.Proto { proto = 2 }) ^ "\n");
-    let buf = Bytes.create 4096 in
+    let buf = Bytes.create 4096 and rbuf = Bytes.create 65536 in
+    (* Stdin EOF half-closes the socket once the queue has drained. *)
+    let shut = ref false in
     let rec loop stdin_open =
-      let rs = if stdin_open then [ Unix.stdin; fd ] else [ fd ] in
-      match Unix.select rs [] [] (-1.0) with
+      if (not stdin_open) && queued () = 0 && not !shut then begin
+        Unix.shutdown fd Unix.SHUTDOWN_SEND;
+        shut := true
+      end;
+      let want_stdin = stdin_open && queued () < out_cap in
+      let rs = if want_stdin then [ Unix.stdin; fd ] else [ fd ] in
+      let ws = if queued () > 0 then [ fd ] else [] in
+      match Unix.select rs ws [] (-1.0) with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop stdin_open
-      | readable, _, _ ->
+      | readable, writable, _ ->
+        if writable <> [] then send_queued ();
         let server_open =
           if List.mem fd readable then (
-            match Unix.read fd buf 0 4096 with
+            match Unix.read fd rbuf 0 (Bytes.length rbuf) with
             | 0 -> false
-            | n -> on_server_chunk (Bytes.sub_string buf 0 n)
+            | n -> on_server_chunk (Bytes.sub_string rbuf 0 n)
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> true
             | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _)
               -> false)
           else true
         in
         if server_open then
-          if stdin_open && List.mem Unix.stdin readable then (
+          if want_stdin && List.mem Unix.stdin readable then (
             match Unix.read Unix.stdin buf 0 4096 with
             | 0 ->
               if batch > 1 || proto = 2 then feed_eof ();
-              Unix.shutdown fd Unix.SHUTDOWN_SEND;
               loop false
             | n ->
               if batch > 1 || proto = 2 then

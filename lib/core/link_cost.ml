@@ -65,10 +65,10 @@ let all_to_root ?(pool = Wnet_par.sequential) g ~root =
   if root < 0 || root >= Digraph.n g then invalid_arg "Link_cost.all_to_root";
   (* A one-shot session: the shared reversed tree, one region-only
      avoidance fill per relay over per-domain scratches, the relay-major
-     assembly — delegated to the incremental engine, opened on a
-     borrowed graph (no edits ever happen, so borrowing is safe). *)
+     assembly — delegated to the incremental engine, which works on its
+     own copy of [g] (three array copies). *)
   let module S = Wnet_session.Link_session in
-  let s = S.create ~pool ~copy:false g ~root in
+  let s = S.create ~pool g ~root in
   let b = S.payments s in
   {
     root = b.S.root;

@@ -1,25 +1,35 @@
-(* Flat CSR mirror of [out_adj]: row [u] occupies slots
+(* The storage is flat CSR: row [u] occupies slots
    [row_off.(u) .. row_off.(u+1) - 1] of [col]/[wgt], sorted by target
-   like the boxed rows.  [wgt] is a plain [float array], so the kernels
-   read unboxed floats with no per-link tuple to chase. *)
+   with unique targets, and [col]/[wgt] hold exactly [m] slots.  [wgt]
+   is a plain [float array], so readers get unboxed floats with no
+   per-link tuple to chase.  A weight update writes its slot in place;
+   an insert, a delete, a node's growth or detachment installs a fresh
+   record, so a view taken before a structural edit keeps describing
+   the graph as it was. *)
 type csr = {
   row_off : int array;  (* n + 1 entries *)
   col : int array;  (* m entries: link targets *)
-  wgt : float array;  (* m entries: link weights, mutated in place *)
+  wgt : float array;  (* m entries: link weights, written in place *)
 }
 
-type t = {
-  mutable out_adj : (int * float) array array; (* sorted by target *)
-  mutable m : int;
-  mutable version : int;
-  mutable csr_cache : csr;  (* valid iff [csr_version = version] *)
-  mutable csr_version : int;  (* -1: never built / structurally stale *)
-}
+type t = { mutable c : csr; mutable version : int }
 
-let no_csr = { row_off = [||]; col = [||]; wgt = [||] }
+let fresh c = { c; version = 0 }
 
-let fresh out_adj m =
-  { out_adj; m; version = 0; csr_cache = no_csr; csr_version = -1 }
+let n g = Array.length g.c.row_off - 1
+
+let m g = Array.length g.c.col
+
+let csr g = g.c
+
+let version g = g.version
+
+let check ~what n u v w =
+  if u < 0 || u >= n || v < 0 || v >= n then
+    invalid_arg (what ^ ": endpoint out of range");
+  if u = v then invalid_arg (what ^ ": self-loop");
+  if Float.is_nan w || w < 0.0 then
+    invalid_arg (what ^ ": weight must be non-negative")
 
 (* ------------------------------------------------------------------ *)
 (* Construction.
@@ -27,9 +37,10 @@ let fresh out_adj m =
    Everything here is O(n + m) over int keys.  [create] sorts its
    finite triples by (src, dst) with a stable two-pass counting sort —
    by dst, then by src — so each row comes out sorted with its parallel
-   links adjacent and in list order; one pass then merges them.
-   [reverse] transposes the rows directly: walking sources in ascending
-   order fills every reversed row already sorted. *)
+   links adjacent and in list order; one pass then merges them, writing
+   the rows straight into the storage.  [reverse] transposes: walking
+   sources in ascending order fills every reversed row already
+   sorted. *)
 
 let create ~n ~links =
   if n < 0 then invalid_arg "Digraph.create: negative node count";
@@ -39,11 +50,7 @@ let create ~n ~links =
   let by_dst = Array.make (n + 1) 0 and by_src = Array.make (n + 1) 0 in
   List.iter
     (fun (u, v, w) ->
-      if u < 0 || u >= n || v < 0 || v >= n then
-        invalid_arg "Digraph.create: endpoint out of range";
-      if u = v then invalid_arg "Digraph.create: self-loop";
-      if Float.is_nan w || w < 0.0 then
-        invalid_arg "Digraph.create: weight must be non-negative";
+      check ~what:"Digraph.create" n u v w;
       if w < infinity then begin
         by_dst.(v + 1) <- by_dst.(v + 1) + 1;
         by_src.(u + 1) <- by_src.(u + 1) + 1
@@ -56,7 +63,7 @@ let create ~n ~links =
   let total = by_src.(n) in
   (* Pass 1, by dst in list order.  Filling advances each bucket start
      to its end, so afterwards [by_dst.(v)] ends bucket [v]. *)
-  let src = Array.make total 0 and w1 = Array.make total 0.0 in
+  let src = Array.make total 0 and w1 = Array.create_float total in
   List.iter
     (fun (u, v, w) ->
       if w < infinity then begin
@@ -67,259 +74,253 @@ let create ~n ~links =
       end)
     links;
   (* Pass 2, stable by src: [by_src.(u)] likewise ends row [u]. *)
-  let dst = Array.make total 0 and w2 = Array.make total 0.0 in
+  let col = Array.make total 0 and wgt = Array.create_float total in
   let p = ref 0 in
   for v = 0 to n - 1 do
     while !p < by_dst.(v) do
       let u = src.(!p) in
       let q = by_src.(u) in
-      dst.(q) <- v;
-      w2.(q) <- w1.(!p);
+      col.(q) <- v;
+      wgt.(q) <- w1.(!p);
       by_src.(u) <- q + 1;
       incr p
     done
   done;
-  (* Merge each row's parallel links in place: the minimum weight wins,
-     and on equal weights the first in list order (which is what
-     decides between a duplicate [0.0] and [-0.0]). *)
-  let out_adj = Array.make n [||] and m = ref 0 and lo = ref 0 in
+  (* Merge each row's parallel links while packing the rows to the
+     front: the minimum weight wins, and on equal weights the first in
+     list order (which is what decides between a duplicate [0.0] and
+     [-0.0]).  The write cursor never passes the read cursor. *)
+  let row_off = Array.make (n + 1) 0 and k = ref 0 and lo = ref 0 in
   for u = 0 to n - 1 do
-    let hi = by_src.(u) and k = ref !lo in
-    for q = !lo to hi - 1 do
-      if !k > !lo && dst.(!k - 1) = dst.(q) then begin
-        if w2.(q) < w2.(!k - 1) then w2.(!k - 1) <- w2.(q)
+    let first = !k in
+    for q = !lo to by_src.(u) - 1 do
+      if !k > first && col.(!k - 1) = col.(q) then begin
+        if wgt.(q) < wgt.(!k - 1) then wgt.(!k - 1) <- wgt.(q)
       end
       else begin
-        dst.(!k) <- dst.(q);
-        w2.(!k) <- w2.(q);
+        col.(!k) <- col.(q);
+        wgt.(!k) <- wgt.(q);
         incr k
       end
     done;
-    let d = !k - !lo in
-    if d > 0 then begin
-      let row = Array.make d (0, 0.0) in
-      for i = 0 to d - 1 do
-        row.(i) <- (dst.(!lo + i), w2.(!lo + i))
-      done;
-      out_adj.(u) <- row;
-      m := !m + d
-    end;
-    lo := hi
+    row_off.(u + 1) <- !k;
+    lo := by_src.(u)
   done;
-  fresh out_adj !m
+  let m = !k in
+  if m = total then fresh { row_off; col; wgt }
+  else fresh { row_off; col = Array.sub col 0 m; wgt = Array.sub wgt 0 m }
 
-let n g = Array.length g.out_adj
+let out_degree g u = g.c.row_off.(u + 1) - g.c.row_off.(u)
 
-let m g = g.m
-
-let out_links g u = g.out_adj.(u)
-
-let out_degree g u = Array.length g.out_adj.(u)
-
-(* Position of target [v] in the sorted row [a], or where it would go.
-   The annotation keeps [<] an int comparison. *)
-let lower_bound (a : (int * float) array) v =
-  let lo = ref 0 and hi = ref (Array.length a) in
+(* Where target [v] sits in row [u], or where it would go. *)
+let lower_bound c u v =
+  let lo = ref c.row_off.(u) and hi = ref c.row_off.(u + 1) in
   while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if fst a.(mid) < v then lo := mid + 1 else hi := mid
+    let mid = (!lo + !hi) lsr 1 in
+    if c.col.(mid) < v then lo := mid + 1 else hi := mid
   done;
   !lo
 
+let slot g u v =
+  let c = g.c in
+  let i = lower_bound c u v in
+  if i < c.row_off.(u + 1) && c.col.(i) = v then i else -1
+
 let weight g u v =
-  let a = g.out_adj.(u) in
-  let i = lower_bound a v in
-  if i < Array.length a && fst a.(i) = v then snd a.(i) else infinity
+  let i = slot g u v in
+  if i >= 0 then g.c.wgt.(i) else infinity
 
 (* Rows are sorted with unique targets, so row by row is already
    [compare] order on the triples. *)
 let links g =
+  let { row_off; col; wgt } = g.c in
   let acc = ref [] in
-  for u = Array.length g.out_adj - 1 downto 0 do
-    let row = g.out_adj.(u) in
-    for i = Array.length row - 1 downto 0 do
-      let v, w = row.(i) in
-      acc := (u, v, w) :: !acc
+  for u = Array.length row_off - 2 downto 0 do
+    for i = row_off.(u + 1) - 1 downto row_off.(u) do
+      acc := (u, col.(i), wgt.(i)) :: !acc
     done
   done;
   !acc
 
 let reverse g =
-  let n = n g in
-  let fill = Array.make n 0 in
-  Array.iter (Array.iter (fun (v, _) -> fill.(v) <- fill.(v) + 1)) g.out_adj;
-  let out_adj = Array.map (fun d -> Array.make d (0, 0.0)) fill in
-  Array.fill fill 0 n 0;
+  let { row_off; col; wgt } = g.c in
+  let n = Array.length row_off - 1 and m = Array.length col in
+  (* [off.(v)] counts, then starts, then (as the fill cursor) ends
+     reversed row [v]; one shift turns the ends back into starts. *)
+  let off = Array.make (n + 1) 0 in
+  for i = 0 to m - 1 do
+    off.(col.(i) + 1) <- off.(col.(i) + 1) + 1
+  done;
+  for v = 1 to n do
+    off.(v) <- off.(v) + off.(v - 1)
+  done;
+  let rcol = Array.make m 0 and rwgt = Array.create_float m in
   for u = 0 to n - 1 do
-    let row = g.out_adj.(u) in
-    for i = 0 to Array.length row - 1 do
-      let v, w = row.(i) in
-      out_adj.(v).(fill.(v)) <- (u, w);
-      fill.(v) <- fill.(v) + 1
+    for i = row_off.(u) to row_off.(u + 1) - 1 do
+      let v = col.(i) in
+      let p = off.(v) in
+      rcol.(p) <- u;
+      rwgt.(p) <- wgt.(i);
+      off.(v) <- p + 1
     done
   done;
-  fresh out_adj g.m
+  for v = n downto 1 do
+    off.(v) <- off.(v - 1)
+  done;
+  off.(0) <- 0;
+  fresh { row_off = off; col = rcol; wgt = rwgt }
 
-(* A fresh copy of row [a] without slot [i]. *)
-let remove_at a i =
-  let len = Array.length a in
-  let b = Array.make (len - 1) (0, 0.0) in
-  Array.blit a 0 b 0 i;
-  Array.blit a (i + 1) b i (len - 1 - i);
-  b
+(* Rebuild [c] with [k] edits that each insert or delete a link:
+   [eu]/[ev]/[ew] in (src, dst) order with unique pairs, [at.(e)] the
+   slot of the link or where it would go, [ew.(e) = infinity] a delete.
+   Rows are contiguous, so the slots are ascending along the edits, and
+   everything between two edits moves by one blit. *)
+let splice c k (eu : int array) (ev : int array) (ew : float array) (at : int array) =
+  let n = Array.length c.row_off - 1 and m = Array.length c.col in
+  let dm = ref 0 in
+  for e = 0 to k - 1 do
+    if ew.(e) < infinity then incr dm else decr dm
+  done;
+  let col = Array.make (m + !dm) 0 and wgt = Array.create_float (m + !dm) in
+  let r = ref 0 and p = ref 0 in
+  for e = 0 to k - 1 do
+    let len = at.(e) - !r in
+    Array.blit c.col !r col !p len;
+    Array.blit c.wgt !r wgt !p len;
+    p := !p + len;
+    r := at.(e);
+    if ew.(e) < infinity then begin
+      col.(!p) <- ev.(e);
+      wgt.(!p) <- ew.(e);
+      incr p
+    end
+    else incr r
+  done;
+  Array.blit c.col !r col !p (m - !r);
+  Array.blit c.wgt !r wgt !p (m - !r);
+  (* row [x] moves by the net change of the edits in rows before it *)
+  let row_off = Array.make (n + 1) 0 and shift = ref 0 and e = ref 0 in
+  for x = 0 to n do
+    while !e < k && eu.(!e) < x do
+      (if ew.(!e) < infinity then incr shift else decr shift);
+      incr e
+    done;
+    row_off.(x) <- c.row_off.(x) + !shift
+  done;
+  { row_off; col; wgt }
 
-(* Row [a] without its link to [v] — a fresh row — or [a] itself when
-   it has none (targets are unique, so there is at most one). *)
-let without_target a v =
-  let i = lower_bound a v in
-  if i < Array.length a && fst a.(i) = v then remove_at a i else a
-
+(* [v]'s out-links deleted, as one splice. *)
 let silence_node g v =
   if v < 0 || v >= n g then invalid_arg "Digraph.silence_node: out of range";
-  let out_adj = Array.copy g.out_adj in
-  let removed = Array.length out_adj.(v) in
-  out_adj.(v) <- [||];
-  fresh out_adj (g.m - removed)
+  let c = g.c in
+  let lo = c.row_off.(v) and d = out_degree g v in
+  fresh
+    (splice c d (Array.make d v) (Array.sub c.col lo d) (Array.make d infinity)
+       (Array.init d (fun i -> lo + i)))
 
 (* ------------------------------------------------------------------ *)
 (* In-place mutation.
 
    The session engine owns a long-lived digraph and applies topology
-   deltas to it directly instead of rebuilding O(n + m) state per edit.
-   Every mutation bumps the version stamp, which downstream caches use
-   to assert they were built against the graph they are consulted on.
-   The immutable operations above are unaffected: they still return
-   fresh graphs (at version 0, a new history). *)
-
-let version g = g.version
+   deltas to it directly.  Every mutation bumps the version stamp,
+   which downstream caches use to assert they were built against the
+   graph they are consulted on.  A weight update writes its [wgt] slot
+   and allocates nothing; an insert or a delete rebuilds the arrays in
+   O(n + m) through [splice], and {!set_weights} folds any number of
+   them into one.  The immutable operations above are unaffected: they
+   still return fresh graphs (at version 0, a new history). *)
 
 let copy g =
-  (* The CSR cache never travels: [set_weight] writes its [wgt] in
-     place, so sharing it would couple the copies. *)
-  fresh (Array.map Array.copy g.out_adj) g.m
-
-(* ------------------------------------------------------------------ *)
-(* CSR view.
-
-   Built lazily from [out_adj] and memoized against the version stamp.
-   [set_weight] on an existing link updates the cached [wgt] slot in
-   place and moves the stamp forward with the graph, so steady cost
-   drift — the session workload — never rebuilds; structural edits
-   (insert/delete/add_node/detach_node) drop the cache and the next
-   [csr] call pays one O(n + m) rebuild. *)
-
-let rebuild_csr g =
-  let n = Array.length g.out_adj in
-  let row_off = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    row_off.(u + 1) <- row_off.(u) + Array.length g.out_adj.(u)
-  done;
-  let m = row_off.(n) in
-  let col = Array.make (max m 1) 0 in
-  let wgt = Array.make (max m 1) 0.0 in
-  for u = 0 to n - 1 do
-    let row = g.out_adj.(u) in
-    let base = row_off.(u) in
-    for i = 0 to Array.length row - 1 do
-      let v, w = row.(i) in
-      col.(base + i) <- v;
-      wgt.(base + i) <- w
-    done
-  done;
-  let c = { row_off; col; wgt } in
-  g.csr_cache <- c;
-  g.csr_version <- g.version;
-  c
-
-let csr g = if g.csr_version = g.version then g.csr_cache else rebuild_csr g
-
-let invalidate_csr g = g.csr_version <- -1
-
-(* Slot of link [u -> v] in the (valid) CSR, or -1: binary search of
-   [col] within row [u] — the link→slot index [set_weight] writes
-   through. *)
-let csr_slot c u v =
-  let lo = ref c.row_off.(u) and hi = ref c.row_off.(u + 1) in
-  let found = ref (-1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let t = c.col.(mid) in
-    if t = v then begin
-      found := mid;
-      lo := !hi
-    end
-    else if t < v then lo := mid + 1
-    else hi := mid
-  done;
-  !found
+  let { row_off; col; wgt } = g.c in
+  fresh { row_off = Array.copy row_off; col = Array.copy col; wgt = Array.copy wgt }
 
 let set_weight g u v w =
-  let nn = n g in
-  if u < 0 || u >= nn || v < 0 || v >= nn then
-    invalid_arg "Digraph.set_weight: endpoint out of range";
-  if u = v then invalid_arg "Digraph.set_weight: self-loop";
-  if Float.is_nan w || w < 0.0 then
-    invalid_arg "Digraph.set_weight: weight must be non-negative";
-  let a = g.out_adj.(u) in
-  let len = Array.length a in
-  let i = lower_bound a v in
-  let present = i < len && fst a.(i) = v in
-  (if present then begin
-     if w = infinity then begin
-       (* delete *)
-       g.out_adj.(u) <- remove_at a i;
-       g.m <- g.m - 1;
-       invalidate_csr g
-     end
-     else begin
-       a.(i) <- (v, w);
-       (* keep a valid CSR in lockstep: in-place weight write *)
-       if g.csr_version = g.version then begin
-         let s = csr_slot g.csr_cache u v in
-         g.csr_cache.wgt.(s) <- w;
-         g.csr_version <- g.version + 1
-       end
-     end
-   end
-   else if w < infinity then begin
-     (* insert *)
-     let b = Array.make (len + 1) (v, w) in
-     Array.blit a 0 b 0 i;
-     Array.blit a i b (i + 1) (len - i);
-     g.out_adj.(u) <- b;
-     g.m <- g.m + 1;
-     invalidate_csr g
-   end);
+  check ~what:"Digraph.set_weight" (n g) u v w;
+  let c = g.c in
+  let i = lower_bound c u v in
+  let present = i < c.row_off.(u + 1) && c.col.(i) = v in
+  if present && w < infinity then c.wgt.(i) <- w
+  else if present || w < infinity then g.c <- splice c 1 [| u |] [| v |] [| w |] [| i |];
   g.version <- g.version + 1
 
+let set_weights g links =
+  let nn = n g in
+  List.iter (fun (u, v, w) -> check ~what:"Digraph.set_weights" nn u v w) links;
+  let e = Array.of_list links in
+  (* a stable sort keeps a pair's entries in list order: the last wins *)
+  Array.stable_sort
+    (fun (u, v, _) (u', v', _) -> if u <> u' then Int.compare u u' else Int.compare v v')
+    e;
+  let c = g.c in
+  let len = Array.length e in
+  let eu = Array.make len 0 and ev = Array.make len 0 in
+  let ew = Array.create_float len and at = Array.make len 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun j (u, v, w) ->
+      let last =
+        j + 1 = len
+        || (let u', v', _ = e.(j + 1) in
+            u' <> u || v' <> v)
+      in
+      if last then begin
+        let i = lower_bound c u v in
+        let present = i < c.row_off.(u + 1) && c.col.(i) = v in
+        if present && w < infinity then c.wgt.(i) <- w
+        else if present || w < infinity then begin
+          (* a delete or an insert *)
+          eu.(!k) <- u;
+          ev.(!k) <- v;
+          ew.(!k) <- w;
+          at.(!k) <- i;
+          incr k
+        end
+      end)
+    e;
+  if !k > 0 then g.c <- splice c !k eu ev ew at;
+  g.version <- g.version + len
+
 let add_node g =
+  let c = g.c in
   let id = n g in
-  let out_adj = Array.make (id + 1) [||] in
-  Array.blit g.out_adj 0 out_adj 0 id;
-  g.out_adj <- out_adj;
-  invalidate_csr g;
+  let row_off = Array.make (id + 2) 0 in
+  Array.blit c.row_off 0 row_off 0 (id + 1);
+  row_off.(id + 1) <- c.row_off.(id);
+  g.c <- { c with row_off };
   g.version <- g.version + 1;
   id
 
 let detach_node g v =
   if v < 0 || v >= n g then invalid_arg "Digraph.detach_node: out of range";
-  g.m <- g.m - Array.length g.out_adj.(v);
-  g.out_adj.(v) <- [||];
-  Array.iteri
-    (fun u l ->
-      let kept = without_target l v in
-      if kept != l then begin
-        g.m <- g.m - 1;
-        g.out_adj.(u) <- kept
-      end)
-    g.out_adj;
-  invalidate_csr g;
+  let { row_off; col; wgt } = g.c in
+  let nn = Array.length row_off - 1 and m = Array.length col in
+  let into = ref 0 in
+  for i = 0 to m - 1 do
+    if col.(i) = v then incr into
+  done;
+  let m' = m - (row_off.(v + 1) - row_off.(v)) - !into in
+  let col' = Array.make m' 0 and wgt' = Array.create_float m' in
+  let off = Array.make (nn + 1) 0 and p = ref 0 in
+  for u = 0 to nn - 1 do
+    if u <> v then
+      for i = row_off.(u) to row_off.(u + 1) - 1 do
+        if col.(i) <> v then begin
+          col'.(!p) <- col.(i);
+          wgt'.(!p) <- wgt.(i);
+          incr p
+        end
+      done;
+    off.(u + 1) <- !p
+  done;
+  g.c <- { row_off = off; col = col'; wgt = wgt' };
   g.version <- g.version + 1
 
 let pp ppf g =
-  Format.fprintf ppf "@[<v>digraph n=%d m=%d@," (n g) g.m;
-  Array.iteri
-    (fun u l ->
-      Array.iter (fun (v, w) -> Format.fprintf ppf "  %d -> %d (%g)@," u v w) l)
-    g.out_adj;
+  let { row_off; col; wgt } = g.c in
+  Format.fprintf ppf "@[<v>digraph n=%d m=%d@," (n g) (m g);
+  for u = 0 to n g - 1 do
+    for i = row_off.(u) to row_off.(u + 1) - 1 do
+      Format.fprintf ppf "  %d -> %d (%g)@," u col.(i) wgt.(i)
+    done
+  done;
   Format.fprintf ppf "@]"

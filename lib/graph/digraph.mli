@@ -25,15 +25,17 @@ val n : t -> int
 val m : t -> int
 (** Number of directed links. *)
 
-val out_links : t -> int -> (int * float) array
-(** [out_links g u] is the (shared, do not mutate) array of
-    [(target, weight)] links leaving [u], sorted by target. *)
-
 val out_degree : t -> int -> int
 
 val weight : t -> int -> int -> float
 (** [weight g u v] is the weight of link [u -> v], or [infinity] when
-    absent. *)
+    absent.  The float comes back boxed unless the call is inlined; a
+    loop reads {!slot} and the {!csr} [wgt] array instead. *)
+
+val slot : t -> int -> int -> int
+(** [slot g u v] is the index of link [u -> v] in the {!csr} [col] and
+    [wgt] arrays, or [-1] when absent: a binary search of row [u].
+    Valid until the next structural edit. *)
 
 val links : t -> (int * int * float) list
 (** All links in (src, dst) order — which is [compare] order, since a
@@ -42,8 +44,8 @@ val links : t -> (int * int * float) list
 val reverse : t -> t
 (** [reverse g] flips every link — the standard trick to compute
     shortest paths from every node {e to} a fixed root (the access
-    point).  O(n + m); the result shares no mutable array with [g], so
-    either can be mutated in place without affecting the other. *)
+    point).  One O(n + m) transpose into fresh arrays, so either graph
+    can be mutated in place without affecting the other. *)
 
 val silence_node : t -> int -> t
 (** [silence_node g v] removes all links {e leaving} [v] — exactly the
@@ -51,30 +53,12 @@ val silence_node : t -> int -> t
     [v_k]-avoiding least cost path.  Links entering [v] remain, but they
     are dead ends for reaching anything beyond [v]. *)
 
-(** {1 In-place mutation}
+(** {1 Storage}
 
-    The session engine ({!Wnet_session}) owns a long-lived digraph and
-    applies topology deltas directly instead of rebuilding O(n + m)
-    state per edit.  Every mutation bumps a {e version stamp}; caches
-    derived from the graph record the version they were built at and
-    refuse to serve a graph that has moved on.  The immutable operations
-    above are unaffected (they return fresh graphs with a new
-    history). *)
-
-val version : t -> int
-(** [version g] counts the in-place mutations applied to [g] since its
-    construction.  Two observations of the same version denote an
-    identical graph. *)
-
-(** {1 CSR view}
-
-    The flat adjacency the hot kernels iterate: row [u] is
+    The graph {e is} its CSR arrays: row [u] is
     [col.(row_off.(u)) .. col.(row_off.(u+1) - 1)] with matching
-    unboxed weights in [wgt], sorted by target exactly like
-    {!out_links}.  The view is cached against {!version}: pure weight
-    updates ({!set_weight} on an existing link) write the cached [wgt]
-    slot in place and keep the view valid, structural edits invalidate
-    it and the next {!csr} call rebuilds in O(n + m). *)
+    unboxed weights in [wgt], sorted by target with unique targets, and
+    [col]/[wgt] hold exactly {!m} slots. *)
 
 type csr = {
   row_off : int array;  (** [n + 1] row offsets *)
@@ -83,25 +67,58 @@ type csr = {
 }
 
 val csr : t -> csr
-(** [csr g] is the CSR view of [g] at its current version — do {e not}
-    mutate it.  The returned arrays are valid until the next structural
-    edit; weight edits mutate [wgt] in place, so a held view observes
-    them (same semantics as the shared {!out_links} rows). *)
+(** [csr g] is the stored record itself — no copy, no allocation; do
+    {e not} mutate it.  Weight updates ({!set_weight} on a present
+    link) write its [wgt] in place, so a held record observes them;
+    a structural edit (an insert, a delete, {!set_weights} with either,
+    {!add_node}, {!detach_node}) installs a fresh record, and a held
+    one keeps describing the graph as it was. *)
+
+(** {1 In-place mutation}
+
+    The session engine ({!Wnet_session}) owns a long-lived digraph and
+    applies topology deltas directly.  Every mutation bumps a
+    {e version stamp}; caches derived from the graph record the version
+    they were built at and refuse to serve a graph that has moved on.
+    The immutable operations above are unaffected (they return fresh
+    graphs with a new history).
+
+    Costs: a weight update is a binary search and one store, and
+    allocates nothing; an insert or a delete rebuilds the arrays in
+    O(n + m); {!set_weights} applies any mix of updates, inserts and
+    deletes with at most one rebuild; {!add_node} copies [row_off];
+    {!detach_node} counts and then filters in O(n + m). *)
+
+val version : t -> int
+(** [version g] counts the in-place mutations applied to [g] since its
+    construction — one per {!set_weight}, {!add_node} and
+    {!detach_node} call, and one per entry of a {!set_weights} list.
+    Two observations of the same version denote an identical graph. *)
 
 val copy : t -> t
-(** [copy g] is a deep copy (at version 0): mutating either graph never
-    affects the other.  How a session takes ownership of its topology. *)
+(** [copy g] is a deep copy (at version 0): three array copies, and
+    mutating either graph never affects the other.  How a session takes
+    ownership of its topology. *)
 
 val set_weight : t -> int -> int -> float -> unit
 (** [set_weight g u v w] sets the weight of link [u -> v] in place:
-    updates it when present, inserts it when absent, and {e removes} it
-    when [w = infinity] (the paper's "declare the link unusable").
+    updates it when present (no allocation), inserts it when absent,
+    and {e removes} it when [w = infinity] (the paper's "declare the
+    link unusable").
     @raise Invalid_argument on out-of-range endpoints, a self-loop, or
     a negative/NaN weight. *)
 
+val set_weights : t -> (int * int * float) list -> unit
+(** [set_weights g links] applies every [(u, v, w)] as {!set_weight}
+    would, in list order — so a later entry for a pair wins — but
+    rebuilds the arrays at most once: how a joining node attaches its
+    whole link set in one merge.
+    @raise Invalid_argument, before any change, as {!set_weight} on
+    the first bad entry. *)
+
 val add_node : t -> int
 (** [add_node g] grows [g] by one isolated node and returns its (dense)
-    identifier [n g - 1].  Wire it up with {!set_weight}. *)
+    identifier [n g - 1].  Wire it up with {!set_weights}. *)
 
 val detach_node : t -> int -> unit
 (** [detach_node g v] removes every link incident to [v], in either

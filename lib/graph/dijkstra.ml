@@ -249,19 +249,6 @@ let dist t v = t.dist.(v)
 
 let reachable t v = t.dist.(v) < infinity
 
-let path_up t v =
-  if not (reachable t v) then invalid_arg "Dijkstra.path_up: unreachable";
-  let len = ref 1 and u = ref v in
-  while !u <> t.source do
-    u := t.parent.(!u);
-    incr len
-  done;
-  let p = Array.make !len v in
-  for i = 1 to !len - 1 do
-    p.(i) <- t.parent.(p.(i - 1))
-  done;
-  p
-
 let path_to t v =
   if not (reachable t v) then None
   else begin

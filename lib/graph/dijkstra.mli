@@ -99,7 +99,3 @@ val reachable : tree -> int -> bool
 val children : tree -> int array array
 (** [children t] materializes the tree's child lists (index = node). *)
 
-val path_up : tree -> int -> Path.t
-(** [path_up t v] is the walk [v; parent v; ...; source] up the parent
-    chain: {!path_to} reversed.  Raises [Invalid_argument] if [v] is
-    unreachable. *)

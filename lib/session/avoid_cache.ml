@@ -37,8 +37,10 @@
    for {!refill} when the cost model prices a refill lower.  Both give
    bit-identical labels, so the choice moves time, never a payment.
 
-   The cache also assembles the payments from its entries ({!charges}):
-   one pass over the relays, no vector per source. *)
+   The cache also assembles the payments from its entries: the charges
+   in one pass over the relays, no vector per source ({!charges}), and
+   the per-source payment table in one walk up each source's chain
+   ({!table}). *)
 
 open Wnet_graph
 
@@ -500,8 +502,9 @@ let entries t =
    model and [own k +. a -. d] in the node model: [a] is [s]'s label in
    [k]'s avoidance array, [d] its tree distance, and [own k] the cost
    [k] declares for forwarding (the weight of its tree link, or its node
-   cost).  A charge is the dense payment vector folded left from [+0.0]
-   in ascending node id.  That vector is [+0.0] off the relays, and
+   cost), read from a flat array the engine fills once per version.  A
+   charge is the dense payment vector folded left from [+0.0] in
+   ascending node id.  That vector is [+0.0] off the relays, and
    adding [+0.0] never changes a sum that starts at [+0.0] (such a sum
    is never [-0.0]), so the charge is the relays' payments added in
    ascending id.  The relays of [s] are its strict ancestors in the
@@ -522,7 +525,7 @@ let avoid_of t k =
    and for unreached ones), and the relays some source pays [infinity]
    (ascending).  Every relay's entry must be exact: call after
    {!refill}. *)
-let charges t ~(tree : Dijkstra.tree) ~stamp ~model ~own relays =
+let charges t ~(tree : Dijkstra.tree) ~stamp ~model ~(own : float array) relays =
   let n = Array.length tree.Dijkstra.dist in
   let idx = index t ~stamp tree in
   let { Avoid_region.pre; size; order; _ } = idx and dist = tree.Dijkstra.dist in
@@ -531,7 +534,7 @@ let charges t ~(tree : Dijkstra.tree) ~stamp ~model ~own relays =
   for r = 0 to Array.length relays - 1 do
     let k = relays.(r) in
     let a = avoid_of t k in
-    let w = own k in
+    let w = own.(k) in
     let monopoly = ref false in
     for i = pre.(k) + 1 to pre.(k) + size.(k) - 1 do
       let s = Array.unsafe_get order i in
@@ -542,13 +545,35 @@ let charges t ~(tree : Dijkstra.tree) ~stamp ~model ~own relays =
   done;
   (charge, List.rev !cut)
 
-(* The payments along [path], aligned with it: entry [i] pays
-   [path.(i + 1)]. *)
-let relay_pay t ~(tree : Dijkstra.tree) ~model ~own path =
-  let src = path.(0) in
-  let d = tree.Dijkstra.dist.(src) in
-  Array.init
-    (max 0 (Array.length path - 2))
-    (fun i ->
-      let k = path.(i + 1) in
-      pay model (own k) (avoid_of t k).(src) d)
+(* The payment table: for each reached source but the tree's own
+   source, in ascending id, [f s path relay_pay] with [path] its chain
+   up the shared tree ([s] first, the root last) and [relay_pay.(i)]
+   its payment to [path.(i + 1)], each as {!charges} adds it.  Tree
+   depths, read off the pre-order, size each path, so every chain is
+   walked once, straight into its array. *)
+let table t ~(tree : Dijkstra.tree) ~stamp ~model ~(own : float array) f =
+  let n = Array.length tree.Dijkstra.dist in
+  let { Avoid_region.order; size; _ } = index t ~stamp tree in
+  let parent = tree.Dijkstra.parent and dist = tree.Dijkstra.dist in
+  let root = tree.Dijkstra.source in
+  let depth = Array.make n 0 in
+  for i = 1 to size.(root) - 1 do
+    let v = order.(i) in
+    depth.(v) <- depth.(parent.(v)) + 1
+  done;
+  Array.init n (fun s ->
+      if s = root || not (Dijkstra.reachable tree s) then None
+      else begin
+        let len = depth.(s) + 1 in
+        let path = Array.make len s in
+        for i = 1 to len - 1 do
+          path.(i) <- parent.(path.(i - 1))
+        done;
+        let d = dist.(s) in
+        let relay_pay = Array.create_float (len - 2) in
+        for i = 0 to len - 3 do
+          let k = path.(i + 1) in
+          relay_pay.(i) <- pay model own.(k) (avoid_of t k).(s) d
+        done;
+        Some (f s path relay_pay)
+      end)

@@ -42,6 +42,8 @@ type t = {
   mutable unbounded : int list;
   mutable settled : (int * Dijkstra.tree * float array) option;
       (* the tree and the payment pass's charges, keyed by version *)
+  mutable own : float array;
+      (* each reached node's tree-link weight, filled with [settled] *)
   mutable last : (int * batch) option;  (* memoized batch, keyed by version *)
   pending : (int * int, float) Hashtbl.t;
       (* links cost-edited since the last flush, mapped to their weight
@@ -55,10 +57,10 @@ type t = {
   mutable spt_runs : int;
 }
 
-let create ?(pool = Wnet_par.sequential) ?(copy = true) g ~root =
+let create ?(pool = Wnet_par.sequential) g ~root =
   let n = Digraph.n g in
   if root < 0 || root >= n then invalid_arg "Link_session.create: root out of range";
-  let g = if copy then Digraph.copy g else g in
+  let g = Digraph.copy g in
   {
     root;
     g;
@@ -68,6 +70,7 @@ let create ?(pool = Wnet_par.sequential) ?(copy = true) g ~root =
     cache = Avoid_cache.create pool n;
     unbounded = [];
     settled = None;
+    own = [||];
     last = None;
     pending = Hashtbl.create 16;
     pending_order = [];
@@ -192,7 +195,8 @@ let flush t =
 
 let set_cost t u v w =
   check_link ~what:"Link_session.set_cost" t u v;
-  let w0 = Digraph.weight t.g u v in
+  let i = Digraph.slot t.g u v in
+  let w0 = if i >= 0 then (Digraph.csr t.g).Digraph.wgt.(i) else infinity in
   if not (Float.equal w0 w) then begin
     Digraph.set_weight t.g u v w;
     Digraph.set_weight t.rev v u w;
@@ -204,6 +208,15 @@ let set_cost t u v w =
     end
   end
 
+(* Fold [f] over row [u] of [g] in ascending target order. *)
+let fold_row g u f acc =
+  let { Digraph.row_off; col; wgt } = Digraph.csr g in
+  let acc = ref acc in
+  for i = row_off.(u) to row_off.(u + 1) - 1 do
+    acc := f !acc col.(i) wgt.(i)
+  done;
+  !acc
+
 let remove_node t k =
   flush t;
   let nn = n t in
@@ -214,35 +227,28 @@ let remove_node t k =
      {!Avoid_cache.maintain} finds in the tree diff; an unreached node
      is in no subtree, so no entry holds a label for k afterwards. *)
   let redits =
-    Array.fold_left
-      (fun acc (u, w) -> { Dynamic_sssp.u = k; v = u; w0 = w; w1 = infinity } :: acc)
-      [] (Digraph.out_links t.rev k)
+    fold_row t.rev k
+      (fun acc u w -> { Dynamic_sssp.u = k; v = u; w0 = w; w1 = infinity } :: acc)
+      []
   in
   let redits =
-    Array.fold_left
-      (fun acc (y, w) -> { Dynamic_sssp.u = y; v = k; w0 = w; w1 = infinity } :: acc)
-      redits (Digraph.out_links t.g k)
+    fold_row t.g k
+      (fun acc y w -> { Dynamic_sssp.u = y; v = k; w0 = w; w1 = infinity } :: acc)
+      redits
   in
   Digraph.detach_node t.g k;
   Digraph.detach_node t.rev k;
   mark_edit t;
   maintain t redits
 
+(* A node's finite links, attached to each orientation in one merge. *)
 let apply_links t id ~out ~inn =
-  List.iter
-    (fun (v, w) ->
-      if w < infinity then begin
-        Digraph.set_weight t.g id v w;
-        Digraph.set_weight t.rev v id w
-      end)
-    out;
-  List.iter
-    (fun (u, w) ->
-      if w < infinity then begin
-        Digraph.set_weight t.g u id w;
-        Digraph.set_weight t.rev id u w
-      end)
-    inn
+  let out = List.filter (fun (_, w) -> w < infinity) out
+  and inn = List.filter (fun (_, w) -> w < infinity) inn in
+  Digraph.set_weights t.g
+    (List.map (fun (v, w) -> (id, v, w)) out @ List.map (fun (u, w) -> (u, id, w)) inn);
+  Digraph.set_weights t.rev
+    (List.map (fun (v, w) -> (v, id, w)) out @ List.map (fun (u, w) -> (id, u, w)) inn)
 
 (* A freshly attached node's links, as rev-graph insertions, read off
    the graph itself (so duplicates in the caller's link lists fold
@@ -251,14 +257,14 @@ let apply_links t id ~out ~inn =
    {!Avoid_cache.maintain} finds in the tree diff. *)
 let attach t id =
   let redits =
-    Array.fold_left
-      (fun acc (v, w) -> { Dynamic_sssp.u = v; v = id; w0 = infinity; w1 = w } :: acc)
-      [] (Digraph.out_links t.g id)
+    fold_row t.g id
+      (fun acc v w -> { Dynamic_sssp.u = v; v = id; w0 = infinity; w1 = w } :: acc)
+      []
   in
   maintain t
-    (Array.fold_left
-       (fun acc (u, w) -> { Dynamic_sssp.u = id; v = u; w0 = infinity; w1 = w } :: acc)
-       redits (Digraph.out_links t.rev id))
+    (fold_row t.rev id
+       (fun acc u w -> { Dynamic_sssp.u = id; v = u; w0 = infinity; w1 = w } :: acc)
+       redits)
 
 let check_attach_link ~what ~n ~self (x, w) =
   if x < 0 || x >= n || x = self then
@@ -285,10 +291,8 @@ let rejoin_node t k ~out ~inn =
   let nn = n t in
   if k < 0 || k >= nn then invalid_arg "Link_session.rejoin_node: out of range";
   if k = t.root then invalid_arg "Link_session.rejoin_node: cannot rejoin the root";
-  if
-    Array.length (Digraph.out_links t.g k) > 0
-    || Array.length (Digraph.out_links t.rev k) > 0
-  then invalid_arg "Link_session.rejoin_node: node is not isolated";
+  if Digraph.out_degree t.g k > 0 || Digraph.out_degree t.rev k > 0 then
+    invalid_arg "Link_session.rejoin_node: node is not isolated";
   List.iter (check_attach_link ~what:"Link_session.rejoin_node" ~n:nn ~self:k) out;
   List.iter (check_attach_link ~what:"Link_session.rejoin_node" ~n:nn ~self:k) inn;
   apply_links t k ~out ~inn;
@@ -318,10 +322,20 @@ let shared_tree t =
     t.spt_runs <- t.spt_runs + 1;
     Dynamic_sssp.tree dy
 
-(* The weight of [k]'s tree link: what relay [k] declares for
-   forwarding every source of its subtree. *)
-let own_link t (tree : Dijkstra.tree) k =
-  Digraph.weight t.g k tree.Dijkstra.parent.(k)
+(* Each reached node's own cost, the weight of its tree link: what
+   relay [k] declares for forwarding every source of its subtree, and
+   what a source's [relay_cost] leaves out.  One lookup per node. *)
+let own_costs t (tree : Dijkstra.tree) =
+  let n = n t in
+  if Array.length t.own <> n then t.own <- Array.create_float n;
+  let { Digraph.wgt; _ } = Digraph.csr t.g in
+  let parent = tree.Dijkstra.parent in
+  for k = 0 to n - 1 do
+    t.own.(k) <-
+      (if k <> t.root && Dijkstra.reachable tree k then wgt.(Digraph.slot t.g k parent.(k))
+       else 0.0)
+  done;
+  t.own
 
 let charges t =
   match t.settled with
@@ -343,7 +357,7 @@ let charges t =
     Avoid_cache.refill t.cache ~tree ~stamp:t.tree_version ~bounded ~full relays;
     let charge, cut =
       Avoid_cache.charges t.cache ~tree ~stamp:t.tree_version ~model:`Link
-        ~own:(own_link t tree) relays
+        ~own:(own_costs t tree) relays
     in
     t.unbounded <- cut;
     t.settled <- Some (version t, tree, charge);
@@ -354,24 +368,19 @@ let payments t =
   | Some (v, batch) when v = version t -> batch
   | _ ->
     let tree, charge = charges t in
+    let own = t.own in
     let results =
-      Array.init (n t) (fun src ->
-          if src = t.root || not (Dijkstra.reachable tree src) then None
-          else begin
-            let path = Dijkstra.path_up tree src in
-            let lcp_cost = Dijkstra.dist tree src in
-            Some
-              {
-                src;
-                path;
-                lcp_cost;
-                relay_cost = lcp_cost -. Digraph.weight t.g src path.(1);
-                relay_pay =
-                  Avoid_cache.relay_pay t.cache ~tree ~model:`Link
-                    ~own:(own_link t tree) path;
-                charge = charge.(src);
-              }
-          end)
+      Avoid_cache.table t.cache ~tree ~stamp:t.tree_version ~model:`Link ~own
+        (fun src path relay_pay ->
+          let lcp_cost = tree.Dijkstra.dist.(src) in
+          {
+            src;
+            path;
+            lcp_cost;
+            relay_cost = lcp_cost -. own.(src);
+            relay_pay;
+            charge = charge.(src);
+          })
     in
     let batch =
       { root = t.root; to_root_dist = Array.copy tree.Dijkstra.dist; results }

@@ -113,12 +113,9 @@ type stats = {
           a full-graph CSR Dijkstra *)
 }
 
-val create :
-  ?pool:Wnet_par.t -> ?copy:bool -> Wnet_graph.Digraph.t -> root:int -> t
-(** [create g ~root] opens a session on [g].  With [~copy:true] (the
-    default) the session deep-copies [g] and later edits never touch the
-    caller's graph; [~copy:false] borrows it — the caller must neither
-    mutate nor rely on it afterwards (used by the one-shot wrappers).
+val create : ?pool:Wnet_par.t -> Wnet_graph.Digraph.t -> root:int -> t
+(** [create g ~root] opens a session on a copy of [g] (three array
+    copies), so later edits never touch the caller's graph.
     [?pool] (default {!Wnet_par.sequential}) fans avoidance Dijkstras
     out over domains; every pool size yields bit-identical payments.
     A cache miss is filled by the region-only kernel

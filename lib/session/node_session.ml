@@ -206,7 +206,7 @@ let charges t =
     Avoid_cache.refill t.cache ~tree ~stamp:t.tree_version ~bounded ~full relays;
     let charge, cut =
       Avoid_cache.charges t.cache ~tree ~stamp:t.tree_version ~model:`Node
-        ~own:(Graph.cost t.g) relays
+        ~own:(Graph.costs_view t.g) relays
     in
     t.unbounded <- cut;
     t.settled <- Some (t.gver, tree, charge);
@@ -218,21 +218,15 @@ let payments t =
   | _ ->
     let tree, charge = charges t in
     let results =
-      Array.init (n t) (fun src ->
-          if src = t.root || not (Dijkstra.reachable tree src) then None
-          else begin
-            let path = Dijkstra.path_up tree src in
-            Some
-              {
-                src;
-                path;
-                lcp_cost = Dijkstra.dist tree src;
-                relay_pay =
-                  Avoid_cache.relay_pay t.cache ~tree ~model:`Node
-                    ~own:(Graph.cost t.g) path;
-                charge = charge.(src);
-              }
-          end)
+      Avoid_cache.table t.cache ~tree ~stamp:t.tree_version ~model:`Node
+        ~own:(Graph.costs_view t.g) (fun src path relay_pay ->
+          {
+            src;
+            path;
+            lcp_cost = tree.Dijkstra.dist.(src);
+            relay_pay;
+            charge = charge.(src);
+          })
     in
     t.last <- Some (t.gver, results);
     results

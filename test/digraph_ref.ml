@@ -39,6 +39,23 @@ let remove_node links x = List.filter (fun (u, v, _) -> u <> x && v <> x) links
 
 let drop_links_into links x = List.filter (fun (_, v, _) -> v <> x) links
 
-(* Row [u] of the reference, as [Digraph.out_links] lays it out. *)
+(* Row [u] of the reference, as the CSR arrays lay it out. *)
 let row links u =
   List.filter_map (fun (s, v, w) -> if s = u then Some (v, w) else None) links
+
+(* The in-place edits.  [set] is [Digraph.set_weight]: update, insert,
+   or remove on [infinity]; [set_all] applies a list in order, so a
+   later entry for a pair wins.  Adding a node changes no link: the
+   caller counts nodes. *)
+let set links u v w =
+  let rest = List.filter (fun (a, b, _) -> a <> u || b <> v) links in
+  if w < infinity then
+    List.stable_sort (fun (a, b, _) (a', b', _) -> compare (a, b) (a', b')) ((u, v, w) :: rest)
+  else rest
+
+let set_all links l = List.fold_left (fun acc (u, v, w) -> set acc u v w) links l
+
+let weight links u v =
+  match List.find_opt (fun (a, b, _) -> a = u && b = v) links with
+  | Some (_, _, w) -> w
+  | None -> infinity

@@ -1,9 +1,10 @@
-(* The CSR views and kernels:
+(* The CSR storage and kernels:
 
-   - the flat views are semantically the boxed accessors — [Digraph.csr]
-     must agree with [out_links]/[weight] after ANY interleaving of
-     in-place weight edits, node growth, and detachment (the in-place
-     maintenance and the lazy rebuild must be indistinguishable);
+   - the storage is the list reference {!Digraph_ref}: [links],
+     [weight], [out_degree], [m] and the [csr] rows agree with it bit
+     for bit after ANY interleaving of in-place weight edits, bulk
+     attaches, node growth and detachment, and a copy or a reverse is
+     independent of its source;
    - the CSR Dijkstra kernels (ban mask, key-only pops, scratch-owned
      result) are [Float.equal]-identical to {!Payment_ref}'s searches,
      and a call they refuse leaves the ban mask as it was;
@@ -15,30 +16,37 @@ module Rng = Wnet_prng.Rng
 let floats_equal a b =
   Array.length a = Array.length b && Array.for_all2 Float.equal a b
 
-(* ---------------- view ≡ boxed accessors ---------------- *)
+(* ---------------- storage ≡ the list reference ---------------- *)
 
-(* One structural+weight fuzz: does the CSR view agree with the boxed
-   adjacency, row by row, slot by slot? *)
-let digraph_csr_agrees g =
-  let n = Digraph.n g in
+let bits = Int64.bits_of_float
+
+let bits_links l = List.map (fun (u, v, w) -> (u, v, bits w)) l
+
+(* Does [g] on [n] nodes read as the reference [r], bit for bit, through
+   every accessor? *)
+let storage_agrees ~n g r =
   let { Digraph.row_off; col; wgt } = Digraph.csr g in
-  Array.length row_off = n + 1
+  let m = List.length r in
+  Digraph.n g = n
+  && Digraph.m g = m
+  && Array.length row_off = n + 1
   && row_off.(0) = 0
-  && row_off.(n) = Digraph.m g
-  && begin
-       let ok = ref true in
-       for u = 0 to n - 1 do
-         let row = Digraph.out_links g u in
-         if row_off.(u + 1) - row_off.(u) <> Array.length row then ok := false
-         else
-           Array.iteri
-             (fun i (v, w) ->
-               let s = row_off.(u) + i in
-               if col.(s) <> v || not (Float.equal wgt.(s) w) then ok := false)
-             row
-       done;
-       !ok
-     end
+  && row_off.(n) = m
+  && Array.length col = m
+  && Array.length wgt = m
+  && bits_links (Digraph.links g) = bits_links r
+  && List.for_all
+       (fun u ->
+         let want = List.map (fun (v, w) -> (v, bits w)) (Digraph_ref.row r u) in
+         Digraph.out_degree g u = List.length want
+         && List.init (row_off.(u + 1) - row_off.(u)) (fun i ->
+                (col.(row_off.(u) + i), bits wgt.(row_off.(u) + i)))
+            = want
+         && List.for_all
+              (fun v ->
+                u = v || bits (Digraph.weight g u v) = bits (Digraph_ref.weight r u v))
+              (List.init n Fun.id))
+       (List.init n Fun.id)
 
 let random_digraph rng ~n =
   let links = ref [] in
@@ -51,32 +59,96 @@ let random_digraph rng ~n =
   done;
   Digraph.create ~n ~links:!links
 
-let digraph_edit_prop seed =
+(* Weights where signed zeros and deletions are common. *)
+let draw_weight rng =
+  match Rng.int rng 6 with
+  | 0 -> 0.0
+  | 1 -> -0.0
+  | 2 -> infinity
+  | _ -> Rng.float_range rng 0.5 10.0
+
+(* A present link half the time, so updates and deletes are common. *)
+let draw_pair rng ~n r =
+  if r <> [] && Rng.bool rng then
+    let u, v, _ = List.nth r (Rng.int rng (List.length r)) in
+    (u, v)
+  else
+    let u = Rng.int rng n in
+    (u, (u + 1 + Rng.int rng (n - 1)) mod n)
+
+(* One node's links, with repeated pairs: what a join or a rejoin
+   attaches in one merge. *)
+let draw_attach rng ~n =
+  let x = Rng.int rng n in
+  let l = ref [] in
+  for _ = 1 to 1 + Rng.int rng 6 do
+    if !l <> [] && Rng.bernoulli rng 0.3 then
+      let u, v, _ = List.nth !l (Rng.int rng (List.length !l)) in
+      l := (u, v, draw_weight rng) :: !l
+    else
+      let y = (x + 1 + Rng.int rng (n - 1)) mod n in
+      l := (if Rng.bool rng then (x, y, draw_weight rng) else (y, x, draw_weight rng)) :: !l
+  done;
+  List.rev !l
+
+let storage_edit_prop seed =
   let rng = Rng.create seed in
-  let n = 4 + Rng.int rng 17 in
-  let g = random_digraph rng ~n in
-  (* Interleave reads with edits: a [csr] call between edits exercises
-     the in-place weight maintenance on a LIVE cache, not just the lazy
-     rebuild at the end. *)
-  for _ = 1 to 30 do
-    let nn = Digraph.n g in
-    (match Rng.int rng 8 with
-    | 0 | 1 | 2 | 3 ->
-      (* weight set / insert / delete on a random pair *)
-      let u = Rng.int rng nn and v = Rng.int rng nn in
-      if u <> v then
-        let w =
-          if Rng.bernoulli rng 0.25 then infinity
-          else Rng.float_range rng 0.5 10.0
-        in
-        Digraph.set_weight g u v w
-    | 4 -> ignore (Digraph.add_node g)
-    | 5 -> Digraph.detach_node g (Rng.int rng nn)
+  let n = ref (4 + Rng.int rng 17) in
+  let g = random_digraph rng ~n:!n in
+  let r = ref (Digraph_ref.create (Digraph.links g)) in
+  let agree what ~n x r =
+    if not (storage_agrees ~n x r) then
+      QCheck2.Test.fail_reportf "%s: storage diverged from the reference" what
+  in
+  agree "create" ~n:!n g !r;
+  for step = 1 to 30 do
+    let v0 = Digraph.version g in
+    let edit what f =
+      f ();
+      let what = Printf.sprintf "step %d, %s" step what in
+      agree what ~n:!n g !r;
+      if Digraph.version g <= v0 then
+        QCheck2.Test.fail_reportf "%s: version did not move" what
+    in
+    match Rng.int rng 8 with
+    | 0 | 1 | 2 ->
+      let u, v = draw_pair rng ~n:!n !r in
+      let w = draw_weight rng in
+      edit "set_weight" (fun () ->
+          Digraph.set_weight g u v w;
+          r := Digraph_ref.set !r u v w)
+    | 3 ->
+      let l = draw_attach rng ~n:!n in
+      edit "set_weights" (fun () ->
+          Digraph.set_weights g l;
+          r := Digraph_ref.set_all !r l)
+    | 4 ->
+      edit "add_node" (fun () ->
+          let id = Digraph.add_node g in
+          if id <> !n then QCheck2.Test.fail_reportf "add_node: id %d, want %d" id !n;
+          incr n)
+    | 5 ->
+      let x = Rng.int rng !n in
+      edit "detach_node" (fun () ->
+          Digraph.detach_node g x;
+          r := Digraph_ref.remove_node !r x)
+    | 6 ->
+      (* a copy reads as its source; editing it leaves the source be *)
+      let c = Digraph.copy g in
+      agree "copy" ~n:!n c !r;
+      let u, v = draw_pair rng ~n:!n !r in
+      Digraph.set_weight c u v (draw_weight rng);
+      Digraph.set_weights c (draw_attach rng ~n:!n);
+      Digraph.detach_node c (Rng.int rng !n);
+      agree "source of an edited copy" ~n:!n g !r
     | _ ->
-      (* materialize the view so the next edit hits a valid cache *)
-      ignore (Digraph.csr g));
-    if not (digraph_csr_agrees g) then
-      QCheck2.Test.fail_reportf "CSR view diverged from out_links/weight"
+      (* likewise a reverse, with every link rewritten *)
+      let rv = Digraph.reverse g in
+      agree "reverse" ~n:!n rv (Digraph_ref.reverse !r);
+      List.iter (fun (u, v, w) -> Digraph.set_weight rv u v (w +. 1.0)) (Digraph.links rv);
+      ignore (Digraph.add_node rv);
+      Digraph.detach_node rv (Rng.int rng !n);
+      agree "source of an edited reverse" ~n:!n g !r
   done;
   true
 
@@ -151,7 +223,7 @@ let link_kernel_prop seed =
     (* the convenience wrapper must leave the ban mask clean *)
     if Bytes.exists (fun c -> c <> '\000') (Dijkstra.ban_mask scratch) then
       QCheck2.Test.fail_reportf "ban mask left dirty";
-    (* a weight edit between runs must be visible through the cached view *)
+    (* a weight edit between runs must be visible to the next run *)
     let u = Rng.int rng n and v = Rng.int rng n in
     if u <> v then Digraph.set_weight g u v (Rng.float_range rng 0.5 10.0)
   done;
@@ -268,8 +340,8 @@ let link_session_edit_prop seed =
 
 let suite =
   [
-    Test_util.qcheck_case ~count:60 "digraph CSR = out_links under edits"
-      Test_util.seed_gen digraph_edit_prop;
+    Test_util.qcheck_case ~count:60 "digraph storage = reference under edits"
+      Test_util.seed_gen storage_edit_prop;
     Test_util.qcheck_case ~count:60 "graph CSR = neighbors"
       Test_util.seed_gen graph_csr_prop;
     Test_util.qcheck_case ~count:60 "egraph CSR = incident"

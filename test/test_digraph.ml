@@ -58,11 +58,13 @@ let test_silence_reverse_duality () =
   Alcotest.(check (list (triple int int (float 0.0)))) "duality"
     (Digraph.links a) b
 
-let test_out_links () =
+let test_csr_rows () =
   let g = small () in
-  let l = Digraph.out_links g 1 in
-  Alcotest.(check int) "out degree" 2 (Array.length l);
-  Alcotest.(check bool) "sorted by target" true (fst l.(0) < fst l.(1))
+  let { Digraph.row_off; col; _ } = Digraph.csr g in
+  Alcotest.(check int) "out degree" 2 (Digraph.out_degree g 1);
+  Alcotest.(check int) "row length" 2 (row_off.(2) - row_off.(1));
+  Alcotest.(check bool) "sorted by target" true (col.(row_off.(1)) < col.(row_off.(1) + 1));
+  Alcotest.(check int) "m slots" (Digraph.m g) (Array.length col)
 
 (* ---- Differential construction properties against Digraph_ref ---- *)
 
@@ -75,7 +77,7 @@ let matches_ref g ref_links =
   Digraph.m g = List.length ref_links
   && List.for_all
        (fun u ->
-         bits_row (Array.to_list (Digraph.out_links g u))
+         bits_row (Test_util.row g u)
          = bits_row (Digraph_ref.row ref_links u))
        (List.init (Digraph.n g) Fun.id)
 
@@ -205,7 +207,7 @@ let suite =
     Alcotest.test_case "reverse" `Quick test_reverse;
     Alcotest.test_case "silence_node" `Quick test_silence_node;
     Alcotest.test_case "silence/reverse duality" `Quick test_silence_reverse_duality;
-    Alcotest.test_case "out_links sorted" `Quick test_out_links;
+    Alcotest.test_case "csr rows sorted" `Quick test_csr_rows;
     Alcotest.test_case "equal weights keep the first" `Quick test_equal_weights_keep_first;
     create_prop;
     reverse_prop;

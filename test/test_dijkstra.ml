@@ -31,9 +31,7 @@ let test_unreachable () =
   let t = Dijkstra.node_weighted g ~source:0 in
   Test_util.check_float "infinite" infinity (Dijkstra.dist t 2);
   Alcotest.(check bool) "reachable flag" false (Dijkstra.reachable t 2);
-  Alcotest.(check (option (array int))) "no path" None (Dijkstra.path_to t 2);
-  Alcotest.check_raises "no walk up" (Invalid_argument "Dijkstra.path_up: unreachable")
-    (fun () -> ignore (Dijkstra.path_up t 2))
+  Alcotest.(check (option (array int))) "no path" None (Dijkstra.path_to t 2)
 
 let test_forbidden () =
   let t = Dijkstra.node_weighted ~forbidden:(fun v -> v = 1) diamond ~source:0 in
@@ -80,11 +78,7 @@ let test_tree_consistency () =
           | Some p ->
             Alcotest.(check bool) "valid path" true (Path.is_valid g p);
             Test_util.check_float "path cost = dist" (Dijkstra.dist t v)
-              (Path.relay_cost g p);
-            let n = Array.length p in
-            Alcotest.(check (array int)) "walk up = path reversed"
-              (Array.init n (fun i -> p.(n - 1 - i)))
-              (Dijkstra.path_up t v))
+              (Path.relay_cost g p))
       t.Dijkstra.parent
   done
 

@@ -60,10 +60,8 @@ let random_burst rng g mirror ~source =
       (* detach a non-source node (leave/crash) *)
       let v = Rng.int rng n in
       if v <> source then begin
-        Array.iter (fun (y, _) -> touch v y infinity) (Digraph.out_links g v);
-        Array.iter
-          (fun (x, _) -> touch x v infinity)
-          (Digraph.out_links mirror v)
+        List.iter (fun (y, _) -> touch v y infinity) (Test_util.row g v);
+        List.iter (fun (x, _) -> touch x v infinity) (Test_util.row mirror v)
       end
     | 1 ->
       (* grow by one node and wire it up (join) *)

@@ -1339,6 +1339,146 @@ let test_stalled_reader_idle () =
   Sv.shutdown server;
   Thread.join th
 
+(* ------- real client exe: replies past the server's output pause ------- *)
+
+(* The paper's served instance: a connected 200-node UDG in the
+   2000 m square, 300 m range, as a link-model digraph. *)
+let paper_udg () =
+  let rng = Wnet_prng.Rng.create 1 in
+  match
+    Wnet_topology.Udg.generate_connected rng
+      ~region:Wnet_geom.Region.paper_region ~n:200 ~range:300.0 ~max_tries:1000
+  with
+  | Some u ->
+    Wnet_topology.Udg.link_graph u ~model:(Wnet_geom.Power.path_loss_only ~kappa:2.0)
+  | None -> Alcotest.fail "no connected UDG"
+
+(* [exe args] with stdin read from the file [input]: its whole stdout
+   and exit status, or a failure, after killing it, if it has not
+   closed stdout within [timeout] seconds. *)
+let run_exe_timed ~timeout exe args ~input =
+  let inp = Unix.openfile input [ Unix.O_RDONLY ] 0 in
+  let out_r, out_w = Unix.pipe () in
+  Unix.set_close_on_exec out_r;
+  let pid = Unix.create_process exe (Array.of_list (exe :: args)) inp out_w Unix.stderr in
+  Unix.close inp;
+  Unix.close out_w;
+  let out = Buffer.create (1 lsl 20) and chunk = Bytes.create 65536 in
+  let deadline = Unix.gettimeofday () +. timeout in
+  let rec pump () =
+    let left = deadline -. Unix.gettimeofday () in
+    left > 0.0
+    &&
+    match Unix.select [ out_r ] [] [] left with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> pump ()
+    | [], _, _ -> false
+    | _ -> (
+      match Unix.read out_r chunk 0 (Bytes.length chunk) with
+      | 0 -> true
+      | n ->
+        Buffer.add_subbytes out chunk 0 n;
+        pump ())
+  in
+  let closed = pump () in
+  Unix.close out_r;
+  if not closed then begin
+    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+    ignore (Unix.waitpid [] pid);
+    Alcotest.failf "%s: stdout still open after %.0f s (%d bytes read)"
+      (String.concat " " args) timeout (Buffer.length out)
+  end;
+  let _, status = Unix.waitpid [] pid in
+  (Buffer.contents out, status)
+
+let pay_lines_of out =
+  List.filter
+    (fun l -> String.starts_with ~prefix:"src " l || String.starts_with ~prefix:"ok served=" l)
+    (String.split_on_char '\n' out)
+
+(* A pipelined transcript whose replies pass the server's 1 MiB output
+   pause, through `client --proto 2` and through `client`, one
+   connection each: rounds of 32 re-declared costs and a pay, until the
+   requests, as text and as frames, fill the kernel's buffers between
+   the two ends several times over, and the replies pass the pause just
+   as far.  A client that blocks in a write while the server is paused
+   on its unread replies never finishes.  Each leg's pay lines must be
+   those of `unicast serve` on the same transcript. *)
+let test_client_past_output_pause () =
+  match client_exe () with
+  | None -> Alcotest.fail "client exe not built (expected ../bin/unicast.exe)"
+  | Some exe ->
+    let g = paper_udg () in
+    let links = Array.of_list (Digraph.links g) in
+    let rng = Wnet_prng.Rng.create 23 in
+    let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let kernel = 4 * Unix.getsockopt_int probe Unix.SO_SNDBUF in
+    Unix.close probe;
+    let round () =
+      List.init 32 (fun _ ->
+          let u, v, _ = links.(Wnet_prng.Rng.int rng (Array.length links)) in
+          P.Cost_link { u; v; w = Wnet_prng.Rng.float_range rng 1.0 10.0 })
+      @ [ P.Pay ]
+    in
+    let frame_bytes rs =
+      let e = Wnet_proto_bin.enc_create () in
+      Wnet_proto_bin.encode_requests e rs;
+      Wnet_proto_bin.enc_pending e
+    in
+    let text_bytes rs =
+      List.fold_left (fun a r -> a + String.length (P.print_request r) + 1) 0 rs
+    in
+    let reply = String.length (stdin_bytes (P.handle (W.make ~root:0 (`Link g)) P.Pay)) in
+    let rec rounds acc ~text ~frames ~replies =
+      if text < kernel || frames < kernel || replies < P.max_line + kernel then
+        let r = round () in
+        rounds (r :: acc) ~text:(text + text_bytes r) ~frames:(frames + frame_bytes r)
+          ~replies:(replies + reply)
+      else List.rev acc
+    in
+    let rounds = rounds [] ~text:0 ~frames:0 ~replies:0 in
+    let write_file lines =
+      let f = Filename.temp_file "wnet-pause" ".txt" in
+      let oc = open_out f in
+      List.iter (fun l -> output_string oc l; output_char oc '\n') lines;
+      close_out oc;
+      f
+    in
+    let transcript =
+      List.map P.print_request (List.concat rounds) @ [ "quit" ]
+    in
+    let graph =
+      write_file
+        (List.map (fun (u, v, w) -> Printf.sprintf "link %d %d %.17g" u v w) (Digraph.links g))
+    in
+    let input = write_file transcript in
+    let input1 = write_file ("session 1" :: transcript) in
+    let path = socket_path "pause" in
+    let server =
+      Sv.create (Sv.Unix_path path)
+        [| W.make ~root:0 (`Link (copy_digraph g)); W.make ~root:0 (`Link (copy_digraph g)) |]
+    in
+    let th = Thread.create Sv.serve server in
+    Fun.protect
+      ~finally:(fun () ->
+        Sv.shutdown server;
+        Thread.join th;
+        List.iter Sys.remove [ graph; input; input1 ])
+      (fun () ->
+        let leg what args ~input =
+          let out, status = run_exe_timed ~timeout:60.0 exe args ~input in
+          (match status with
+          | Unix.WEXITED 0 -> ()
+          | _ -> Alcotest.failf "%s: exited non-zero" what);
+          pay_lines_of out
+        in
+        let want = leg "serve" [ "serve"; "--model"; "link"; graph ] ~input in
+        Alcotest.(check int) "every pay answered on stdin" (List.length rounds)
+          (List.length (List.filter (String.starts_with ~prefix:"ok served=") want));
+        Alcotest.(check (list string)) "client --proto 2: pay lines = serve" want
+          (leg "client --proto 2" [ "client"; "--socket"; path; "--proto"; "2" ] ~input);
+        Alcotest.(check (list string)) "client: pay lines = serve" want
+          (leg "client" [ "client"; "--socket"; path ] ~input:input1))
+
 let suite =
   [
     Alcotest.test_case "socket smoke: greet, pay, quit" `Quick test_smoke;
@@ -1370,4 +1510,6 @@ let suite =
       test_stalled_reader;
     Alcotest.test_case "stalled readers past the idle limit: replies, then bye"
       `Quick test_stalled_reader_idle;
+    Alcotest.test_case "client past the output pause = serve, both protos"
+      `Quick test_client_past_output_pause;
   ]

@@ -69,10 +69,10 @@ let random_links rng ~n ~self =
       if x = self then None else Some (x, Rng.float_range rng 0.5 10.0))
     (List.init deg Fun.id)
 
-(* One random delta through the session API.  Replayed from identically
-   seeded rngs against two sessions, so every draw must depend only on
-   the rng and on session state both replicas share. *)
-let apply_random_op rng s =
+(* One random delta, drawn from the rng and from session state every
+   replica shares, so identically seeded rngs replay it against several
+   sessions ([None]: the draw picked nothing to do). *)
+let random_link_delta rng s : Wnet_session.delta option =
   let nn = LS.n s in
   match Rng.int rng 6 with
   | 0 | 1 | 2 ->
@@ -83,11 +83,12 @@ let apply_random_op rng s =
         if Rng.bernoulli rng 0.2 then infinity
         else Rng.float_range rng 0.5 10.0
       in
-      LS.set_cost s u v w
+      Some (Set_link_cost { u; v; w })
+    else None
   | 3 ->
     (* node leave (never the root, which is 0 here) *)
-    LS.remove_node s (1 + Rng.int rng (nn - 1))
-  | 4 ->
+    Some (Leave { node = 1 + Rng.int rng (nn - 1) })
+  | 4 -> (
     (* rejoin the lowest-id isolated node, when one exists *)
     let snap = LS.snapshot s in
     let in_deg = Array.make nn 0 in
@@ -96,17 +97,25 @@ let apply_random_op rng s =
     for k = nn - 1 downto 1 do
       if Digraph.out_degree snap k = 0 && in_deg.(k) = 0 then iso := Some k
     done;
-    (match !iso with
-    | None -> ()
+    match !iso with
+    | None -> None
     | Some k ->
-      LS.rejoin_node s k
-        ~out:(random_links rng ~n:nn ~self:k)
-        ~inn:(random_links rng ~n:nn ~self:k))
+      let inn = random_links rng ~n:nn ~self:k in
+      let out = random_links rng ~n:nn ~self:k in
+      Some (Rejoin { node = k; out; inn }))
   | _ ->
-    ignore
-      (LS.add_node s
-         ~out:(random_links rng ~n:nn ~self:(-1))
-         ~inn:(random_links rng ~n:nn ~self:(-1)))
+    let inn = random_links rng ~n:nn ~self:(-1) in
+    let out = random_links rng ~n:nn ~self:(-1) in
+    Some (Join { out; inn })
+
+let apply_link_delta s : Wnet_session.delta -> unit = function
+  | Set_link_cost { u; v; w } -> LS.set_cost s u v w
+  | Leave { node } -> LS.remove_node s node
+  | Rejoin { node; out; inn } -> LS.rejoin_node s node ~out ~inn
+  | Join { out; inn } -> ignore (LS.add_node s ~out ~inn)
+  | Set_node_cost _ -> invalid_arg "apply_link_delta: node-model delta"
+
+let apply_random_op rng s = Option.iter (apply_link_delta s) (random_link_delta rng s)
 
 (* Burst boundaries for the third replica: after op [i] it pays iff
    [ends.(i)], with bursts of 1–64 ops — long bursts push the flush
@@ -180,15 +189,23 @@ let node_sessions_equal (x : NS.outcome option array) (y : NS.outcome option arr
          | _ -> false)
        x y
 
-let apply_random_node_op rng s =
+let random_node_delta rng s : Wnet_session.delta option =
   let nn = NS.n s in
   if Rng.bernoulli rng 0.7 then
     (* any node, including the root: the root's declared cost must not
        disturb payments or caches *)
-    NS.set_cost s (Rng.int rng nn) (Rng.float_range rng 0.05 8.0)
+    let cost = Rng.float_range rng 0.05 8.0 in
+    Some (Set_node_cost { node = Rng.int rng nn; cost })
   else
     let k = Rng.int rng nn in
-    if k <> NS.root s then NS.remove_node s k
+    if k <> NS.root s then Some (Leave { node = k }) else None
+
+let apply_node_delta s : Wnet_session.delta -> unit = function
+  | Set_node_cost { node; cost } -> NS.set_cost s node cost
+  | Leave { node } -> NS.remove_node s node
+  | _ -> invalid_arg "apply_node_delta: link-model delta"
+
+let apply_random_node_op rng s = Option.iter (apply_node_delta s) (random_node_delta rng s)
 
 let node_equiv_prop seed =
   let rng = Rng.create seed in
@@ -731,6 +748,82 @@ let one_shot_charges_prop seed =
   done;
   true
 
+(* The payment table ([payments]: one walk up each source's chain, own
+   costs read from a flat array) against the served pay view (written
+   from the charges alone), both engines, at pools of 1 and 3 domains,
+   after every random burst on sparse graphs, where cut relays and
+   unreached sources occur.  Each packaged session gets the same deltas
+   as its engine twin.  Every source's path is its slice of the view,
+   and its charge is the view's and the dense fold of its relay
+   payments, bit for bit. *)
+let table_matches_view_prop model seed =
+  let rng = Rng.create seed in
+  let nops = 4 + Rng.int rng 40 in
+  let ends = burst_ends rng nops in
+  let oseed = seed lxor 0x1b873593 in
+  let check label ~n (pay : Wnet_session.pay) rows =
+    if pay.Wnet_session.count <> List.length rows then
+      QCheck2.Test.fail_reportf "%s: %d sources in the view, %d in the table" label
+        pay.Wnet_session.count (List.length rows);
+    List.iteri
+      (fun i (src, path, relay_pay, charge) ->
+        let lo = pay.Wnet_session.off.(i) in
+        let slice = Array.sub pay.Wnet_session.hops lo (pay.Wnet_session.off.(i + 1) - lo) in
+        if pay.Wnet_session.src.(i) <> src || slice <> path then
+          QCheck2.Test.fail_reportf "%s: src %d: path differs from the view" label src;
+        if not (Int64.equal (Int64.bits_of_float charge)
+                  (Int64.bits_of_float pay.Wnet_session.charge.(i)))
+        then
+          QCheck2.Test.fail_reportf "%s: src %d: charge %h, view %h" label src charge
+            pay.Wnet_session.charge.(i);
+        charge_is_dense_fold ~what:(Printf.sprintf "%s: src %d" label src) ~n path
+          relay_pay charge)
+      rows
+  in
+  Par.with_pool ~domains:3 (fun pool ->
+      match model with
+      | `Link ->
+        let g = random_digraph rng ~n:(8 + Rng.int rng 21) in
+        List.iter
+          (fun pool ->
+            let s = LS.create ~pool g ~root:0 in
+            let (module S : Wnet_session.S) = Wnet_session.make ~pool ~root:0 (`Link g) in
+            let r = Rng.create oseed in
+            for i = 0 to nops do
+              if i > 0 then Option.iter (fun d -> apply_link_delta s d; ignore (S.apply d)) (random_link_delta r s);
+              if ends.(i) then
+                check (Printf.sprintf "link, %d domains, op %d" (Par.size pool) i) ~n:(LS.n s)
+                  (S.pay ())
+                  (List.filter_map
+                     (Option.map (fun (o : LS.outcome) ->
+                          (o.LS.src, o.LS.path, o.LS.relay_pay, o.LS.charge)))
+                     (Array.to_list (LS.payments s).LS.results))
+            done)
+          [ Par.sequential; pool ];
+        true
+      | `Node ->
+        let g =
+          if Rng.bernoulli rng 0.5 then Test_util.random_ring_graph rng
+          else Test_util.random_sparse_graph rng
+        in
+        List.iter
+          (fun pool ->
+            let s = NS.create ~pool g ~root:0 in
+            let (module S : Wnet_session.S) = Wnet_session.make ~pool ~root:0 (`Node g) in
+            let r = Rng.create oseed in
+            for i = 0 to nops do
+              if i > 0 then Option.iter (fun d -> apply_node_delta s d; ignore (S.apply d)) (random_node_delta r s);
+              if ends.(i) then
+                check (Printf.sprintf "node, %d domains, op %d" (Par.size pool) i) ~n:(NS.n s)
+                  (S.pay ())
+                  (List.filter_map
+                     (Option.map (fun (o : NS.outcome) ->
+                          (o.NS.src, o.NS.path, o.NS.relay_pay, o.NS.charge)))
+                     (Array.to_list (NS.payments s)))
+            done)
+          [ Par.sequential; pool ];
+        true)
+
 (* ---------------- pool plumbing the sessions rely on ---------------- *)
 
 let test_map_array_pooled () =
@@ -791,6 +884,12 @@ let suite =
     Test_util.qcheck_case ~count:100
       "Link_cost and Unicast charges = dense fold (bits)" Test_util.seed_gen
       one_shot_charges_prop;
+    Test_util.qcheck_case ~count:40
+      "link payment table = pay view, pools 1/3 (bits)" Test_util.seed_gen
+      (table_matches_view_prop `Link);
+    Test_util.qcheck_case ~count:40
+      "node payment table = pay view, pools 1/3 (bits)" Test_util.seed_gen
+      (table_matches_view_prop `Node);
     Test_util.qcheck_case ~count:60
       "link session: random edit sequences = reference (bits)"
       Test_util.seed_gen link_equiv_prop;

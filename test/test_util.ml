@@ -15,6 +15,13 @@ let check_float = Alcotest.check float_approx
 
 let rng seed = Wnet_prng.Rng.create seed
 
+(* Row [u] of a digraph as [(target, weight)] pairs, read off its CSR
+   arrays: a list, so it outlives later edits to the graph. *)
+let row g u =
+  let { Wnet_graph.Digraph.row_off; col; wgt } = Wnet_graph.Digraph.csr g in
+  List.init (row_off.(u + 1) - row_off.(u)) (fun i ->
+      (col.(row_off.(u) + i), wgt.(row_off.(u) + i)))
+
 (* A connected random graph with strictly positive costs, for property
    tests: ring backbone + random chords. *)
 let random_ring_graph ?(min_n = 4) ?(max_n = 40) r =
