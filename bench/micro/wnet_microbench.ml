@@ -354,6 +354,7 @@ let heap () =
   let pri = Array.init inner_ops (fun i -> float_of_int ((i * 7919) mod 1009)) in
   let bh = Wnet_graph.Binheap.create () in
   let ih = Wnet_graph.Indexed_heap.create inner_ops in
+  let th = Wnet_graph.Indexed_heap.create inner_ops in
   [
     {
       name = "binheap/push-pop";
@@ -379,6 +380,28 @@ let heap () =
           done;
           for _ = 1 to inner_ops do
             ignore (Wnet_graph.Indexed_heap.pop_min ih)
+          done);
+    };
+    (* the kernels' path: priorities written through [prios], ordered by
+       [touch] (every key inserted, then lowered once), popped by key:
+       a float boxed in a sift fails the allocation assertion *)
+    {
+      name = "indexed-heap/touch-pop";
+      ops = inner_ops * 3;
+      alloc_free = true;
+      run =
+        (fun () ->
+          let prio = Wnet_graph.Indexed_heap.prios th in
+          for i = 0 to inner_ops - 1 do
+            prio.(i) <- pri.(i);
+            Wnet_graph.Indexed_heap.touch th i
+          done;
+          for i = 0 to inner_ops - 1 do
+            prio.(i) <- pri.(i) *. 0.5;
+            Wnet_graph.Indexed_heap.touch th i
+          done;
+          for _ = 1 to inner_ops do
+            ignore (Sys.opaque_identity (Wnet_graph.Indexed_heap.pop_min_key th))
           done);
     };
   ]
@@ -447,7 +470,7 @@ let dijkstra () =
 (* The tree solvers ([link_weighted], [node_weighted]) return fresh
    [dist] and [parent] arrays and build their own heap per run, so they
    cannot be allocation-free; the rows come with the words a run costs —
-   the tree record, its two arrays, the heap record and its three arrays
+   the tree record, its two arrays, the heap record and its four arrays
    — and {!check_alloc_at_most} holds each run to exactly that: no boxed
    priority per heap update, no closure per run.  The session engines
    and every one-shot batch run these once per tree.  At [n = 256] each
@@ -457,7 +480,7 @@ let tree_solvers () =
   let dg = bench_digraph ~n ~seed:11 in
   let ng = bench_graph ~n ~seed:12 in
   ignore (Wnet_graph.Digraph.csr dg);
-  let words = float_of_int ((5 * (n + 1)) + 5 + 4) in
+  let words = float_of_int ((6 * (n + 1)) + 6 + 4) in
   let reps = 32 in
   ( [
       {
@@ -486,9 +509,9 @@ let tree_solvers () =
 
 (* ---------------- avoidance sweeps ---------------- *)
 
-(* The full-graph avoidance sweep, the region-only kernel's overflow
-   fallback: one forbidden-node Dijkstra per relay, each setting one ban
-   byte and clearing it after. *)
+(* The full-graph avoidance sweep, the yardstick the tests hold the
+   region-only kernel to: one forbidden-node Dijkstra per relay, each
+   setting one ban byte and clearing it after. *)
 let avoid () =
   let n = 256 in
   let dg = bench_digraph ~n ~seed:13 in
@@ -547,7 +570,7 @@ let avoid_region () =
         (fun () ->
           for i = 0 to reps - 1 do
             let r =
-              Wnet_graph.Avoid_region.link_avoid ds ~budget:n idx ~graph:dg
+              Wnet_graph.Avoid_region.link_avoid ds idx ~graph:dg
                 ~mirror ~tree ~avoid:relays.(i) ~dist:d
             in
             assert (r >= 0)
@@ -717,7 +740,8 @@ let repair () =
         done)
   in
   (* the other branch: one relay's region-only refill, at the smallest
-     and the largest subtree the budget admits; allocation free *)
+     subtree, the largest an entry repair's budget admits, and the
+     largest; allocation free *)
   let idx = Avoid_region.make_index tree in
   let relays =
     List.sort_uniq compare
@@ -728,9 +752,9 @@ let repair () =
          (List.init n Fun.id))
   in
   let budget = Dynamic_sssp.default_budget n in
-  let pick better =
+  let pick ?(cap = n) better =
     List.fold_left
-      (fun b k -> if size.(k) <= budget && better size.(k) size.(b) then k else b)
+      (fun b k -> if size.(k) <= cap && better size.(k) size.(b) then k else b)
       (List.hd relays) relays
   in
   let refill k =
@@ -749,13 +773,10 @@ let repair () =
           done);
     }
   in
-  (* every in-budget relay refilled in turn, each into its own array,
-     allocated as the session allocates it *)
-  let in_budget = List.filter (fun k -> size.(k) <= budget) relays in
-  let own = List.map (fun k -> (k, Array.make n neg_infinity)) in_budget in
-  let mean =
-    List.fold_left (fun a k -> a + size.(k)) 0 in_budget / List.length in_budget
-  in
+  (* every relay refilled in turn, each into its own array, allocated
+     as the session allocates it *)
+  let own = List.map (fun k -> (k, Array.create_float n)) relays in
+  let mean = List.fold_left (fun a k -> a + size.(k)) 0 relays / List.length relays in
   let fill_own (k, d) =
     let r =
       Avoid_region.link_fill scratch idx ~graph:g ~mirror ~tree ~avoid:k ~dist:d
@@ -766,7 +787,7 @@ let repair () =
     {
       name =
         Printf.sprintf "region-refill/own-arrays/relays=%d/mean-subtree=%d/n=%d"
-          (List.length in_budget) mean n;
+          (List.length relays) mean n;
       ops = List.length own;
       alloc_free = true;
       run = (fun () -> List.iter fill_own own);
@@ -778,16 +799,20 @@ let repair () =
      each op runs a rise's closure, wipe, reseed and settle and re-derives
      the labels it started from: the op needs no restore, and allocates
      nothing.  [j] is the relay with such a link whose subtree is
-     nearest the mean in-budget subtree; [boundary] picks a tail outside
-     the subtree (whose tree label rises) or inside it (the link's weight
-     rises). *)
+     nearest the mean of those an entry repair's budget admits;
+     [boundary] picks a tail outside the subtree (whose tree label rises)
+     or inside it (the link's weight rises). *)
+  let repairable = List.filter (fun k -> size.(k) <= budget) relays in
+  let repairable_mean =
+    List.fold_left (fun a k -> a + size.(k)) 0 repairable / List.length repairable
+  in
   let subtree_repair ~boundary =
     let entry = Array.make n infinity in
     let ch = Dynamic_sssp.make_changes 1 in
     let { Digraph.row_off; col; wgt } = Digraph.csr mirror in
     let tight j =
       ignore
-        (Avoid_region.link_avoid scratch ~budget:n idx ~graph:g ~mirror ~tree
+        (Avoid_region.link_avoid scratch idx ~graph:g ~mirror ~tree
            ~avoid:j ~dist:entry);
       let found = ref None in
       let lo = idx.Avoid_region.pre.(j) in
@@ -808,11 +833,12 @@ let repair () =
       List.fold_left
         (fun best k ->
           match (best, tight k) with
-          | Some (b, _), Some l when abs (size.(k) - mean) < abs (size.(b) - mean) ->
+          | Some (b, _), Some l
+            when abs (size.(k) - repairable_mean) < abs (size.(b) - repairable_mean) ->
             Some (k, l)
           | None, Some l -> Some (k, l)
           | _ -> best)
-        None in_budget
+        None repairable
       |> Option.get
     in
     ignore (tight j);
@@ -845,24 +871,6 @@ let repair () =
           done);
     }
   in
-  (* past the budget a refill is a full-graph ban-mask run *)
-  let full =
-    let s = Dijkstra.make_scratch n in
-    let ban = Dijkstra.ban_mask s and k = pick ( > ) in
-    ignore (Digraph.csr g);
-    {
-      name = Printf.sprintf "full-refill/n=%d" n;
-      ops = reps;
-      alloc_free = true;
-      run =
-        (fun () ->
-          for _ = 1 to reps do
-            Bytes.set ban k '\001';
-            ignore (Sys.opaque_identity (Dijkstra.link_weighted_scratch s g 0));
-            Bytes.set ban k '\000'
-          done);
-    }
-  in
   [ restore; row "rise" leaf; row "fall" leaf ]
   @ (match wide with
     | Some l -> [ row "rise" [ l ]; row "fall" [ l ] ]
@@ -875,10 +883,10 @@ let repair () =
       subtree_repair ~boundary:true;
       subtree_repair ~boundary:false;
       refill (pick ( < ));
-      refill (pick ( > ));
-      sweep;
-      full;
+      refill (pick ~cap:budget ( > ));
     ]
+  @ (if size.(pick ( > )) > budget then [ refill (pick ( > )) ] else [])
+  @ [ sweep ]
 
 (* ---------------- digraph construction and edits ---------------- *)
 

@@ -9,23 +9,16 @@
    tree path avoids [k], forbidding [k] cannot shorten anything, and
    equal IEEE-754 values have equal bit patterns.
 
-   So the fill scopes a Dynamic_sssp run to subtree(k) minus [k] (a
-   contiguous pre-order range of the index), reads every label outside
-   it from the tree, marks the range as the region, and runs the wipe /
-   boundary-reseed / bounded-settle discipline over just that region,
-   with "silence k" as the virtual edit.  It writes only the region:
-   work is O(|subtree(k)| log |subtree(k)|) per relay, with no n-length
-   copy.  The repair runs the scoped distance repair over the same
-   range, driven by the candidate changes the caller found.
-
-   Exactness needs no tie detection: each region label is a minimum
-   over candidates [d(p) +. w] whose prefixes [d(p)] are bit-identical
-   to the from-scratch forbidden run's final labels (boundary by the
-   subtree argument, region members inductively), and a minimum of
-   identical float sums is the same float whatever order the frontier
-   settles in.  The only failure mode is the region-size budget: an
-   oversized subtree returns [-1] and the caller falls back to the
-   full-graph kernel.  Results are immediate ints, not variants — the
+   So the fill recomputes subtree(k) minus [k] (a contiguous pre-order
+   range of the index) and nothing else, reading every other label from
+   the tree: {!Dynamic_sssp.fill_link} runs it over the scratch's
+   working copy of the tree's labels, which the index names, and writes
+   only the region.  Work is O(|subtree(k)| log |subtree(k)|) plus the
+   region's links per relay, with no n-length copy and no budget; the
+   kernel's header has the exactness argument.  The repair runs the
+   scoped distance repair over the same range, driven by the candidate
+   changes the caller found, and keeps its budget: it discovers its
+   region as it runs.  Results are immediate ints, not variants — the
    kernels sit inside the per-relay fan-out and must allocate nothing
    per call. *)
 
@@ -102,51 +95,25 @@ let check ~what ~n idx (tree : Dijkstra.tree) ~avoid ~dist =
     invalid_arg (what ^ ": cannot avoid the source");
   if Array.length dist < n then invalid_arg (what ^ ": dist too short")
 
-let budget_or n = function Some b -> b | None -> Dynamic_sssp.default_budget n
-
-(* Open a run scoped to subtree(k) minus [k] and mark all of it; [false]
-   past the budget. *)
-let open_region ds ~budget idx (tree : Dijkstra.tree) k =
+(* Subtree(k) minus [k] is [order.(lo + 1 .. hi)]; its size is the
+   result. *)
+let link_fill ds idx ~graph ~mirror ~tree ~avoid:k ~dist:d =
+  check ~what:"Avoid_region.link_fill" ~n:(Digraph.n graph) idx tree ~avoid:k
+    ~dist:d;
   let lo = idx.pre.(k) in
   let hi = lo + idx.size.(k) - 1 in
-  Dynamic_sssp.region_begin ds idx.idx_n;
-  Dynamic_sssp.region_restrict ds ~pre:idx.pre ~lo ~hi ~ext:tree.Dijkstra.dist;
-  hi - lo <= budget
-  && begin
-       for i = lo + 1 to hi do
-         ignore (Dynamic_sssp.region_mark ds ~budget idx.order.(i))
-       done;
-       true
-     end
+  Dynamic_sssp.fill_link ds ~forbidden:k ~graph ~mirror ~pre:idx.pre
+    ~order:idx.order ~lo ~hi ~tree:tree.Dijkstra.dist ~dist:d;
+  hi - lo
 
-let link_fill ds ?budget idx ~graph ~mirror ~tree ~avoid:k ~dist:d =
-  let n = Digraph.n graph in
-  let budget = budget_or n budget in
-  check ~what:"Avoid_region.link_fill" ~n idx tree ~avoid:k ~dist:d;
-  if not (open_region ds ~budget idx tree k) then -1
-  else begin
-    Dynamic_sssp.region_wipe ds ~dist:d;
-    Dynamic_sssp.region_reseed_link ds ~forbidden:k ~mirror ~dist:d;
-    if Dynamic_sssp.region_settle_link ds ~budget ~forbidden:k ~graph ~dist:d
-    then Dynamic_sssp.region_size ds
-    else -1
-  end
-
-let node_fill ds ?budget idx ~graph ~tree ~avoid:k ~dist:d =
-  let n = Graph.n graph in
-  let budget = budget_or n budget in
-  check ~what:"Avoid_region.node_fill" ~n idx tree ~avoid:k ~dist:d;
-  let source = tree.Dijkstra.source in
-  if not (open_region ds ~budget idx tree k) then -1
-  else begin
-    Dynamic_sssp.region_wipe ds ~dist:d;
-    Dynamic_sssp.region_reseed_node ds ~forbidden:k ~graph ~source ~dist:d;
-    if
-      Dynamic_sssp.region_settle_node ds ~budget ~forbidden:k ~graph ~source
-        ~dist:d
-    then Dynamic_sssp.region_size ds
-    else -1
-  end
+let node_fill ds idx ~graph ~tree ~avoid:k ~dist:d =
+  check ~what:"Avoid_region.node_fill" ~n:(Graph.n graph) idx tree ~avoid:k
+    ~dist:d;
+  let lo = idx.pre.(k) in
+  let hi = lo + idx.size.(k) - 1 in
+  Dynamic_sssp.fill_node ds ~forbidden:k ~graph ~source:tree.Dijkstra.source
+    ~pre:idx.pre ~order:idx.order ~lo ~hi ~tree:tree.Dijkstra.dist ~dist:d;
+  hi - lo
 
 (* The full-array contract: the tree's labels everywhere, [k] silenced,
    then the fill over the region. *)
@@ -154,17 +121,17 @@ let blit (tree : Dijkstra.tree) k d =
   Array.blit tree.Dijkstra.dist 0 d 0 (Array.length tree.Dijkstra.dist);
   d.(k) <- infinity
 
-let link_avoid ds ?budget idx ~graph ~mirror ~tree ~avoid ~dist =
+let link_avoid ds idx ~graph ~mirror ~tree ~avoid ~dist =
   check ~what:"Avoid_region.link_avoid" ~n:(Digraph.n graph) idx tree ~avoid
     ~dist;
   blit tree avoid dist;
-  link_fill ds ?budget idx ~graph ~mirror ~tree ~avoid ~dist
+  link_fill ds idx ~graph ~mirror ~tree ~avoid ~dist
 
-let node_avoid ds ?budget idx ~graph ~tree ~avoid ~dist =
+let node_avoid ds idx ~graph ~tree ~avoid ~dist =
   check ~what:"Avoid_region.node_avoid" ~n:(Graph.n graph) idx tree ~avoid
     ~dist;
   blit tree avoid dist;
-  node_fill ds ?budget idx ~graph ~tree ~avoid ~dist
+  node_fill ds idx ~graph ~tree ~avoid ~dist
 
 let link_repair ds idx ~graph ~mirror ~tree ~avoid:k ~dist ch ~first ~last =
   let lo = idx.pre.(k) in

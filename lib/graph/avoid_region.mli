@@ -4,15 +4,18 @@
     source Dijkstra with [k] forbidden.  Silencing [k] only changes
     labels inside [k]'s subtree of the shared shortest-path tree; every
     exterior node keeps a label bit-identical to its tree distance.  So
-    instead of a full-graph run per relay, these kernels scope
-    {!Dynamic_sssp}'s wipe / boundary-reseed / bounded-settle discipline
-    to subtree([k]) minus [k], reading every label outside it from the
-    tree.
+    instead of a full-graph run per relay, the fills recompute
+    subtree([k]) minus [k] over a working copy of the tree's labels
+    ({!Dynamic_sssp.fill_link}), reading every label outside it from the
+    tree, and the repairs run {!Dynamic_sssp.repair_scoped} over the
+    same range.
 
-    The result is {e unconditionally} [Float.equal]-identical to the
+    A fill's result is {e unconditionally} [Float.equal]-identical to the
     from-scratch forbidden run — no tie detection needed, because every
     region label is a minimum over the same float candidate sums either
-    way.  The only fallback trigger is the region-size budget.
+    way — and its work is bounded by the subtree, so it has no budget
+    and no fallback.  A repair keeps a budget, since it discovers its
+    region as it runs.
 
     Allocation-free after scratch/index construction: safe inside the
     work-stealing fan-out with per-participant scratches. *)
@@ -47,7 +50,6 @@ val inside : index -> int -> int -> bool
 
 val link_fill :
   Dynamic_sssp.dist_scratch ->
-  ?budget:int ->
   index ->
   graph:Digraph.t ->
   mirror:Digraph.t ->
@@ -60,16 +62,17 @@ val link_fill :
     [dist] on the strict descendants of [k], bit for bit, and no other
     slot.  [tree] must be the current shortest-path tree of [graph] from
     its source, [mirror] the reverse of [graph], and [idx] built from
-    [tree].  Returns the region size [>= 0] on success; returns [-1] —
-    with [dist] left corrupted there — when the subtree exceeded
-    [budget] (default {!Dynamic_sssp.default_budget}), and the caller
-    must fall back to the full-graph kernel.
+    [tree].  Returns the region size, [size.(k) - 1]: the fill has no
+    budget and cannot fail.  The scratch's working labels are synced
+    with [tree] when [idx] is not the index they were last synced for,
+    so a caller keeps one index per tree (rebuilding it whenever the
+    tree changes) and pays that n-float copy once per tree and scratch;
+    on return they equal [tree]'s labels again.
     @raise Invalid_argument if sizes disagree, [avoid] is out of range,
     or [avoid = tree.source]. *)
 
 val node_fill :
   Dynamic_sssp.dist_scratch ->
-  ?budget:int ->
   index ->
   graph:Graph.t ->
   tree:Dijkstra.tree ->
@@ -115,7 +118,6 @@ val node_repair :
 
 val link_avoid :
   Dynamic_sssp.dist_scratch ->
-  ?budget:int ->
   index ->
   graph:Digraph.t ->
   mirror:Digraph.t ->
@@ -127,12 +129,11 @@ val link_avoid :
     [dist] with the distances of [Dijkstra.link_weighted_dist_csr
     ~avoid:k graph tree.source], bit for bit: it copies the tree's
     labels, sets [dist.(k) = infinity], then runs {!link_fill}.  Same
-    preconditions, result and failure mode.  The result is an immediate
-    int (no variant) so the call allocates nothing. *)
+    preconditions and result.  The result is an immediate int (no
+    variant) so the call allocates nothing. *)
 
 val node_avoid :
   Dynamic_sssp.dist_scratch ->
-  ?budget:int ->
   index ->
   graph:Graph.t ->
   tree:Dijkstra.tree ->

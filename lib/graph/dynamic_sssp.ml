@@ -92,6 +92,10 @@ type dist_scratch = {
   mutable hi : int;
   mutable ext : float array;
   own : changes;  (* the edit-list repairs' changes *)
+  (* The fills' working labels: between fills, the labels of the tree
+     whose index's [pre] array is [lab_pre] *)
+  lab : float array;
+  mutable lab_pre : int array;
 }
 
 let make_dist_scratch cap =
@@ -111,6 +115,8 @@ let make_dist_scratch cap =
     hi = max_int - 1;
     ext = [||];
     own = make_changes 16;
+    lab = Array.create_float c;
+    lab_pre = [||];
   }
 
 let dist_scratch_capacity s = s.cap
@@ -149,53 +155,38 @@ let[@inline] within pre lo1 span x =
 let[@inline] inside s x = within s.pre (s.lo + 1) (s.hi - s.lo) x
 
 (* ------------------------------------------------------------------ *)
-(* Region primitives.
+(* The repairs' wipe, boundary reseed and bounded-frontier settle.
 
-   The wipe, boundary reseed and bounded-frontier settle of the repairs
-   below, factored out so {!Avoid_region} can run the same discipline
-   over a subtree region it marked itself ("silence node k" as a
-   virtual edit).  Every loop keeps to the run's scope: a node outside
-   it is never marked, written or relaxed into, and its label is read
-   from [ext].  The settle loops go through
-   [Indexed_heap.prios]/[touch] rather than [insert_or_decrease]:
-   classic ocamlopt boxes float arguments at those non-inlined call
-   boundaries, and the kernels must not allocate. *)
+   Every loop keeps to the run's scope: a node outside it is never
+   marked, written or relaxed into, and its label is read from [ext].
+   The settle loops go through [Indexed_heap.prios]/[touch] rather than
+   [insert_or_decrease]: classic ocamlopt boxes float arguments at those
+   non-inlined call boundaries, and the kernels must not allocate. *)
 
-let region_begin = begin_dist_run
-
-let region_restrict s ~pre ~lo ~hi ~ext =
+let restrict s ~pre ~lo ~hi ~ext =
   s.pre <- pre;
   s.lo <- lo;
   s.hi <- hi;
   s.ext <- ext
 
-let region_mark s ~budget x =
-  match smark s ~budget x with
-  | () -> true
-  | exception Overflow -> false
-
-let region_size s = s.n_region
-
-let region_wipe s ~dist:d =
+let wipe s d =
   for k = 0 to s.n_region - 1 do
     d.(s.region.(k)) <- infinity
   done
 
 (* Offer each region node its best candidate through its in-links from
    the unmarked boundary (current weights, read through the mirror);
-   [forbidden] is invisible.  When the region is the whole scope (a
-   fill), every unmarked tail lies outside it. *)
+   [forbidden] is invisible. *)
 let reseed_link s ~j ~m_off ~m_col ~m_wgt d =
   let heap = s.heap in
   let prio = Indexed_heap.prios heap in
   let pre = s.pre and lo1 = s.lo + 1 and span = s.hi - s.lo and ext = s.ext in
-  let whole = s.n_region = span in
   for k = 0 to s.n_region - 1 do
     let x = s.region.(k) in
     for i = m_off.(x) to m_off.(x + 1) - 1 do
       let p = Array.unsafe_get m_col i in
       if p <> j && not (marked s p) then begin
-        let dp = if (not whole) && within pre lo1 span p then d.(p) else ext.(p) in
+        let dp = if within pre lo1 span p then d.(p) else ext.(p) in
         if dp < infinity then begin
           let cand = dp +. Array.unsafe_get m_wgt i in
           if cand < d.(x) then begin
@@ -211,7 +202,7 @@ let reseed_link s ~j ~m_off ~m_col ~m_wgt d =
 (* Settle the seeded frontier in label order (the popped priority always
    equals the node's current label, so the key-only pop reads it back
    from [d]).  Every settled node is marked against the budget: nodes
-   reached beyond the pre-marked region grow it. *)
+   reached beyond the closure grow the region. *)
 let settle_link s ~budget ~j ~g_off ~g_col ~g_wgt d =
   let heap = s.heap in
   let prio = Indexed_heap.prios heap in
@@ -224,9 +215,8 @@ let settle_link s ~budget ~j ~g_off ~g_col ~g_wgt d =
       let y = Array.unsafe_get g_col i in
       if y <> j then begin
         let cand = dx +. Array.unsafe_get g_wgt i in
-        (* [d.(y)] outside the scope is any float (a fresh entry holds
-           [neg_infinity] there, which fails this test at once): the
-           scope test decides *)
+        (* [d.(y)] outside the scope is any float: the scope test
+           decides *)
         if cand < d.(y) && within pre lo1 span y then begin
           d.(y) <- cand;
           prio.(y) <- cand;
@@ -243,13 +233,12 @@ let reseed_node s ~j ~row_off ~col ~cost ~source d =
   let heap = s.heap in
   let prio = Indexed_heap.prios heap in
   let pre = s.pre and lo1 = s.lo + 1 and span = s.hi - s.lo and ext = s.ext in
-  let whole = s.n_region = span in
   for k = 0 to s.n_region - 1 do
     let x = s.region.(k) in
     for i = row_off.(x) to row_off.(x + 1) - 1 do
       let p = Array.unsafe_get col i in
       if p <> j && not (marked s p) then begin
-        let dp = if (not whole) && within pre lo1 span p then d.(p) else ext.(p) in
+        let dp = if within pre lo1 span p then d.(p) else ext.(p) in
         if dp < infinity then begin
           let leave = if p = source then 0.0 else Array.unsafe_get cost p in
           let cand = dp +. leave in
@@ -283,27 +272,157 @@ let settle_node s ~budget ~j ~row_off ~col ~cost ~source d =
     done
   done
 
-let region_reseed_link s ~forbidden ~mirror ~dist =
-  let { Digraph.row_off; col; wgt } = Digraph.csr mirror in
-  reseed_link s ~j:forbidden ~m_off:row_off ~m_col:col ~m_wgt:wgt dist
+(* ------------------------------------------------------------------ *)
+(* Avoidance fills over working labels ({!Avoid_region}'s kernel).
 
-let region_settle_link s ~budget ~forbidden ~graph ~dist =
-  let { Digraph.row_off; col; wgt } = Digraph.csr graph in
-  match settle_link s ~budget ~j:forbidden ~g_off:row_off ~g_col:col ~g_wgt:wgt dist with
-  | () -> true
-  | exception Overflow -> false
+   The fill for relay [k] computes the [k]-avoiding search's labels on
+   R = order.(lo + 1 .. hi), [k]'s strict descendants in the tree.  It
+   works on [lab], the scratch's copy of the tree's labels, which is
+   equal to them again between fills:
 
-let region_reseed_node s ~forbidden ~graph ~source ~dist =
+   1. set [lab] to [infinity] on R and on [k];
+   2. for each [x] in R, its seed is the min over [x]'s in-links
+      [p -> x] of [lab.(p) +. w] (kept in [dist.(x)] for now), and a
+      finite seed enters the heap;
+   3. the seeds go into [lab] only after the scan, so no seed reads
+      another;
+   4. [lab.(k) <- neg_infinity], then settle: pop [x], and for each
+      out-link [x -> y] with [c = lab.(x) +. w < lab.(y)], label [y]
+      with [c];
+   5. copy R's labels into [dist], and restore [lab] from the tree on R
+      and on [k].
+
+   Why it is exact.  Every label a region node takes is the float sum
+   along some [k]-avoiding path, so it is at least that search's label,
+   which is at least the node's tree label.  Float addition is monotone
+   and a tree label is at most every candidate [fl (label p + w)] over
+   its in-links.  So a candidate out of a region node never gets below
+   an exterior node's tree label, which is its [lab]: the settle's
+   [c < lab.(y)] never holds outside R, and only R's labels move.
+   [k] reads [infinity] while R is seeded, so no candidate leaves it,
+   and [neg_infinity] while it settles, so none enters it.  Each label
+   of R is thus the min over the same float candidates as a fresh
+   forbidden run: exterior candidates in step 2 at their tree labels,
+   which are the forbidden run's, and interior ones as their tails
+   settle.  The inner loops need no mark, scope or forbidden test, and
+   the work is bounded by the subtree and its links: no budget.
+
+   The sync.  [lab] is copied from the tree when the [pre] array passed
+   in is not the one of the last copy: an {!Avoid_region.index} is
+   built once per tree, so the copy is once per tree and scratch, not
+   once per fill.  The heap is drained first: an entry repair that
+   overflowed mid-settle on this scratch leaves entries behind, and a
+   stale [k] would relax at [neg_infinity]. *)
+
+let sync s ~pre ~tree n =
+  if n > s.cap then invalid_arg "Dynamic_sssp: graph exceeds scratch capacity";
+  if s.lab_pre != pre then begin
+    Array.blit tree 0 s.lab 0 n;
+    s.lab_pre <- pre
+  end;
+  while not (Indexed_heap.is_empty s.heap) do
+    ignore (Indexed_heap.pop_min_key s.heap)
+  done
+
+(* Steps 1 and 3 and 5, around the model's reseed and settle. *)
+let silence lab order ~lo ~hi k =
+  lab.(k) <- infinity;
+  for i = lo + 1 to hi do
+    lab.(order.(i)) <- infinity
+  done
+
+let commit heap lab order ~lo ~hi d =
+  let prio = Indexed_heap.prios heap in
+  for i = lo + 1 to hi do
+    let x = order.(i) in
+    let b = d.(x) in
+    lab.(x) <- b;
+    if b < infinity then begin
+      prio.(x) <- b;
+      Indexed_heap.touch heap x
+    end
+  done
+
+let restore (lab : float array) order ~lo ~hi ~(tree : float array) k d =
+  for i = lo + 1 to hi do
+    let x = order.(i) in
+    d.(x) <- lab.(x);
+    lab.(x) <- tree.(x)
+  done;
+  lab.(k) <- tree.(k)
+
+let fill_link s ~forbidden:k ~graph ~mirror ~pre ~order ~lo ~hi ~tree ~dist:d =
+  sync s ~pre ~tree (Digraph.n graph);
+  let lab = s.lab and heap = s.heap in
+  let prio = Indexed_heap.prios heap in
+  let { Digraph.row_off = m_off; col = m_col; wgt = m_wgt } = Digraph.csr mirror in
+  let { Digraph.row_off = g_off; col = g_col; wgt = g_wgt } = Digraph.csr graph in
+  silence lab order ~lo ~hi k;
+  for i = lo + 1 to hi do
+    let x = order.(i) in
+    let best = ref infinity in
+    for e = m_off.(x) to m_off.(x + 1) - 1 do
+      let c = Array.unsafe_get lab (Array.unsafe_get m_col e) +. Array.unsafe_get m_wgt e in
+      if c < !best then best := c
+    done;
+    d.(x) <- !best
+  done;
+  commit heap lab order ~lo ~hi d;
+  lab.(k) <- neg_infinity;
+  while not (Indexed_heap.is_empty heap) do
+    let x = Indexed_heap.pop_min_key heap in
+    let dx = Array.unsafe_get lab x in
+    for e = g_off.(x) to g_off.(x + 1) - 1 do
+      let y = Array.unsafe_get g_col e in
+      let c = dx +. Array.unsafe_get g_wgt e in
+      if c < Array.unsafe_get lab y then begin
+        Array.unsafe_set lab y c;
+        Array.unsafe_set prio y c;
+        Indexed_heap.touch heap y
+      end
+    done
+  done;
+  restore lab order ~lo ~hi ~tree k d
+
+(* Node-weighted: leaving [p] costs its relay cost, 0 from the source,
+   which is never in R. *)
+let fill_node s ~forbidden:k ~graph ~source ~pre ~order ~lo ~hi ~tree ~dist:d =
+  sync s ~pre ~tree (Graph.n graph);
+  let lab = s.lab and heap = s.heap in
+  let prio = Indexed_heap.prios heap in
   let { Graph.row_off; col } = Graph.csr graph in
   let cost = Graph.costs_view graph in
-  reseed_node s ~j:forbidden ~row_off ~col ~cost ~source dist
+  silence lab order ~lo ~hi k;
+  for i = lo + 1 to hi do
+    let x = order.(i) in
+    let best = ref infinity in
+    for e = row_off.(x) to row_off.(x + 1) - 1 do
+      let p = Array.unsafe_get col e in
+      let leave = if p = source then 0.0 else Array.unsafe_get cost p in
+      let c = Array.unsafe_get lab p +. leave in
+      if c < !best then best := c
+    done;
+    d.(x) <- !best
+  done;
+  commit heap lab order ~lo ~hi d;
+  lab.(k) <- neg_infinity;
+  while not (Indexed_heap.is_empty heap) do
+    let x = Indexed_heap.pop_min_key heap in
+    let c = Array.unsafe_get lab x +. Array.unsafe_get cost x in
+    for e = row_off.(x) to row_off.(x + 1) - 1 do
+      let y = Array.unsafe_get col e in
+      if c < Array.unsafe_get lab y then begin
+        Array.unsafe_set lab y c;
+        Array.unsafe_set prio y c;
+        Indexed_heap.touch heap y
+      end
+    done
+  done;
+  restore lab order ~lo ~hi ~tree k d
 
-let region_settle_node s ~budget ~forbidden ~graph ~source ~dist =
-  let { Graph.row_off; col } = Graph.csr graph in
-  let cost = Graph.costs_view graph in
-  match settle_node s ~budget ~j:forbidden ~row_off ~col ~cost ~source dist with
-  | () -> true
-  | exception Overflow -> false
+let working_labels s = s.lab
+
+let frontier s = Indexed_heap.size s.heap
 
 (* ------------------------------------------------------------------ *)
 (* The repairs, one per model, over candidate changes [first, last) of
@@ -382,7 +501,7 @@ let repair_link s ~budget ~j ~source ~graph ~mirror d ch first last =
         chase_changed s ~budget ch first last x d
       end
     done;
-    region_wipe s ~dist:d;
+    wipe s d;
     reseed_link s ~j ~m_off ~m_col ~m_wgt d;
     seed_kept s ch first last d;
     settle_link s ~budget ~j ~g_off ~g_col ~g_wgt d
@@ -418,7 +537,7 @@ let repair_node s ~budget ~j ~source ~graph d ch first last =
         chase_changed s ~budget ch first last x d
       end
     done;
-    region_wipe s ~dist:d;
+    wipe s d;
     reseed_node s ~j ~row_off ~col ~cost ~source d;
     seed_kept s ch first last d;
     settle_node s ~budget ~j ~row_off ~col ~cost ~source d
@@ -434,14 +553,14 @@ let repair_scoped s ~budget ~forbidden ~graph ~mirror ~source ~scope ~lo ~hi ~ex
     ~dist ch ~first ~last =
   check_scoped ~n:(Digraph.n graph) dist;
   begin_dist_run s (Digraph.n graph);
-  region_restrict s ~pre:scope ~lo ~hi ~ext;
+  restrict s ~pre:scope ~lo ~hi ~ext;
   repair_link s ~budget ~j:forbidden ~source ~graph ~mirror dist ch first last
 
 let repair_node_scoped s ~budget ~forbidden ~graph ~source ~scope ~lo ~hi ~ext
     ~dist ch ~first ~last =
   check_scoped ~n:(Graph.n graph) dist;
   begin_dist_run s (Graph.n graph);
-  region_restrict s ~pre:scope ~lo ~hi ~ext;
+  restrict s ~pre:scope ~lo ~hi ~ext;
   repair_node s ~budget ~j:forbidden ~source ~graph dist ch first last
 
 (* The unscoped repairs take net edits and turn each into changes, its

@@ -13,7 +13,9 @@
       distance-only array (no parents) after net edits;
       {!repair_scoped}/{!repair_node_scoped} run the same repair inside
       one subtree, driven by candidate changes — the session's
-      per-relay avoidance entries.
+      per-relay avoidance entries;
+    - {!fill_link}/{!fill_node}: compute one relay's avoidance labels
+      on its subtree from scratch, over working labels.
 
     {b Exactness contract.}  A successful repair leaves the structure
     {e bit-identical} ([Float.equal] on every distance, [=] on every
@@ -91,9 +93,10 @@ val rebuild : t -> unit
 (** {1 Distance-only repair} *)
 
 type dist_scratch
-(** Reusable workspace (heap, epoch marks, region log) for
-    {!repair_dist}/{!repair_node_dist}.  Single-owner: one concurrent
-    repair per scratch — give each {!Wnet_par} participant its own. *)
+(** Reusable workspace (heap, epoch marks, region log, working labels)
+    for the distance repairs and the avoidance fills.  Single-owner: one
+    concurrent run per scratch — give each {!Wnet_par} participant its
+    own. *)
 
 val make_dist_scratch : int -> dist_scratch
 (** [make_dist_scratch cap] accepts graphs of at most [cap] nodes. *)
@@ -213,80 +216,61 @@ val repair_node_scoped :
 (** Node-weighted {!repair_scoped}: a change's weight is its tail's relay
     cost (0 from [source]). *)
 
-(** {1 Region primitives}
+(** {1 Avoidance fills}
 
-    The wipe / boundary-reseed / bounded-settle machinery of the
-    distance repairs, exposed piecewise so other kernels can run the
-    same discipline over a region they delimit themselves —
-    {!Avoid_region} marks a relay's SPT subtree and recomputes exactly
-    those labels, with everything outside the region serving as the
-    intact boundary.  Protocol, per run: {!region_begin}, optionally
-    {!region_restrict}, then
-    {!region_mark} every region node, then {!region_wipe},
-    [region_reseed_*], optional direct seeds, and [region_settle_*].
-    All of it is allocation-free after scratch creation (the settle
-    loops go through [Indexed_heap.prios]/[touch]). *)
+    {!Avoid_region}'s kernel: the labels of the search with one node
+    silenced, on that node's subtree of the shared tree, computed over
+    the scratch's {e working labels} — an n-float copy of the tree's
+    labels that the fill moves only on the subtree and restores before
+    it returns.  The copy is made when [pre] is not the array of the
+    last copy, so a caller passes one [pre] per tree (an
+    {!Avoid_region.index}'s) and pays it once per tree and scratch.
+    Allocation-free. *)
 
-val region_begin : dist_scratch -> int -> unit
-(** Open a fresh region epoch on a scratch (empty region, drained
-    heap) for a graph of [n] nodes.
-    @raise Invalid_argument if [n] exceeds the scratch capacity. *)
-
-val region_mark : dist_scratch -> budget:int -> int -> bool
-(** [region_mark s ~budget x] adds [x] to the region (idempotent).
-    Returns [false] — with [x] {e not} marked — when the region already
-    holds [budget] nodes: the caller must abandon the run and fall back
-    to a from-scratch computation. *)
-
-val region_restrict :
-  dist_scratch -> pre:int array -> lo:int -> hi:int -> ext:float array -> unit
-(** [region_restrict s ~pre ~lo ~hi ~ext] scopes the current run to the
-    nodes [x] with [lo < pre.(x) <= hi]: the reseed reads a label outside
-    the scope from [ext], and the settle never relaxes into it.
-    {!region_begin} resets the scope to the whole graph. *)
-
-val region_size : dist_scratch -> int
-(** Nodes marked in the current epoch. *)
-
-val region_wipe : dist_scratch -> dist:float array -> unit
-(** Set [dist] to [infinity] on every marked node. *)
-
-val region_reseed_link :
-  dist_scratch -> forbidden:int -> mirror:Digraph.t -> dist:float array -> unit
-(** Offer each marked node its best candidate through its in-links from
-    unmarked, finite-labelled boundary nodes (current weights, scanned
-    through [mirror]; a label outside the scope read from its [ext]);
-    links incident to [forbidden] are invisible.
-    Improvements enter the scratch's frontier heap. *)
-
-val region_settle_link :
+val fill_link :
   dist_scratch ->
-  budget:int ->
   forbidden:int ->
   graph:Digraph.t ->
-  dist:float array ->
-  bool
-(** Settle the seeded frontier in label order, relaxing out-links over
-    [graph] into the scope (with [forbidden] invisible).  Settled nodes are marked
-    against [budget]; [false] means the region outgrew it and [dist] is
-    left corrupted. *)
-
-val region_reseed_node :
-  dist_scratch ->
-  forbidden:int ->
-  graph:Graph.t ->
-  source:int ->
+  mirror:Digraph.t ->
+  pre:int array ->
+  order:int array ->
+  lo:int ->
+  hi:int ->
+  tree:float array ->
   dist:float array ->
   unit
-(** Node-weighted {!region_reseed_link}: symmetric adjacency, leaving a
-    boundary node charges its relay cost (0 from [source]). *)
+(** [fill_link s ~forbidden:k ~graph ~mirror ~pre ~order ~lo ~hi ~tree
+    ~dist] writes into [dist], on [R = order.(lo + 1 .. hi)] and nowhere
+    else, the labels of [Dijkstra.link_weighted_dist_csr ~avoid:k graph]
+    from the tree's source, bit for bit.  [tree] must be that source's
+    exact labels over [graph] ([infinity] where unreached), [mirror] the
+    reverse of [graph], and [R] the strict descendants of [k] in a
+    shortest-path tree with those labels; [pre] names that tree.  The
+    heap is drained first (an overflowed repair may leave entries), and
+    on return the working labels equal [tree] again and the heap is
+    empty.  The work is bounded by [R] and its links: there is no
+    budget.
+    @raise Invalid_argument if the graph exceeds the scratch capacity. *)
 
-val region_settle_node :
+val fill_node :
   dist_scratch ->
-  budget:int ->
   forbidden:int ->
   graph:Graph.t ->
   source:int ->
+  pre:int array ->
+  order:int array ->
+  lo:int ->
+  hi:int ->
+  tree:float array ->
   dist:float array ->
-  bool
-(** Node-weighted {!region_settle_link}. *)
+  unit
+(** Node-weighted {!fill_link}: matches [Dijkstra.node_weighted_dist_csr
+    ~avoid:k graph ~source] on [R]. *)
+
+val working_labels : dist_scratch -> float array
+(** The scratch's working labels, read-only: between fills, on the
+    graph's nodes, the labels of the tree the last fill synced with. *)
+
+val frontier : dist_scratch -> int
+(** Keys left in the scratch's heap: 0 after every fill and every
+    completed repair. *)

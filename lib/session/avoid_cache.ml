@@ -48,16 +48,13 @@ type t = {
   pool : Wnet_par.t;
   mutable avoid : float array option array;
   mutable exact : bool array;  (* exact.(k): avoid.(k) is exact on S(k) *)
-  mutable scratches : Dijkstra.scratch array;  (* one per pool slot *)
-  mutable dscratches : Dynamic_sssp.dist_scratch array;  (* likewise *)
+  mutable dscratches : Dynamic_sssp.dist_scratch array;  (* one per pool slot *)
   mutable avoid_runs : int;
   mutable avoid_reused : int;
   mutable repaired : int;
   mutable fallbacks : int;
   mutable tasks_executed : int;
   mutable tasks_stolen : int;
-  mutable avoid_bounded : int;
-  mutable avoid_fallback : int;
   region_hist : int array;
   mutable index : (int * Avoid_region.index) option;
       (* the shared tree's pre-order index, keyed by the engine's tree
@@ -98,7 +95,6 @@ let create pool n =
     pool;
     avoid = Array.make n None;
     exact = Array.make n false;
-    scratches = Array.init (Wnet_par.size pool) (fun _ -> Dijkstra.make_scratch n);
     dscratches =
       Array.init (Wnet_par.size pool) (fun _ -> Dynamic_sssp.make_dist_scratch n);
     avoid_runs = 0;
@@ -107,8 +103,6 @@ let create pool n =
     fallbacks = 0;
     tasks_executed = 0;
     tasks_stolen = 0;
-    avoid_bounded = 0;
-    avoid_fallback = 0;
     region_hist = Array.make hist_buckets 0;
     index = None;
     snap = -1;
@@ -141,14 +135,9 @@ let grow t nn =
   let old = Array.length t.avoid in
   t.avoid <- Array.init nn (fun k -> if k < old then t.avoid.(k) else None);
   t.exact <- Array.init nn (fun k -> k < old && t.exact.(k));
-  let slots = Wnet_par.size t.pool in
-  if nn > Dijkstra.scratch_capacity t.scratches.(0) then
-    t.scratches <-
-      Array.init slots (fun _ ->
-          Dijkstra.make_scratch (max nn (2 * Dijkstra.scratch_capacity t.scratches.(0))));
   if nn > Dynamic_sssp.dist_scratch_capacity t.dscratches.(0) then
     t.dscratches <-
-      Array.init slots (fun _ ->
+      Array.init (Wnet_par.size t.pool) (fun _ ->
           Dynamic_sssp.make_dist_scratch
             (max nn (2 * Dynamic_sssp.dist_scratch_capacity t.dscratches.(0))))
 
@@ -323,22 +312,21 @@ let swap_pair t a b =
 (* ------------------------------------------------------------------ *)
 (* The cost model.
 
-   Refilling entry [j] re-settles S(j), or runs a full Dijkstra past the
-   region budget.  Repairing [j] re-settles the part of S(j) its pairs
-   disturb: about the subtree of each pair's head.  A rise first chases
-   and wipes the labels its old candidate realised, a fall only seeds
-   and settles the labels it improves, so the two are priced apart.
-   Constants are ns per pair and per region node, fitted to the time
-   each repair and refill call took inside a session serving the
-   [serve-link-text] op stream (DESIGN.md has the fit and why it is not
-   taken from the micro rows); only their ratios steer the choice. *)
+   Refilling entry [j] re-settles S(j), whatever its size.  Repairing
+   [j] re-settles the part of S(j) its pairs disturb: about the subtree
+   of each pair's head.  A rise first chases and wipes the labels its
+   old candidate realised, a fall only seeds and settles the labels it
+   improves, so the two are priced apart.  Constants are ns per pair and
+   per region node, fitted to the time each repair and refill call took
+   inside a session serving the [serve-link-text] op stream (DESIGN.md
+   has the fit and why it is not taken from the micro rows); only their
+   ratios steer the choice. *)
 
 let rise_edit_ns = 840
 let rise_node_ns = 490
 let fall_edit_ns = 145
 let fall_node_ns = 130
-let fill_node_ns = 360
-let full_node_ns = 290 (* per node of a full-graph ban-mask Dijkstra *)
+let fill_node_ns = 245
 
 (* One flush: [tree] is the shared SPT for the edited graph, [candidates
    emit] calls [emit p x w0 w1] for every candidate change of the burst
@@ -393,8 +381,7 @@ let maintain t ~(tree : Dijkstra.tree) ~stamp ~candidates ~repair =
               rise_edit_ns + (rise_node_ns * (r - 1))
             else fall_edit_ns + (fall_node_ns * (r - 1))
         done;
-        let sub = idx.Avoid_region.size.(j) - 1 in
-        let fill_ns = if sub > budget then full_node_ns * n else fill_node_ns * sub in
+        let fill_ns = fill_node_ns * (idx.Avoid_region.size.(j) - 1) in
         (* an array from before a join is refilled, which sizes it *)
         let short = match t.avoid.(j) with Some a -> Array.length a < n | None -> true in
         if !region <= budget && !ns < fill_ns && not short then
@@ -430,10 +417,9 @@ let maintain t ~(tree : Dijkstra.tree) ~stamp ~candidates ~repair =
   end
 
 (* Make every relay's entry exact: the exact ones are reused, the rest
-   filled over the pool.  [bounded] is the region-only kernel (region
-   size, or [-1] past the budget), writing into the entry's own array;
-   [full] is the full-graph run it falls back to. *)
-let refill t ~(tree : Dijkstra.tree) ~stamp ~bounded ~full relays =
+   filled over the pool.  [fill] is the region-only kernel, writing
+   S(k) into the entry's own array and returning its size. *)
+let refill t ~(tree : Dijkstra.tree) ~stamp ~fill relays =
   (* entries of nodes that are no longer relays: S(j) is empty *)
   let r = ref 0 in
   for j = 0 to Array.length t.avoid - 1 do
@@ -450,23 +436,17 @@ let refill t ~(tree : Dijkstra.tree) ~stamp ~bounded ~full relays =
   let missing = Array.of_list !missing in
   if Array.length missing > 0 then begin
     let n = Array.length tree.Dijkstra.dist in
-    let states =
-      Array.init (Array.length t.scratches) (fun i ->
-          (t.scratches.(i), t.dscratches.(i)))
-    in
     let idx = index t ~stamp tree in
     let filled =
-      steal_map t ~states
-        (fun (s, ds) k ->
-          (* a fresh array holds [neg_infinity] outside S(k), never
-             read, which the settle rejects without a scope test *)
+      steal_map t ~states:t.dscratches
+        (fun ds k ->
+          (* outside S(k) the array is never read *)
           let d =
             match t.avoid.(k) with
             | Some d when Array.length d >= n -> d
-            | _ -> Array.make n neg_infinity
+            | _ -> Array.create_float n
           in
-          let r = bounded ds idx k d in
-          if r >= 0 then (d, r) else (full s k, -1))
+          (d, fill ds idx k d))
         missing
     in
     Array.iteri
@@ -474,11 +454,7 @@ let refill t ~(tree : Dijkstra.tree) ~stamp ~bounded ~full relays =
         let d, r = filled.(i) in
         t.avoid.(k) <- Some d;
         t.exact.(k) <- true;
-        if r >= 0 then begin
-          t.avoid_bounded <- t.avoid_bounded + 1;
-          record_region t r
-        end
-        else t.avoid_fallback <- t.avoid_fallback + 1)
+        record_region t r)
       missing
   end;
   t.avoid_runs <- t.avoid_runs + Array.length missing;

@@ -104,7 +104,7 @@ let stats t =
     avoid_runs = c.avoid_runs; avoid_reused = c.avoid_reused;
     repaired_entries = c.repaired; fallback_recomputes = c.fallbacks;
     tasks_executed = c.tasks_executed; tasks_stolen = c.tasks_stolen;
-    avoid_bounded = c.avoid_bounded; avoid_fallback = c.avoid_fallback }
+    avoid_bounded = c.avoid_runs; avoid_fallback = 0 }
 let unbounded_relays t = t.unbounded
 let region_histogram t = Avoid_cache.region_histogram t.cache
 let entries t = Avoid_cache.entries t.cache
@@ -344,17 +344,12 @@ let charges t =
     flush t;
     let tree = shared_tree t in
     (* Per-relay fills of the relay's SPT subtree only: exterior labels
-       are read off the shared tree, only the region is
-       wiped/reseeded/settled.  Oversized subtrees fall back to the
-       full-graph CSR kernel. *)
-    let bounded ds idx k d =
+       are read off the shared tree, only the region is recomputed. *)
+    let fill ds idx k d =
       Avoid_region.link_fill ds idx ~graph:t.rev ~mirror:t.g ~tree ~avoid:k ~dist:d
     in
-    let full scratch k =
-      Dijkstra.link_weighted_dist_csr scratch ~avoid:k t.rev t.root
-    in
     let relays = Avoid_cache.relays tree in
-    Avoid_cache.refill t.cache ~tree ~stamp:t.tree_version ~bounded ~full relays;
+    Avoid_cache.refill t.cache ~tree ~stamp:t.tree_version ~fill relays;
     let charge, cut =
       Avoid_cache.charges t.cache ~tree ~stamp:t.tree_version ~model:`Link
         ~own:(own_costs t tree) relays

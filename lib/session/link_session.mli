@@ -107,10 +107,10 @@ type stats = {
   avoid_bounded : int;
       (** refills served by the region-only kernel (only the relay's
           SPT subtree computed, exterior labels read off the shared
-          tree) *)
+          tree): every refill *)
   avoid_fallback : int;
-      (** bounded fills whose region outgrew the budget and fell back to
-          a full-graph CSR Dijkstra *)
+      (** always 0: fills have no budget and no full-graph fallback.
+          Kept for the 12-counter stats wire forms *)
 }
 
 val create : ?pool:Wnet_par.t -> Wnet_graph.Digraph.t -> root:int -> t
@@ -120,9 +120,8 @@ val create : ?pool:Wnet_par.t -> Wnet_graph.Digraph.t -> root:int -> t
     out over domains; every pool size yields bit-identical payments.
     A cache miss is filled by the region-only kernel
     ({!Wnet_graph.Avoid_region}): exterior distances come from the
-    shared SPT and only the relay's subtree is recomputed, with the
-    full-graph CSR kernel as the fallback when the subtree outgrows the
-    budget.
+    shared SPT and only the relay's subtree is recomputed, whatever
+    its size.
     @raise Invalid_argument if [root] is out of range. *)
 
 val n : t -> int

@@ -82,7 +82,7 @@ let stats t =
     avoid_runs = c.avoid_runs; avoid_reused = c.avoid_reused;
     repaired_entries = c.repaired; fallback_recomputes = c.fallbacks;
     tasks_executed = c.tasks_executed; tasks_stolen = c.tasks_stolen;
-    avoid_bounded = c.avoid_bounded; avoid_fallback = c.avoid_fallback }
+    avoid_bounded = c.avoid_runs; avoid_fallback = 0 }
 let unbounded_relays t = t.unbounded
 let region_histogram t = Avoid_cache.region_histogram t.cache
 let entries t = Avoid_cache.entries t.cache
@@ -196,14 +196,11 @@ let charges t =
     flush t;
     let tree = shared_tree t in
     (* Region-only fills; see {!Link_session.charges}. *)
-    let bounded ds idx k d =
+    let fill ds idx k d =
       Avoid_region.node_fill ds idx ~graph:t.g ~tree ~avoid:k ~dist:d
     in
-    let full scratch k =
-      Dijkstra.node_weighted_dist_csr scratch ~avoid:k t.g ~source:t.root
-    in
     let relays = Avoid_cache.relays tree in
-    Avoid_cache.refill t.cache ~tree ~stamp:t.tree_version ~bounded ~full relays;
+    Avoid_cache.refill t.cache ~tree ~stamp:t.tree_version ~fill relays;
     let charge, cut =
       Avoid_cache.charges t.cache ~tree ~stamp:t.tree_version ~model:`Node
         ~own:(Graph.costs_view t.g) relays

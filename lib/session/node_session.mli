@@ -65,10 +65,9 @@ type stats = {
       (** the subset executed by a domain other than the one that queued
           them — nonzero only when stealing actually rebalanced load *)
   avoid_bounded : int;
-      (** refills served by the region-only kernel *)
+      (** refills served by the region-only kernel: every refill *)
   avoid_fallback : int;
-      (** bounded fills that outgrew the budget and fell back to a
-          full-graph CSR Dijkstra *)
+      (** always 0, as in {!Link_session.stats} *)
 }
 
 val create : ?pool:Wnet_par.t -> Wnet_graph.Graph.t -> root:int -> t
@@ -76,8 +75,8 @@ val create : ?pool:Wnet_par.t -> Wnet_graph.Graph.t -> root:int -> t
     so the session shares the adjacency structure and swaps cost
     vectors; the caller's graph is never affected.  Cache misses are
     filled as in {!Link_session.create}: the region-only kernel over
-    the shared SPT ({!Wnet_graph.Avoid_region}), with a full-graph CSR
-    fallback on budget overflow.
+    the shared SPT ({!Wnet_graph.Avoid_region}), with no budget and no
+    fallback.
     @raise Invalid_argument if [root] is out of range. *)
 
 val n : t -> int

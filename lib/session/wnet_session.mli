@@ -45,8 +45,11 @@ type stats = Link_session.stats = {
     every refill, membership changes and cost-model drops included;
     [avoid_reused] the relays served from an exact entry, untouched or
     repaired; [fallback_recomputes] tree rebuilds and overflowed entry
-    repairs; [avoid_bounded] the refills the region-only kernel served;
-    and [tasks_executed] one task per entry repair and per refill. *)
+    repairs; [avoid_bounded] the refills the region-only kernel served,
+    which is every refill; [avoid_fallback] reads 0 (fills have no
+    budget and no full-graph fallback; the field keeps the wire forms at
+    12 counters); and [tasks_executed] one task per entry repair and per
+    refill. *)
 
 val zero_stats : stats
 (** All counters zero. *)

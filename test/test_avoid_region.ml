@@ -3,13 +3,15 @@
    - [Avoid_region.link_avoid]/[node_avoid] are [Float.equal]-identical
      to the full-CSR run and to {!Payment_ref}'s search for every relay
      — cut vertices (infinite avoidance) and unreachable nodes included;
-   - an undersized budget reports [`Overflow] honestly, and rerunning
-     with a sufficient one recovers the exact answer (the session's
-     fallback discipline);
+   - [link_fill]/[node_fill] on every relay of chain and UDG instances,
+     subtrees past n/2 included, equal the ban-mask sweep bit for bit,
+     write nothing outside the subtree, and leave the scratch's working
+     labels equal to the tree's and its heap empty — also when the
+     scratch's previous repair overflowed and left keys in its heap;
    - whole payment batches stay bit-identical to the reference at pool
      sizes 1 and 3, under random edit/fill interleavings;
-   - tied integer weights on a path topology force the fallback (a
-     subtree larger than the budget) without perturbing payments. *)
+   - tied integer weights on a path topology, with a subtree past n/2,
+     fill every relay region-only without perturbing payments. *)
 
 open Wnet_graph
 module Rng = Wnet_prng.Rng
@@ -51,10 +53,10 @@ let link_kernel_prop seed =
   for k = 0 to n - 1 do
     if k <> root then begin
       if
-        Avoid_region.link_avoid ds ~budget:n idx ~graph:rev ~mirror:g ~tree
+        Avoid_region.link_avoid ds idx ~graph:rev ~mirror:g ~tree
           ~avoid:k ~dist:d
         < 0
-      then QCheck2.Test.fail_reportf "budget n can never overflow (k=%d)" k;
+      then QCheck2.Test.fail_reportf "negative region (k=%d)" k;
       let csr = Dijkstra.link_weighted_dist_csr scratch ~avoid:k rev root in
       let reference = Payment_ref.link_dist ~avoid:k rev ~source:root in
       if not (floats_equal d csr && floats_equal csr reference) then
@@ -76,10 +78,10 @@ let node_kernel_prop seed =
   for k = 0 to n - 1 do
     if k <> root then begin
       if
-        Avoid_region.node_avoid ds ~budget:n idx ~graph:g ~tree ~avoid:k
+        Avoid_region.node_avoid ds idx ~graph:g ~tree ~avoid:k
           ~dist:d
         < 0
-      then QCheck2.Test.fail_reportf "budget n overflowed (k=%d)" k;
+      then QCheck2.Test.fail_reportf "negative region (k=%d)" k;
       let csr = Dijkstra.node_weighted_dist_csr scratch ~avoid:k g ~source:root in
       let reference = Payment_ref.node_dist ~avoid:k g ~source:root in
       if not (floats_equal d csr && floats_equal csr reference) then
@@ -88,45 +90,189 @@ let node_kernel_prop seed =
   done;
   true
 
-(* An undersized budget must overflow honestly; retrying with budget [n]
-   recovers the exact answer from the same (corrupted) buffer — the
-   session's fallback path in miniature. *)
-let overflow_recovery_prop seed =
-  let rng = Rng.create seed in
-  let n = 8 + Rng.int rng 20 in
-  let g = random_digraph rng ~n in
-  let root = Rng.int rng n in
+(* ---------------- fills on every relay, past n/2 included ---------------- *)
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* After the fill for relay [k] into a NaN array [d]: [d] holds the
+   ban-mask sweep's labels on S(k) bit for bit and is untouched
+   elsewhere, the scratch's working labels are the tree's again, and
+   its heap is empty. *)
+let check_fill ~what ds (idx : Avoid_region.index) (tree : Dijkstra.tree) k d
+    sweep =
+  let n = Array.length tree.Dijkstra.dist in
+  let lo = idx.Avoid_region.pre.(k) and size = idx.Avoid_region.size.(k) in
+  for x = 0 to n - 1 do
+    let p = idx.Avoid_region.pre.(x) in
+    if lo >= 0 && p > lo && p < lo + size then begin
+      if not (bits_equal d.(x) sweep.(x)) then
+        QCheck2.Test.fail_reportf "%s: relay %d, node %d: fill %h, sweep %h" what
+          k x d.(x) sweep.(x)
+    end
+    else if not (Float.is_nan d.(x)) then
+      QCheck2.Test.fail_reportf "%s: relay %d wrote node %d outside S(%d)" what k
+        x k
+  done;
+  let lab = Dynamic_sssp.working_labels ds in
+  for x = 0 to n - 1 do
+    if not (bits_equal lab.(x) tree.Dijkstra.dist.(x)) then
+      QCheck2.Test.fail_reportf "%s: after relay %d, working label %d is %h, tree %h"
+        what k x lab.(x) tree.Dijkstra.dist.(x)
+  done;
+  if Dynamic_sssp.frontier ds <> 0 then
+    QCheck2.Test.fail_reportf "%s: relay %d left %d keys in the heap" what k
+      (Dynamic_sssp.frontier ds)
+
+(* [link_fill] on every node but the root, each against the ban-mask
+   sweep; [before ds] runs first on the same scratch.  Returns the
+   widest region. *)
+let link_fills ?(before = ignore) ~what g ~root =
+  let n = Digraph.n g in
   let rev = Digraph.reverse g in
   let tree = Dijkstra.link_weighted rev root in
   let idx = Avoid_region.make_index tree in
-  let ds = Dynamic_sssp.make_dist_scratch n in
-  let scratch = Dijkstra.make_scratch n in
-  let d = Array.make n nan in
-  let k = (root + 1 + Rng.int rng (n - 1)) mod n in
-  let tight = Rng.int rng 3 in
-  let r =
-    Avoid_region.link_avoid ds ~budget:tight idx ~graph:rev ~mirror:g ~tree
-      ~avoid:k ~dist:d
+  let ds = Dynamic_sssp.make_dist_scratch n and scratch = Dijkstra.make_scratch n in
+  let widest = ref 0 in
+  for k = 0 to n - 1 do
+    if k <> root then begin
+      before ds;
+      let d = Array.make n nan in
+      let r = Avoid_region.link_fill ds idx ~graph:rev ~mirror:g ~tree ~avoid:k ~dist:d in
+      if r <> idx.Avoid_region.size.(k) - 1 then
+        QCheck2.Test.fail_reportf "%s: relay %d: region %d" what k r;
+      widest := max !widest r;
+      check_fill ~what ds idx tree k d
+        (Dijkstra.link_weighted_dist_csr scratch ~avoid:k rev root)
+    end
+  done;
+  !widest
+
+let node_fills ?(before = ignore) ~what g ~root =
+  let n = Graph.n g in
+  let tree = Dijkstra.node_weighted g ~source:root in
+  let idx = Avoid_region.make_index tree in
+  let ds = Dynamic_sssp.make_dist_scratch n and scratch = Dijkstra.make_scratch n in
+  let widest = ref 0 in
+  for k = 0 to n - 1 do
+    if k <> root then begin
+      before ds;
+      let d = Array.make n nan in
+      let r = Avoid_region.node_fill ds idx ~graph:g ~tree ~avoid:k ~dist:d in
+      if r <> idx.Avoid_region.size.(k) - 1 then
+        QCheck2.Test.fail_reportf "%s: relay %d: region %d" what k r;
+      widest := max !widest r;
+      check_fill ~what ds idx tree k d
+        (Dijkstra.node_weighted_dist_csr scratch ~avoid:k g ~source:root)
+    end
+  done;
+  !widest
+
+let small_int rng = float_of_int (1 + Rng.int rng 3)
+
+(* A chain toward the root (links [i+1 -> i], small integer weights, so
+   ties abound) with a few detours dearer than any chain path: relay 1's
+   subtree holds the n-2 nodes behind it. *)
+let chain_digraph rng ~n =
+  let links = List.init (n - 1) (fun i -> (i + 1, i, small_int rng)) in
+  let detours =
+    List.init (2 + Rng.int rng 4) (fun _ ->
+        let u = 2 + Rng.int rng (n - 2) in
+        (u, Rng.int rng (u - 1), float_of_int ((3 * n) + Rng.int rng n)))
   in
-  if r >= 0 then begin
-    (* a tiny region may genuinely fit — then it must already be exact *)
-    if r > tight then QCheck2.Test.fail_reportf "region %d exceeds budget" r;
-    if
-      not (floats_equal d (Dijkstra.link_weighted_dist_csr scratch ~avoid:k rev root))
-    then QCheck2.Test.fail_reportf "in-budget run diverged"
-  end
-  else begin
-    if
-      Avoid_region.link_avoid ds ~budget:n idx ~graph:rev ~mirror:g ~tree
-        ~avoid:k ~dist:d
-      < 0
-    then QCheck2.Test.fail_reportf "budget n overflowed after retry";
-    if
-      not
-        (floats_equal d
-           (Dijkstra.link_weighted_dist_csr scratch ~avoid:k rev root))
-    then QCheck2.Test.fail_reportf "post-overflow retry diverged"
-  end;
+  Digraph.create ~n ~links:(links @ detours)
+
+(* The node-model twin: a chain 0 - 1 - ... - (n-2) of small integer
+   costs, and a bypass node n-1 dearer than any chain path, linked to a
+   few chain nodes. *)
+let chain_graph rng ~n =
+  let costs =
+    Array.init n (fun v ->
+        if v = n - 1 then float_of_int (3 * n) else float_of_int (Rng.int rng 3))
+  in
+  let bypass = List.init (2 + Rng.int rng 4) (fun _ -> (Rng.int rng (n - 1), n - 1)) in
+  Graph.create ~costs ~edges:(List.init (n - 2) (fun i -> (i, i + 1)) @ bypass)
+
+(* A corridor UDG, deep enough for wide subtrees; disconnected draws
+   leave unreached nodes, which stay [infinity]. *)
+let corridor rng =
+  let n = 20 + Rng.int rng 40 in
+  Wnet_topology.Udg.generate rng
+    ~region:(Wnet_geom.Region.make ~width:1500.0 ~height:400.0)
+    ~n ~range:300.0
+
+let past_half_prop seed =
+  let rng = Rng.create seed in
+  let n = 8 + Rng.int rng 40 in
+  let wide what w = if 2 * w <= n then QCheck2.Test.fail_reportf "%s: widest %d" what w in
+  wide "link chain" (link_fills ~what:"link chain" (chain_digraph rng ~n) ~root:0);
+  wide "node chain" (node_fills ~what:"node chain" (chain_graph rng ~n) ~root:0);
+  let u = corridor rng in
+  let nu = Array.length u.Wnet_topology.Udg.points in
+  ignore
+    (link_fills ~what:"link UDG" ~root:0
+       (Wnet_topology.Udg.link_graph u ~model:(Wnet_geom.Power.path_loss_only ~kappa:2.0)));
+  ignore
+    (node_fills ~what:"node UDG" ~root:0
+       (Wnet_topology.Udg.node_graph u
+          ~costs:(Array.init nu (fun _ -> float_of_int (Rng.int rng 4)))));
+  true
+
+(* A distance repair that overflows mid-settle leaves keys in the heap
+   of its scratch: every link (or relay cost) drops to 0 and the budget
+   is 1, above the empty closure of a fall, so the repair stops at its
+   second settled node with the rest of the seeds still queued (from a
+   root of most links, three or more in the link model).  Each
+   fill that follows on the same scratch must still be exact. *)
+let drained_prop seed =
+  let rng = Rng.create seed in
+  let u = corridor rng in
+  let n = Array.length u.Wnet_topology.Udg.points in
+  let g = Wnet_topology.Udg.link_graph u ~model:(Wnet_geom.Power.path_loss_only ~kappa:2.0) in
+  let rev = Digraph.reverse g in
+  let root = ref 0 in
+  for v = 1 to n - 1 do
+    if Digraph.out_degree rev v > Digraph.out_degree rev !root then root := v
+  done;
+  let root = !root in
+  let dist = (Dijkstra.link_weighted rev root).Dijkstra.dist in
+  let rev0 = Digraph.copy rev and g0 = Digraph.copy g in
+  let edits =
+    List.map
+      (fun (a, b, w) ->
+        Digraph.set_weight rev0 a b 0.0;
+        Digraph.set_weight g0 b a 0.0;
+        { Dynamic_sssp.u = a; v = b; w0 = w; w1 = 0.0 })
+      (List.filter (fun (_, _, w) -> w > 0.0) (Digraph.links rev))
+  in
+  let left = ref 0 in
+  let overflow ds =
+    match
+      Dynamic_sssp.repair_dist ds ~budget:1 ~graph:rev0 ~mirror:g0 ~source:root
+        ~dist:(Array.copy dist) edits
+    with
+    | `Overflow -> left := !left + Dynamic_sssp.frontier ds
+    | `Patched _ -> ()
+  in
+  ignore (link_fills ~before:overflow ~what:"link, after an overflow" g ~root);
+  let costs = Array.init n (fun _ -> 1.0 +. float_of_int (Rng.int rng 4)) in
+  let ng = Wnet_topology.Udg.node_graph u ~costs in
+  let zero = Graph.with_costs ng (Array.make n 0.0) in
+  let nedits =
+    List.init n (fun x ->
+        { Dynamic_sssp.x; nbrs = Graph.neighbors ng x; c0 = costs.(x); c1 = 0.0 })
+  in
+  let ndist = (Dijkstra.node_weighted ng ~source:root).Dijkstra.dist in
+  let node_overflow ds =
+    match
+      Dynamic_sssp.repair_node_dist ds ~budget:1 ~graph:zero ~source:root
+        ~dist:(Array.copy ndist) nedits
+    with
+    | `Overflow -> left := !left + Dynamic_sssp.frontier ds
+    | `Patched _ -> ()
+  in
+  ignore (node_fills ~before:node_overflow ~what:"node, after an overflow" ng ~root);
+  if !left = 0 && Digraph.out_degree rev root >= 3 then
+    QCheck2.Test.fail_reportf "no repair left keys behind";
   true
 
 (* ---------------- sessions against the reference ---------------- *)
@@ -181,10 +327,12 @@ let session_interleaving_prop ~domains seed =
       if step mod 4 = 0 then link_agrees s (Printf.sprintf "step %d" step)
     done;
     link_agrees s "final";
-    (* every refill ran the bounded kernel or its counted fallback *)
+    (* every refill ran the region-only kernel; no fallback is left *)
     let st = LS.stats s in
     if st.LS.avoid_bounded + st.LS.avoid_fallback <> st.LS.avoid_runs then
-      QCheck2.Test.fail_reportf "refills not accounted for"
+      QCheck2.Test.fail_reportf "refills not accounted for";
+    if st.LS.avoid_fallback <> 0 then
+      QCheck2.Test.fail_reportf "%d refills fell back" st.LS.avoid_fallback
   in
   if domains = 1 then run None
   else Wnet_par.with_pool ~domains (fun pool -> run (Some pool));
@@ -213,13 +361,13 @@ let node_session_prop seed =
   agree "final";
   true
 
-(* ---------------- fallback under tied integer weights ------------- *)
+(* ---------------- tied integer weights, a subtree past n/2 ------------- *)
 
 (* A unit-weight path 0 <- 1 <- ... <- n-1: relay 1's subtree holds the
-   n-2 nodes behind it, blowing any n/2 budget, and every distance is a
-   tie-rich small integer.  The session must fall back (counter) yet
-   keep payments identical to the reference. *)
-let test_tied_path_forces_fallback () =
+   n-2 nodes behind it, past half the graph, and every distance is a
+   tie-rich small integer.  Every refill runs the region-only fill (no
+   fallback is left) and payments stay identical to the reference. *)
+let test_tied_path_fills_bounded () =
   let n = 100 in
   let links = List.init (n - 1) (fun i -> (i + 1, i, 1.0)) in
   (* a detour so relay payments stay finite for early relays *)
@@ -228,14 +376,14 @@ let test_tied_path_forces_fallback () =
   let sb = LS.create g ~root:0 in
   Alcotest.(check (option string)) "payments match the reference" None
     (Test_util.link_session_diff (LS.payments sb) (Payment_ref.link g ~root:0));
+  let tree, _ = LS.charges sb in
+  Alcotest.(check bool) "relay 1's subtree is past n/2" true
+    (2 * ((Avoid_region.make_index tree).Avoid_region.size.(1) - 1) > n);
   let st = LS.stats sb in
-  Alcotest.(check bool) "some subtree outgrew the budget" true
-    (st.LS.avoid_fallback > 0);
-  Alcotest.(check bool) "small subtrees still ran bounded" true
-    (st.LS.avoid_bounded > 0);
-  Alcotest.(check int) "every relay filled exactly once"
-    st.LS.avoid_runs
-    (st.LS.avoid_bounded + st.LS.avoid_fallback)
+  Alcotest.(check int) "no fallback" 0 st.LS.avoid_fallback;
+  Alcotest.(check int) "every refill ran the region-only fill" st.LS.avoid_runs
+    st.LS.avoid_bounded;
+  Alcotest.(check int) "every relay filled exactly once" (n - 2) st.LS.avoid_runs
 
 (* ---------------- pinned unit: leaf relay, size-1 subtree --------- *)
 
@@ -264,7 +412,7 @@ let test_leaf_relay_pinned () =
   let rev' = Digraph.reverse g' in
   let tree' = Dijkstra.link_weighted rev' 0 in
   let idx' = Avoid_region.make_index tree' in
-  Alcotest.(check bool) "cut-vertex run stays in budget" true
+  Alcotest.(check bool) "cut-vertex run reports its region" true
     (Avoid_region.link_avoid ds idx' ~graph:rev' ~mirror:g' ~tree:tree'
        ~avoid:1 ~dist:d
     >= 0);
@@ -283,8 +431,6 @@ let test_leaf_relay_pinned () =
    the from-scratch oracle's.  Weights and costs are small integers, so
    ties occur; bursts mix rises and falls, deletions and insertions,
    joins, leaves and rejoins (links), or cost edits and leaves (nodes). *)
-
-let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let int_weight rng = float_of_int (1 + Rng.int rng 4)
 
@@ -362,7 +508,7 @@ let link_entries_prop ~domains seed =
         let ds = Dynamic_sssp.make_dist_scratch nn in
         check_entries ~what tree (LS.entries s) (fun idx j ->
             let d = Array.make nn nan in
-            if Avoid_region.link_avoid ds ~budget:nn idx ~graph:rev ~mirror:graph ~tree
+            if Avoid_region.link_avoid ds idx ~graph:rev ~mirror:graph ~tree
                  ~avoid:j ~dist:d < 0
             then QCheck2.Test.fail_reportf "%s: fresh kernel overflowed" what;
             d)
@@ -399,7 +545,7 @@ let node_entries_prop ~domains seed =
         let ds = Dynamic_sssp.make_dist_scratch n in
         check_entries ~what tree (NS.entries s) (fun idx j ->
             let d = Array.make n nan in
-            if Avoid_region.node_avoid ds ~budget:n idx ~graph:(NS.graph s) ~tree ~avoid:j
+            if Avoid_region.node_avoid ds idx ~graph:(NS.graph s) ~tree ~avoid:j
                  ~dist:d < 0
             then QCheck2.Test.fail_reportf "%s: fresh kernel overflowed" what;
             d)
@@ -412,8 +558,10 @@ let suite =
       Test_util.seed_gen link_kernel_prop;
     Test_util.qcheck_case ~count:60 "node bounded = full CSR = reference"
       Test_util.seed_gen node_kernel_prop;
-    Test_util.qcheck_case ~count:60 "overflow is honest, retry recovers"
-      Test_util.seed_gen overflow_recovery_prop;
+    Test_util.qcheck_case ~count:30 "fills past n/2, chains and UDGs = ban-mask sweep (bits)"
+      Test_util.seed_gen past_half_prop;
+    Test_util.qcheck_case ~count:20 "fills after an overflowed repair = ban-mask sweep (bits)"
+      Test_util.seed_gen drained_prop;
     Test_util.qcheck_case ~count:15 "link sessions agree under churn with the reference (pool 1)"
       Test_util.seed_gen
       (session_interleaving_prop ~domains:1);
@@ -422,8 +570,8 @@ let suite =
       (session_interleaving_prop ~domains:3);
     Test_util.qcheck_case ~count:20 "node sessions agree under churn with the reference"
       Test_util.seed_gen node_session_prop;
-    Alcotest.test_case "tied unit-weight path forces the fallback" `Quick
-      test_tied_path_forces_fallback;
+    Alcotest.test_case "tied unit-weight path: every relay filled bounded" `Quick
+      test_tied_path_fills_bounded;
     Alcotest.test_case "leaf relay: size-1 region, cut-vertex variant" `Quick
       test_leaf_relay_pinned;
     Test_util.qcheck_case ~count:40

@@ -96,6 +96,96 @@ let test_random_decrease_consistency () =
     !popped;
   Alcotest.(check int) "all popped" n (List.length !popped)
 
+(* The kernels' path — priorities written through [prios], ordered by
+   [touch], popped by [pop_min_key] — against a model that keeps each
+   present key's priority and pops the least (priority, key).  Random
+   interleavings of inserts, decreases, pops and re-inserts of popped
+   keys; priorities come from a small set, so ties are common. *)
+let touch_model_prop seed =
+  let r = Test_util.rng seed in
+  let cap = 1 + Wnet_prng.Rng.int r 24 in
+  let h = Indexed_heap.create cap in
+  let prio = Indexed_heap.prios h in
+  let model = Array.make cap None in
+  let popped = ref [] in
+  let level () = float_of_int (Wnet_prng.Rng.int r 5) *. 0.5 in
+  let touch k p =
+    prio.(k) <- p;
+    Indexed_heap.touch h k;
+    model.(k) <- Some p
+  in
+  (* keys ascend, so a tie keeps the smaller one *)
+  let least () =
+    let best = ref None in
+    Array.iteri
+      (fun k m ->
+        match (m, !best) with
+        | Some p, Some (_, q) when q <= p -> ()
+        | Some p, _ -> best := Some (k, p)
+        | None, _ -> ())
+      model;
+    !best
+  in
+  for step = 1 to 200 do
+    (match Wnet_prng.Rng.int r 4 with
+    | 0 -> (
+      (* decrease a present key, to a level at most its priority *)
+      let k = Wnet_prng.Rng.int r cap in
+      match model.(k) with
+      | Some p -> touch k (Float.min p (level ()))
+      | None -> touch k (level ()))
+    | 1 -> (
+      (* re-insert a popped key *)
+      match !popped with
+      | k :: rest ->
+        popped := rest;
+        if model.(k) = None then touch k (level ())
+      | [] -> ())
+    | 2 ->
+      let k = Wnet_prng.Rng.int r cap in
+      if model.(k) = None then touch k (level ())
+    | _ -> (
+      match least () with
+      | None ->
+        if not (Indexed_heap.is_empty h) then
+          QCheck2.Test.fail_reportf "step %d: model empty, heap holds %d" step
+            (Indexed_heap.size h)
+      | Some (k, p) ->
+        let got = Indexed_heap.pop_min_key h in
+        if got <> k then
+          QCheck2.Test.fail_reportf "step %d: popped %d, model pops %d (at %g)"
+            step got k p;
+        model.(k) <- None;
+        popped := k :: !popped));
+    let present = ref 0 in
+    Array.iteri
+      (fun k m ->
+        let inside = m <> None in
+        if inside then incr present;
+        if Indexed_heap.mem h k <> inside then
+          QCheck2.Test.fail_reportf "step %d: mem %d is %b" step k (not inside);
+        match m with
+        | Some p when not (Float.equal (Indexed_heap.priority h k) p) ->
+          QCheck2.Test.fail_reportf "step %d: priority of %d" step k
+        | _ -> ())
+      model;
+    if Indexed_heap.size h <> !present then
+      QCheck2.Test.fail_reportf "step %d: size %d, model %d" step
+        (Indexed_heap.size h) !present
+  done;
+  (* drain: the rest comes out in (priority, key) order *)
+  let rec drain () =
+    match least () with
+    | None -> Indexed_heap.is_empty h
+    | Some (k, _) ->
+      Indexed_heap.pop_min_key h = k
+      && begin
+           model.(k) <- None;
+           drain ()
+         end
+  in
+  drain ()
+
 let test_binheap_order () =
   let h = Binheap.create () in
   Binheap.push h 3.0 "c";
@@ -142,6 +232,8 @@ let suite =
     Alcotest.test_case "indexed: pop on empty" `Quick test_pop_empty;
     Alcotest.test_case "indexed: heapsort randomized" `Quick test_heapsort_random;
     Alcotest.test_case "indexed: random decrease consistency" `Quick test_random_decrease_consistency;
+    Test_util.qcheck_case ~count:300 "indexed: touch/pop = (priority, key) model"
+      Test_util.seed_gen touch_model_prop;
     Alcotest.test_case "binheap: order" `Quick test_binheap_order;
     Alcotest.test_case "binheap: duplicate keys" `Quick test_binheap_duplicates;
     Alcotest.test_case "binheap: randomized sort" `Quick test_binheap_random_sorted;
