@@ -10,13 +10,14 @@ test:
 
 # Per-primitive micro suite: one exe per primitive family under
 # bench/micro/ (proto encode, proto decode, deque, heap, repair,
-# Dijkstra, avoidance, graph construction), each printing an ns/op
-# table and hard-asserting ZERO minor-heap words per operation on the
-# steady-state paths (native builds).  Timing is printed, not gated:
+# Dijkstra, avoidance, graph construction, session flush), each
+# printing an ns/op table and hard-asserting ZERO minor-heap words per
+# operation on the steady-state paths, and a words ceiling on the rows
+# that must allocate (native builds).  Timing is printed, not gated:
 # end-to-end and per-layer numbers come from perfbench/.
 MICRO_BENCHES = bench_proto_encode bench_proto_decode bench_deque \
 	bench_heap bench_repair bench_dijkstra bench_avoid bench_avoid_region \
-	bench_graph
+	bench_graph bench_session
 
 microbench:
 	dune build bench/micro

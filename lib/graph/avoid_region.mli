@@ -65,9 +65,12 @@ val link_fill :
     [tree].  Returns the region size, [size.(k) - 1]: the fill has no
     budget and cannot fail.  The scratch's working labels are synced
     with [tree] when [idx] is not the index they were last synced for,
-    so a caller keeps one index per tree (rebuilding it whenever the
-    tree changes) and pays that n-float copy once per tree and scratch;
-    on return they equal [tree]'s labels again.
+    or after {!Dynamic_sssp.forget_labels}: a caller that builds an
+    index per tree needs nothing more and pays that n-float copy once
+    per tree and scratch, and one that keeps an index while [tree]'s
+    labels move (an index depends only on the parents) forgets every
+    scratch's copy when they move.  On return the working labels equal
+    [tree]'s labels again.
     @raise Invalid_argument if sizes disagree, [avoid] is out of range,
     or [avoid = tree.source]. *)
 

@@ -308,9 +308,12 @@ let settle_node s ~budget ~j ~row_off ~col ~cost ~source d =
    the work is bounded by the subtree and its links: no budget.
 
    The sync.  [lab] is copied from the tree when the [pre] array passed
-   in is not the one of the last copy: an {!Avoid_region.index} is
-   built once per tree, so the copy is once per tree and scratch, not
-   once per fill.  The heap is drained first: an entry repair that
+   in is not the one of the last copy, or after {!forget_labels}: the
+   copy is once per tree labels and scratch, not once per fill.  The
+   [pre] key covers a caller that builds an index per tree; one that
+   keeps an index while the labels move (the session cache, whose
+   index outlives every burst that moves no parent) forgets the copy
+   instead.  The heap is drained first: an entry repair that
    overflowed mid-settle on this scratch leaves entries behind, and a
    stale [k] would relax at [neg_infinity]. *)
 
@@ -323,6 +326,8 @@ let sync s ~pre ~tree n =
   while not (Indexed_heap.is_empty s.heap) do
     ignore (Indexed_heap.pop_min_key s.heap)
   done
+
+let forget_labels s = s.lab_pre <- [||]
 
 (* Steps 1 and 3 and 5, around the model's reseed and settle. *)
 let silence lab order ~lo ~hi k =

@@ -223,9 +223,12 @@ val repair_node_scoped :
     the scratch's {e working labels} — an n-float copy of the tree's
     labels that the fill moves only on the subtree and restores before
     it returns.  The copy is made when [pre] is not the array of the
-    last copy, so a caller passes one [pre] per tree (an
-    {!Avoid_region.index}'s) and pays it once per tree and scratch.
-    Allocation-free. *)
+    last copy, or after {!forget_labels}.  So a caller that builds one
+    [pre] per tree (an {!Avoid_region.index}'s) needs nothing more and
+    pays the copy once per tree and scratch; a caller that keeps [pre]
+    while the tree's labels move (the parents did not) must call
+    {!forget_labels} on every scratch when they move, or the next fill
+    reads the previous labels.  Allocation-free. *)
 
 val fill_link :
   dist_scratch ->
@@ -266,6 +269,10 @@ val fill_node :
   unit
 (** Node-weighted {!fill_link}: matches [Dijkstra.node_weighted_dist_csr
     ~avoid:k graph ~source] on [R]. *)
+
+val forget_labels : dist_scratch -> unit
+(** Drop the working labels' key: the next fill copies the tree's
+    labels whatever [pre] it is given. *)
 
 val working_labels : dist_scratch -> float array
 (** The scratch's working labels, read-only: between fills, on the

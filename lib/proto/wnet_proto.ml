@@ -304,7 +304,76 @@ let links what rest =
   let* inn = endpoints what inns in
   Ok (out, inn)
 
-let parse_request line =
+(* The served hot lines, [cost U V W], [cost K C] and [pay], read in
+   place: no mapped copy, no token list.  An int is 1 to 18 plain
+   decimal digits, which [int_of_string_opt] reads to the same value; a
+   weight is its token through [float_of_string_opt].  Anything else,
+   an error included, is [None] and goes to the tokenizer, so every
+   other answer and every error text is the tokenizer's.  Bounds are
+   [String.trim]'s, separators [tokens]'. *)
+
+let[@inline] is_blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
+let[@inline] is_sep c = c = ' ' || c = '\t'
+
+let rec skip_seps line hi i =
+  if i < hi && is_sep (String.unsafe_get line i) then skip_seps line hi (i + 1) else i
+
+let rec token_end line hi i =
+  if i < hi && not (is_sep (String.unsafe_get line i)) then token_end line hi (i + 1) else i
+
+(* The digits of [line.[i .. j - 1]] as an int, or -1. *)
+let plain_int line i j =
+  if j <= i || j - i > 18 then -1
+  else begin
+    let v = ref 0 and k = ref i in
+    while !k < j && !v >= 0 do
+      let c = String.unsafe_get line !k in
+      if c >= '0' && c <= '9' then v := (!v * 10) + (Char.code c - 48) else v := -1;
+      incr k
+    done;
+    !v
+  end
+
+let is_word line i j w =
+  j - i = String.length w
+  &&
+  let rec go k =
+    k >= j - i || (String.unsafe_get line (i + k) = String.unsafe_get w k && go (k + 1))
+  in
+  go 0
+
+let fast_request line =
+  let lo = ref 0 and hi = ref (String.length line) in
+  while !lo < !hi && is_blank (String.unsafe_get line !lo) do incr lo done;
+  while !hi > !lo && is_blank (String.unsafe_get line (!hi - 1)) do decr hi done;
+  let lo = !lo and hi = !hi in
+  let e1 = token_end line hi lo in
+  if e1 = hi then (if is_word line lo e1 "pay" then Some Pay else None)
+  else if not (is_word line lo e1 "cost") then None
+  else begin
+    let a0 = skip_seps line hi e1 in
+    let a1 = token_end line hi a0 in
+    let b0 = skip_seps line hi a1 in
+    let b1 = token_end line hi b0 in
+    let a = plain_int line a0 a1 in
+    if a < 0 || b0 = hi then None
+    else if b1 = hi then
+      match float_of_string_opt (String.sub line b0 (b1 - b0)) with
+      | Some cost -> Some (Cost_node { node = a; cost })
+      | None -> None
+    else begin
+      let c0 = skip_seps line hi b1 in
+      let c1 = token_end line hi c0 in
+      let b = plain_int line b0 b1 in
+      if b < 0 || c1 <> hi then None
+      else
+        match float_of_string_opt (String.sub line c0 (c1 - c0)) with
+        | Some w -> Some (Cost_link { u = a; v = b; w })
+        | None -> None
+    end
+  end
+
+let parse_tokens line =
   let line = String.trim line in
   if line = "" || line.[0] = '#' then Ok None
   else
@@ -347,6 +416,9 @@ let parse_request line =
       | [] -> Error "empty request"
     in
     Result.map Option.some req
+
+let parse_request line =
+  match fast_request line with Some r -> Ok (Some r) | None -> parse_tokens line
 
 let endpoint_str (v, w) = Printf.sprintf "%d:%s" v (float_to_string w)
 

@@ -22,7 +22,9 @@
      lose their exactness and are refilled;
    - candidate changes: a link [p -> x] whose candidate
      [label p +. weight] moved, because the link was edited or [p]'s
-     tree label moved.  It concerns the relays [j] whose S(j) holds [x],
+     tree label moved.  The engine writes them into one flat buffer
+     ([cands]), which the flush walks inline.  A change concerns the
+     relays [j] whose S(j) holds [x],
      [x]'s ancestors, read with [p]'s label from the entry when [p] is
      in S(j) and from the old or new tree otherwise.  The pair touches
      [j] when its new candidate is below [j]'s label of [x], or when its
@@ -44,6 +46,13 @@
 
 open Wnet_graph
 
+type shape = {
+  mutable stamp : int;
+  idx : Avoid_region.index;
+  relays : int array;
+      (* internal nodes of the tree other than its source, ascending *)
+}
+
 type t = {
   pool : Wnet_par.t;
   mutable avoid : float array option array;
@@ -56,10 +65,11 @@ type t = {
   mutable tasks_executed : int;
   mutable tasks_stolen : int;
   region_hist : int array;
-  mutable index : (int * Avoid_region.index) option;
-      (* the shared tree's pre-order index, keyed by the engine's tree
-         stamp: built once per tree, for the flush, the refill after it
-         and the payment pass *)
+  mutable shape : shape option;
+      (* the shared tree's pre-order index and relays, keyed by the
+         engine's tree stamp, for the flush, the refill after it and
+         the payment pass.  Both depend only on the parents, so a flush
+         that moves none re-keys them instead of rebuilding *)
   (* the tree the exact entries are exact against, by stamp (-1: none) *)
   mutable snap : int;
   mutable snap_dist : float array;
@@ -71,6 +81,10 @@ type t = {
   mutable walks : int;
   mutable count : int array;
   mutable first : int array;
+  cands : Dynamic_sssp.changes;
+      (* the burst's candidate changes, by the engine: link [tail ->
+         head], weight [before] and [after] the burst; walked whenever
+         it is full, so it stays at [cands_cap] *)
   pairs : Dynamic_sssp.changes;  (* touching pairs, then grouped by entry *)
   mutable pair_entry : int array;  (* the entry of each *)
 }
@@ -90,6 +104,12 @@ let hist_bucket r =
     min !b (hist_buckets - 1)
   end
 
+(* A flush on the served n = 200 instance has about 340 candidates,
+   and one in five has over 512 (up to 2 400): walking the buffer
+   whenever it fills keeps it, and the session's heap, small.  It is
+   sized at the first flush: a one-shot batch never flushes. *)
+let cands_cap = 256
+
 let create pool n =
   {
     pool;
@@ -104,7 +124,7 @@ let create pool n =
     tasks_executed = 0;
     tasks_stolen = 0;
     region_hist = Array.make hist_buckets 0;
-    index = None;
+    shape = None;
     snap = -1;
     snap_dist = [||];
     snap_parent = [||];
@@ -112,6 +132,7 @@ let create pool n =
     walks = 0;
     count = [||];
     first = [||];
+    cands = Dynamic_sssp.make_changes 0;
     pairs = Dynamic_sssp.make_changes 64;
     pair_entry = Array.make 64 0;
   }
@@ -156,18 +177,9 @@ let steal_map t ~states f a =
     t.tasks_stolen + after.Wnet_par.tasks_stolen - before.Wnet_par.tasks_stolen;
   r
 
-(* [stamp] names the tree: equal stamps, equal trees. *)
-let index t ~stamp tree =
-  match t.index with
-  | Some (s, idx) when s = stamp -> idx
-  | _ ->
-    let idx = Avoid_region.make_index tree in
-    t.index <- Some (stamp, idx);
-    idx
-
 (* Relays: internal nodes of the shared tree other than its source, in
    ascending order. *)
-let relays (tree : Dijkstra.tree) =
+let relays_of (tree : Dijkstra.tree) =
   let n = Array.length tree.Dijkstra.parent in
   let is_relay = Array.make n false in
   for v = 0 to n - 1 do
@@ -181,6 +193,23 @@ let relays (tree : Dijkstra.tree) =
     if is_relay.(k) then l := k :: !l
   done;
   Array.of_list !l
+
+(* The tree's labels moved under a kept index: its [pre] no longer
+   tells the fills so, and each scratch's working copy is dropped. *)
+let forget t = Array.iter Dynamic_sssp.forget_labels t.dscratches
+
+(* The index and relays of the tree [stamp] names: equal stamps, equal
+   trees. *)
+let shape t ~stamp tree =
+  match t.shape with
+  | Some sh when sh.stamp = stamp -> sh
+  | _ ->
+    let sh = { stamp; idx = Avoid_region.make_index tree; relays = relays_of tree } in
+    t.shape <- Some sh;
+    forget t;
+    sh
+
+let index t ~stamp tree = (shape t ~stamp tree).idx
 
 (* The old tree: nodes past the snapshot joined since, unreached. *)
 let[@inline] old_dist t v =
@@ -233,7 +262,7 @@ let moved t (tree : Dijkstra.tree) v =
   done
 
 (* Diff the parents against the snapshot: a reparented node drops the
-   entries whose subtree it changes. *)
+   entries whose subtree it changes.  True when one moved. *)
 let diff t (tree : Dijkstra.tree) =
   let n = Array.length tree.Dijkstra.dist in
   if Array.length t.walk < n then begin
@@ -242,53 +271,78 @@ let diff t (tree : Dijkstra.tree) =
     t.count <- Array.make n 0;
     t.first <- Array.make n 0
   end;
+  let any = ref false in
   for v = 0 to n - 1 do
-    if old_parent t v <> tree.Dijkstra.parent.(v) then moved t tree v
-  done
+    if old_parent t v <> tree.Dijkstra.parent.(v) then begin
+      any := true;
+      moved t tree v
+    end
+  done;
+  !any
+
+(* No parent moved and no node joined: the snapshot tree's index and
+   relays are the new tree's.  Its labels may have moved. *)
+let keep_shape t ~stamp n =
+  match t.shape with
+  | Some sh when sh.stamp = t.snap && sh.stamp <> stamp && sh.idx.Avoid_region.idx_n = n ->
+    sh.stamp <- stamp;
+    forget t
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Candidate changes.  [p -> x] (weight [w0] before, [w1] now) is tested
-   against every exact entry whose S(j) holds [x]: [x]'s strict
-   ancestors below the source.  Past the first ancestor of [p], [p] is
-   inside S(j) and the entry's own label of [p] applies, which an
-   unedited link leaves unmoved: the walk stops there. *)
+(* Candidate changes.  Link [p -> x] of the buffer, weight [w0] before
+   and [w1] now, is tested against every exact entry whose S(j) holds
+   [x]: [x]'s strict ancestors below the source.  From the first
+   ancestor that is [p] or holds it, [p] is inside S(j) and the entry's
+   own label of [p] applies, which an unedited link leaves unmoved: its
+   walk stops there.  The ancestor test is {!Avoid_region.inside},
+   written out, and a touching pair is counted on its entry. *)
 
-let candidate t (tree : Dijkstra.tree) (idx : Avoid_region.index) p x w0 w1 =
-  let edited = not (Float.equal w0 w1) in
-  let l0 = old_dist t p and l1 = tree.Dijkstra.dist.(p) in
-  let src = tree.Dijkstra.source in
-  let k = ref (if idx.Avoid_region.pre.(x) >= 0 then tree.Dijkstra.parent.(x) else -1) in
-  let inner = ref false in
-  while !k >= 0 && !k <> src do
-    let j = !k in
-    k := tree.Dijkstra.parent.(j);
-    if j = p then inner := true
-    else begin
-      if not !inner then inner := Avoid_region.inside idx j p;
+let[@inline] touch t j p x before after =
+  let ps = t.pairs in
+  Dynamic_sssp.reserve_changes ps 1;
+  let i = ps.Dynamic_sssp.len in
+  if i >= Array.length t.pair_entry then
+    t.pair_entry <- Array.append t.pair_entry (Array.make (Array.length t.pair_entry) 0);
+  ps.Dynamic_sssp.tail.(i) <- p;
+  ps.Dynamic_sssp.head.(i) <- x;
+  ps.Dynamic_sssp.before.(i) <- before;
+  ps.Dynamic_sssp.after.(i) <- after;
+  ps.Dynamic_sssp.len <- i + 1;
+  t.pair_entry.(i) <- j;
+  t.count.(j) <- t.count.(j) + 1
+
+let walk_candidates t (tree : Dijkstra.tree) (idx : Avoid_region.index) =
+  let { Dynamic_sssp.tail; head; before = cw0; after = cw1; len; _ } = t.cands in
+  let pre = idx.Avoid_region.pre and size = idx.Avoid_region.size in
+  let parent = tree.Dijkstra.parent and dist = tree.Dijkstra.dist in
+  let src = tree.Dijkstra.source and exact = t.exact and avoid = t.avoid in
+  for i = 0 to len - 1 do
+    let p = tail.(i) and x = head.(i) in
+    let w0 = cw0.(i) and w1 = cw1.(i) in
+    let edited = not (Float.equal w0 w1) in
+    let l0 = old_dist t p and l1 = dist.(p) in
+    let pp = pre.(p) in
+    let k = ref (if pre.(x) >= 0 then parent.(x) else -1) in
+    let inner = ref false in
+    while !k >= 0 && !k <> src do
+      let j = !k in
+      k := parent.(j);
+      if not !inner then begin
+        let pj = pre.(j) in
+        inner := j = p || (pp > pj && pp < pj + size.(j))
+      end;
       if !inner && not edited then k := -1
-      else if t.exact.(j) then
-        match t.avoid.(j) with
+      else if j <> p && exact.(j) then
+        match avoid.(j) with
         | None -> ()
         | Some a ->
           let before = (if !inner then a.(p) else l0) +. w0 in
           let after = (if !inner then a.(p) else l1) +. w1 in
           let ax = a.(x) in
-          if after < ax || (Float.equal before ax && after > before) then begin
-            let ps = t.pairs in
-            Dynamic_sssp.reserve_changes ps 1;
-            let i = ps.Dynamic_sssp.len in
-            if i >= Array.length t.pair_entry then
-              t.pair_entry <-
-                Array.append t.pair_entry (Array.make (Array.length t.pair_entry) 0);
-            ps.Dynamic_sssp.tail.(i) <- p;
-            ps.Dynamic_sssp.head.(i) <- x;
-            ps.Dynamic_sssp.before.(i) <- before;
-            ps.Dynamic_sssp.after.(i) <- after;
-            ps.Dynamic_sssp.len <- i + 1;
-            t.pair_entry.(i) <- j;
-            t.count.(j) <- t.count.(j) + 1
-          end
-    end
+          if after < ax || (Float.equal before ax && after > before) then
+            touch t j p x before after
+    done
   done
 
 let swap_pair t a b =
@@ -328,21 +382,35 @@ let fall_edit_ns = 145
 let fall_node_ns = 130
 let fill_node_ns = 245
 
-(* One flush: [tree] is the shared SPT for the edited graph, [candidates
-   emit] calls [emit p x w0 w1] for every candidate change of the burst
-   (every net edit, and every other link out of a node {!relabelled}
-   reports), and [repair] is the region-only repair of one entry over its
-   pairs.  Entries are dropped for membership first, then each touched
-   entry is priced and repaired or dropped; the repairs fan out over the
-   pool, one task each. *)
-let maintain t ~(tree : Dijkstra.tree) ~stamp ~candidates ~repair =
+(* One flush: [tree] is the shared SPT for the edited graph, and [scan
+   room c] appends to the buffer [c] every candidate change of the burst
+   (every net edit, then every other link out of a node {!relabelled}
+   reports), calling [room k] before it writes [k] of them: [room] walks
+   a buffer that has no room left and empties it, in order, so the pairs
+   come out as one walk over all the candidates would find them.
+   [repair] is the region-only repair of one entry over its pairs.
+   Entries are dropped for membership first, then each touched entry is
+   priced and repaired or dropped; the repairs fan out over the pool,
+   one task each. *)
+let maintain t ~(tree : Dijkstra.tree) ~stamp ~scan ~repair =
   if t.snap >= 0 then begin
     let n = Array.length tree.Dijkstra.dist in
     let budget = Dynamic_sssp.default_budget n in
+    if not (diff t tree) then keep_shape t ~stamp n;
     let idx = index t ~stamp tree in
-    diff t tree;
+    let c = t.cands in
     t.pairs.Dynamic_sssp.len <- 0;
-    candidates (candidate t tree idx);
+    c.Dynamic_sssp.len <- 0;
+    Dynamic_sssp.reserve_changes c cands_cap;
+    let room k =
+      if c.Dynamic_sssp.len + k > Array.length c.Dynamic_sssp.tail then begin
+        walk_candidates t tree idx;
+        c.Dynamic_sssp.len <- 0;
+        Dynamic_sssp.reserve_changes c k
+      end
+    in
+    scan room c;
+    walk_candidates t tree idx;
     (* group the pairs by entry in place: [first.(j)] is the next slot
        of [j]'s block to fill, and a pair found in a slot that is not
        its entry's is swapped into its entry's next slot.  Each swap
@@ -419,7 +487,8 @@ let maintain t ~(tree : Dijkstra.tree) ~stamp ~candidates ~repair =
 (* Make every relay's entry exact: the exact ones are reused, the rest
    filled over the pool.  [fill] is the region-only kernel, writing
    S(k) into the entry's own array and returning its size. *)
-let refill t ~(tree : Dijkstra.tree) ~stamp ~fill relays =
+let refill t ~(tree : Dijkstra.tree) ~stamp ~fill =
+  let { idx; relays; _ } = shape t ~stamp tree in
   (* entries of nodes that are no longer relays: S(j) is empty *)
   let r = ref 0 in
   for j = 0 to Array.length t.avoid - 1 do
@@ -436,7 +505,6 @@ let refill t ~(tree : Dijkstra.tree) ~stamp ~fill relays =
   let missing = Array.of_list !missing in
   if Array.length missing > 0 then begin
     let n = Array.length tree.Dijkstra.dist in
-    let idx = index t ~stamp tree in
     let filled =
       steal_map t ~states:t.dscratches
         (fun ds k ->
@@ -501,9 +569,9 @@ let avoid_of t k =
    and for unreached ones), and the relays some source pays [infinity]
    (ascending).  Every relay's entry must be exact: call after
    {!refill}. *)
-let charges t ~(tree : Dijkstra.tree) ~stamp ~model ~(own : float array) relays =
+let charges t ~(tree : Dijkstra.tree) ~stamp ~model ~(own : float array) =
   let n = Array.length tree.Dijkstra.dist in
-  let idx = index t ~stamp tree in
+  let { idx; relays; _ } = shape t ~stamp tree in
   let { Avoid_region.pre; size; order; _ } = idx and dist = tree.Dijkstra.dist in
   let charge = Array.make n 0.0 in
   let cut = ref [] in

@@ -44,6 +44,14 @@ type t = {
       (* the tree and the payment pass's charges, keyed by version *)
   mutable own : float array;
       (* each reached node's tree-link weight, filled with [settled] *)
+  mutable slot : int array;
+      (* each reached node's tree-link slot in [g]'s CSR, -1 at the root
+         and off the tree *)
+  mutable slot_key : (Avoid_region.index * Digraph.csr) option;
+      (* the cache's index and the CSR record [slot] was built for *)
+  mutable edited : int array;
+      (* per [rev] CSR slot: [epoch] marks a net edit of the flush *)
+  mutable epoch : int;
   mutable last : (int * batch) option;  (* memoized batch, keyed by version *)
   pending : (int * int, float) Hashtbl.t;
       (* links cost-edited since the last flush, mapped to their weight
@@ -71,6 +79,10 @@ let create ?(pool = Wnet_par.sequential) g ~root =
     unbounded = [];
     settled = None;
     own = [||];
+    slot = [||];
+    slot_key = None;
+    edited = [||];
+    epoch = 0;
     last = None;
     pending = Hashtbl.create 16;
     pending_order = [];
@@ -124,28 +136,41 @@ let mark_edit t =
   t.edits <- t.edits + 1;
   t.last <- None
 
-(* Is rev-link [u -> v] in the sorted edit keys [u * n + v]? *)
-let edited keys n u v =
-  let key = (u * n) + v in
-  let lo = ref 0 and hi = ref (Array.length keys) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if keys.(mid) < key then lo := mid + 1 else hi := mid
-  done;
-  !lo < Array.length keys && keys.(!lo) = key
-
-let candidates t tree redits emit =
-  List.iter (fun (e : Dynamic_sssp.edit) -> emit e.u e.v e.w0 e.w1) redits;
-  let n = Digraph.n t.rev in
-  let keys =
-    Array.of_list (List.map (fun (e : Dynamic_sssp.edit) -> (e.u * n) + e.v) redits)
-  in
-  Array.sort Int.compare keys;
+(* The burst's candidate changes, appended to the cache's buffer [c]
+   after [room k] (see {!Avoid_cache.maintain}): every net edit, then
+   every other link out of a node whose tree label moved.  The edits are
+   stamped on their slots as they go, so the scan skips an edited link
+   in O(1). *)
+let scan t tree redits room (c : Dynamic_sssp.changes) =
+  let m = Digraph.m t.rev in
+  if Array.length t.edited < m then t.edited <- Array.make (max m (2 * Array.length t.edited)) 0;
+  t.epoch <- t.epoch + 1;
+  let epoch = t.epoch in
+  List.iter
+    (fun (e : Dynamic_sssp.edit) ->
+      room 1;
+      let i = c.len in
+      c.tail.(i) <- e.u;
+      c.head.(i) <- e.v;
+      c.before.(i) <- e.w0;
+      c.after.(i) <- e.w1;
+      c.len <- i + 1;
+      let sl = Digraph.slot t.rev e.u e.v in
+      if sl >= 0 then t.edited.(sl) <- epoch)
+    redits;
   let { Digraph.row_off; col; wgt } = Digraph.csr t.rev in
   Avoid_cache.relabelled t.cache tree (fun p ->
-      for i = row_off.(p) to row_off.(p + 1) - 1 do
-        let x = col.(i) in
-        if not (edited keys n p x) then emit p x wgt.(i) wgt.(i)
+      room (row_off.(p + 1) - row_off.(p));
+      for sl = row_off.(p) to row_off.(p + 1) - 1 do
+        if t.edited.(sl) <> epoch then begin
+          let i = c.len in
+          let w = wgt.(sl) in
+          c.tail.(i) <- p;
+          c.head.(i) <- col.(sl);
+          c.before.(i) <- w;
+          c.after.(i) <- w;
+          c.len <- i + 1
+        end
       done)
 
 (* One invalidation pass over net rev-graph edits already applied to
@@ -166,8 +191,7 @@ let maintain t redits =
       c.fallbacks <- c.fallbacks + 1);
     t.tree_version <- version t;
     let tree = Dynamic_sssp.tree dy in
-    Avoid_cache.maintain c ~tree ~stamp:t.tree_version
-      ~candidates:(candidates t tree redits)
+    Avoid_cache.maintain c ~tree ~stamp:t.tree_version ~scan:(scan t tree redits)
       ~repair:(fun ds idx k dist ch ~first ~last ->
         Avoid_region.link_repair ds idx ~graph:t.rev ~mirror:t.g ~tree ~avoid:k
           ~dist ch ~first ~last)
@@ -324,16 +348,31 @@ let shared_tree t =
 
 (* Each reached node's own cost, the weight of its tree link: what
    relay [k] declares for forwarding every source of its subtree, and
-   what a source's [relay_cost] leaves out.  One lookup per node. *)
+   what a source's [relay_cost] leaves out.  Read through each node's
+   tree-link slot, which depends only on the parents and the CSR's
+   layout: the slots are looked up again when the cache's index (kept
+   while no parent moves) or the CSR record (a splice installs a new
+   one) changes. *)
 let own_costs t (tree : Dijkstra.tree) =
   let n = n t in
+  let idx = Avoid_cache.index t.cache ~stamp:t.tree_version tree in
+  let c = Digraph.csr t.g in
+  (match t.slot_key with
+  | Some (i, c') when i == idx && c' == c -> ()
+  | _ ->
+    if Array.length t.slot <> n then t.slot <- Array.make n (-1);
+    let parent = tree.Dijkstra.parent in
+    for k = 0 to n - 1 do
+      t.slot.(k) <-
+        (if k <> t.root && Dijkstra.reachable tree k then Digraph.slot t.g k parent.(k)
+         else -1)
+    done;
+    t.slot_key <- Some (idx, c));
   if Array.length t.own <> n then t.own <- Array.create_float n;
-  let { Digraph.wgt; _ } = Digraph.csr t.g in
-  let parent = tree.Dijkstra.parent in
+  let wgt = c.Digraph.wgt and slot = t.slot in
   for k = 0 to n - 1 do
-    t.own.(k) <-
-      (if k <> t.root && Dijkstra.reachable tree k then wgt.(Digraph.slot t.g k parent.(k))
-       else 0.0)
+    let i = slot.(k) in
+    t.own.(k) <- (if i >= 0 then wgt.(i) else 0.0)
   done;
   t.own
 
@@ -348,15 +387,18 @@ let charges t =
     let fill ds idx k d =
       Avoid_region.link_fill ds idx ~graph:t.rev ~mirror:t.g ~tree ~avoid:k ~dist:d
     in
-    let relays = Avoid_cache.relays tree in
-    Avoid_cache.refill t.cache ~tree ~stamp:t.tree_version ~fill relays;
+    Avoid_cache.refill t.cache ~tree ~stamp:t.tree_version ~fill;
     let charge, cut =
       Avoid_cache.charges t.cache ~tree ~stamp:t.tree_version ~model:`Link
-        ~own:(own_costs t tree) relays
+        ~own:(own_costs t tree)
     in
     t.unbounded <- cut;
     t.settled <- Some (version t, tree, charge);
     (tree, charge)
+
+let tree_index t =
+  let tree, _ = charges t in
+  Avoid_cache.index t.cache ~stamp:t.tree_version tree
 
 let payments t =
   match t.last with

@@ -198,6 +198,14 @@ val charges : t -> Wnet_graph.Dijkstra.tree * float array
     until the next edit; both values are the session's own and valid
     until then. *)
 
+val tree_index : t -> Wnet_graph.Avoid_region.index
+(** The pre-order index of the tree {!charges} returns (called first).
+    An index depends only on the tree's parents, and the session keeps
+    its own, physically the same value, across every flush that moves
+    no parent and adds no node; a moved parent or a new node always
+    makes a new one.  So what the parents alone determine may be kept
+    under it, compared with [==]. *)
+
 val payments : t -> batch
 (** The all-to-root batch for the current topology, one outcome per
     served source, built from {!charges}; memoized until the next

@@ -37,6 +37,8 @@ type t = {
   mutable settled : (int * Dijkstra.tree * float array) option;
       (* the tree and the payment pass's charges, keyed by version *)
   mutable last : (int * outcome option array) option;
+  mutable edited : int array;  (* per node: [epoch] marks a net edit of the flush *)
+  mutable epoch : int;
   pending : (int, float) Hashtbl.t;
       (* nodes cost-edited since the last flush, mapped to their cost
          *before* the burst; invalidation is deferred and coalesced *)
@@ -61,6 +63,8 @@ let create ?(pool = Wnet_par.sequential) g ~root =
     unbounded = [];
     settled = None;
     last = None;
+    edited = [||];
+    epoch = 0;
     pending = Hashtbl.create 16;
     pending_order = [];
     pending_edits = 0;
@@ -102,24 +106,39 @@ let shared_tree t =
     t.spt_runs <- t.spt_runs + 1;
     tree
 
-(* The burst's candidate changes: in the node model a link [p -> y]
-   weighs [p]'s relay cost (0 from the root), so a cost edit on [x]
-   changes every link out of [x] (a removal, to [infinity], the links of
-   its old adjacency), and a node whose tree label moved changes every
-   link out of it. *)
-let rec edits_node x = function
-  | [] -> false
-  | (e : Dynamic_sssp.node_edit) :: rest -> e.x = x || edits_node x rest
+(* The burst's candidate changes, appended to the cache's buffer [c]
+   after [room k] (see {!Avoid_cache.maintain}): in the node model a
+   link [p -> y] weighs [p]'s relay cost (0 from the root), so a cost
+   edit on [x] changes every link out of [x] (a removal, to [infinity],
+   the links of its old adjacency), and a node whose tree label moved
+   changes every link out of it.  Edited nodes are stamped as they go,
+   so the scan skips one in O(1). *)
+let[@inline] push room (c : Dynamic_sssp.changes) p (ys : int array) w0 w1 =
+  room (Array.length ys);
+  for k = 0 to Array.length ys - 1 do
+    let i = c.len in
+    c.tail.(i) <- p;
+    c.head.(i) <- ys.(k);
+    c.before.(i) <- w0;
+    c.after.(i) <- w1;
+    c.len <- i + 1
+  done
 
-let candidates t tree nedits emit =
+let scan t tree nedits room (c : Dynamic_sssp.changes) =
+  let n = n t in
+  if Array.length t.edited < n then t.edited <- Array.make n 0;
+  t.epoch <- t.epoch + 1;
+  let epoch = t.epoch in
   List.iter
     (fun (e : Dynamic_sssp.node_edit) ->
-      Array.iter (fun y -> emit e.x y e.c0 e.c1) e.nbrs)
+      t.edited.(e.x) <- epoch;
+      push room c e.x e.nbrs e.c0 e.c1)
     nedits;
+  let cost = Graph.costs_view t.g in
   Avoid_cache.relabelled t.cache tree (fun p ->
-      if not (edits_node p nedits) then begin
-        let c = if p = t.root then 0.0 else Graph.cost t.g p in
-        Array.iter (fun y -> emit p y c c) (Graph.neighbors t.g p)
+      if t.edited.(p) <> epoch then begin
+        let w = if p = t.root then 0.0 else cost.(p) in
+        push room c p (Graph.neighbors t.g p) w w
       end)
 
 (* One invalidation pass of the flush policy (see {!Avoid_cache}) over
@@ -130,8 +149,7 @@ let maintain t nedits =
   t.inval_passes <- t.inval_passes + 1;
   let graph = t.g in
   let tree = shared_tree t in
-  Avoid_cache.maintain t.cache ~tree ~stamp:t.tree_version
-    ~candidates:(candidates t tree nedits)
+  Avoid_cache.maintain t.cache ~tree ~stamp:t.tree_version ~scan:(scan t tree nedits)
     ~repair:(fun ds idx k dist ch ~first ~last ->
       Avoid_region.node_repair ds idx ~graph ~tree ~avoid:k ~dist ch ~first
         ~last)
@@ -199,15 +217,18 @@ let charges t =
     let fill ds idx k d =
       Avoid_region.node_fill ds idx ~graph:t.g ~tree ~avoid:k ~dist:d
     in
-    let relays = Avoid_cache.relays tree in
-    Avoid_cache.refill t.cache ~tree ~stamp:t.tree_version ~fill relays;
+    Avoid_cache.refill t.cache ~tree ~stamp:t.tree_version ~fill;
     let charge, cut =
       Avoid_cache.charges t.cache ~tree ~stamp:t.tree_version ~model:`Node
-        ~own:(Graph.costs_view t.g) relays
+        ~own:(Graph.costs_view t.g)
     in
     t.unbounded <- cut;
     t.settled <- Some (t.gver, tree, charge);
     (tree, charge)
+
+let tree_index t =
+  let tree, _ = charges t in
+  Avoid_cache.index t.cache ~stamp:t.tree_version tree
 
 let payments t =
   match t.last with

@@ -118,6 +118,10 @@ val charges : t -> Wnet_graph.Dijkstra.tree * float array
     missing or was dropped, over the session's pool and per-domain
     scratches; memoized until the next edit. *)
 
+val tree_index : t -> Wnet_graph.Avoid_region.index
+(** As {!Link_session.tree_index}: the index of {!charges}' tree, the
+    same value while the rebuilt tree's parents do not move. *)
+
 val payments : t -> outcome option array
 (** The all-to-root batch on the current topology, built from
     {!charges}: entry [src] is [None] for the root and disconnected

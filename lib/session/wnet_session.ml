@@ -152,8 +152,9 @@ let grow_hops p need =
   Array.blit p.hops 0 hops 0 (Array.length p.hops);
   p.hops <- hops
 
-let fill p ~root ((tree : Wnet_graph.Dijkstra.tree), charge) =
-  let n = Array.length charge in
+(* [src], [off] and [hops]: what the tree's parents determine. *)
+let fill_paths p ~root (tree : Wnet_graph.Dijkstra.tree) =
+  let n = Array.length tree.parent in
   if Array.length p.src < n then begin
     p.src <- Array.make n 0;
     p.charge <- Array.make n 0.0;
@@ -161,15 +162,11 @@ let fill p ~root ((tree : Wnet_graph.Dijkstra.tree), charge) =
   end;
   let parent = tree.parent and top = tree.source in
   let count = ref 0 and pos = ref 0 in
-  let unbounded = ref 0 and total = ref 0.0 in
   for s = 0 to n - 1 do
     if s <> root && Wnet_graph.Dijkstra.reachable tree s then begin
       let i = !count in
       p.src.(i) <- s;
       p.off.(i) <- !pos;
-      let c = charge.(s) in
-      p.charge.(i) <- c;
-      if c < infinity then total := !total +. c else incr unbounded;
       let u = ref s in
       while !u <> top do
         if !pos >= Array.length p.hops then grow_hops p (!pos + 1);
@@ -184,9 +181,41 @@ let fill p ~root ((tree : Wnet_graph.Dijkstra.tree), charge) =
     end
   done;
   p.off.(!count) <- !pos;
-  p.count <- !count;
+  p.count <- !count
+
+(* [charge], [unbounded] and [total], for the sources [src] lists. *)
+let fill_charges p charge =
+  let unbounded = ref 0 and total = ref 0.0 in
+  for i = 0 to p.count - 1 do
+    let c = charge.(p.src.(i)) in
+    p.charge.(i) <- c;
+    if c < infinity then total := !total +. c else incr unbounded
+  done;
   p.unbounded <- !unbounded;
   p.total <- !total
+
+let fresh_pay ~root ((tree : Wnet_graph.Dijkstra.tree), charge) =
+  let p = empty_pay () in
+  fill_paths p ~root tree;
+  fill_charges p charge;
+  p
+
+(* A session's view, with the engine's tree index its paths were
+   filled under: the engine keeps that index while no parent moves (most
+   bursts move labels, not parents), and then only the charges are
+   refilled. *)
+type view = { pay : pay; mutable paths_of : Wnet_graph.Avoid_region.index option }
+
+let new_view () = { pay = empty_pay (); paths_of = None }
+
+let fill v ~root ~idx ((tree : Wnet_graph.Dijkstra.tree), charge) =
+  (match v.paths_of with
+  | Some i when i == idx -> ()
+  | _ ->
+    fill_paths v.pay ~root tree;
+    v.paths_of <- Some idx);
+  fill_charges v.pay charge;
+  v.pay
 
 (* Left to right from [0.0], exactly as [Array.fold_left ( +. ) 0.0],
    so the result is bit-identical; but the local float ref stays
@@ -270,12 +299,12 @@ let make ?(pool = Wnet_par.sequential) ~root g =
         own ();
         apply_delta d
 
-      let view = empty_pay ()
+      let view = new_view ()
 
       let pay () =
         own ();
-        fill view ~root (NS.charges s);
-        view
+        let pass = NS.charges s in
+        fill view ~root ~idx:(NS.tree_index s) pass
 
       let flush () =
         own ();
@@ -327,12 +356,12 @@ let make ?(pool = Wnet_par.sequential) ~root g =
         own ();
         apply_delta d
 
-      let view = empty_pay ()
+      let view = new_view ()
 
       let pay () =
         own ();
-        fill view ~root (LS.charges s);
-        view
+        let pass = LS.charges s in
+        fill view ~root ~idx:(LS.tree_index s) pass
 
       let flush () =
         own ();

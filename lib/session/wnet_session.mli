@@ -103,6 +103,13 @@ type pay = {
     session's next [apply], [flush] or [pay]: copy what must outlive
     that. *)
 
+val fresh_pay :
+  root:int -> Wnet_graph.Dijkstra.tree * float array -> pay
+(** [fresh_pay ~root (tree, charge)] is a new view filled from a payment
+    pass (a session engine's [charges]): every field written from
+    scratch, as a session's first {!S.pay} writes its own view.  What a
+    session's kept view is held to. *)
+
 val sum_payments : float array -> float
 (** The total of a dense payment vector, added left to right from
     [0.0]: bit-identical to [Array.fold_left ( +. ) 0.0], [infinity]
@@ -143,7 +150,14 @@ module type S = sig
   val apply : delta -> ack
   val pay : unit -> pay
   (** The all-to-root payments at the current version, as the session's
-      own {!pay} view, refilled in place. *)
+      own {!pay} view, refilled in place.  [src], [off] and [hops]
+      depend only on the shared tree's parents: the view keeps the
+      engine's tree index they were written under
+      ({!Link_session.tree_index}, kept while no parent moves) and,
+      while the engine returns that index, refills only [charge],
+      [unbounded] and [total] ([total] still added in ascending source
+      order, so bit-identical).  The view then equals {!fresh_pay} of
+      the same pass, field for field. *)
 
   val flush : unit -> unit
   val stats : unit -> stats

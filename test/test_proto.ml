@@ -1194,6 +1194,177 @@ let test_pay_view_lifetime () =
   Alcotest.(check bool) "the refilled view = a fresh session's" true
     (content p3 = content (F.pay ()))
 
+(* A view kept across bursts that move labels but no parent: its paths
+   stay, its charges are refilled, and it must equal a fresh fill of
+   the same payment pass into a new view, field for field and bit for
+   bit.  A raw engine replays every delta to hand that pass over.  At
+   least [kept_floor] of the 30 bursts must keep every parent and move
+   a label. *)
+let kept_floor = 8
+
+let kept_view_prop (model, domains) seed =
+  Wnet_par.with_pool ~domains (fun pool ->
+      let rng = Rng.create seed in
+      let g =
+        match model with
+        | `Node -> `Node (Test_util.random_ring_graph ~min_n:20 rng)
+        | `Link ->
+          let n = 10 + Rng.int rng 20 in
+          let w () = Rng.float_range rng 0.5 10.0 in
+          let links =
+            List.concat_map
+              (fun v -> [ (v, (v + 1) mod n, w ()); ((v + 1) mod n, v, w ()) ])
+              (List.init n Fun.id)
+          in
+          `Link (Wnet_graph.Digraph.create ~n ~links)
+      in
+      let (module S : W.S) = W.make ~pool ~root:0 g in
+      let pass, cost, apply =
+        match g with
+        | `Node g ->
+          let raw = W.Node_session.create ~pool g ~root:0 in
+          ( (fun () -> W.Node_session.charges raw),
+            (fun x _ -> W.Node_session.cost raw x),
+            function
+            | W.Set_node_cost { node; cost } -> W.Node_session.set_cost raw node cost
+            | _ -> invalid_arg "kept_view_prop: delta" )
+        | `Link g ->
+          let raw = W.Link_session.create ~pool g ~root:0 in
+          ( (fun () -> W.Link_session.charges raw),
+            W.Link_session.cost raw,
+            function
+            | W.Set_link_cost { u; v; w } -> W.Link_session.set_cost raw u v w
+            | _ -> invalid_arg "kept_view_prop: delta" )
+      in
+      let content (p : W.pay) =
+        ( p.count,
+          Array.sub p.src 0 p.count,
+          Array.sub p.off 0 (p.count + 1),
+          Array.sub p.hops 0 p.off.(p.count),
+          Array.map bits (Array.sub p.charge 0 p.count),
+          p.unbounded,
+          bits p.total )
+      in
+      let shape () =
+        let tree, _ = pass () in
+        (Array.copy tree.Wnet_graph.Dijkstra.parent, Array.map bits tree.Wnet_graph.Dijkstra.dist)
+      in
+      let r = Rng.create (seed lxor 0x5bd1e995) in
+      let kept = ref 0 in
+      ignore (S.pay ());
+      let before = ref (shape ()) in
+      for burst = 1 to 30 do
+        let deltas =
+          if Rng.bernoulli r 0.7 then
+            Test_util.drift_burst r ~model ~root:0 ~parents:(fst !before) ~cost
+              (1 + Rng.int r 6)
+          else
+            (* re-declarations only: a departure or a deletion could
+               strand the root and empty every later drift *)
+            List.filter_map
+              (function
+                | P.Cost_node { node; cost } when cost < infinity ->
+                  Some (W.Set_node_cost { node; cost })
+                | P.Cost_link { u; v; w } when w < infinity ->
+                  Some (W.Set_link_cost { u; v; w })
+                | _ -> None)
+              (view_burst r model (S.n ()))
+        in
+        List.iter (fun d -> ignore (S.apply d); apply d) deltas;
+        let got = content (S.pay ()) in
+        if got <> content (W.fresh_pay ~root:0 (pass ())) then
+          Test.fail_reportf "burst %d: the kept view differs from a fresh fill" burst;
+        let ((p1, d1) as now) = shape () in
+        let p0, d0 = !before in
+        if deltas <> [] && p0 = p1 && d0 <> d1 then incr kept;
+        before := now
+      done;
+      !kept >= kept_floor
+      || Test.fail_reportf "%d of 30 bursts moved labels and kept every parent" !kept)
+
+(* ---------------- the in-place request reader ---------------- *)
+
+(* Lines the in-place reader of [cost] and [pay] must read exactly as
+   the tokenizer does, or hand to it: keywords, ints with signs, [_],
+   hex and past 18 digits, floats with nan/inf/hex/[_] and trailing
+   junk, runs of spaces and tabs, the blanks [String.trim] strips at
+   the ends and keeps inside, comments and empty lines. *)
+let line_piece_gen =
+  Gen.oneof
+    [
+      Gen.oneofl
+        [ "cost"; "pay"; "join"; "leave"; "stats"; "quit"; "Cost"; "costs";
+          "pays"; "#"; "#cost"; "--"; "1:2.5"; "\r"; "1\r2"; "3\012" ];
+      Gen.map string_of_int (Gen.int_range 0 99999);
+      Gen.oneofl
+        [ "+5"; "-3"; "0x1f"; "0b101"; "0o17"; "1_000"; "007"; "-0";
+          "123456789012345678"; "1234567890123456789"; "12345678901234567890";
+          "9223372036854775807"; "4611686018427387904"; "9999999999999999999";
+          "18446744073709551617"; "1a"; "٣" ];
+      Gen.map (Printf.sprintf "%.17g") float_gen;
+      Gen.map (Printf.sprintf "%h") float_gen;
+      Gen.oneofl
+        [ "nan"; "-nan"; "inf"; "-inf"; "infinity"; "NaN"; "0x1p3"; "1_000.5";
+          "1."; ".5"; "1e"; "1e5"; "abc"; "1.5x"; "+2.5"; "-0.0"; "1e400";
+          "4.5"; "0.1"; "_1" ];
+    ]
+
+let request_line_gen =
+  let blank = Gen.oneofl [ ""; ""; ""; " "; "\t"; "\r"; "\n"; "\012"; " \r\n" ] in
+  let sep = Gen.oneofl [ " "; " "; "  "; "\t"; " \t "; "\t\t" ] in
+  let line head rest =
+    Gen.map4
+      (fun lead h rest trail ->
+        lead ^ h ^ String.concat "" (List.map (fun (s, p) -> s ^ p) rest) ^ trail)
+      blank head rest blank
+  in
+  let weight = Gen.oneof [ Gen.map (Printf.sprintf "%.17g") float_gen; line_piece_gen ] in
+  let id = Gen.oneof [ Gen.map string_of_int (Gen.int_range 0 99999); line_piece_gen ] in
+  Gen.oneof
+    [
+      line
+        (Gen.oneof [ Gen.oneofl [ "cost"; "cost"; "cost"; "pay"; "" ]; line_piece_gen ])
+        (Gen.list_size (Gen.int_range 0 4) (Gen.pair sep line_piece_gen));
+      (* the reader's own shapes, mostly well formed *)
+      line (Gen.pure "cost")
+        (Gen.oneof
+           [
+             Gen.map2 (fun a b -> [ a; b ]) (Gen.pair sep id) (Gen.pair sep weight);
+             Gen.map3 (fun a b c -> [ a; b; c ]) (Gen.pair sep id) (Gen.pair sep id)
+               (Gen.pair sep weight);
+           ]);
+    ]
+
+let float_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let request_bits_equal (a : P.request) (b : P.request) =
+  let eps = List.equal (fun (v, w) (v', w') -> v = v' && float_bits w w') in
+  match (a, b) with
+  | P.Cost_node { node; cost }, P.Cost_node { node = n'; cost = c' } ->
+    node = n' && float_bits cost c'
+  | P.Cost_link { u; v; w }, P.Cost_link { u = u'; v = v'; w = w' } ->
+    u = u' && v = v' && float_bits w w'
+  | P.Join { out; inn }, P.Join { out = o'; inn = i' } -> eps out o' && eps inn i'
+  | P.Rejoin { node; out; inn }, P.Rejoin { node = n'; out = o'; inn = i' } ->
+    node = n' && eps out o' && eps inn i'
+  | _ -> a = b
+
+let reader_prop line =
+  let show = function
+    | Ok None -> "Ok None"
+    | Ok (Some r) -> "Ok " ^ P.print_request r
+    | Error m -> "Error " ^ m
+  in
+  let got = P.parse_request line and want = Proto_ref.parse_request line in
+  let same =
+    match (got, want) with
+    | Ok None, Ok None -> true
+    | Ok (Some a), Ok (Some b) -> request_bits_equal a b
+    | Error a, Error b -> String.equal a b
+    | _ -> false
+  in
+  same || Test.fail_reportf "%S: %s, reference %s" line (show got) (show want)
+
 let suite =
   [
     Alcotest.test_case "blank lines and comments are silent" `Quick
@@ -1249,5 +1420,14 @@ let suite =
     Test_util.qcheck_case ~count:40 "pay view = list path: node, three domains"
       Test_util.seed_gen (view_prop (`Node, 3));
     Alcotest.test_case "pay view: reused at a version, refilled after an edit"
-      `Quick test_pay_view_lifetime
+      `Quick test_pay_view_lifetime;
+    Test_util.qcheck_case ~count:20 "kept pay view = fresh fill: link, pools 1/3"
+      Test_util.seed_gen (fun seed ->
+        kept_view_prop (`Link, 1) seed && kept_view_prop (`Link, 3) seed);
+    Test_util.qcheck_case ~count:20 "kept pay view = fresh fill: node, pools 1/3"
+      Test_util.seed_gen (fun seed ->
+        kept_view_prop (`Node, 1) seed && kept_view_prop (`Node, 3) seed);
+    Test_util.qcheck_case ~count:5000
+      "request reader = tokenizer reference: result, error text, float bits"
+      request_line_gen reader_prop;
   ]

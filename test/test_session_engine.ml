@@ -246,6 +246,132 @@ let node_equiv_prop seed =
       done;
       true)
 
+(* ---------------- kept tree-shape products ---------------- *)
+
+(* Bursts that move labels but no parent keep the cache's index and
+   relays, the link engine's tree-link slots and the pay view's paths;
+   the avoidance fills then re-copy their working labels because the
+   tree stamp moved, not because the index did.  Tree links (relay
+   costs) re-declared at ×(1 ± 1e-9), mixed with ordinary
+   re-declarations that move parents, paid after every burst and held
+   to the reference (leaves, joins and deletions are the older
+   properties' business: they would strand the root here).  At least
+   [kept_floor] of the 30 bursts must move labels and keep every
+   parent, so the case really runs.  The engine's [tree_index] must be
+   a new value after a burst that moved a parent, and the same value
+   after one that moved labels and kept every parent. *)
+let kept_floor = 8
+
+let kept_prop ~model ~parents_dist ~index ~drift ~ordinary ~check seed =
+  let r = Rng.create (seed lxor 0x7f4a7c15) in
+  let kept = ref 0 in
+  let before = ref (parents_dist ()) and idx = ref (index ()) in
+  for b = 1 to 30 do
+    let edits =
+      if Rng.bernoulli r 0.7 then drift r (fst !before) (1 + Rng.int r 6)
+      else ordinary r
+    in
+    check (Printf.sprintf "%s burst %d (%d edits)" model b edits);
+    let ((p1, d1) as now) = parents_dist () in
+    let p0, d0 = !before in
+    let i1 = index () in
+    if p0 <> p1 && i1 == !idx then
+      QCheck2.Test.fail_reportf "%s burst %d: a parent moved, the tree index was kept"
+        model b;
+    if edits > 0 && p0 = p1 && not (floats_equal d0 d1) then begin
+      if i1 != !idx then
+        QCheck2.Test.fail_reportf
+          "%s burst %d: labels moved and every parent kept, the tree index was rebuilt"
+          model b;
+      incr kept
+    end;
+    before := now;
+    idx := i1
+  done;
+  !kept >= kept_floor
+  || QCheck2.Test.fail_reportf "%s: %d of 30 bursts moved labels and kept every parent"
+       model !kept
+
+(* A random digraph on a two-way ring: every node reaches the root. *)
+let ring_digraph rng =
+  let n = 10 + Rng.int rng 21 in
+  let ring =
+    List.concat_map
+      (fun v -> [ (v, (v + 1) mod n, Rng.float_range rng 0.5 10.0);
+                  ((v + 1) mod n, v, Rng.float_range rng 0.5 10.0) ])
+      (List.init n Fun.id)
+  in
+  Digraph.create ~n ~links:(ring @ Digraph.links (random_digraph rng ~n))
+
+let link_kept_prop seed =
+  let g = ring_digraph (Rng.create seed) in
+  Par.with_pool ~domains:3 (fun pool ->
+      List.for_all
+        (fun pool ->
+          let s = LS.create ~pool g ~root:0 in
+          let parents_dist () =
+            let tree, _ = LS.charges s in
+            (Array.copy tree.Dijkstra.parent, Array.copy tree.Dijkstra.dist)
+          in
+          let drift r parents k =
+            let ds =
+              Test_util.drift_burst r ~model:`Link ~root:0 ~parents ~cost:(LS.cost s) k
+            in
+            List.iter (apply_link_delta s) ds;
+            List.length ds
+          in
+          let links = Array.of_list (Digraph.links g) in
+          let ordinary r =
+            let k = 1 + Rng.int r 4 in
+            for _ = 1 to k do
+              let u, v, _ = links.(Rng.int r (Array.length links)) in
+              LS.set_cost s u v (Rng.float_range r 0.5 10.0)
+            done;
+            k
+          in
+          let check label =
+            Test_util.fail_on_diff label
+              (Test_util.link_session_diff (LS.payments s)
+                 (Payment_ref.link (LS.snapshot s) ~root:0))
+          in
+          kept_prop ~model:"link" ~parents_dist
+            ~index:(fun () -> LS.tree_index s)
+            ~drift ~ordinary ~check seed)
+        [ Par.sequential; pool ])
+
+let node_kept_prop seed =
+  let g = Test_util.random_ring_graph ~min_n:20 (Rng.create seed) in
+  Par.with_pool ~domains:3 (fun pool ->
+      List.for_all
+        (fun pool ->
+          let s = NS.create ~pool g ~root:0 in
+          let parents_dist () =
+            let tree, _ = NS.charges s in
+            (Array.copy tree.Dijkstra.parent, Array.copy tree.Dijkstra.dist)
+          in
+          let drift r parents k =
+            let ds =
+              Test_util.drift_burst r ~model:`Node ~root:0 ~parents
+                ~cost:(fun x _ -> NS.cost s x) k
+            in
+            List.iter (apply_node_delta s) ds;
+            List.length ds
+          in
+          let ordinary r =
+            let k = 1 + Rng.int r 4 in
+            for _ = 1 to k do
+              NS.set_cost s (Rng.int r (NS.n s)) (Rng.float_range r 0.05 8.0)
+            done;
+            k
+          in
+          let check label =
+            Test_util.fail_on_diff label (node_ref_diff s (NS.payments s))
+          in
+          kept_prop ~model:"node" ~parents_dist
+            ~index:(fun () -> NS.tree_index s)
+            ~drift ~ordinary ~check seed)
+        [ Par.sequential; pool ])
+
 (* ---------------- in-place digraph mutation ---------------- *)
 
 let test_digraph_mutation () =
@@ -896,4 +1022,10 @@ let suite =
     Test_util.qcheck_case ~count:60
       "node session: random edit sequences = reference (bits)"
       Test_util.seed_gen node_equiv_prop;
+    Test_util.qcheck_case ~count:30
+      "link session pools 1/3: parent-keeping bursts = reference (bits)"
+      Test_util.seed_gen link_kept_prop;
+    Test_util.qcheck_case ~count:30
+      "node session pools 1/3: parent-keeping bursts = reference (bits)"
+      Test_util.seed_gen node_kept_prop;
   ]

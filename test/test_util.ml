@@ -172,3 +172,25 @@ let ref_unbounded (r : Payment_ref.batch) =
            o.Payment_ref.relay_pay))
     r.Payment_ref.results;
   List.filter (fun k -> cut.(k)) (List.init n Fun.id)
+
+(* A burst that moves labels but, barring a near tie, no parent: [k]
+   tree links ([`Link]: [v -> parents.(v)], which moves [v]'s label) or
+   relay costs ([`Node]: [parents.(v)] for a [v] below a relay, which
+   moves [v]'s) re-declared at ×(1 ± 1e-9).  [parents] is the shared
+   tree's parent array, [root] its source and [cost] reads a link's
+   ([`Link]) or a node's ([`Node], second argument ignored) current
+   cost.  Empty when the tree has no such [v]. *)
+let drift_burst r ~model ~root ~(parents : int array) ~cost k : Wnet_session.delta list =
+  let below v = parents.(v) >= 0 && (model = `Link || parents.(v) <> root) in
+  let vs =
+    Array.of_list (List.filter below (List.init (Array.length parents) Fun.id))
+  in
+  if Array.length vs = 0 then []
+  else
+    List.init k (fun _ ->
+        let v = vs.(Wnet_prng.Rng.int r (Array.length vs)) in
+        let p = parents.(v) in
+        let f = if Wnet_prng.Rng.bernoulli r 0.5 then 1.0 +. 1e-9 else 1.0 -. 1e-9 in
+        match model with
+        | `Link -> Wnet_session.Set_link_cost { u = v; v = p; w = cost v p *. f }
+        | `Node -> Wnet_session.Set_node_cost { node = p; cost = cost p p *. f })
