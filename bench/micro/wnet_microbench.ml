@@ -32,18 +32,30 @@ type prim = {
 
 let inner_ops = 256
 
-(* A connected paper UDG (2000 m square, 300 m range, kappa = 2) on
-   [n] nodes from instance seed 1, as a link-model digraph.  At n = 200
-   it is the instance the served benchmark uses. *)
-let paper_udg ~n =
+(* A connected paper UDG (2000 m square, 300 m range) on [n] nodes from
+   instance seed 1, and the stream it was drawn from. *)
+let paper_points ~n =
   let rng = Wnet_prng.Rng.create 1 in
   match
     Wnet_topology.Udg.generate_connected rng
       ~region:Wnet_geom.Region.paper_region ~n ~range:300.0 ~max_tries:1000
   with
-  | Some u ->
-    Wnet_topology.Udg.link_graph u ~model:(Wnet_geom.Power.path_loss_only ~kappa:2.0)
+  | Some u -> (rng, u)
   | None -> failwith "microbench: no connected UDG"
+
+(* As a link-model digraph (kappa = 2).  At n = 200 it is the instance
+   the served link benchmark uses. *)
+let paper_udg ~n =
+  Wnet_topology.Udg.link_graph (snd (paper_points ~n))
+    ~model:(Wnet_geom.Power.path_loss_only ~kappa:2.0)
+
+(* As a node-model graph, costs U[1, 10) drawn next from the same
+   stream.  At n = 600 it is the instance the served node benchmark
+   uses. *)
+let paper_node_udg ~n =
+  let rng, u = paper_points ~n in
+  Wnet_topology.Udg.node_graph u
+    ~costs:(Wnet_topology.Udg.uniform_node_costs rng ~n ~lo:1.0 ~hi:10.0)
 
 (* ---------------- proto encode ---------------- *)
 
@@ -958,6 +970,35 @@ let graph () =
 
 (* ---------------- session flush ---------------- *)
 
+(* The served node op less its codec, on the served node instance: one
+   declaration drawn as the served benchmark draws it (a node other than
+   the root uniformly, its original cost times U[0.9, 1.1]), then the
+   charges.  The draws go on from run to run, so every declaration moves
+   a cost.  A declaration is one link re-declaration per neighbour (38
+   on average here), so a list cell or a closure per link edit in the
+   adapter would add some 115 words per op: the ceiling sits less than
+   that above what the op allocates. *)
+let node_edit_pay ~ceiling =
+  let module NS = Wnet_session.Node_session in
+  let g = paper_node_udg ~n:600 in
+  let n = Wnet_graph.Graph.n g in
+  let rng = Wnet_prng.Rng.create 9101 in
+  let s = NS.create g ~root:0 in
+  ignore (NS.charges s);
+  let ops = 64 in
+  {
+    name = "session/node-edit+pay";
+    ops;
+    max_words = Some ceiling;
+    run =
+      (fun () ->
+        for _ = 1 to ops do
+          let k = 1 + Wnet_prng.Rng.int rng (n - 1) in
+          NS.set_cost s k (Wnet_graph.Graph.cost g k *. Wnet_prng.Rng.float_range rng 0.9 1.1);
+          ignore (Sys.opaque_identity (NS.charges s))
+        done);
+  }
+
 (* The served link op's edit half on the served instance: 32 link
    re-declarations drawn as the served benchmark draws them (a link
    uniformly, its original weight times U[0.9, 1.1]), then the
@@ -1005,6 +1046,7 @@ let session () =
   [
     row "session/burst-32+flush" ~pay:false ~ceiling:2200.0;
     row "session/burst-32+flush+pay" ~pay:true ~ceiling:3400.0;
+    node_edit_pay ~ceiling:2960.0;
   ]
 
 (* ---------------- measurement & family runner ---------------- *)

@@ -71,7 +71,9 @@ val all_to_root :
     distinct relay, confined to the relay's subtree of that tree
     (node-weighted distances are symmetric, so from-root trees serve
     to-root queries).  [results.(root)] is [None], as are unreachable
-    sources.  It is a one-shot {!Wnet_session.Node_session}.
+    sources.  It is a one-shot {!Wnet_session.Node_session}, so it runs
+    the link kernels over the node model's link view, whose two weight
+    arrays it builds first (O(n + m), the rows shared with [g]).
 
     The per-relay avoidance searches are independent; [?pool] (default
     {!Wnet_par.sequential}) fans them out over domains with positional

@@ -106,15 +106,6 @@ let link_fill ds idx ~graph ~mirror ~tree ~avoid:k ~dist:d =
     ~order:idx.order ~lo ~hi ~tree:tree.Dijkstra.dist ~dist:d;
   hi - lo
 
-let node_fill ds idx ~graph ~tree ~avoid:k ~dist:d =
-  check ~what:"Avoid_region.node_fill" ~n:(Graph.n graph) idx tree ~avoid:k
-    ~dist:d;
-  let lo = idx.pre.(k) in
-  let hi = lo + idx.size.(k) - 1 in
-  Dynamic_sssp.fill_node ds ~forbidden:k ~graph ~source:tree.Dijkstra.source
-    ~pre:idx.pre ~order:idx.order ~lo ~hi ~tree:tree.Dijkstra.dist ~dist:d;
-  hi - lo
-
 (* The full-array contract: the tree's labels everywhere, [k] silenced,
    then the fill over the region. *)
 let blit (tree : Dijkstra.tree) k d =
@@ -127,22 +118,16 @@ let link_avoid ds idx ~graph ~mirror ~tree ~avoid ~dist =
   blit tree avoid dist;
   link_fill ds idx ~graph ~mirror ~tree ~avoid ~dist
 
+(* The node model through its link view, built for this one call. *)
 let node_avoid ds idx ~graph ~tree ~avoid ~dist =
   check ~what:"Avoid_region.node_avoid" ~n:(Graph.n graph) idx tree ~avoid
     ~dist;
-  blit tree avoid dist;
-  node_fill ds idx ~graph ~tree ~avoid ~dist
+  let fwd, rev = Digraph.node_view graph ~root:tree.Dijkstra.source in
+  link_avoid ds idx ~graph:rev ~mirror:fwd ~tree ~avoid ~dist
 
 let link_repair ds idx ~graph ~mirror ~tree ~avoid:k ~dist ch ~first ~last =
   let lo = idx.pre.(k) in
   Dynamic_sssp.repair_scoped ds
     ~budget:(Dynamic_sssp.default_budget (Digraph.n graph))
     ~forbidden:k ~graph ~mirror ~source:tree.Dijkstra.source ~scope:idx.pre ~lo
-    ~hi:(lo + idx.size.(k) - 1) ~ext:tree.Dijkstra.dist ~dist ch ~first ~last
-
-let node_repair ds idx ~graph ~tree ~avoid:k ~dist ch ~first ~last =
-  let lo = idx.pre.(k) in
-  Dynamic_sssp.repair_node_scoped ds
-    ~budget:(Dynamic_sssp.default_budget (Graph.n graph))
-    ~forbidden:k ~graph ~source:tree.Dijkstra.source ~scope:idx.pre ~lo
     ~hi:(lo + idx.size.(k) - 1) ~ext:tree.Dijkstra.dist ~dist ch ~first ~last

@@ -17,8 +17,11 @@
     and no fallback.  A repair keeps a budget, since it discovers its
     region as it runs.
 
-    Allocation-free after scratch/index construction: safe inside the
-    work-stealing fan-out with per-participant scratches. *)
+    The link kernels are allocation-free after scratch/index
+    construction: safe inside the work-stealing fan-out with
+    per-participant scratches.  Sec. II's node model runs on them
+    through its link view ({!Digraph.node_view}); {!node_avoid} builds
+    that view per call. *)
 
 type index = private {
   idx_n : int;  (** nodes the index was built over *)
@@ -74,17 +77,6 @@ val link_fill :
     @raise Invalid_argument if sizes disagree, [avoid] is out of range,
     or [avoid = tree.source]. *)
 
-val node_fill :
-  Dynamic_sssp.dist_scratch ->
-  index ->
-  graph:Graph.t ->
-  tree:Dijkstra.tree ->
-  avoid:int ->
-  dist:float array ->
-  int
-(** Node-weighted {!link_fill}: matches [Dijkstra.node_weighted_dist_csr
-    ~avoid:k graph tree.source] on the subtree. *)
-
 val link_repair :
   Dynamic_sssp.dist_scratch ->
   index ->
@@ -103,19 +95,6 @@ val link_repair :
     exact there for the old graph and tree, [k]'s descendants must be the
     same set in both, and the changes must include every one touching
     it.  Region size, or [-1] past {!Dynamic_sssp.default_budget}. *)
-
-val node_repair :
-  Dynamic_sssp.dist_scratch ->
-  index ->
-  graph:Graph.t ->
-  tree:Dijkstra.tree ->
-  avoid:int ->
-  dist:float array ->
-  Dynamic_sssp.changes ->
-  first:int ->
-  last:int ->
-  int
-(** Node-weighted {!link_repair}. *)
 
 (** {1 Full arrays} *)
 
@@ -143,5 +122,11 @@ val node_avoid :
   avoid:int ->
   dist:float array ->
   int
-(** Node-weighted analogue: matches [Dijkstra.node_weighted_dist_csr
-    ~avoid:k graph tree.source] bit for bit.  Same contract. *)
+(** [node_avoid ds idx ~graph ~tree ~avoid:k ~dist] is {!link_avoid}
+    over [graph]'s link view ({!Digraph.node_view} from [tree]'s
+    source): it fills all of [dist] with
+    [Dijkstra.node_weighted_dist_csr ~avoid:k graph ~source:tree.source],
+    bit for bit, [tree] being [graph]'s node-weighted tree.  Same
+    contract.  The view is built for each call, in O(n + m) and two
+    m-float arrays: a caller that avoids many relays of one graph should
+    build the view once and call {!link_avoid}. *)

@@ -170,6 +170,28 @@ let reverse g =
   off.(0) <- 0;
   fresh { row_off = off; col = rcol; wgt = rwgt }
 
+(* An undirected graph's rows are already sorted with unique targets,
+   and its reverse has the same rows: only the weights differ.  Both
+   orientations share [g]'s [row_off] and [col], which nothing here
+   writes in place (a structural edit installs fresh arrays). *)
+let node_view g ~root =
+  let n = Graph.n g in
+  if root < 0 || root >= n then invalid_arg "Digraph.node_view: root out of range";
+  let { Graph.row_off; col } = Graph.csr g in
+  let m = row_off.(n) in
+  let col = if Array.length col = m then col else Array.sub col 0 m in
+  let cost = Graph.costs_view g in
+  let fwd = Array.create_float m and rev = Array.create_float m in
+  for u = 0 to n - 1 do
+    let leave = if u = root then 0.0 else cost.(u) in
+    for i = row_off.(u) to row_off.(u + 1) - 1 do
+      let v = col.(i) in
+      fwd.(i) <- (if v = root then 0.0 else cost.(v));
+      rev.(i) <- leave
+    done
+  done;
+  (fresh { row_off; col; wgt = fwd }, fresh { row_off; col; wgt = rev })
+
 (* Rebuild [c] with [k] edits that each insert or delete a link:
    [eu]/[ev]/[ew] in (src, dst) order with unique pairs, [at.(e)] the
    slot of the link or where it would go, [ew.(e) = infinity] a delete.

@@ -47,6 +47,18 @@ val reverse : t -> t
     point).  One O(n + m) transpose into fresh arrays, so either graph
     can be mutated in place without affecting the other. *)
 
+val node_view : Graph.t -> root:int -> t * t
+(** [node_view g ~root] is Sec. II's node model as links (Sec. III-F),
+    in both orientations.  The forward graph has a link [y -> x] for
+    every edge, weighing [x]'s relay cost, or [0.0] when [x = root]: a
+    path's link weights add up to its relay cost.  The second graph is
+    its reverse, in which every link out of [x] weighs [x]'s cost ([0.0]
+    out of [root]): the search from [root] over it is
+    [Dijkstra.node_weighted g ~source:root], label for label and parent
+    for parent.  Both share [g]'s CSR row offsets and targets, and hold
+    one weight array each: O(n + m), no sort and no transpose.
+    @raise Invalid_argument if [root] is out of range. *)
+
 val silence_node : t -> int -> t
 (** [silence_node g v] removes all links {e leaving} [v] — exactly the
     paper's [d_{k,j} = infinity for each j] operation used to compute the

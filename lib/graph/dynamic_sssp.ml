@@ -226,52 +226,6 @@ let settle_link s ~budget ~j ~g_off ~g_col ~g_wgt d =
     done
   done
 
-(* Node-weighted twins: adjacency is symmetric (in-links = out-links =
-   the CSR row), and leaving node [x] costs its relay cost (0 from the
-   source). *)
-let reseed_node s ~j ~row_off ~col ~cost ~source d =
-  let heap = s.heap in
-  let prio = Indexed_heap.prios heap in
-  let pre = s.pre and lo1 = s.lo + 1 and span = s.hi - s.lo and ext = s.ext in
-  for k = 0 to s.n_region - 1 do
-    let x = s.region.(k) in
-    for i = row_off.(x) to row_off.(x + 1) - 1 do
-      let p = Array.unsafe_get col i in
-      if p <> j && not (marked s p) then begin
-        let dp = if within pre lo1 span p then d.(p) else ext.(p) in
-        if dp < infinity then begin
-          let leave = if p = source then 0.0 else Array.unsafe_get cost p in
-          let cand = dp +. leave in
-          if cand < d.(x) then begin
-            d.(x) <- cand;
-            prio.(x) <- cand;
-            Indexed_heap.touch heap x
-          end
-        end
-      end
-    done
-  done
-
-let settle_node s ~budget ~j ~row_off ~col ~cost ~source d =
-  let heap = s.heap in
-  let prio = Indexed_heap.prios heap in
-  let pre = s.pre and lo1 = s.lo + 1 and span = s.hi - s.lo in
-  while not (Indexed_heap.is_empty heap) do
-    let x = Indexed_heap.pop_min_key heap in
-    let dx = d.(x) in
-    smark s ~budget x;
-    let leave = if x = source then 0.0 else Array.unsafe_get cost x in
-    let cand = dx +. leave in
-    for i = row_off.(x) to row_off.(x + 1) - 1 do
-      let y = Array.unsafe_get col i in
-      if y <> j && cand < d.(y) && within pre lo1 span y then begin
-          d.(y) <- cand;
-          prio.(y) <- cand;
-          Indexed_heap.touch heap y
-        end
-    done
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Avoidance fills over working labels ({!Avoid_region}'s kernel).
 
@@ -329,7 +283,7 @@ let sync s ~pre ~tree n =
 
 let forget_labels s = s.lab_pre <- [||]
 
-(* Steps 1 and 3 and 5, around the model's reseed and settle. *)
+(* Steps 1, 3 and 5 of the fill. *)
 let silence lab order ~lo ~hi k =
   lab.(k) <- infinity;
   for i = lo + 1 to hi do
@@ -389,48 +343,12 @@ let fill_link s ~forbidden:k ~graph ~mirror ~pre ~order ~lo ~hi ~tree ~dist:d =
   done;
   restore lab order ~lo ~hi ~tree k d
 
-(* Node-weighted: leaving [p] costs its relay cost, 0 from the source,
-   which is never in R. *)
-let fill_node s ~forbidden:k ~graph ~source ~pre ~order ~lo ~hi ~tree ~dist:d =
-  sync s ~pre ~tree (Graph.n graph);
-  let lab = s.lab and heap = s.heap in
-  let prio = Indexed_heap.prios heap in
-  let { Graph.row_off; col } = Graph.csr graph in
-  let cost = Graph.costs_view graph in
-  silence lab order ~lo ~hi k;
-  for i = lo + 1 to hi do
-    let x = order.(i) in
-    let best = ref infinity in
-    for e = row_off.(x) to row_off.(x + 1) - 1 do
-      let p = Array.unsafe_get col e in
-      let leave = if p = source then 0.0 else Array.unsafe_get cost p in
-      let c = Array.unsafe_get lab p +. leave in
-      if c < !best then best := c
-    done;
-    d.(x) <- !best
-  done;
-  commit heap lab order ~lo ~hi d;
-  lab.(k) <- neg_infinity;
-  while not (Indexed_heap.is_empty heap) do
-    let x = Indexed_heap.pop_min_key heap in
-    let c = Array.unsafe_get lab x +. Array.unsafe_get cost x in
-    for e = row_off.(x) to row_off.(x + 1) - 1 do
-      let y = Array.unsafe_get col e in
-      if c < Array.unsafe_get lab y then begin
-        Array.unsafe_set lab y c;
-        Array.unsafe_set prio y c;
-        Indexed_heap.touch heap y
-      end
-    done
-  done;
-  restore lab order ~lo ~hi ~tree k d
-
 let working_labels s = s.lab
 
 let frontier s = Indexed_heap.size s.heap
 
 (* ------------------------------------------------------------------ *)
-(* The repairs, one per model, over candidate changes [first, last) of
+(* The repair, over candidate changes [first, last) of
    [ch].  A change is a link [tail -> head] whose candidate
    [label tail +. weight] moved from [before] to [after]: an edited
    link, or (for a scoped run) a boundary link whose exterior tail's
@@ -514,42 +432,6 @@ let repair_link s ~budget ~j ~source ~graph ~mirror d ch first last =
   | () -> s.n_region
   | exception Overflow -> -1
 
-(* Node-weighted: leaving [x] costs its relay cost (0 from the source)
-   and adjacency is symmetric.  A node's own label never depends on its
-   own cost, so a cost edit on [x] is a change on each link out of [x]. *)
-let repair_node s ~budget ~j ~source ~graph d ch first last =
-  let { Graph.row_off; col } = Graph.csr graph in
-  let cost = Graph.costs_view graph in
-  match
-    seed_closure s ~budget ch first last d;
-    let i = ref 0 in
-    while !i < s.n_region do
-      let x = s.region.(!i) in
-      incr i;
-      let dx = d.(x) in
-      if dx < infinity then begin
-        let cand = dx +. if x = source then 0.0 else cost.(x) in
-        for k = row_off.(x) to row_off.(x + 1) - 1 do
-          let y = Array.unsafe_get col k in
-          if
-            y <> j && y <> source
-            && (not (marked s y))
-            && inside s y
-            && Float.equal cand d.(y)
-            && not (changed ch x y first last)
-          then smark s ~budget y
-        done;
-        chase_changed s ~budget ch first last x d
-      end
-    done;
-    wipe s d;
-    reseed_node s ~j ~row_off ~col ~cost ~source d;
-    seed_kept s ch first last d;
-    settle_node s ~budget ~j ~row_off ~col ~cost ~source d
-  with
-  | () -> s.n_region
-  | exception Overflow -> -1
-
 let check_scoped ~n dist =
   if Array.length dist < n then
     invalid_arg "Dynamic_sssp: scoped repair of a dist array shorter than the graph"
@@ -560,13 +442,6 @@ let repair_scoped s ~budget ~forbidden ~graph ~mirror ~source ~scope ~lo ~hi ~ex
   begin_dist_run s (Digraph.n graph);
   restrict s ~pre:scope ~lo ~hi ~ext;
   repair_link s ~budget ~j:forbidden ~source ~graph ~mirror dist ch first last
-
-let repair_node_scoped s ~budget ~forbidden ~graph ~source ~scope ~lo ~hi ~ext
-    ~dist ch ~first ~last =
-  check_scoped ~n:(Graph.n graph) dist;
-  begin_dist_run s (Graph.n graph);
-  restrict s ~pre:scope ~lo ~hi ~ext;
-  repair_node s ~budget ~j:forbidden ~source ~graph dist ch first last
 
 (* The unscoped repairs take net edits and turn each into changes, its
    candidates read off [d] itself. *)
@@ -596,28 +471,6 @@ let repair_dist s ?budget ?(forbidden = -1) ~graph ~mirror ~source ~dist:d
       then push s ~tail:e.u ~head:e.v ~label:d.(e.u) ~w0:e.w0 ~w1:e.w1)
     edits;
   result (repair_link s ~budget ~j:forbidden ~source ~graph ~mirror d s.own 0 s.own.len)
-
-type node_edit = { x : int; nbrs : int array; c0 : float; c1 : float }
-
-let repair_node_dist s ?budget ?(forbidden = -1) ~graph ~source ~dist:d
-    edits =
-  let n = Graph.n graph in
-  let budget = match budget with Some b -> b | None -> default_budget n in
-  if Array.length d < n then
-    invalid_arg
-      "Dynamic_sssp.repair_node_dist: dist array shorter than the graph";
-  begin_dist_run s n;
-  s.own.len <- 0;
-  List.iter
-    (fun e ->
-      if e.x <> forbidden && e.x <> source && not (Float.equal e.c0 e.c1) then
-        Array.iter
-          (fun y ->
-            if y <> forbidden && y <> source then
-              push s ~tail:e.x ~head:y ~label:d.(e.x) ~w0:e.c0 ~w1:e.c1)
-          e.nbrs)
-    edits;
-  result (repair_node s ~budget ~j:forbidden ~source ~graph d s.own 0 s.own.len)
 
 (* ------------------------------------------------------------------ *)
 (* Tree repair                                                          *)

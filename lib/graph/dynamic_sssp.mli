@@ -9,13 +9,16 @@
     - {!apply}: repair a full shortest-path {e tree} (distances and
       parents) over a mutable {!Digraph} — the session's shared
       reversed SPT;
-    - {!repair_dist}/{!repair_node_dist}: repair a caller-owned
-      distance-only array (no parents) after net edits;
-      {!repair_scoped}/{!repair_node_scoped} run the same repair inside
-      one subtree, driven by candidate changes — the session's
+    - {!repair_dist}: repair a caller-owned distance-only array (no
+      parents) after net edits; {!repair_scoped} runs the same repair
+      inside one subtree, driven by candidate changes — the session's
       per-relay avoidance entries;
-    - {!fill_link}/{!fill_node}: compute one relay's avoidance labels
-      on its subtree from scratch, over working labels.
+    - {!fill_link}: compute one relay's avoidance labels on its subtree
+      from scratch, over working labels.
+
+    Sec. II's node model runs on the same kernels through its link view
+    ({!Digraph.node_view}), where every link out of a node weighs that
+    node's relay cost.
 
     {b Exactness contract.}  A successful repair leaves the structure
     {e bit-identical} ([Float.equal] on every distance, [=] on every
@@ -145,25 +148,6 @@ val repair_dist :
     Each net edit becomes one candidate change (its candidates read off
     [dist]) and the repair is {!repair_scoped}'s, over the whole graph. *)
 
-type node_edit = { x : int; nbrs : int array; c0 : float; c1 : float }
-(** Node [x]'s relay cost changed from [c0] to [c1]; [nbrs] is [x]'s
-    adjacency at edit time (node-model bursts never change adjacency
-    between flushes, so the current neighbours serve). *)
-
-val repair_node_dist :
-  dist_scratch ->
-  ?budget:int ->
-  ?forbidden:int ->
-  graph:Graph.t ->
-  source:int ->
-  dist:float array ->
-  node_edit list ->
-  [ `Patched of int | `Overflow ]
-(** Node-weighted analogue of {!repair_dist}: [dist] is a
-    [Dijkstra.node_weighted ~forbidden] distance array from [source]
-    (leaving [source] is free, leaving any other node [x] costs its
-    relay cost).  Same contract and failure mode. *)
-
 val repair_scoped :
   dist_scratch ->
   budget:int ->
@@ -197,24 +181,6 @@ val repair_scoped :
     immediate int, so the call allocates nothing.  {!repair_dist} is the
     unscoped case.
     @raise Invalid_argument if [dist] is shorter than the graph. *)
-
-val repair_node_scoped :
-  dist_scratch ->
-  budget:int ->
-  forbidden:int ->
-  graph:Graph.t ->
-  source:int ->
-  scope:int array ->
-  lo:int ->
-  hi:int ->
-  ext:float array ->
-  dist:float array ->
-  changes ->
-  first:int ->
-  last:int ->
-  int
-(** Node-weighted {!repair_scoped}: a change's weight is its tail's relay
-    cost (0 from [source]). *)
 
 (** {1 Avoidance fills}
 
@@ -254,21 +220,6 @@ val fill_link :
     empty.  The work is bounded by [R] and its links: there is no
     budget.
     @raise Invalid_argument if the graph exceeds the scratch capacity. *)
-
-val fill_node :
-  dist_scratch ->
-  forbidden:int ->
-  graph:Graph.t ->
-  source:int ->
-  pre:int array ->
-  order:int array ->
-  lo:int ->
-  hi:int ->
-  tree:float array ->
-  dist:float array ->
-  unit
-(** Node-weighted {!fill_link}: matches [Dijkstra.node_weighted_dist_csr
-    ~avoid:k graph ~source] on [R]. *)
 
 val forget_labels : dist_scratch -> unit
 (** Drop the working labels' key: the next fill copies the tree's

@@ -1,5 +1,5 @@
-(* The per-relay avoidance cache both session engines share, and its
-   flush policy (DESIGN.md, "Cache maintenance").
+(* The session engine's per-relay avoidance cache and its flush policy
+   (DESIGN.md, "Cache maintenance").
 
    The entry for relay [j] holds the labels of the root-side search with
    [j] forbidden on S(j), the strict descendants of [j] in the current
@@ -545,13 +545,13 @@ let entries t =
    Source [s] pays relay [k] of its path [own k +. (a -. d)] in the link
    model and [own k +. a -. d] in the node model: [a] is [s]'s label in
    [k]'s avoidance array, [d] its tree distance, and [own k] the cost
-   [k] declares for forwarding (the weight of its tree link, or its node
-   cost), read from a flat array the engine fills once per version.  A
-   charge is the dense payment vector folded left from [+0.0] in
-   ascending node id.  That vector is [+0.0] off the relays, and
-   adding [+0.0] never changes a sum that starts at [+0.0] (such a sum
-   is never [-0.0]), so the charge is the relays' payments added in
-   ascending id.  The relays of [s] are its strict ancestors in the
+   [k] declares for forwarding (the weight of its tree link, or over the
+   node model's view its node cost), read from a flat array the engine
+   fills once per version.  A charge is the dense payment vector folded
+   left from [+0.0] in ascending node id.  That vector is [+0.0] off the
+   relays, and adding [+0.0] never changes a sum that starts at [+0.0]
+   (such a sum is never [-0.0]), so the charge is the relays' payments
+   added in ascending id.  The relays of [s] are its strict ancestors in the
    shared tree, the root excepted; so a pass over the relays in
    ascending id that adds each relay's payment into every strict
    descendant makes, for every source, exactly those additions in

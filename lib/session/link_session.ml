@@ -32,6 +32,9 @@ type stats = {
 
 type t = {
   root : int;
+  model : [ `Link | `Node ];
+      (* what a relay declares: its tree link's weight, or (over a node
+         model's link view) the weight of each of its reversed links *)
   g : Digraph.t;  (* forward topology, mutated in place *)
   rev : Digraph.t;  (* reversed mirror, kept in lockstep *)
   mutable dyn : Dynamic_sssp.t option;
@@ -43,15 +46,16 @@ type t = {
   mutable settled : (int * Dijkstra.tree * float array) option;
       (* the tree and the payment pass's charges, keyed by version *)
   mutable own : float array;
-      (* each reached node's tree-link weight, filled with [settled] *)
+      (* each node's declared cost, filled with [settled] *)
   mutable slot : int array;
       (* each reached node's tree-link slot in [g]'s CSR, -1 at the root
          and off the tree *)
   mutable slot_key : (Avoid_region.index * Digraph.csr) option;
       (* the cache's index and the CSR record [slot] was built for *)
-  mutable edited : int array;
-      (* per [rev] CSR slot: [epoch] marks a net edit of the flush *)
-  mutable epoch : int;
+  mutable edited : Bytes.t;
+      (* per [rev] CSR slot: set on a net edit of the flush while its
+         scan runs, clear otherwise *)
+  mutable marked : int array;  (* the scan's net edits' slots, -1 if none *)
   mutable last : (int * batch) option;  (* memoized batch, keyed by version *)
   pending : (int * int, float) Hashtbl.t;
       (* links cost-edited since the last flush, mapped to their weight
@@ -65,24 +69,22 @@ type t = {
   mutable spt_runs : int;
 }
 
-let create ?(pool = Wnet_par.sequential) g ~root =
-  let n = Digraph.n g in
-  if root < 0 || root >= n then invalid_arg "Link_session.create: root out of range";
-  let g = Digraph.copy g in
+let make ~model ~pool ~root g rev =
   {
     root;
+    model;
     g;
-    rev = Digraph.reverse g;
+    rev;
     dyn = None;
     tree_version = -1;
-    cache = Avoid_cache.create pool n;
+    cache = Avoid_cache.create pool (Digraph.n g);
     unbounded = [];
     settled = None;
     own = [||];
     slot = [||];
     slot_key = None;
-    edited = [||];
-    epoch = 0;
+    edited = Bytes.empty;
+    marked = [||];
     last = None;
     pending = Hashtbl.create 16;
     pending_order = [];
@@ -92,6 +94,18 @@ let create ?(pool = Wnet_par.sequential) g ~root =
     inval_passes = 0;
     spt_runs = 0;
   }
+
+let create ?(pool = Wnet_par.sequential) g ~root =
+  if root < 0 || root >= Digraph.n g then
+    invalid_arg "Link_session.create: root out of range";
+  let g = Digraph.copy g in
+  make ~model:`Link ~pool ~root g (Digraph.reverse g)
+
+let of_node_model ?(pool = Wnet_par.sequential) g ~root =
+  if root < 0 || root >= Graph.n g then
+    invalid_arg "Link_session.of_node_model: root out of range";
+  let g, rev = Digraph.node_view g ~root in
+  make ~model:`Node ~pool ~root g rev
 
 let n t = Digraph.n t.g
 let root t = t.root
@@ -139,30 +153,35 @@ let mark_edit t =
 (* The burst's candidate changes, appended to the cache's buffer [c]
    after [room k] (see {!Avoid_cache.maintain}): every net edit, then
    every other link out of a node whose tree label moved.  The edits are
-   stamped on their slots as they go, so the scan skips an edited link
-   in O(1). *)
+   marked on their slots as they go, so the scan skips an edited link in
+   O(1), and logged in [marked] from [i] on, so the marks are cleared
+   when it ends. *)
+let rec push_edits t room (c : Dynamic_sssp.changes) i = function
+  | [] -> ()
+  | (e : Dynamic_sssp.edit) :: rest ->
+    room 1;
+    let j = c.len in
+    c.tail.(j) <- e.u;
+    c.head.(j) <- e.v;
+    c.before.(j) <- e.w0;
+    c.after.(j) <- e.w1;
+    c.len <- j + 1;
+    let sl = Digraph.slot t.rev e.u e.v in
+    t.marked.(i) <- sl;
+    if sl >= 0 then Bytes.set t.edited sl '\001';
+    push_edits t room c (i + 1) rest
+
 let scan t tree redits room (c : Dynamic_sssp.changes) =
-  let m = Digraph.m t.rev in
-  if Array.length t.edited < m then t.edited <- Array.make (max m (2 * Array.length t.edited)) 0;
-  t.epoch <- t.epoch + 1;
-  let epoch = t.epoch in
-  List.iter
-    (fun (e : Dynamic_sssp.edit) ->
-      room 1;
-      let i = c.len in
-      c.tail.(i) <- e.u;
-      c.head.(i) <- e.v;
-      c.before.(i) <- e.w0;
-      c.after.(i) <- e.w1;
-      c.len <- i + 1;
-      let sl = Digraph.slot t.rev e.u e.v in
-      if sl >= 0 then t.edited.(sl) <- epoch)
-    redits;
+  let m = Digraph.m t.rev and k = List.length redits in
+  if Bytes.length t.edited < m then
+    t.edited <- Bytes.make (max m (2 * Bytes.length t.edited)) '\000';
+  if Array.length t.marked < k then t.marked <- Array.make (max k (2 * Array.length t.marked)) 0;
+  push_edits t room c 0 redits;
   let { Digraph.row_off; col; wgt } = Digraph.csr t.rev in
   Avoid_cache.relabelled t.cache tree (fun p ->
       room (row_off.(p + 1) - row_off.(p));
       for sl = row_off.(p) to row_off.(p + 1) - 1 do
-        if t.edited.(sl) <> epoch then begin
+        if Bytes.get t.edited sl = '\000' then begin
           let i = c.len in
           let w = wgt.(sl) in
           c.tail.(i) <- p;
@@ -171,7 +190,10 @@ let scan t tree redits room (c : Dynamic_sssp.changes) =
           c.after.(i) <- w;
           c.len <- i + 1
         end
-      done)
+      done);
+  for i = 0 to k - 1 do
+    if t.marked.(i) >= 0 then Bytes.set t.edited t.marked.(i) '\000'
+  done
 
 (* One invalidation pass over net rev-graph edits already applied to
    both orientations.  Before the first payments there is no tree and no
@@ -217,8 +239,14 @@ let flush t =
     if redits <> [] then maintain t redits
   end
 
-let set_cost t u v w =
-  check_link ~what:"Link_session.set_cost" t u v;
+(* A node model's view pays relay [k] the weight of its reversed links,
+   which is [k]'s cost only while every link into [k] weighs the same:
+   such a session takes whole declarations ({!set_node_cost}) and
+   leaves, never a single link. *)
+let check_model ~what t model =
+  if t.model <> model then invalid_arg (what ^ ": not this session's cost model")
+
+let set_link t u v w =
   let i = Digraph.slot t.g u v in
   let w0 = if i >= 0 then (Digraph.csr t.g).Digraph.wgt.(i) else infinity in
   if not (Float.equal w0 w) then begin
@@ -232,6 +260,25 @@ let set_cost t u v w =
     end
   end
 
+let set_cost t u v w =
+  check_model ~what:"Link_session.set_cost" t `Link;
+  check_link ~what:"Link_session.set_cost" t u v;
+  set_link t u v w
+
+(* Every link [y -> x] of the view, one per reversed link out of [x];
+   the links into the root weigh 0 whatever it declares. *)
+let set_node_cost t x c =
+  check_model ~what:"Link_session.set_node_cost" t `Node;
+  if x < 0 || x >= n t then invalid_arg "Link_session.set_node_cost: out of range";
+  if not (c >= 0.0 && c < infinity) then
+    invalid_arg "Link_session.set_node_cost: cost must be finite and non-negative";
+  if x <> t.root then begin
+    let { Digraph.row_off; col; _ } = Digraph.csr t.rev in
+    for i = row_off.(x) to row_off.(x + 1) - 1 do
+      set_link t col.(i) x c
+    done
+  end
+
 (* Fold [f] over row [u] of [g] in ascending target order. *)
 let fold_row g u f acc =
   let { Digraph.row_off; col; wgt } = Digraph.csr g in
@@ -242,10 +289,9 @@ let fold_row g u f acc =
   !acc
 
 let remove_node t k =
-  flush t;
-  let nn = n t in
-  if k < 0 || k >= nn then invalid_arg "Link_session.remove_node: out of range";
+  if k < 0 || k >= n t then invalid_arg "Link_session.remove_node: out of range";
   if k = t.root then invalid_arg "Link_session.remove_node: cannot remove the root";
+  flush t;
   (* every incident link deleted, expressed as rev-graph edits.
      Detaching k moves or strands its descendants, a membership change
      {!Avoid_cache.maintain} finds in the tree diff; an unreached node
@@ -297,10 +343,11 @@ let check_attach_link ~what ~n ~self (x, w) =
     invalid_arg (what ^ ": weight must be non-negative")
 
 let add_node t ~out ~inn =
-  flush t;
+  check_model ~what:"Link_session.add_node" t `Link;
   let old_n = n t in
   List.iter (check_attach_link ~what:"Link_session.add_node" ~n:old_n ~self:(-1)) out;
   List.iter (check_attach_link ~what:"Link_session.add_node" ~n:old_n ~self:(-1)) inn;
+  flush t;
   let id = Digraph.add_node t.g in
   let id' = Digraph.add_node t.rev in
   assert (id = id');
@@ -311,7 +358,7 @@ let add_node t ~out ~inn =
   id
 
 let rejoin_node t k ~out ~inn =
-  flush t;
+  check_model ~what:"Link_session.rejoin_node" t `Link;
   let nn = n t in
   if k < 0 || k >= nn then invalid_arg "Link_session.rejoin_node: out of range";
   if k = t.root then invalid_arg "Link_session.rejoin_node: cannot rejoin the root";
@@ -319,6 +366,7 @@ let rejoin_node t k ~out ~inn =
     invalid_arg "Link_session.rejoin_node: node is not isolated";
   List.iter (check_attach_link ~what:"Link_session.rejoin_node" ~n:nn ~self:k) out;
   List.iter (check_attach_link ~what:"Link_session.rejoin_node" ~n:nn ~self:k) inn;
+  flush t;
   apply_links t k ~out ~inn;
   mark_edit t;
   (* the add_node situation, minus the array extension: an isolated k
@@ -346,14 +394,25 @@ let shared_tree t =
     t.spt_runs <- t.spt_runs + 1;
     Dynamic_sssp.tree dy
 
-(* Each reached node's own cost, the weight of its tree link: what
-   relay [k] declares for forwarding every source of its subtree, and
-   what a source's [relay_cost] leaves out.  Read through each node's
-   tree-link slot, which depends only on the parents and the CSR's
-   layout: the slots are looked up again when the cache's index (kept
-   while no parent moves) or the CSR record (a splice installs a new
-   one) changes. *)
-let own_costs t (tree : Dijkstra.tree) =
+(* Each node's own cost: what relay [k] declares for forwarding every
+   source of its subtree.  In the link model it is the weight of [k]'s
+   tree link, and what a source's [relay_cost] leaves out; it is read
+   through each node's tree-link slot, which depends only on the
+   parents and the CSR's layout: the slots are looked up again when the
+   cache's index (kept while no parent moves) or the CSR record (a
+   splice installs a new one) changes.  Over a node model's view, [k]'s
+   tree link weighs its parent's cost, and every reversed link out of
+   [k] weighs [k]'s own: the first one is read. *)
+let node_costs t =
+  let n = n t in
+  if Array.length t.own <> n then t.own <- Array.create_float n;
+  let { Digraph.row_off; wgt; _ } = Digraph.csr t.rev in
+  for k = 0 to n - 1 do
+    t.own.(k) <- (if row_off.(k) < row_off.(k + 1) then wgt.(row_off.(k)) else 0.0)
+  done;
+  t.own
+
+let link_costs t (tree : Dijkstra.tree) =
   let n = n t in
   let idx = Avoid_cache.index t.cache ~stamp:t.tree_version tree in
   let c = Digraph.csr t.g in
@@ -389,8 +448,8 @@ let charges t =
     in
     Avoid_cache.refill t.cache ~tree ~stamp:t.tree_version ~fill;
     let charge, cut =
-      Avoid_cache.charges t.cache ~tree ~stamp:t.tree_version ~model:`Link
-        ~own:(own_costs t tree)
+      Avoid_cache.charges t.cache ~tree ~stamp:t.tree_version ~model:t.model
+        ~own:(match t.model with `Link -> link_costs t tree | `Node -> node_costs t)
     in
     t.unbounded <- cut;
     t.settled <- Some (version t, tree, charge);
@@ -407,7 +466,7 @@ let payments t =
     let tree, charge = charges t in
     let own = t.own in
     let results =
-      Avoid_cache.table t.cache ~tree ~stamp:t.tree_version ~model:`Link ~own
+      Avoid_cache.table t.cache ~tree ~stamp:t.tree_version ~model:t.model ~own
         (fun src path relay_pay ->
           let lcp_cost = tree.Dijkstra.dist.(src) in
           {

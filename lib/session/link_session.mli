@@ -124,6 +124,20 @@ val create : ?pool:Wnet_par.t -> Wnet_graph.Digraph.t -> root:int -> t
     its size.
     @raise Invalid_argument if [root] is out of range. *)
 
+val of_node_model : ?pool:Wnet_par.t -> Wnet_graph.Graph.t -> root:int -> t
+(** [of_node_model g ~root] opens a session on the node model's link
+    view of [g] ({!Wnet_graph.Digraph.node_view}), which pays by the node
+    model: relay [k] declares the weight of its reversed links, [c_k],
+    not its tree link's (which weighs its parent's cost), and a source
+    pays it [c_k +. a -. d] (the node model's association, which
+    [test/]'s reference fixes) instead of [c_k +. (a -. d)].  The
+    relay's cost is read off the view, which holds while every link
+    into a node weighs the same: such a session takes whole
+    declarations ({!set_node_cost}) and leaves ({!remove_node}), and
+    refuses {!set_cost}, {!add_node} and {!rejoin_node}.
+    {!Node_session} is built on it.
+    @raise Invalid_argument if [root] is out of range. *)
+
 val n : t -> int
 val root : t -> int
 
@@ -146,9 +160,20 @@ val set_cost : t -> int -> int -> float -> unit
     coalesced into one {!flush} pass that applies the flush policy to
     the burst's net link changes, instead of one pass per edit.  Edits
     reverted within a burst cancel out entirely.
-    @raise Invalid_argument, before any change, when an endpoint is out
-    of range, and as {!Wnet_graph.Digraph.set_weight} otherwise
-    (self-loop, NaN or negative weight). *)
+    @raise Invalid_argument, before any change, on a session made by
+    {!of_node_model}, when an endpoint is out of range, and as
+    {!Wnet_graph.Digraph.set_weight} otherwise (self-loop, NaN or
+    negative weight). *)
+
+val set_node_cost : t -> int -> float -> unit
+(** [set_node_cost s x c], on a session made by {!of_node_model},
+    re-declares [x]'s relay cost: every link into [x] (one per
+    neighbour) takes weight [c], each a link edit of the pending burst,
+    coalesced and flushed as {!set_cost}'s.  A declaration on the root
+    moves no link.
+    @raise Invalid_argument, before any change, on a session made by
+    {!create}, when [x] is out of range, or when [c] is negative, NaN
+    or infinite. *)
 
 val flush : t -> unit
 (** Fold the cost edits buffered since the last flush into one pass of
@@ -167,13 +192,16 @@ val add_node :
     policy as insertions: the entries whose subtree the newcomer
     enters are dropped, caches the links cannot improve are kept, the
     others repaired or dropped.
-    @raise Invalid_argument on invalid endpoints or weights. *)
+    @raise Invalid_argument on a session made by {!of_node_model}, or
+    on invalid endpoints or weights, before the pending burst is
+    flushed: a refused join changes nothing. *)
 
 val remove_node : t -> int -> unit
 (** [remove_node s v] detaches every link incident to [v] — the paper's
     node-leave.  The identifier remains valid (isolated), so ids are
     stable; the node may rejoin via {!rejoin_node}.
-    @raise Invalid_argument when [v] is the root or out of range. *)
+    @raise Invalid_argument when [v] is the root or out of range, before
+    the pending burst is flushed. *)
 
 val rejoin_node :
   t -> int -> out:(int * float) list -> inn:(int * float) list -> unit
@@ -182,8 +210,9 @@ val rejoin_node :
     identifier — the node-rejoin half of churn.  The links enter the
     flush policy as one burst of insertions, exactly as in
     {!add_node}.
-    @raise Invalid_argument when [v] is the root, out of range, or not
-    isolated, or on invalid endpoints or weights. *)
+    @raise Invalid_argument on a session made by {!of_node_model}, when
+    [v] is the root, out of range, or not isolated, or on invalid
+    endpoints or weights, before the pending burst is flushed. *)
 
 val charges : t -> Wnet_graph.Dijkstra.tree * float array
 (** [charges s] brings the session up to date and returns the shared

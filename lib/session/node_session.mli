@@ -1,22 +1,20 @@
 (** Incremental all-to-access-point payment sessions, node-cost model
     (Sec. II — the paper's primary model).
 
-    The node-model sibling of {!Link_session}: a session owns the
-    graph, the shared node-weighted shortest-path tree from the access
-    point (node-weighted distances are symmetric, so from-root trees
-    serve to-root queries), the per-relay avoidance-distance cache, a
-    {!Wnet_par} pool and per-domain Dijkstra scratches.  Deltas are a
-    node's declared cost changing ({!set_cost}) and a node leaving
-    ({!remove_node}).  Each coalesced burst runs the flush policy of
-    {!Link_session}: the shared node-weighted tree is rebuilt at the
-    flush (one Dijkstra per burst, which the next {!charges} needs
-    anyway) and compared with the old one: an entry whose subtree
-    changed membership is dropped, one no candidate change touches is
-    kept, and a touched one is either repaired inside its subtree
-    ({!Wnet_graph.Avoid_region.node_repair}) or dropped and refilled by
-    the region-only kernel at the next {!charges} — whichever the cost
-    model prices lower.  A node-model link weighs its tail's relay cost,
-    so a cost edit on [x] changes every link out of [x].
+    An adapter over a {!Link_session} running on the node model's link
+    view ({!Wnet_graph.Digraph.node_view}): the link [y -> x] weighs
+    [x]'s declared relay cost, and a link into the access point weighs
+    0, so a path's link weights add up to its relay cost and the
+    reversed search from the access point is the node-weighted one,
+    label for label and parent for parent.  A declaration on [x]
+    ({!set_cost}) is a {e degree burst}: one link edit per neighbour of
+    [x], which the link engine buffers, coalesces and flushes with the
+    rest of the burst (its shared tree repaired in place, its avoidance
+    entries kept, repaired or dropped by the flush policy); a
+    declaration on the access point changes no link.  A leave
+    ({!remove_node}) is the link engine's.  The payment pass pays relay
+    [k] by the node model, [c_k +. a -. d], reading [c_k] off the view
+    (every reversed link out of [k] weighs it).
 
     {b Determinism contract:} {!payments} after any edit sequence is
     bit-identical ([Float.equal], identical paths) to a from-scratch
@@ -37,46 +35,38 @@ type outcome = {
           relay id (see {!Link_session.outcome}) *)
 }
 
-type stats = {
-  edits : int;
+type stats = Link_session.stats = {
+  edits : int;  (** effective declarations and leaves *)
   coalesced_edits : int;
-      (** cost edits folded into a shared deferred-invalidation flush *)
+      (** declarations on nodes other than the access point folded into
+          a flush (a [k]-declaration burst adds [k], whatever the
+          degrees) *)
   inval_passes : int;
-      (** passes over the avoidance-cache array (flushes + leaves) *)
-  spt_runs : int;  (** shared-tree Dijkstras: one per flush or edit *)
+  spt_runs : int;
   avoid_runs : int;
-      (** avoidance entries refilled at {!charges}: first fills, entries
-          whose subtree changed membership, entries the cost model
-          dropped, and entries whose repair overflowed *)
   avoid_reused : int;
-      (** relays served at {!charges} from an exact entry (untouched or
-          repaired) *)
   repaired_entries : int;
-      (** touched entries the policy repaired inside their subtree (the
-          tree is rebuilt, not repaired, and does not count); untouched
-          entries are kept without a repair call and do not count *)
   fallback_recomputes : int;
-      (** entry repairs that overflowed their budget and left the entry
-          to be refilled *)
   tasks_executed : int;
-      (** units of work run through the pool's work-stealing scheduler:
-          one per entry repaired at a flush, one per refill *)
   tasks_stolen : int;
-      (** the subset executed by a domain other than the one that queued
-          them — nonzero only when stealing actually rebalanced load *)
   avoid_bounded : int;
-      (** refills served by the region-only kernel: every refill *)
   avoid_fallback : int;
-      (** always 0, as in {!Link_session.stats} *)
 }
+(** [edits] and [coalesced_edits] count node declarations; every other
+    counter is the link engine's ({!Link_session.stats}), over the
+    view's links: an invalidation pass per flush with a net link edit
+    and per leave (a declaration on the access point or on an isolated
+    node makes none), the shared tree's repairs and rebuilds in
+    [repaired_entries], [fallback_recomputes] and [spt_runs]. *)
 
 val create : ?pool:Wnet_par.t -> Wnet_graph.Graph.t -> root:int -> t
-(** [create g ~root] opens a session on [g].  [Graph.t] is immutable,
-    so the session shares the adjacency structure and swaps cost
-    vectors; the caller's graph is never affected.  Cache misses are
-    filled as in {!Link_session.create}: the region-only kernel over
-    the shared SPT ({!Wnet_graph.Avoid_region}), with no budget and no
-    fallback.
+(** [create g ~root] opens a session on [g]'s link view: both
+    orientations share [g]'s row offsets and targets and hold one
+    weight array each, built in O(n + m) with no copy of [g] and no
+    transpose.  [Graph.t] is immutable, so the session keeps [g] for
+    {!graph} and {!cost} and swaps its cost vector per declaration; the
+    caller's graph is never affected.  Cache misses are filled as in
+    {!Link_session.create}.
     @raise Invalid_argument if [root] is out of range. *)
 
 val n : t -> int
@@ -92,12 +82,16 @@ val version : t -> int
 (** Bumps on every effective edit. *)
 
 val set_cost : t -> int -> float -> unit
-(** [set_cost s v c] re-declares node [v]'s relay cost.  The cost vector
-    swaps immediately; the avoidance-cache invalidation is deferred and
-    coalesced — a burst of cost edits before the next {!charges} (or
-    {!remove_node}) is folded into one {!flush} pass of the flush
-    policy over the burst's net changes.
-    @raise Invalid_argument on a negative or non-finite cost. *)
+(** [set_cost s v c] re-declares node [v]'s relay cost: the cost vector
+    swaps, and each link into [v] (one per neighbour) takes weight [c]
+    through {!Link_session.set_node_cost}, unless [v] is the access
+    point.
+    The invalidation is deferred and coalesced: a burst of declarations
+    before the next {!charges} (or {!remove_node}) is folded into one
+    {!flush} pass of the flush policy over the burst's net link
+    changes.
+    @raise Invalid_argument, before any change, when [v] is out of
+    range or [c] is negative or non-finite. *)
 
 val flush : t -> unit
 (** Apply the flush policy to every buffered cost edit in one pass,
@@ -113,14 +107,12 @@ val charges : t -> Wnet_graph.Dijkstra.tree * float array
 (** The shared from-root tree (a source's next hop towards the root is
     its [parent]) and every source's total payment, from one
     relay-major pass over the avoidance caches, as
-    {!Link_session.charges}.  Shared tree recomputed only after an
-    edit; avoidance arrays refilled only for relays whose cache is
-    missing or was dropped, over the session's pool and per-domain
-    scratches; memoized until the next edit. *)
+    {!Link_session.charges}, whose memo it shares: a declaration on
+    the access point leaves it valid. *)
 
 val tree_index : t -> Wnet_graph.Avoid_region.index
 (** As {!Link_session.tree_index}: the index of {!charges}' tree, the
-    same value while the rebuilt tree's parents do not move. *)
+    same value while the tree's parents do not move. *)
 
 val payments : t -> outcome option array
 (** The all-to-root batch on the current topology, built from

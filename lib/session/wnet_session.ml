@@ -310,22 +310,7 @@ let make ?(pool = Wnet_par.sequential) ~root g =
         own ();
         NS.flush s
 
-      let stats () =
-        let st = NS.stats s in
-        {
-          edits = st.NS.edits;
-          coalesced_edits = st.NS.coalesced_edits;
-          inval_passes = st.NS.inval_passes;
-          spt_runs = st.NS.spt_runs;
-          avoid_runs = st.NS.avoid_runs;
-          avoid_reused = st.NS.avoid_reused;
-          repaired_entries = st.NS.repaired_entries;
-          fallback_recomputes = st.NS.fallback_recomputes;
-          tasks_executed = st.NS.tasks_executed;
-          tasks_stolen = st.NS.tasks_stolen;
-          avoid_bounded = st.NS.avoid_bounded;
-          avoid_fallback = st.NS.avoid_fallback;
-        }
+      let stats () = NS.stats s
     end : S)
   | `Link g ->
     let module LS = Link_session in

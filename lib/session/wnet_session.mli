@@ -1,10 +1,11 @@
 (** Incremental payment sessions, and the model-agnostic session API.
 
-    The two concrete engines ({!Link_session} for the Sec. III-F
-    link-cost model, {!Node_session} for the Sec. II node-cost model)
-    share one architecture — mutable topology, shared SPT, per-relay
-    avoidance caches, deferred coalesced invalidation, a {!Wnet_par}
-    pool — but expose model-specific graphs and deltas.  Every front-end
+    One engine, {!Link_session}, serves the Sec. III-F link-cost model
+    — mutable topology, shared SPT, per-relay avoidance caches,
+    deferred coalesced invalidation, a {!Wnet_par} pool — and
+    {!Node_session} serves the Sec. II node-cost model as an adapter
+    over it, on the node model's link view; each exposes its model's
+    graphs and deltas.  Every front-end
     (the stdin line protocol, the socket server, the bench) used to
     duplicate its serve loop per model; {!S} packages a running session
     behind one first-class signature so a single generic loop drives
@@ -12,7 +13,7 @@
 
     {!make} opens a session on either graph kind and returns the
     packaged instance.  All determinism contracts of the underlying
-    engines carry over: {!S.pay} is bit-identical to a from-scratch
+    sessions carry over: {!S.pay} is bit-identical to a from-scratch
     batch on the edited topology, at every pool size.  {!S.pay} is
     written straight from the engine's payment pass and tree into a
     flat view the session owns (no per-source records, no lists); the
@@ -38,10 +39,11 @@ type stats = Link_session.stats = {
   avoid_bounded : int;
   avoid_fallback : int;
 }
-(** The unified work ledger (the node engine's counters are converted
-    into the same record).  Under the region-only flush policy
-    ({!Link_session}): [repaired_entries] counts the link model's tree
-    repair and every entry repaired inside its subtree; [avoid_runs]
+(** The unified work ledger, both models' ({!Node_session.stats} is
+    this record: [edits] and [coalesced_edits] count its declarations,
+    the rest are the link engine's over the view).  Under the
+    region-only flush policy ({!Link_session}): [repaired_entries]
+    counts the tree repair and every entry repaired inside its subtree; [avoid_runs]
     every refill, membership changes and cost-model drops included;
     [avoid_reused] the relays served from an exact entry, untouched or
     repaired; [fallback_recomputes] tree rebuilds and overflowed entry
@@ -170,7 +172,8 @@ val make :
   (module S)
 (** [make ~root (`Link g)] (resp. [`Node g]) opens an incremental
     session on [g] and packages it behind {!S}.  The session never
-    aliases the caller's graph (the link engine deep-copies, the node
-    engine shares only immutable structure).  [?pool] defaults to
+    writes the caller's graph (a link session deep-copies it, a node
+    session's view shares only its immutable row offsets and
+    targets).  [?pool] defaults to
     {!Wnet_par.sequential}.
     @raise Invalid_argument if [root] is out of range. *)

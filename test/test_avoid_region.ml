@@ -3,8 +3,9 @@
    - [Avoid_region.link_avoid]/[node_avoid] are [Float.equal]-identical
      to the full-CSR run and to {!Payment_ref}'s search for every relay
      — cut vertices (infinite avoidance) and unreachable nodes included;
-   - [link_fill]/[node_fill] on every relay of chain and UDG instances,
-     subtrees past n/2 included, equal the ban-mask sweep bit for bit,
+   - [link_fill] on every relay of chain and UDG instances, link graphs
+     and node graphs' link views, subtrees past n/2 included, equals
+     the ban-mask sweep bit for bit,
      write nothing outside the subtree, and leave the scratch's working
      labels equal to the tree's and its heap empty — also when the
      scratch's previous repair overflowed and left keys in its heap;
@@ -147,8 +148,11 @@ let link_fills ?(before = ignore) ~what g ~root =
   done;
   !widest
 
+(* The node model: [link_fill] over the link view, on the node-weighted
+   tree, against the node-weighted sweep. *)
 let node_fills ?(before = ignore) ~what g ~root =
   let n = Graph.n g in
+  let fwd, rev = Digraph.node_view g ~root in
   let tree = Dijkstra.node_weighted g ~source:root in
   let idx = Avoid_region.make_index tree in
   let ds = Dynamic_sssp.make_dist_scratch n and scratch = Dijkstra.make_scratch n in
@@ -157,7 +161,7 @@ let node_fills ?(before = ignore) ~what g ~root =
     if k <> root then begin
       before ds;
       let d = Array.make n nan in
-      let r = Avoid_region.node_fill ds idx ~graph:g ~tree ~avoid:k ~dist:d in
+      let r = Avoid_region.link_fill ds idx ~graph:rev ~mirror:fwd ~tree ~avoid:k ~dist:d in
       if r <> idx.Avoid_region.size.(k) - 1 then
         QCheck2.Test.fail_reportf "%s: relay %d: region %d" what k r;
       widest := max !widest r;
@@ -218,11 +222,12 @@ let past_half_prop seed =
   true
 
 (* A distance repair that overflows mid-settle leaves keys in the heap
-   of its scratch: every link (or relay cost) drops to 0 and the budget
-   is 1, above the empty closure of a fall, so the repair stops at its
-   second settled node with the rest of the seeds still queued (from a
-   root of most links, three or more in the link model).  Each
-   fill that follows on the same scratch must still be exact. *)
+   of its scratch: every link (or, over the node model's view, every
+   link out of a relay) drops to 0 and the budget is 1, above the empty
+   closure of a fall, so the repair stops at its second settled node
+   with the rest of the seeds still queued (from a root of most links,
+   three or more).  Each fill that follows on the same scratch must
+   still be exact. *)
 let drained_prop seed =
   let rng = Rng.create seed in
   let u = corridor rng in
@@ -234,43 +239,33 @@ let drained_prop seed =
     if Digraph.out_degree rev v > Digraph.out_degree rev !root then root := v
   done;
   let root = !root in
-  let dist = (Dijkstra.link_weighted rev root).Dijkstra.dist in
-  let rev0 = Digraph.copy rev and g0 = Digraph.copy g in
-  let edits =
-    List.map
-      (fun (a, b, w) ->
-        Digraph.set_weight rev0 a b 0.0;
-        Digraph.set_weight g0 b a 0.0;
-        { Dynamic_sssp.u = a; v = b; w0 = w; w1 = 0.0 })
-      (List.filter (fun (_, _, w) -> w > 0.0) (Digraph.links rev))
-  in
   let left = ref 0 in
-  let overflow ds =
-    match
-      Dynamic_sssp.repair_dist ds ~budget:1 ~graph:rev0 ~mirror:g0 ~source:root
-        ~dist:(Array.copy dist) edits
-    with
-    | `Overflow -> left := !left + Dynamic_sssp.frontier ds
-    | `Patched _ -> ()
+  (* [rev] is the searched graph, [g] its reverse *)
+  let overflow rev g =
+    let dist = (Dijkstra.link_weighted rev root).Dijkstra.dist in
+    let rev0 = Digraph.copy rev and g0 = Digraph.copy g in
+    let edits =
+      List.map
+        (fun (a, b, w) ->
+          Digraph.set_weight rev0 a b 0.0;
+          Digraph.set_weight g0 b a 0.0;
+          { Dynamic_sssp.u = a; v = b; w0 = w; w1 = 0.0 })
+        (List.filter (fun (_, _, w) -> w > 0.0) (Digraph.links rev))
+    in
+    fun ds ->
+      match
+        Dynamic_sssp.repair_dist ds ~budget:1 ~graph:rev0 ~mirror:g0 ~source:root
+          ~dist:(Array.copy dist) edits
+      with
+      | `Overflow -> left := !left + Dynamic_sssp.frontier ds
+      | `Patched _ -> ()
   in
-  ignore (link_fills ~before:overflow ~what:"link, after an overflow" g ~root);
+  ignore (link_fills ~before:(overflow rev g) ~what:"link, after an overflow" g ~root);
   let costs = Array.init n (fun _ -> 1.0 +. float_of_int (Rng.int rng 4)) in
   let ng = Wnet_topology.Udg.node_graph u ~costs in
-  let zero = Graph.with_costs ng (Array.make n 0.0) in
-  let nedits =
-    List.init n (fun x ->
-        { Dynamic_sssp.x; nbrs = Graph.neighbors ng x; c0 = costs.(x); c1 = 0.0 })
-  in
-  let ndist = (Dijkstra.node_weighted ng ~source:root).Dijkstra.dist in
-  let node_overflow ds =
-    match
-      Dynamic_sssp.repair_node_dist ds ~budget:1 ~graph:zero ~source:root
-        ~dist:(Array.copy ndist) nedits
-    with
-    | `Overflow -> left := !left + Dynamic_sssp.frontier ds
-    | `Patched _ -> ()
-  in
-  ignore (node_fills ~before:node_overflow ~what:"node, after an overflow" ng ~root);
+  let fwd, nrev = Digraph.node_view ng ~root in
+  ignore
+    (node_fills ~before:(overflow nrev fwd) ~what:"node, after an overflow" ng ~root);
   if !left = 0 && Digraph.out_degree rev root >= 3 then
     QCheck2.Test.fail_reportf "no repair left keys behind";
   true

@@ -197,6 +197,42 @@ let test_equal_weights_keep_first () =
   Alcotest.(check int64) "-0.0 first" (Int64.bits_of_float (-0.0))
     (Int64.bits_of_float (Digraph.weight g 1 2))
 
+(* The node model's link view against {!Payment_ref.node_links}, the
+   reference's own node-as-links construction: the reversed view is its
+   link list and the forward view that list reversed, triple for triple
+   with weights compared as bits.  Random sparse graphs with costs of
+   0 and -0.0 among others and a few removed (isolated) nodes, the last
+   node always among them; every root of degree 0 or 1, and node 0. *)
+let node_view_prop seed =
+  let module Rng = Wnet_prng.Rng in
+  let rng = Rng.create seed in
+  let g0 = Test_util.random_sparse_graph rng in
+  let n = Graph.n g0 in
+  let special = [| 0.0; -0.0; 1.0; 2.5 |] in
+  let costs =
+    Array.init n (fun v ->
+        if Rng.bernoulli rng 0.4 then special.(Rng.int rng 4) else Graph.cost g0 v)
+  in
+  let removed = (n - 1) :: List.filter (fun _ -> Rng.bernoulli rng 0.15) (List.init n Fun.id) in
+  let g = Graph.remove_nodes (Graph.with_costs g0 costs) removed in
+  let same got want =
+    List.length got = List.length want
+    && List.for_all2
+         (fun (u, v, w) (u', v', w') ->
+           u = u' && v = v' && Int64.equal (Int64.bits_of_float w) (Int64.bits_of_float w'))
+         got want
+  in
+  let roots = List.filter (fun v -> v = 0 || Graph.degree g v <= 1) (List.init n Fun.id) in
+  List.for_all
+    (fun root ->
+      let fwd, rev = Digraph.node_view g ~root in
+      let want = List.sort compare (Payment_ref.node_links g ~source:root) in
+      (same (Digraph.links rev) want
+      && same (Digraph.links fwd) (List.sort compare (List.map (fun (u, v, w) -> (v, u, w)) want))
+      && Digraph.m fwd = 2 * Graph.m g)
+      || QCheck2.Test.fail_reportf "root %d: the view is not the reference's links" root)
+    roots
+
 let suite =
   [
     Alcotest.test_case "sizes" `Quick test_sizes;
@@ -214,4 +250,6 @@ let suite =
     links_prop;
     removals_prop;
     first_error_prop;
+    Test_util.qcheck_case ~count:200 "node view = reference node links (bits)"
+      Test_util.seed_gen node_view_prop;
   ]

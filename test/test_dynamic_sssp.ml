@@ -141,7 +141,11 @@ let dist_prop seed =
   done;
   true
 
-(* Node-weighted repair: random cost bursts over a fixed topology. *)
+(* Node-weighted repair through the node model's link view: random
+   cost bursts over a fixed topology, a declaration on [x] applied as
+   its deg(x) link edits (every reversed link out of [x] weighs [x]'s
+   cost), the repair over the view held to the node-weighted
+   reference. *)
 let node_dist_prop seed =
   let rng = Test_util.rng seed in
   let g0 =
@@ -153,35 +157,43 @@ let node_dist_prop seed =
   let forbidden = (source + 1 + Rng.int rng (n - 1)) mod n in
   let scratch = Dynamic_sssp.make_dist_scratch n in
   let g = ref g0 in
+  let fwd, rev = Digraph.node_view g0 ~root:source in
   let oracle () = Payment_ref.node_dist ~avoid:forbidden !g ~source in
   let dist = oracle () in
   for burst = 1 to 8 do
-    let edits = ref [] in
+    (* each declared node with its cost at burst start, even when the
+       same node is declared twice in one burst *)
+    let declared = ref [] in
     let k = 1 + Rng.int rng 3 in
     for _ = 1 to k do
       let x = Rng.int rng n in
       if x <> source then begin
-        (* net fold: c0 is the cost at burst start, even when the same
-           node is edited twice in one burst *)
-        let c0 =
-          match List.find_opt (fun e -> e.Dynamic_sssp.x = x) !edits with
-          | Some e -> e.Dynamic_sssp.c0
-          | None -> Graph.cost !g x
-        in
+        if not (List.mem_assoc x !declared) then
+          declared := (x, Graph.cost !g x) :: !declared;
         let c1 =
           if Rng.bernoulli rng 0.3 then float_of_int (1 + Rng.int rng 2)
           else 0.05 +. Rng.float rng 5.0
         in
         g := Graph.with_cost !g x c1;
-        edits :=
-          { Dynamic_sssp.x; nbrs = Graph.neighbors !g x; c0; c1 }
-          :: List.filter (fun e -> e.Dynamic_sssp.x <> x) !edits
+        Array.iter
+          (fun y ->
+            Digraph.set_weight rev x y c1;
+            Digraph.set_weight fwd y x c1)
+          (Graph.neighbors !g x)
       end
     done;
+    let edits =
+      List.concat_map
+        (fun (x, c0) ->
+          List.map
+            (fun y -> { Dynamic_sssp.u = x; v = y; w0 = c0; w1 = Graph.cost !g x })
+            (Array.to_list (Graph.neighbors !g x)))
+        !declared
+    in
     let fresh = oracle () in
     (match
-       Dynamic_sssp.repair_node_dist scratch ~forbidden ~graph:!g ~source ~dist
-         !edits
+       Dynamic_sssp.repair_dist scratch ~forbidden ~graph:rev ~mirror:fwd ~source
+         ~dist edits
      with
     | `Patched _ -> ()
     | `Overflow -> Array.blit fresh 0 dist 0 n);

@@ -513,8 +513,8 @@ let test_untouched_burst_keeps_entries () =
    lies outside subtree(1): raising 10's cost raises that boundary label
    and nothing else.  Entry 1 is repaired inside its subtree — cheaper
    than refilling its six nodes — and entry 10, whose subtree no change
-   enters, is kept.  The node model rebuilds its tree, which [repaired]
-   does not count. *)
+   enters, is kept.  The shared tree is repaired too, and [repaired]
+   counts it, as in the link model. *)
 let test_boundary_rise_repaired_in_subtree () =
   let g =
     Graph.create
@@ -529,8 +529,8 @@ let test_boundary_rise_repaired_in_subtree () =
   NS.set_cost s 10 2.0;
   let r = NS.payments s in
   let st2 = NS.stats s in
-  Alcotest.(check int) "entry 1 repaired in place" (st1.NS.repaired_entries + 1)
-    st2.NS.repaired_entries;
+  Alcotest.(check int) "the tree and entry 1 repaired in place"
+    (st1.NS.repaired_entries + 2) st2.NS.repaired_entries;
   Alcotest.(check int) "nothing refilled" st1.NS.avoid_runs st2.NS.avoid_runs;
   Alcotest.(check int) "one repair task" (st1.NS.tasks_executed + 1)
     st2.NS.tasks_executed;
@@ -696,13 +696,93 @@ let test_explicit_flush () =
   Alcotest.(check int) "empty flush and payments add no pass"
     st1.LS.inval_passes st2.LS.inval_passes
 
-let test_node_coalesced_burst () =
-  let g =
-    Graph.create
-      ~costs:[| 1.0; 2.0; 3.0; 2.0; 1.0 |]
-      ~edges:[ (1, 0); (2, 1); (3, 2); (4, 0); (4, 1) ]
+(* A join, leave or rejoin that is refused answers before the pending
+   burst's flush: the counters are as they were, and the burst is
+   flushed once, by the next payments. *)
+let test_refused_structural_edits () =
+  let s = LS.create (burst_graph ()) ~root:0 in
+  ignore (LS.payments s);
+  LS.set_cost s 4 1 45.0;
+  let st0 = LS.stats s in
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s was accepted" what
+    | exception Invalid_argument _ -> ()
   in
-  let s = NS.create g ~root:0 in
+  refused "leave of the root" (fun () -> LS.remove_node s 0);
+  refused "leave out of range" (fun () -> LS.remove_node s 9);
+  refused "join to an endpoint out of range" (fun () ->
+      ignore (LS.add_node s ~out:[ (7, 1.0) ] ~inn:[]));
+  refused "rejoin of a linked node" (fun () ->
+      LS.rejoin_node s 3 ~out:[ (2, 1.0) ] ~inn:[]);
+  Alcotest.(check bool) "refused edits leave the counters" true (LS.stats s = st0);
+  let b = LS.payments s in
+  Alcotest.(check int) "the burst is flushed once, by the payments"
+    (st0.LS.inval_passes + 1) (LS.stats s).LS.inval_passes;
+  check_link_ref "payments match the oracle" s b
+
+let node_burst_graph () =
+  Graph.create
+    ~costs:[| 1.0; 2.0; 3.0; 2.0; 1.0 |]
+    ~edges:[ (1, 0); (2, 1); (3, 2); (4, 0); (4, 1) ]
+
+(* A session over the node model's view reads relay [k]'s cost off the
+   links into [k], so it refuses, before any change, every edit that
+   could give them different weights (a single link, a join, a rejoin)
+   and a malformed declaration; a link-model session refuses a node
+   declaration.  Declarations and leaves keep the payments the node
+   reference's. *)
+let test_node_model_refuses_link_edits () =
+  let g = node_burst_graph () in
+  let s = LS.of_node_model g ~root:0 in
+  ignore (LS.payments s);
+  LS.set_node_cost s 2 4.0;
+  LS.remove_node s 3;
+  let st0 = LS.stats s and v0 = LS.version s in
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s was accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "a single link edit" (fun () -> LS.set_cost s 1 2 9.0);
+  refused "a join" (fun () -> ignore (LS.add_node s ~out:[ (0, 0.0) ] ~inn:[ (0, 1.0) ]));
+  refused "a rejoin" (fun () -> LS.rejoin_node s 3 ~out:[ (2, 4.0) ] ~inn:[ (2, 2.0) ]);
+  refused "a negative cost" (fun () -> LS.set_node_cost s 2 (-1.0));
+  refused "an infinite cost" (fun () -> LS.set_node_cost s 2 infinity);
+  refused "a NaN cost" (fun () -> LS.set_node_cost s 2 Float.nan);
+  refused "a node out of range" (fun () -> LS.set_node_cost s 5 1.0);
+  refused "a node declaration on a link-model session" (fun () ->
+      LS.set_node_cost (LS.create (burst_graph ()) ~root:0) 1 2.0);
+  Alcotest.(check bool) "refused edits leave the counters" true (LS.stats s = st0);
+  Alcotest.(check int) "refused edits leave the version" v0 (LS.version s);
+  let expected = Payment_ref.node (Graph.remove_node (Graph.with_cost g 2 4.0) 3) ~root:0 in
+  Alcotest.(check (option string)) "payments match the node reference" None
+    (Test_util.ref_diff expected
+       (fun (o : LS.outcome) ->
+         (o.LS.src, o.LS.path, o.LS.lcp_cost, None, o.LS.relay_pay, o.LS.charge))
+       (LS.payments s).LS.results)
+
+(* A declaration on the access point moves no link of the view: it is
+   counted, bumps the version and leaves the tree, its index and every
+   entry as they were. *)
+let test_node_root_declaration_moves_no_link () =
+  let s = NS.create (node_burst_graph ()) ~root:0 in
+  ignore (NS.payments s);
+  let st0 = NS.stats s and idx0 = NS.tree_index s and v0 = NS.version s in
+  NS.set_cost s 0 7.0;
+  NS.set_cost s 0 0.5;
+  let b = NS.payments s in
+  let st1 = NS.stats s in
+  Alcotest.(check int) "both declarations counted" (st0.NS.edits + 2) st1.NS.edits;
+  Alcotest.(check int) "the version bumps" (v0 + 2) (NS.version s);
+  Alcotest.(check int) "no invalidation pass" st0.NS.inval_passes st1.NS.inval_passes;
+  Alcotest.(check int) "no tree run" st0.NS.spt_runs st1.NS.spt_runs;
+  Alcotest.(check int) "no refill" st0.NS.avoid_runs st1.NS.avoid_runs;
+  Alcotest.(check bool) "the tree index is kept" true (NS.tree_index s == idx0);
+  Alcotest.(check (option string)) "payments match the reference" None (node_ref_diff s b)
+
+let test_node_coalesced_burst () =
+  let s = NS.create (node_burst_graph ()) ~root:0 in
   ignore (NS.payments s);
   let st0 = NS.stats s in
   NS.set_cost s 1 5.0;
@@ -997,6 +1077,12 @@ let suite =
       test_explicit_flush;
     Alcotest.test_case "node model coalesces bursts too" `Quick
       test_node_coalesced_burst;
+    Alcotest.test_case "refused join, leave and rejoin keep the burst" `Quick
+      test_refused_structural_edits;
+    Alcotest.test_case "node-model session refuses link edits" `Quick
+      test_node_model_refuses_link_edits;
+    Alcotest.test_case "access-point declaration moves no link" `Quick
+      test_node_root_declaration_moves_no_link;
     Alcotest.test_case "map_array_pooled caller-owned states" `Quick
       test_map_array_pooled;
     Test_util.qcheck_case ~count:200 "sum_payments = left fold (bits)"
